@@ -191,16 +191,31 @@ let trace_file =
 
 (* ---- run ---- *)
 
-(* The shared observability harness of run, serve and peer: one JSONL
-   sink with a summary trailer (closed even on exceptions — the stream
-   is mirrored to disk and aggregated a second time independently of
-   the engine, so the trailing summary line is computed from exactly
+(* The shared observability harness of run, serve, peer and hub: one
+   JSONL sink with a summary trailer (closed even on exceptions — the
+   stream is mirrored to disk and aggregated a second time independently
+   of the engine, so the trailing summary line is computed from exactly
    what was written, and a partial trace is still a valid one), plus an
    optional wall-clock profiler and a Metrics aggregate the caller can
    expose live ([live_metrics] forces aggregation even without a trace
-   file, for --stat-port). *)
+   file, for --stat-port).  An unwritable trace or flight path is an
+   [Error] before [f] runs. *)
 let with_obs ?(profile = false) ?(live_metrics = false) ?(monitor = false)
     ?flight trace f =
+  match
+    (* the flight dump writes [path ^ ".tmp"] then renames: probe that
+       file now, so a bad path fails here rather than silently at every
+       cadenced dump *)
+    Option.iter
+      (fun path ->
+        let tmp = path ^ ".tmp" in
+        close_out (open_out_bin tmp);
+        Sys.remove tmp)
+      flight;
+    Option.map (fun path -> (path, open_out path)) trace
+  with
+  | exception Sys_error m -> Error ("cannot write " ^ m)
+  | out ->
   let m = Metrics.create () in
   let msink = Metrics.sink m in
   let mk_prof sink =
@@ -234,32 +249,30 @@ let with_obs ?(profile = false) ?(live_metrics = false) ?(monitor = false)
     if not monitor then sink
     else Conform.monitor ~on_violation:(fun _ _ -> flight_dump ()) sink
   in
-  let finish_flight () =
-    match flight with
-    | Some (fr, path) when Flight.recorded fr > 0 ->
-      flight_dump ();
-      Format.printf "wrote %s@." path
-    | _ -> ()
-  in
-  match trace with
-  | None ->
-    let base =
-      if profile || live_metrics || monitor then msink else Trace.null
-    in
-    let sink = add_monitor (add_flight base) in
-    Fun.protect ~finally:finish_flight (fun () ->
-        f ~sink ~prof:(mk_prof sink) ~metrics:m)
-  | Some path ->
-    let oc = open_out path in
-    let sink = add_monitor (add_flight (Trace.tee (Trace.jsonl oc) msink)) in
-    Fun.protect
-      ~finally:(fun () ->
-        finish_flight ();
+  let finish () =
+    (match flight with
+    | Some (fr, path) when Flight.recorded fr > 0 -> (
+      match Flight.dump fr path with
+      | () -> Format.printf "wrote %s@." path
+      | exception Sys_error e -> Format.eprintf "flight dump failed: %s@." e)
+    | _ -> ());
+    Option.iter
+      (fun (path, oc) ->
         output_string oc (Json_out.to_line (Metrics.summary_json m));
         output_char oc '\n';
         close_out oc;
         Format.printf "wrote %s@." path)
-      (fun () -> f ~sink ~prof:(mk_prof sink) ~metrics:m)
+      out
+  in
+  let base =
+    match out with
+    | Some (_, oc) -> Trace.tee (Trace.jsonl oc) msink
+    | None -> if profile || live_metrics || monitor then msink else Trace.null
+  in
+  let sink = add_monitor (add_flight base) in
+  Ok (Fun.protect ~finally:finish (fun () -> f ~sink ~prof:(mk_prof sink) ~metrics:m))
+
+let or_error = function Ok r -> r | Error m -> `Error (false, m)
 
 let chaos_opt =
   Arg.(value & opt int 0 & info [ "chaos" ] ~docv:"CYCLES"
@@ -299,26 +312,28 @@ let run_cmd =
                 ~duration:scenario.Scenario.duration ~cycles:chaos ();
           }
       in
-      let r, expo =
+      match
         with_obs ~profile trace (fun ~sink ~prof ~metrics ->
             let r =
               Engine.run { scenario with Scenario.trace = sink; prof }
             in
             (r, if profile then Some (Expo.render metrics) else None))
-      in
-      Option.iter
-        (fun text -> Format.printf "# metrics exposition@.%s@." text)
-        expo;
-      print_result r;
-      Option.iter
-        (fun prefix ->
-          Export.write_file ~path:(prefix ^ "-series.csv") (Export.series_csv r);
-          Export.write_file ~path:(prefix ^ "-nodes.csv") (Export.nodes_csv r);
-          Export.write_file ~path:(prefix ^ "-summary.csv")
-            (Export.summary_csv r);
-          Format.printf "@.wrote %s-{series,nodes,summary}.csv@." prefix)
-        csv;
-      `Ok ()
+      with
+      | Error m -> `Error (false, m)
+      | Ok (r, expo) ->
+        Option.iter
+          (fun text -> Format.printf "# metrics exposition@.%s@." text)
+          expo;
+        print_result r;
+        Option.iter
+          (fun prefix ->
+            Export.write_file ~path:(prefix ^ "-series.csv") (Export.series_csv r);
+            Export.write_file ~path:(prefix ^ "-nodes.csv") (Export.nodes_csv r);
+            Export.write_file ~path:(prefix ^ "-summary.csv")
+              (Export.summary_csv r);
+            Format.printf "@.wrote %s-{series,nodes,summary}.csv@." prefix)
+          csv;
+        `Ok ()
   in
   let term =
     Term.(
@@ -400,7 +415,7 @@ let sweep_cmd =
   in
   Cmd.v (Cmd.info "sweep" ~doc:"Sweep one parameter and tabulate results.") term
 
-(* ---- serve / peer: the socket runtime ---- *)
+(* ---- serve / peer / hub: the socket runtime ---- *)
 
 module Unet = Loop.Make (Udp)
 
@@ -408,37 +423,6 @@ let net_spec ~nodes ~drift_ppm ~hi_ms =
   System_spec.uniform ~n:nodes ~source:0 ~drift:(Drift.of_ppm drift_ppm)
     ~transit:(Transit.of_q Q.zero (Scenario.ms hi_ms))
     ~links:(Topology.star nodes)
-
-(* poll until the wall deadline, sampling every [sample_every]; both
-   subcommands share this driver.  [tick] runs every iteration (at
-   least every 0.2 s) — the hook the live stat server polls from. *)
-let drive ?(tick = fun () -> ()) ~loop ~net ~session ~duration ~sample_every
-    ~print ~stop_early () =
-  let start = Udp.now net in
-  let deadline = Q.add start duration in
-  let next_sample = ref (Q.add start sample_every) in
-  let rec go () =
-    let now = Udp.now net in
-    tick ();
-    if Q.(now < deadline) && not (stop_early ()) then begin
-      if Q.(now >= !next_sample) then begin
-        print ~now;
-        next_sample := Q.add now sample_every
-      end;
-      let wait =
-        Q.min
-          (Q.min (Q.sub deadline now)
-             (Q.max Q.zero (Q.sub !next_sample now)))
-          (Q.of_ints 1 5)
-      in
-      Unet.poll loop ~max_wait:wait;
-      go ()
-    end
-  in
-  go ();
-  Session.stop session ~now:(Udp.now net);
-  (* a last poll flushes the byes *)
-  Unet.poll loop ~max_wait:Q.zero
 
 let q_of_float_s f = Q.of_ints (int_of_float (f *. 1_000_000.)) 1_000_000
 
@@ -522,33 +506,42 @@ let pin_epoch = function
       Sys.rename tmp file;
       Ok ())
 
-(* Build the session, through the checkpoint store when one is asked
-   for.  A corrupt checkpoint is a refusal, not a silent fresh start:
-   rebooting amnesiac after having participated would re-issue event
-   sequence numbers peers already hold. *)
-let mk_session ~sink ~prof ~checkpoint cfg ~now =
+(* Build a session, through the checkpoint store when one is asked for:
+   the node's own store, or for a hub cohort [(idx, members)] one store
+   per cohort keyed by its index.  A corrupt checkpoint is a refusal, not
+   a silent fresh start: rebooting amnesiac after having participated
+   would re-issue event sequence numbers peers already hold. *)
+let mk_session ~sink ~prof ~checkpoint ?cohort cfg ~now =
+  let peers = Option.map snd cohort in
+  let fresh () = Session.create ~sink ~prof ?peers cfg ~now in
   match checkpoint with
-  | None -> Ok (Session.create ~sink ~prof cfg ~now)
+  | None -> Ok (fresh ())
   | Some dir ->
-    let store = Fault.Store.create ~dir ~node:cfg.Session.me in
+    let node, who =
+      match cohort with
+      | None -> (cfg.Session.me, "")
+      | Some (idx, _) -> (idx, Printf.sprintf "cohort %d " idx)
+    in
+    let store = Fault.Store.create ~dir ~node in
     let attach session =
       Session.set_checkpoint session (Fault.Store.save store);
-      session
+      Ok session
     in
     (match Fault.Store.load_result store with
-    | Error m -> Error ("checkpoint unusable (wipe it to start fresh): " ^ m)
+    | Error m -> Error (who ^ "checkpoint unusable (wipe it to start fresh): " ^ m)
     | Ok None ->
-      Format.printf "checkpointing to %s@." (Fault.Store.path store);
-      Ok (attach (Session.create ~sink ~prof cfg ~now))
+      if cohort = None then
+        Format.printf "checkpointing to %s@." (Fault.Store.path store);
+      attach (fresh ())
     | Ok (Some blob) -> (
-      match Session.restore ~sink ~prof cfg ~now blob with
-      | Error m -> Error m
+      match Session.restore ~sink ~prof ?peers cfg ~now blob with
+      | Error m -> Error (who ^ m)
       | Ok session ->
         Trace.emit sink
           (Trace.Recover { t = Q.to_float now; node = cfg.Session.me });
-        Format.printf "recovered from checkpoint %s@."
+        Format.printf "%srecovered from checkpoint %s@." who
           (Fault.Store.path store);
-        Ok (attach session)))
+        attach session))
 
 let stat_port_opt =
   Arg.(value & opt (some int) None & info [ "stat-port" ] ~docv:"PORT"
@@ -598,42 +591,121 @@ let mk_stats ~stat_port ~metrics =
       srv)
     stat_port
 
-let serve_cmd =
-  let action port nodes drift_ppm hi_ms duration sample heartbeat drop seed
-      checkpoint trace stat_port monitor flight =
-    if nodes < 2 then `Error (false, "need at least 2 nodes")
-    else begin
-      with_obs ~profile:(stat_port <> None) ~live_metrics:(stat_port <> None)
-        ~monitor ?flight trace (fun ~sink ~prof ~metrics ->
-          let spec = net_spec ~nodes ~drift_ppm ~hi_ms in
-          match pin_epoch checkpoint with
-          | Error m -> `Error (false, m)
-          | Ok () ->
-          let net = Udp.create ~drop ~seed ~port () in
-          Format.printf "clocksync reference node: processor 0 of %d, %s@."
-            nodes
-            (Udp.string_of_addr (Udp.loopback (Udp.port net)));
-          Format.printf
-            "spec: drift %d ppm, transit [0, %d ms]; waiting for peers@."
-            drift_ppm hi_ms;
-          let cfg =
-            {
-              (Session.default_config ~me:0 ~spec) with
-              Session.heartbeat = q_of_float_s heartbeat;
-            }
-          in
-          let start = Udp.now net in
-          match mk_session ~sink ~prof ~checkpoint cfg ~now:start with
-          | Error m ->
-            Udp.close net;
-            `Error (false, m)
-          | Ok session ->
-          match mk_stats ~stat_port ~metrics with
+(* the options serve, peer and hub share *)
+type runtime = {
+  nodes : int;
+  drift_ppm : int;
+  hi_ms : int;
+  duration : float;
+  sample : float;
+  heartbeat : float;
+  drop : float;
+  seed : int;
+  checkpoint : string option;
+  trace : string option;
+  stat_port : int option;
+  monitor : bool;
+  flight : string option;
+}
+
+let runtime =
+  let mk nodes drift_ppm hi_ms duration sample heartbeat drop seed checkpoint
+      trace stat_port monitor flight =
+    { nodes; drift_ppm; hi_ms; duration; sample; heartbeat; drop; seed;
+      checkpoint; trace; stat_port; monitor; flight }
+  in
+  Term.(
+    const mk $ net_nodes $ net_drift $ net_hi_ms $ net_duration $ net_sample
+    $ net_heartbeat $ net_drop $ seed $ checkpoint_opt $ trace_file
+    $ stat_port_opt $ monitor_flag $ flight_opt)
+
+(* What a subcommand plugs into the shared runtime once its socket and
+   session config exist. *)
+type node = {
+  poll : max_wait:Q.t -> unit;
+  print : now:Q.t -> unit;  (** one periodic sample line *)
+  finished : unit -> bool;  (** stop before the deadline *)
+  stop : now:Q.t -> unit;  (** say bye; a last poll flushes it *)
+  report : unit -> (unit, string) result;  (** the closing verdict *)
+}
+
+(* Observability, spec, epoch pin, socket, session config, stat server,
+   the drive loop and the monitor verdict — everything serve, peer and
+   hub share.  [setup] builds the node; the loop then polls until the
+   wall deadline, printing every --sample seconds and serving the stat
+   endpoint at least every 0.2 s. *)
+let run_node rt ~me ?offset ?rate ~port setup =
+  or_error
+  @@ with_obs ~profile:(rt.stat_port <> None)
+       ~live_metrics:(rt.stat_port <> None) ~monitor:rt.monitor
+       ?flight:rt.flight rt.trace
+  @@ fun ~sink ~prof ~metrics ->
+  match pin_epoch rt.checkpoint with
+  | Error m -> `Error (false, m)
+  | Ok () ->
+    let spec = net_spec ~nodes:rt.nodes ~drift_ppm:rt.drift_ppm ~hi_ms:rt.hi_ms in
+    let net =
+      Udp.create ?offset ?rate ~drop:rt.drop ~seed:(rt.seed + me) ~port ()
+    in
+    let cfg =
+      {
+        (Session.default_config ~me ~spec) with
+        Session.heartbeat = q_of_float_s rt.heartbeat;
+      }
+    in
+    let result =
+      Result.bind (setup ~sink ~prof ~net ~spec ~cfg) (fun node ->
+          match mk_stats ~stat_port:rt.stat_port ~metrics with
           | exception Unix.Unix_error (e, _, _) ->
-            Udp.close net;
-            `Error (false, "stat-port: " ^ Unix.error_message e)
+            Error ("stat-port: " ^ Unix.error_message e)
           | stats ->
+            let start = Udp.now net in
+            let deadline = Q.add start (q_of_float_s rt.duration) in
+            let every = q_of_float_s rt.sample in
+            let next_sample = ref (Q.add start every) in
+            let rec go () =
+              Option.iter Stat_server.poll stats;
+              let now = Udp.now net in
+              if Q.(now < deadline) && not (node.finished ()) then begin
+                if Q.(now >= !next_sample) then begin
+                  node.print ~now;
+                  next_sample := Q.add now every
+                end;
+                node.poll
+                  ~max_wait:
+                    (Q.min
+                       (Q.min (Q.sub deadline now)
+                          (Q.max Q.zero (Q.sub !next_sample now)))
+                       (Q.of_ints 1 5));
+                go ()
+              end
+            in
+            go ();
+            node.stop ~now:(Udp.now net);
+            node.poll ~max_wait:Q.zero;
+            Option.iter Stat_server.close stats;
+            node.report ())
+    in
+    Udp.close net;
+    monitor_verdict ~monitor:rt.monitor ~metrics
+      (match result with Ok () -> `Ok () | Error m -> `Error (false, m))
+
+let serve_cmd =
+  let action port rt =
+    if rt.nodes < 2 then `Error (false, "need at least 2 nodes")
+    else
+      run_node rt ~me:0 ~port @@ fun ~sink ~prof ~net ~spec:_ ~cfg ->
+      Format.printf "clocksync reference node: processor 0 of %d, %s@."
+        rt.nodes
+        (Udp.string_of_addr (Udp.loopback (Udp.port net)));
+      Format.printf
+        "spec: drift %d ppm, transit [0, %d ms]; waiting for peers@."
+        rt.drift_ppm rt.hi_ms;
+      let start = Udp.now net in
+      Result.map
+        (fun session ->
           let loop = Unet.create ~prof ~net ~session () in
+          let all_done () = Session.all_peers_done session in
           let print ~now =
             let up =
               List.filter (Session.established session)
@@ -645,40 +717,26 @@ let serve_cmd =
             ignore (Session.sample session ~now ~truth:now ());
             Format.printf "t=%6.2f  peers up: %d/%d%s@."
               (Q.to_float (Q.sub now start))
-              (List.length up) (nodes - 1)
+              (List.length up) (rt.nodes - 1)
               (if up = [] then ""
-               else
-                 "  [" ^ String.concat ","
-                   (List.map string_of_int up) ^ "]")
+               else "  [" ^ String.concat "," (List.map string_of_int up) ^ "]")
           in
-          let all_done () = Session.all_peers_done session in
-          drive
-            ~tick:(fun () -> Option.iter Stat_server.poll stats)
-            ~loop ~net ~session ~duration:(q_of_float_s duration)
-            ~sample_every:(q_of_float_s sample) ~print ~stop_early:all_done
-            ();
-          Option.iter Stat_server.close stats;
-          Udp.close net;
-          Format.printf "reference node done (%s)@."
-            (if all_done () then "all peers came up and said bye"
-             else "duration elapsed");
-          monitor_verdict ~monitor ~metrics (`Ok ()))
-    end
-  in
-  let term =
-    Term.(
-      ret
-        (const action $ port_opt $ net_nodes $ net_drift $ net_hi_ms
-       $ net_duration $ net_sample $ net_heartbeat $ net_drop $ seed
-       $ checkpoint_opt $ trace_file $ stat_port_opt $ monitor_flag
-       $ flight_opt))
+          let report () =
+            Format.printf "reference node done (%s)@."
+              (if all_done () then "all peers came up and said bye"
+               else "duration elapsed");
+            Ok ()
+          in
+          { poll = Unet.poll loop; print; finished = all_done;
+            stop = Session.stop session; report })
+        (mk_session ~sink ~prof ~checkpoint:rt.checkpoint cfg ~now:start)
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Run the reference node (processor 0, the time source) on a UDP \
           port.  Peers connect with $(b,clocksync peer).")
-    term
+    Term.(ret (const action $ port_opt $ runtime))
 
 let peer_cmd =
   let server =
@@ -697,55 +755,28 @@ let peer_cmd =
     Arg.(value & opt int 0 & info [ "skew-ppm" ] ~docv:"PPM"
            ~doc:"Emulated clock rate error (must stay within --drift).")
   in
-  let action server id nodes drift_ppm hi_ms duration sample heartbeat drop
-      offset_ms skew_ppm seed checkpoint trace stat_port monitor flight =
+  let action server id offset_ms skew_ppm rt =
     match Udp.addr_of_string server with
     | Error m -> `Error (false, m)
     | Ok server_addr ->
-      if id < 1 || id >= nodes then
+      if id < 1 || id >= rt.nodes then
         `Error (false, "peer id must be in 1..nodes-1")
-      else if abs skew_ppm > drift_ppm then
+      else if abs skew_ppm > rt.drift_ppm then
         `Error (false, "--skew-ppm exceeds the --drift bound: the \
                         resulting intervals would be unsound")
-      else begin
-        with_obs ~profile:(stat_port <> None)
-          ~live_metrics:(stat_port <> None) ~monitor ?flight trace
-          (fun ~sink ~prof ~metrics ->
-            let spec = net_spec ~nodes ~drift_ppm ~hi_ms in
-            match pin_epoch checkpoint with
-            | Error m -> `Error (false, m)
-            | Ok () ->
-            let rate = Q.add Q.one (Q.of_ints skew_ppm 1_000_000) in
-            let net =
-              Udp.create ~offset:(Scenario.ms offset_ms) ~rate ~drop
-                ~seed:(seed + id) ~port:0 ()
-            in
-            Format.printf
-              "clocksync peer: processor %d of %d -> %s (offset %d ms, \
-               skew %d ppm)@."
-              id nodes server offset_ms skew_ppm;
-            let cfg =
-              {
-                (Session.default_config ~me:id ~spec) with
-                Session.heartbeat = q_of_float_s heartbeat;
-              }
-            in
-            match mk_session ~sink ~prof ~checkpoint cfg ~now:(Udp.now net)
-            with
-            | Error m ->
-              Udp.close net;
-              `Error (false, m)
-            | Ok session ->
-            match mk_stats ~stat_port ~metrics with
-            | exception Unix.Unix_error (e, _, _) ->
-              Udp.close net;
-              `Error (false, "stat-port: " ^ Unix.error_message e)
-            | stats ->
+      else
+        let rate = Q.add Q.one (Q.of_ints skew_ppm 1_000_000) in
+        run_node rt ~me:id ~offset:(Scenario.ms offset_ms) ~rate ~port:0
+        @@ fun ~sink ~prof ~net ~spec:_ ~cfg ->
+        Format.printf
+          "clocksync peer: processor %d of %d -> %s (offset %d ms, \
+           skew %d ppm)@."
+          id rt.nodes server offset_ms skew_ppm;
+        Result.map
+          (fun session ->
             let loop = Unet.create ~prof ~net ~session () in
             Unet.learn loop ~peer:0 server_addr;
-            let samples = ref 0
-            and finite = ref 0
-            and uncontained = ref 0 in
+            let samples = ref 0 and finite = ref 0 and uncontained = ref 0 in
             let print ~now =
               (* on localhost every process shares the wall clock, and
                  the reference node runs offset 0 / rate 1: the wall
@@ -766,37 +797,24 @@ let peer_cmd =
                 "lt=%10.3f  source time in %s  width=%s  contained=%s@."
                 (Q.to_float now)
                 (Interval.to_string_approx est)
-                (if Float.is_finite w then Printf.sprintf "%.6f" w
-                 else "inf")
+                (if Float.is_finite w then Printf.sprintf "%.6f" w else "inf")
                 (if ok then "yes" else "NO")
             in
-            drive
-              ~tick:(fun () -> Option.iter Stat_server.poll stats)
-              ~loop ~net ~session ~duration:(q_of_float_s duration)
-              ~sample_every:(q_of_float_s sample) ~print
-              ~stop_early:(fun () -> false)
-              ();
-            Option.iter Stat_server.close stats;
-            Udp.close net;
-            Format.printf
-              "peer %d done: %d samples, %d finite, %d containment \
-               failures@."
-              id !samples !finite !uncontained;
-            if !uncontained > 0 then
-              `Error (false, "soundness violated: some intervals missed \
-                              the reference time")
-            else if !finite = 0 then
-              `Error (false, "never converged to a finite interval")
-            else monitor_verdict ~monitor ~metrics (`Ok ()))
-      end
-  in
-  let term =
-    Term.(
-      ret
-        (const action $ server $ id $ net_nodes $ net_drift $ net_hi_ms
-       $ net_duration $ net_sample $ net_heartbeat $ net_drop $ offset_ms
-       $ skew_ppm $ seed $ checkpoint_opt $ trace_file $ stat_port_opt
-       $ monitor_flag $ flight_opt))
+            let report () =
+              Format.printf
+                "peer %d done: %d samples, %d finite, %d containment \
+                 failures@."
+                id !samples !finite !uncontained;
+              if !uncontained > 0 then
+                Error "soundness violated: some intervals missed the \
+                       reference time"
+              else if !finite = 0 then Error "never converged to a finite interval"
+              else Ok ()
+            in
+            { poll = Unet.poll loop; print; finished = (fun () -> false);
+              stop = Session.stop session; report })
+          (mk_session ~sink ~prof ~checkpoint:rt.checkpoint cfg
+             ~now:(Udp.now net))
   in
   Cmd.v
     (Cmd.info "peer"
@@ -805,7 +823,7 @@ let peer_cmd =
           node, printing live optimal offset intervals (and checking, on \
           localhost, that each interval contains the reference node's \
           true time).")
-    term
+    Term.(ret (const action $ server $ id $ offset_ms $ skew_ppm $ runtime))
 
 (* ---- hub / swarm: one socket, thousands of clients ---- *)
 
@@ -820,81 +838,24 @@ let burst_opt =
          ~doc:"Max datagrams handled per readiness wakeup (the burst \
                drain cap).")
 
-(* per-cohort checkpoint wiring: one Fault.Store per cohort (keyed by
-   cohort index inside the hub's --checkpoint DIR), restored with the
-   cohort's member subset.  Same refusal discipline as mk_session: a
-   corrupt blob is an error, not a silent fresh start. *)
-let mk_cohort_session ~sink ~prof ~checkpoint cfg ~now ~idx ~members =
-  match checkpoint with
-  | None -> Ok (Session.create ~sink ~prof ~peers:members cfg ~now)
-  | Some dir ->
-    let store = Fault.Store.create ~dir ~node:idx in
-    let attach session =
-      Session.set_checkpoint session (Fault.Store.save store);
-      session
-    in
-    (match Fault.Store.load_result store with
-    | Error m ->
-      Error
-        (Printf.sprintf "cohort %d checkpoint unusable (wipe it to start \
-                         fresh): %s" idx m)
-    | Ok None -> Ok (attach (Session.create ~sink ~prof ~peers:members cfg ~now))
-    | Ok (Some blob) -> (
-      match Session.restore ~sink ~prof ~peers:members cfg ~now blob with
-      | Error m -> Error (Printf.sprintf "cohort %d: %s" idx m)
-      | Ok session ->
-        Trace.emit sink (Trace.Recover { t = Q.to_float now; node = 0 });
-        Format.printf "cohort %d recovered from checkpoint %s@." idx
-          (Fault.Store.path store);
-        Ok (attach session)))
-
 let hub_cmd =
-  let action port nodes drift_ppm hi_ms duration sample heartbeat drop seed
-      cohort burst checkpoint trace stat_port monitor flight =
-    if nodes < 2 then `Error (false, "need at least 2 nodes")
+  let action port cohort burst rt =
+    if rt.nodes < 2 then `Error (false, "need at least 2 nodes")
     else if cohort < 1 then `Error (false, "--cohort must be >= 1")
-    else begin
-      with_obs ~profile:(stat_port <> None) ~live_metrics:(stat_port <> None)
-        ~monitor ?flight trace (fun ~sink ~prof ~metrics ->
-          let spec = net_spec ~nodes ~drift_ppm ~hi_ms in
-          match pin_epoch checkpoint with
-          | Error m -> `Error (false, m)
-          | Ok () ->
-          let net = Udp.create ~drop ~seed ~port () in
-          let cfg =
-            {
-              (Session.default_config ~me:0 ~spec) with
-              Session.heartbeat = q_of_float_s heartbeat;
-            }
-          in
-          let start = Udp.now net in
-          Option.iter
-            (fun dir -> Format.printf "checkpointing cohorts to %s@." dir)
-            checkpoint;
-          match
-            Swarm.Uhub.create ~sink ~prof ~burst ~net ~spec ~cohort_size:cohort
-              ~mk_session:(fun ~idx ~members ->
-                mk_cohort_session ~sink ~prof ~checkpoint cfg ~now:start ~idx
-                  ~members)
-              ()
-          with
-          | Error m ->
-            Udp.close net;
-            `Error (false, m)
-          | Ok hub ->
-          match mk_stats ~stat_port ~metrics with
-          | exception Unix.Unix_error (e, _, _) ->
-            Udp.close net;
-            `Error (false, "stat-port: " ^ Unix.error_message e)
-          | stats ->
+    else
+      run_node rt ~me:0 ~port @@ fun ~sink ~prof ~net ~spec ~cfg ->
+      let start = Udp.now net in
+      Option.iter
+        (fun dir -> Format.printf "checkpointing cohorts to %s@." dir)
+        rt.checkpoint;
+      Result.map
+        (fun hub ->
           Format.printf
             "clocksync hub: processor 0 of %d, %s; %d clients in %d \
              cohorts of <= %d@."
-            nodes
+            rt.nodes
             (Udp.string_of_addr (Udp.loopback (Udp.port net)))
             (Swarm.Uhub.clients hub) (Swarm.Uhub.cohorts hub) cohort;
-          let deadline = Q.add start (q_of_float_s duration) in
-          let next_sample = ref (Q.add start (q_of_float_s sample)) in
           let print ~now =
             let st = Swarm.Uhub.stats hub in
             Swarm.Uhub.emit_stats hub ~now;
@@ -905,46 +866,23 @@ let hub_cmd =
               st.Hub.established st.Hub.clients st.Hub.frames st.Hub.batched
               st.Hub.coalesced
           in
-          let rec go () =
-            Option.iter Stat_server.poll stats;
-            let now = Udp.now net in
-            if Q.(now < deadline) && not (Swarm.Uhub.all_clients_done hub)
-            then begin
-              if Q.(now >= !next_sample) then begin
-                print ~now;
-                next_sample := Q.add now (q_of_float_s sample)
-              end;
-              let wait =
-                Q.min
-                  (Q.min (Q.sub deadline now)
-                     (Q.max Q.zero (Q.sub !next_sample now)))
-                  (Q.of_ints 1 5)
-              in
-              Swarm.Uhub.poll hub ~max_wait:wait;
-              go ()
-            end
+          let all_done () = Swarm.Uhub.all_clients_done hub in
+          let stop ~now =
+            print ~now;
+            Swarm.Uhub.stop hub ~now
           in
-          go ();
-          let now = Udp.now net in
-          print ~now;
-          Swarm.Uhub.stop hub ~now;
-          Swarm.Uhub.poll hub ~max_wait:Q.zero;
-          Option.iter Stat_server.close stats;
-          Udp.close net;
-          Format.printf "hub done (%s)@."
-            (if Swarm.Uhub.all_clients_done hub then
-               "all clients came up and said bye"
-             else "duration elapsed");
-          monitor_verdict ~monitor ~metrics (`Ok ()))
-    end
-  in
-  let term =
-    Term.(
-      ret
-        (const action $ port_opt $ net_nodes $ net_drift $ net_hi_ms
-       $ net_duration $ net_sample $ net_heartbeat $ net_drop $ seed
-       $ cohort_opt $ burst_opt $ checkpoint_opt $ trace_file
-       $ stat_port_opt $ monitor_flag $ flight_opt))
+          let report () =
+            Format.printf "hub done (%s)@."
+              (if all_done () then "all clients came up and said bye"
+               else "duration elapsed");
+            Ok ()
+          in
+          { poll = Swarm.Uhub.poll hub; print; finished = all_done; stop; report })
+        (Swarm.Uhub.create ~sink ~prof ~burst ~net ~spec ~cohort_size:cohort
+           ~mk_session:(fun ~idx ~members ->
+             mk_session ~sink ~prof ~checkpoint:rt.checkpoint
+               ~cohort:(idx, members) cfg ~now:start)
+           ())
   in
   Cmd.v
     (Cmd.info "hub"
@@ -953,9 +891,10 @@ let hub_cmd =
           1..N-1, sharded into cohorts that share per-cohort protocol \
           state.  Drive it with $(b,clocksync swarm) or ordinary \
           $(b,clocksync peer) processes.")
-    term
+    Term.(ret (const action $ port_opt $ cohort_opt $ burst_opt $ runtime))
 
-let print_report (r : Swarm.report) =
+(* print the swarm's outcome; every client must have converged soundly *)
+let swarm_verdict (r : Swarm.report) =
   Format.printf
     "swarm: %d clients — %d established, %d converged, %d sound@."
     r.Swarm.clients r.Swarm.established r.Swarm.converged r.Swarm.sound;
@@ -974,7 +913,12 @@ let print_report (r : Swarm.report) =
            float_of_int st.Hub.frames /. r.Swarm.elapsed_wall
          else 0.))
     r.Swarm.hub;
-  Format.printf "wall time %.2f s@." r.Swarm.elapsed_wall
+  Format.printf "wall time %.2f s@." r.Swarm.elapsed_wall;
+  if r.Swarm.sound < r.Swarm.clients then
+    `Error (false, "soundness violated: some intervals missed the source time")
+  else if r.Swarm.converged < r.Swarm.clients then
+    `Error (false, "not every client converged to a finite interval")
+  else `Ok ()
 
 let swarm_cmd =
   let clients_arg =
@@ -1000,7 +944,7 @@ let swarm_cmd =
       and heartbeat = q_of_float_s heartbeat in
       match server with
       | None ->
-        with_obs trace (fun ~sink ~prof:_ ~metrics:_ ->
+        (or_error @@ with_obs trace @@ fun ~sink ~prof:_ ~metrics:_ ->
             Format.printf
               "loopback swarm: %d clients, cohorts of %d, loss %.2f@."
               clients cohort drop;
@@ -1009,14 +953,7 @@ let swarm_cmd =
                 ~heartbeat ~drift_ppm ~hi_ms ~max_offset_ms ~sink ~burst
                 ~clients ()
             in
-            print_report r;
-            if r.Swarm.sound < r.Swarm.clients then
-              `Error (false, "soundness violated: some intervals missed \
-                              the source time")
-            else if r.Swarm.converged < r.Swarm.clients then
-              `Error (false, "not every client converged to a finite \
-                              interval")
-            else `Ok ())
+            swarm_verdict r)
       | Some server -> (
         match Udp.addr_of_string server with
         | Error m -> `Error (false, m)
@@ -1025,21 +962,14 @@ let swarm_cmd =
             `Error (false, "--nodes must exceed the client count (and \
                             match the hub's)")
           else
-            with_obs trace (fun ~sink ~prof:_ ~metrics:_ ->
+            (or_error @@ with_obs trace @@ fun ~sink ~prof:_ ~metrics:_ ->
                 Format.printf "udp swarm: %d clients -> %s@." clients server;
                 let r =
                   Swarm.run_udp ~seed ~drop ~duration ~sample ~heartbeat
                     ~drift_ppm ~hi_ms ~max_offset_ms ~sink ~nodes ~clients
                     ~server_addr ()
                 in
-                print_report r;
-                if r.Swarm.sound < r.Swarm.clients then
-                  `Error (false, "soundness violated: some intervals \
-                                  missed the source time")
-                else if r.Swarm.converged < r.Swarm.clients then
-                  `Error (false, "not every client converged to a finite \
-                                  interval")
-                else `Ok ()))
+                swarm_verdict r))
   in
   let term =
     Term.(

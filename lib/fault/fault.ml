@@ -26,12 +26,7 @@ module Store = struct
     Codec.add_varint buf t.node;
     Codec.add_varint buf (String.length blob);
     Buffer.add_string buf blob;
-    (* same hash and trailer convention as Frame: FNV-1a-32 over every
-       byte before the trailer, stored little-endian *)
-    let h = Codec.fnv1a32 (Buffer.contents buf) in
-    for i = 0 to 3 do
-      Buffer.add_char buf (Char.chr ((h lsr (8 * i)) land 0xff))
-    done;
+    Wire.add_trailer buf;
     Buffer.contents buf
 
   let save t blob =
@@ -51,13 +46,8 @@ module Store = struct
     try
       let n = String.length s in
       if n < String.length magic + 7 then failwith "checkpoint too short";
-      let stored =
-        let b i = Char.code s.[n - 4 + i] in
-        b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
-      in
       let bytes = Bytes.unsafe_of_string s in
-      if Codec.fnv1a32_sub bytes ~pos:0 ~len:(n - 4) <> stored then
-        failwith "bad checksum";
+      if not (Wire.trailer_ok bytes ~pos:0 ~len:n) then failwith "bad checksum";
       let r =
         Codec.reader_of_slice { Codec.bytes; pos = 0; len = n - 4 }
       in

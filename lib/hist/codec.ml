@@ -18,16 +18,7 @@ let string_of_slice { bytes; pos; len } = Bytes.sub_string bytes pos len
 
 (* --- encoding --------------------------------------------------------- *)
 
-let add_varint buf n =
-  if n < 0 then invalid_arg "Codec.add_varint: negative";
-  let rec go n =
-    if n < 0x80 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
+let add_varint = Wire.add_varint
 
 let add_bigint buf b =
   Buffer.add_char buf (Char.chr (Bigint.sign b + 1));
@@ -73,10 +64,7 @@ let encode (p : Payload.t) =
 
 (* --- size accounting (no allocation) ---------------------------------- *)
 
-let varint_size n =
-  if n < 0 then invalid_arg "Codec.varint_size: negative";
-  let rec go n acc = if n < 0x80 then acc else go (n lsr 7) (acc + 1) in
-  go n 1
+let varint_size = Wire.varint_size
 
 let bigint_size b =
   let len = Bigint.num_bytes b in
@@ -103,38 +91,16 @@ let size (p : Payload.t) =
 
 (* --- decoding --------------------------------------------------------- *)
 
-type reader = { buf : Bytes.t; limit : int; mutable pos : int }
+type reader = Wire.reader
 
 let reader_of_slice { bytes; pos; len } =
-  if pos < 0 || len < 0 || pos + len > Bytes.length bytes then
-    invalid_arg "Codec.reader_of_slice: slice out of bounds";
-  { buf = bytes; limit = pos + len; pos }
+  Wire.reader ~what:"Codec.decode" bytes ~pos ~len
 
 let reader_of_string s = reader_of_slice (slice_of_string s)
-let at_end r = r.pos >= r.limit
-let remaining r = r.limit - r.pos
-
-let byte r =
-  if r.pos >= r.limit then failwith "Codec.decode: truncated";
-  (* in bounds: [pos < limit <= Bytes.length buf] by construction *)
-  let c = Char.code (Bytes.unsafe_get r.buf r.pos) in
-  r.pos <- r.pos + 1;
-  c
-
-let read_byte = byte
-
-let read_varint r =
-  let rec go shift acc =
-    if shift > 62 then failwith "Codec.decode: varint overflow";
-    let b = byte r in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  let v = go 0 0 in
-  (* bits 56.. can reach the sign bit of a 63-bit int; encoders only ever
-     emit non-negative values, so a negative result is adversarial *)
-  if v < 0 then failwith "Codec.decode: varint overflow";
-  v
+let at_end = Wire.at_end
+let remaining = Wire.remaining
+let read_byte = Wire.read_byte
+let read_varint = Wire.read_varint
 
 (* A signed magnitude straight off the wire.  Up to 7 bytes fits a
    native int (< 2^56): that covers every realistic timestamp, so the
@@ -142,8 +108,8 @@ let read_varint r =
    native gcd. *)
 type signed_mag = Small of int | Big of Bigint.t
 
-let read_signed r =
-  let sign = byte r - 1 in
+let read_signed (r : reader) =
+  let sign = read_byte r - 1 in
   if sign < -1 || sign > 1 then failwith "Codec.decode: bad sign";
   let len = read_varint r in
   (* reject length bombs before allocating *)
@@ -207,23 +173,17 @@ let read_event r =
   in
   { Event.id = { proc; seq }; lt; kind }
 
-let read_bytes r len =
-  if len < 0 || len > remaining r then failwith "Codec.decode: truncated";
-  let s = Bytes.sub_string r.buf r.pos len in
-  r.pos <- r.pos + len;
-  s
+let read_bytes = Wire.read_bytes
 
-let read_slice r len =
-  if len < 0 || len > remaining r then failwith "Codec.decode: truncated";
+let read_slice (r : reader) len =
+  if len < 0 || len > remaining r then Wire.fail r "truncated";
   let s = { bytes = r.buf; pos = r.pos; len } in
   r.pos <- r.pos + len;
   s
 
-let reader_of_sub r len =
-  if len < 0 || len > remaining r then failwith "Codec.decode: truncated";
-  let sub = { buf = r.buf; limit = r.pos + len; pos = r.pos } in
-  r.pos <- r.pos + len;
-  sub
+let reader_of_sub (r : reader) len =
+  let sub = read_slice r len in
+  Wire.reader ~what:r.what sub.bytes ~pos:sub.pos ~len
 
 let decode_slice_exn sl =
   try
@@ -263,22 +223,3 @@ let decode_slice sl =
   match decode_slice_exn sl with
   | p -> Ok p
   | exception Failure m -> Error m
-
-(* --- shared checksum -------------------------------------------------- *)
-
-(* FNV-1a-32, the trailer convention of both the wire frames and the
-   durable checkpoint store; the slice variant lets them verify a
-   receive buffer or a loaded file without carving off a head copy. *)
-
-let fnv1a32_sub b ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length b then
-    invalid_arg "Codec.fnv1a32_sub: slice out of bounds";
-  let h = ref 0x811c9dc5 in
-  for i = pos to pos + len - 1 do
-    h :=
-      (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x01000193 land 0xffffffff
-  done;
-  !h
-
-let fnv1a32 s =
-  fnv1a32_sub (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)

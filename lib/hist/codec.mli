@@ -58,8 +58,9 @@ val size : Payload.t -> int
 
     Shared with the frame codec ({!Frame}), the state-snapshot
     serializers ({!Csa.snapshot}) and the checkpoint store
-    ({!Fault.Store}) — one binary-reading discipline in the tree; all
-    readers raise [Failure] on malformed input. *)
+    ({!Fault.Store}).  The varint and reader primitives are {!Wire}'s,
+    under the ["Codec.decode"] failure prefix; all readers raise
+    [Failure] on malformed input. *)
 
 type reader
 
@@ -104,10 +105,3 @@ val read_event : reader -> Event.t
 
 val varint_size : int -> int
 (** Encoded byte count of a varint; the building block of {!size}. *)
-
-val fnv1a32 : string -> int
-(** FNV-1a 32-bit — the checksum trailer convention shared by {!Frame}
-    and {!Fault.Store}. *)
-
-val fnv1a32_sub : Bytes.t -> pos:int -> len:int -> int
-(** Checksum of a slice in place (no head copy before verifying). *)

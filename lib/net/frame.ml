@@ -46,10 +46,7 @@ let encode { sender; body } =
   Codec.add_varint buf sender;
   Codec.add_varint buf (Buffer.length body_buf);
   Buffer.add_buffer buf body_buf;
-  let h = Codec.fnv1a32 (Buffer.contents buf) in
-  for i = 0 to 3 do
-    Buffer.add_char buf (Char.chr ((h lsr (8 * i)) land 0xff))
-  done;
+  Wire.add_trailer buf;
   let s = Buffer.contents buf in
   if String.length s > max_frame then
     invalid_arg "Frame.encode: frame exceeds max datagram size";
@@ -66,12 +63,7 @@ let decode_sub b ~pos ~len =
       failwith "bad frame slice";
     if len < 8 then failwith "frame too short";
     if len > max_frame then failwith "frame too large";
-    let stored =
-      let byte i = Char.code (Bytes.get b (pos + len - 4 + i)) in
-      byte 0 lor (byte 1 lsl 8) lor (byte 2 lsl 16) lor (byte 3 lsl 24)
-    in
-    if Codec.fnv1a32_sub b ~pos ~len:(len - 4) <> stored then
-      failwith "bad checksum";
+    if not (Wire.trailer_ok b ~pos ~len) then failwith "bad checksum";
     let r = Codec.reader_of_slice { Codec.bytes = b; pos; len = len - 4 } in
     let v = Codec.read_byte r in
     if v <> version then

@@ -1,4 +1,4 @@
-(* Crash flight recorder: a fixed-size ring of the most recent trace
+(* Flight recorder for crashes: a fixed-size ring of the most recent trace
    events, dumped atomically to disk as a small self-contained binary
    artifact.  The JSONL trace is the full record of a run; the flight
    recorder is its bounded complement — always on, O(capacity) memory,
@@ -6,33 +6,29 @@
    because dumps are cadenced during the run (tmp + rename, so a crash
    mid-dump leaves the previous complete dump, never a torn file).
 
-   The format is deliberately independent of Hist.Codec (csync_obs sits
-   below csync_hist): magic "CSFR", a version byte, a varint event
-   count, the events (one tag byte plus fields: zigzag varints for
-   ints, IEEE-754 bits for floats, length-prefixed strings), and an
-   FNV-1a/32 checksum trailer over everything before it.  [load] is
-   total: any truncation, bit flip, or unknown tag is an [Error],
-   never an exception. *)
+   The format: magic "CSFR", a version byte, a varint event count, the
+   events (the tag byte of the event's Trace table row, then its fields
+   in table order: zigzag varints for ints, IEEE-754 bits for floats,
+   length-prefixed strings, one byte for bools), and the Wire FNV-1a/32
+   trailer over everything before it.  [load] is total: any truncation,
+   bit flip, or unknown tag is an [Error], never an exception. *)
 
 type t = {
-  ring : Trace.event array;
+  mutable ring : Trace.event array; (* allocated on the first record *)
   capacity : int;
   mutable len : int; (* events currently held, <= capacity *)
   mutable next : int; (* ring index of the next write *)
   mutable recorded : int; (* total events ever recorded *)
 }
 
-(* placeholder for unwritten slots; never returned *)
-let dummy = Trace.Span { name = ""; dur = 0. }
-
 let create ?(capacity = 256) () =
-  let capacity = max 1 capacity in
-  { ring = Array.make capacity dummy; capacity; len = 0; next = 0; recorded = 0 }
+  { ring = [||]; capacity = max 1 capacity; len = 0; next = 0; recorded = 0 }
 
 let capacity t = t.capacity
 let recorded t = t.recorded
 
 let record t ev =
+  if Array.length t.ring = 0 then t.ring <- Array.make t.capacity ev;
   t.ring.(t.next) <- ev;
   t.next <- (t.next + 1) mod t.capacity;
   if t.len < t.capacity then t.len <- t.len + 1;
@@ -55,343 +51,88 @@ let sink t = Trace.Sink ((module Sink), t)
 let magic = "CSFR"
 let version = 1
 
-let fnv1a32 s pos len =
-  let h = ref 0x811c9dc5 in
-  for i = pos to pos + len - 1 do
-    h := !h lxor Char.code (String.unsafe_get s i);
-    h := !h * 0x01000193 land 0xffffffff
-  done;
-  !h
+(* every int in the format, counts and lengths included, is a zigzag
+   varint *)
+let add_int buf n = Wire.add_varint buf (Wire.zigzag n)
+let read_int r = Wire.unzigzag (Wire.read_varint r)
 
-let add_varint buf n =
-  (* zigzag so negative ints stay small and total *)
-  let u = (n lsl 1) lxor (n asr 62) in
-  let rec go u =
-    if u land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr u)
-    else begin
-      Buffer.add_char buf (Char.chr (u land 0x7f lor 0x80));
-      go (u lsr 7)
-    end
+let writer buf =
+  let field (type a) _ (ty : a Trace.ty) (x : a) =
+    match ty with
+    | Trace.Int -> add_int buf x
+    | Trace.Float _ ->
+      let bits = Int64.bits_of_float x in
+      for i = 0 to 7 do
+        Buffer.add_char buf
+          (Char.chr
+             (Int64.to_int (Int64.shift_right_logical bits (8 * i)) land 0xff))
+      done
+    | Trace.Str ->
+      add_int buf (String.length x);
+      Buffer.add_string buf x
+    | Trace.Bool -> Buffer.add_char buf (if x then '\001' else '\000')
   in
-  go (u land max_int)
-
-let add_float buf f =
-  let bits = Int64.bits_of_float f in
-  for i = 0 to 7 do
-    Buffer.add_char buf
-      (Char.chr
-         (Int64.to_int (Int64.shift_right_logical bits (8 * i)) land 0xff))
-  done
-
-let add_string buf s =
-  add_varint buf (String.length s);
-  Buffer.add_string buf s
-
-let add_bool buf b = Buffer.add_char buf (if b then '\001' else '\000')
-
-let tag_of_event : Trace.event -> int = function
-  | Send _ -> 0
-  | Receive _ -> 1
-  | Lost _ -> 2
-  | Estimate _ -> 3
-  | Validation _ -> 4
-  | Liveness _ -> 5
-  | Oracle_insert _ -> 6
-  | Oracle_gc _ -> 7
-  | Net_tx _ -> 8
-  | Net_rx _ -> 9
-  | Net_drop _ -> 10
-  | Peer_up _ -> 11
-  | Peer_down _ -> 12
-  | Retransmit _ -> 13
-  | Checkpoint _ -> 14
-  | Crash _ -> 15
-  | Recover _ -> 16
-  | Link_down _ -> 17
-  | Link_up _ -> 18
-  | Hub_cohort _ -> 19
-  | Protocol_violation _ -> 20
-  | Span _ -> 21
-
-let add_event buf (ev : Trace.event) =
-  Buffer.add_char buf (Char.chr (tag_of_event ev));
-  match ev with
-  | Send { t; src; dst; msg; events; bytes } ->
-    add_float buf t;
-    add_varint buf src;
-    add_varint buf dst;
-    add_varint buf msg;
-    add_varint buf events;
-    add_varint buf bytes
-  | Receive { t; src; dst; msg } ->
-    add_float buf t;
-    add_varint buf src;
-    add_varint buf dst;
-    add_varint buf msg
-  | Lost { t; msg } ->
-    add_float buf t;
-    add_varint buf msg
-  | Estimate { t; node; algo; width; contained } ->
-    add_float buf t;
-    add_varint buf node;
-    add_string buf algo;
-    add_float buf width;
-    add_bool buf contained
-  | Validation { t; node; ok } ->
-    add_float buf t;
-    add_varint buf node;
-    add_bool buf ok
-  | Liveness { node; live } ->
-    add_varint buf node;
-    add_varint buf live
-  | Oracle_insert { key; live } | Oracle_gc { key; live } ->
-    add_varint buf key;
-    add_varint buf live
-  | Net_tx { t; dst; kind; bytes } ->
-    add_float buf t;
-    add_varint buf dst;
-    add_string buf kind;
-    add_varint buf bytes
-  | Net_rx { t; src; kind; bytes } ->
-    add_float buf t;
-    add_varint buf src;
-    add_string buf kind;
-    add_varint buf bytes
-  | Net_drop { t; reason } ->
-    add_float buf t;
-    add_string buf reason
-  | Peer_up { t; peer } | Peer_down { t; peer } ->
-    add_float buf t;
-    add_varint buf peer
-  | Retransmit { t; peer; msg } ->
-    add_float buf t;
-    add_varint buf peer;
-    add_varint buf msg
-  | Checkpoint { t; node; bytes } ->
-    add_float buf t;
-    add_varint buf node;
-    add_varint buf bytes
-  | Crash { t; node } | Recover { t; node } ->
-    add_float buf t;
-    add_varint buf node
-  | Link_down { t; u; v } | Link_up { t; u; v } ->
-    add_float buf t;
-    add_varint buf u;
-    add_varint buf v
-  | Hub_cohort { t; cohort; clients; established; frames; batched; coalesced }
-    ->
-    add_float buf t;
-    add_varint buf cohort;
-    add_varint buf clients;
-    add_varint buf established;
-    add_varint buf frames;
-    add_varint buf batched;
-    add_varint buf coalesced
-  | Protocol_violation { t; node; rule; detail } ->
-    add_float buf t;
-    add_varint buf node;
-    add_string buf rule;
-    add_string buf detail
-  | Span { name; dur } ->
-    add_string buf name;
-    add_float buf dur
+  { Trace.field }
 
 let encode evs =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf magic;
   Buffer.add_char buf (Char.chr version);
-  add_varint buf (List.length evs);
-  List.iter (add_event buf) evs;
-  let body = Buffer.contents buf in
-  let h = fnv1a32 body 0 (String.length body) in
-  let trailer = Bytes.create 4 in
-  for i = 0 to 3 do
-    Bytes.set trailer i (Char.chr ((h lsr (8 * i)) land 0xff))
-  done;
-  body ^ Bytes.to_string trailer
+  add_int buf (List.length evs);
+  let visitor = writer buf in
+  List.iter
+    (fun ev ->
+      Buffer.add_char buf (Char.chr (Trace.tag ev));
+      Trace.iter_fields visitor ev)
+    evs;
+  Wire.add_trailer buf;
+  Buffer.contents buf
 
-exception Bad of string
-
-let read_byte s pos =
-  if !pos >= String.length s then raise (Bad "truncated");
-  let c = Char.code s.[!pos] in
-  incr pos;
-  c
-
-let read_varint s pos =
-  let rec go shift acc =
-    if shift > 62 then raise (Bad "varint overflow");
-    let b = read_byte s pos in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
+let source r =
+  let read (type a) _ (ty : a Trace.ty) : a =
+    match ty with
+    | Trace.Int -> read_int r
+    | Trace.Float _ ->
+      let bits = ref 0L in
+      for i = 0 to 7 do
+        let b = Int64.of_int (Wire.read_byte r) in
+        bits := Int64.logor !bits (Int64.shift_left b (8 * i))
+      done;
+      Int64.float_of_bits !bits
+    | Trace.Str -> Wire.read_bytes r (read_int r)
+    | Trace.Bool -> (
+      match Wire.read_byte r with
+      | 0 -> false
+      | 1 -> true
+      | _ -> Wire.fail r "bad bool")
   in
-  let u = go 0 0 in
-  (u lsr 1) lxor (-(u land 1))
-
-let read_float s pos =
-  let bits = ref 0L in
-  for i = 0 to 7 do
-    let b = read_byte s pos in
-    bits := Int64.logor !bits (Int64.shift_left (Int64.of_int b) (8 * i))
-  done;
-  Int64.float_of_bits !bits
-
-let read_string s pos =
-  let len = read_varint s pos in
-  if len < 0 || len > String.length s - !pos then
-    raise (Bad "truncated string");
-  let r = String.sub s !pos len in
-  pos := !pos + len;
-  r
-
-let read_bool s pos =
-  match read_byte s pos with
-  | 0 -> false
-  | 1 -> true
-  | _ -> raise (Bad "bad bool")
-
-let read_event s pos : Trace.event =
-  let f () = read_float s pos in
-  let v () = read_varint s pos in
-  let str () = read_string s pos in
-  let b () = read_bool s pos in
-  match read_byte s pos with
-  | 0 ->
-    let t = f () in
-    let src = v () in
-    let dst = v () in
-    let msg = v () in
-    let events = v () in
-    let bytes = v () in
-    Send { t; src; dst; msg; events; bytes }
-  | 1 ->
-    let t = f () in
-    let src = v () in
-    let dst = v () in
-    let msg = v () in
-    Receive { t; src; dst; msg }
-  | 2 ->
-    let t = f () in
-    let msg = v () in
-    Lost { t; msg }
-  | 3 ->
-    let t = f () in
-    let node = v () in
-    let algo = str () in
-    let width = f () in
-    let contained = b () in
-    Estimate { t; node; algo; width; contained }
-  | 4 ->
-    let t = f () in
-    let node = v () in
-    let ok = b () in
-    Validation { t; node; ok }
-  | 5 ->
-    let node = v () in
-    let live = v () in
-    Liveness { node; live }
-  | 6 ->
-    let key = v () in
-    let live = v () in
-    Oracle_insert { key; live }
-  | 7 ->
-    let key = v () in
-    let live = v () in
-    Oracle_gc { key; live }
-  | 8 ->
-    let t = f () in
-    let dst = v () in
-    let kind = str () in
-    let bytes = v () in
-    Net_tx { t; dst; kind; bytes }
-  | 9 ->
-    let t = f () in
-    let src = v () in
-    let kind = str () in
-    let bytes = v () in
-    Net_rx { t; src; kind; bytes }
-  | 10 ->
-    let t = f () in
-    let reason = str () in
-    Net_drop { t; reason }
-  | 11 ->
-    let t = f () in
-    let peer = v () in
-    Peer_up { t; peer }
-  | 12 ->
-    let t = f () in
-    let peer = v () in
-    Peer_down { t; peer }
-  | 13 ->
-    let t = f () in
-    let peer = v () in
-    let msg = v () in
-    Retransmit { t; peer; msg }
-  | 14 ->
-    let t = f () in
-    let node = v () in
-    let bytes = v () in
-    Checkpoint { t; node; bytes }
-  | 15 ->
-    let t = f () in
-    let node = v () in
-    Crash { t; node }
-  | 16 ->
-    let t = f () in
-    let node = v () in
-    Recover { t; node }
-  | 17 ->
-    let t = f () in
-    let u = v () in
-    let vv = v () in
-    Link_down { t; u; v = vv }
-  | 18 ->
-    let t = f () in
-    let u = v () in
-    let vv = v () in
-    Link_up { t; u; v = vv }
-  | 19 ->
-    let t = f () in
-    let cohort = v () in
-    let clients = v () in
-    let established = v () in
-    let frames = v () in
-    let batched = v () in
-    let coalesced = v () in
-    Hub_cohort { t; cohort; clients; established; frames; batched; coalesced }
-  | 20 ->
-    let t = f () in
-    let node = v () in
-    let rule = str () in
-    let detail = str () in
-    Protocol_violation { t; node; rule; detail }
-  | 21 ->
-    let name = str () in
-    let dur = f () in
-    Span { name; dur }
-  | n -> raise (Bad (Printf.sprintf "unknown event tag %d" n))
+  { Trace.read }
 
 let decode s =
+  let fail m = failwith ("flight: " ^ m) in
   try
     let total = String.length s in
-    if total < String.length magic + 1 + 4 then raise (Bad "truncated header");
-    if String.sub s 0 (String.length magic) <> magic then
-      raise (Bad "bad magic");
-    let body_len = total - 4 in
-    let stored =
-      let b i = Char.code s.[body_len + i] in
-      b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
+    if total < String.length magic + 1 + 4 then fail "truncated header";
+    if String.sub s 0 (String.length magic) <> magic then fail "bad magic";
+    let b = Bytes.unsafe_of_string s in
+    if not (Wire.trailer_ok b ~pos:0 ~len:total) then fail "checksum mismatch";
+    let header = String.length magic in
+    let r = Wire.reader ~what:"flight" b ~pos:header ~len:(total - header - 4) in
+    let ver = Wire.read_byte r in
+    if ver <> version then fail (Printf.sprintf "unknown version %d" ver);
+    let count = read_int r in
+    if count < 0 then fail "negative count";
+    let src = source r in
+    let evs =
+      List.init count (fun _ ->
+          let tag = Wire.read_byte r in
+          match Trace.of_tag tag src with
+          | Some ev -> ev
+          | None -> fail (Printf.sprintf "unknown event tag %d" tag))
     in
-    if fnv1a32 s 0 body_len <> stored then raise (Bad "checksum mismatch");
-    let pos = ref (String.length magic) in
-    let ver = read_byte s pos in
-    if ver <> version then raise (Bad (Printf.sprintf "unknown version %d" ver));
-    let count = read_varint s pos in
-    if count < 0 then raise (Bad "negative count");
-    let evs = List.init count (fun _ -> read_event s pos) in
-    if !pos <> body_len then raise (Bad "trailing bytes");
+    if not (Wire.at_end r) then fail "trailing bytes";
     Ok evs
-  with Bad m -> Error ("flight: " ^ m)
+  with Failure m -> Error m
 
 (* ------------------------------------------------------------- disk *)
 

@@ -8,8 +8,10 @@
     FNV-1a/32 trailer) written with tmp + rename so a [kill -9] during
     a dump leaves the previous complete dump rather than a torn file.
     Dump it on a cadence while the process runs and the last complete
-    dump survives any crash — even with JSONL tracing off.  Format
-    details in DESIGN.md §15. *)
+    dump survives any crash — even with JSONL tracing off.  Each event
+    is encoded by walking its {!Trace} table row (tag, then fields), on
+    the {!Wire} varint and trailer primitives; format details in
+    DESIGN.md §15. *)
 
 type t
 

@@ -84,255 +84,249 @@ end
 
 let callback f = Sink ((module Callback), f)
 
-let label = function
-  | Send _ -> "send"
-  | Receive _ -> "receive"
-  | Lost _ -> "lost"
-  | Estimate _ -> "estimate"
-  | Validation _ -> "validation"
-  | Liveness _ -> "liveness"
-  | Oracle_insert _ -> "oracle_insert"
-  | Oracle_gc _ -> "oracle_gc"
-  | Net_tx _ -> "net_tx"
-  | Net_rx _ -> "net_rx"
-  | Net_drop _ -> "net_drop"
-  | Peer_up _ -> "peer_up"
-  | Peer_down _ -> "peer_down"
-  | Retransmit _ -> "retransmit"
-  | Checkpoint _ -> "checkpoint"
-  | Crash _ -> "crash"
-  | Recover _ -> "recover"
-  | Link_down _ -> "link_down"
-  | Link_up _ -> "link_up"
-  | Hub_cohort _ -> "hub_cohort"
-  | Protocol_violation _ -> "protocol_violation"
-  | Span _ -> "span"
+(* --- the event table ------------------------------------------------------
+
+   One row per constructor: its JSONL label, its flight tag and its
+   ordered, typed fields, plus the builder that reassembles it.  Every
+   codec (JSONL here, the binary dump in Flight) walks this table, so an
+   event's on-disk shape is written down exactly once. *)
+
+type _ ty =
+  | Int : int ty
+  | Str : string ty
+  | Bool : bool ty
+  | Float : float -> float ty
+
+(* heterogeneous lists indexed by a row's builder type *)
+module F = struct
+  type _ t = [] : event t | ( :: ) : (string * 'a ty) * 'b t -> ('a -> 'b) t
+end
+
+module V = struct
+  type _ t = [] : event t | ( :: ) : 'a * 'b t -> ('a -> 'b) t
+end
+
+type 'f row = { label : string; tag : int; fields : 'f F.t; make : 'f }
+type any_row = Row : 'f row -> any_row
+type described = Ev : 'f row * 'f V.t -> described
+
+let row label tag fields make = { label; tag; fields; make }
+let int k = (k, Int)
+let str k = (k, Str)
+let bool k = (k, Bool)
+
+(* JSON null reads back as the non-finite value the producer plausibly
+   wrote: [nan] for timestamps and durations (a producer with no clock),
+   [infinity] for interval widths (an unbounded estimate) *)
+let t = ("t", Float Float.nan)
+
+let send =
+  row "send" 0 F.[ t; int "src"; int "dst"; int "msg"; int "events"; int "bytes" ]
+    (fun t src dst msg events bytes -> Send { t; src; dst; msg; events; bytes })
+
+let receive =
+  row "receive" 1 F.[ t; int "src"; int "dst"; int "msg" ]
+    (fun t src dst msg -> Receive { t; src; dst; msg })
+
+let lost = row "lost" 2 F.[ t; int "msg" ] (fun t msg -> Lost { t; msg })
+
+let estimate =
+  row "estimate" 3
+    F.[ t; int "node"; str "algo"; ("width", Float Float.infinity); bool "contained" ]
+    (fun t node algo width contained ->
+      Estimate { t; node; algo; width; contained })
+
+let validation =
+  row "validation" 4 F.[ t; int "node"; bool "ok" ]
+    (fun t node ok -> Validation { t; node; ok })
+
+let liveness =
+  row "liveness" 5 F.[ int "node"; int "live" ]
+    (fun node live -> Liveness { node; live })
+
+let oracle_insert =
+  row "oracle_insert" 6 F.[ int "key"; int "live" ]
+    (fun key live -> Oracle_insert { key; live })
+
+let oracle_gc =
+  row "oracle_gc" 7 F.[ int "key"; int "live" ]
+    (fun key live -> Oracle_gc { key; live })
+
+let net_tx =
+  row "net_tx" 8 F.[ t; int "dst"; str "kind"; int "bytes" ]
+    (fun t dst kind bytes -> Net_tx { t; dst; kind; bytes })
+
+let net_rx =
+  row "net_rx" 9 F.[ t; int "src"; str "kind"; int "bytes" ]
+    (fun t src kind bytes -> Net_rx { t; src; kind; bytes })
+
+let net_drop =
+  row "net_drop" 10 F.[ t; str "reason" ]
+    (fun t reason -> Net_drop { t; reason })
+
+let peer_up =
+  row "peer_up" 11 F.[ t; int "peer" ] (fun t peer -> Peer_up { t; peer })
+
+let peer_down =
+  row "peer_down" 12 F.[ t; int "peer" ] (fun t peer -> Peer_down { t; peer })
+
+let retransmit =
+  row "retransmit" 13 F.[ t; int "peer"; int "msg" ]
+    (fun t peer msg -> Retransmit { t; peer; msg })
+
+let checkpoint =
+  row "checkpoint" 14 F.[ t; int "node"; int "bytes" ]
+    (fun t node bytes -> Checkpoint { t; node; bytes })
+
+let crash = row "crash" 15 F.[ t; int "node" ] (fun t node -> Crash { t; node })
+
+let recover =
+  row "recover" 16 F.[ t; int "node" ] (fun t node -> Recover { t; node })
+
+let link_down =
+  row "link_down" 17 F.[ t; int "u"; int "v" ]
+    (fun t u v -> Link_down { t; u; v })
+
+let link_up =
+  row "link_up" 18 F.[ t; int "u"; int "v" ] (fun t u v -> Link_up { t; u; v })
+
+let hub_cohort =
+  row "hub_cohort" 19
+    F.[ t; int "cohort"; int "clients"; int "established"; int "frames";
+        int "batched"; int "coalesced" ]
+    (fun t cohort clients established frames batched coalesced ->
+      Hub_cohort { t; cohort; clients; established; frames; batched; coalesced })
+
+let protocol_violation =
+  row "protocol_violation" 20 F.[ t; int "node"; str "rule"; str "detail" ]
+    (fun t node rule detail -> Protocol_violation { t; node; rule; detail })
+
+let span =
+  row "span" 21 F.[ str "name"; ("dur", Float Float.nan) ]
+    (fun name dur -> Span { name; dur })
+
+(* indexed by tag *)
+let rows =
+  [|
+    Row send; Row receive; Row lost; Row estimate; Row validation;
+    Row liveness; Row oracle_insert; Row oracle_gc; Row net_tx; Row net_rx;
+    Row net_drop; Row peer_up; Row peer_down; Row retransmit; Row checkpoint;
+    Row crash; Row recover; Row link_down; Row link_up; Row hub_cohort;
+    Row protocol_violation; Row span;
+  |]
+
+let () =
+  Array.iteri
+    (fun i (Row r) -> if r.tag <> i then invalid_arg ("Trace: row tag " ^ r.label))
+    rows
+
+let describe = function
+  | Send { t; src; dst; msg; events; bytes } ->
+    Ev (send, V.[ t; src; dst; msg; events; bytes ])
+  | Receive { t; src; dst; msg } -> Ev (receive, V.[ t; src; dst; msg ])
+  | Lost { t; msg } -> Ev (lost, V.[ t; msg ])
+  | Estimate { t; node; algo; width; contained } ->
+    Ev (estimate, V.[ t; node; algo; width; contained ])
+  | Validation { t; node; ok } -> Ev (validation, V.[ t; node; ok ])
+  | Liveness { node; live } -> Ev (liveness, V.[ node; live ])
+  | Oracle_insert { key; live } -> Ev (oracle_insert, V.[ key; live ])
+  | Oracle_gc { key; live } -> Ev (oracle_gc, V.[ key; live ])
+  | Net_tx { t; dst; kind; bytes } -> Ev (net_tx, V.[ t; dst; kind; bytes ])
+  | Net_rx { t; src; kind; bytes } -> Ev (net_rx, V.[ t; src; kind; bytes ])
+  | Net_drop { t; reason } -> Ev (net_drop, V.[ t; reason ])
+  | Peer_up { t; peer } -> Ev (peer_up, V.[ t; peer ])
+  | Peer_down { t; peer } -> Ev (peer_down, V.[ t; peer ])
+  | Retransmit { t; peer; msg } -> Ev (retransmit, V.[ t; peer; msg ])
+  | Checkpoint { t; node; bytes } -> Ev (checkpoint, V.[ t; node; bytes ])
+  | Crash { t; node } -> Ev (crash, V.[ t; node ])
+  | Recover { t; node } -> Ev (recover, V.[ t; node ])
+  | Link_down { t; u; v } -> Ev (link_down, V.[ t; u; v ])
+  | Link_up { t; u; v } -> Ev (link_up, V.[ t; u; v ])
+  | Hub_cohort { t; cohort; clients; established; frames; batched; coalesced }
+    ->
+    Ev (hub_cohort, V.[ t; cohort; clients; established; frames; batched; coalesced ])
+  | Protocol_violation { t; node; rule; detail } ->
+    Ev (protocol_violation, V.[ t; node; rule; detail ])
+  | Span { name; dur } -> Ev (span, V.[ name; dur ])
+
+(* --- generic walkers ------------------------------------------------------ *)
+
+let label ev = match describe ev with Ev (r, _) -> r.label
+let tag ev = match describe ev with Ev (r, _) -> r.tag
+
+type visitor = { field : 'a. string -> 'a ty -> 'a -> unit }
+
+let walk v (Ev (r, vs)) =
+  let rec go : type f. f F.t -> f V.t -> unit =
+   fun fs vs ->
+    match (fs, vs) with
+    | F.[], V.[] -> ()
+    | F.((k, ty) :: fs), V.(x :: vs) ->
+      v.field k ty x;
+      go fs vs
+  in
+  go r.fields vs
+
+let iter_fields v ev = walk v (describe ev)
+
+type source = { read : 'a. string -> 'a ty -> 'a }
+
+let build src (Row r) =
+  let rec go : type f. f F.t -> f -> event =
+   fun fs make ->
+    match fs with
+    | F.[] -> make
+    | F.((k, ty) :: fs) -> go fs (make (src.read k ty))
+  in
+  go r.fields r.make
+
+let of_tag n src =
+  if n < 0 || n >= Array.length rows then None else Some (build src rows.(n))
 
 let json_of_event ev =
   let module J = Json_out in
-  let fields =
-    match ev with
-    | Send { t; src; dst; msg; events; bytes } ->
-      [
-        ("t", J.Float t); ("src", J.Int src); ("dst", J.Int dst);
-        ("msg", J.Int msg); ("events", J.Int events); ("bytes", J.Int bytes);
-      ]
-    | Receive { t; src; dst; msg } ->
-      [
-        ("t", J.Float t); ("src", J.Int src); ("dst", J.Int dst);
-        ("msg", J.Int msg);
-      ]
-    | Lost { t; msg } -> [ ("t", J.Float t); ("msg", J.Int msg) ]
-    | Estimate { t; node; algo; width; contained } ->
-      [
-        ("t", J.Float t); ("node", J.Int node); ("algo", J.Str algo);
-        ("width", J.Float width); ("contained", J.Bool contained);
-      ]
-    | Validation { t; node; ok } ->
-      [ ("t", J.Float t); ("node", J.Int node); ("ok", J.Bool ok) ]
-    | Liveness { node; live } -> [ ("node", J.Int node); ("live", J.Int live) ]
-    | Oracle_insert { key; live } ->
-      [ ("key", J.Int key); ("live", J.Int live) ]
-    | Oracle_gc { key; live } -> [ ("key", J.Int key); ("live", J.Int live) ]
-    | Net_tx { t; dst; kind; bytes } ->
-      [
-        ("t", J.Float t); ("dst", J.Int dst); ("kind", J.Str kind);
-        ("bytes", J.Int bytes);
-      ]
-    | Net_rx { t; src; kind; bytes } ->
-      [
-        ("t", J.Float t); ("src", J.Int src); ("kind", J.Str kind);
-        ("bytes", J.Int bytes);
-      ]
-    | Net_drop { t; reason } ->
-      [ ("t", J.Float t); ("reason", J.Str reason) ]
-    | Peer_up { t; peer } -> [ ("t", J.Float t); ("peer", J.Int peer) ]
-    | Peer_down { t; peer } -> [ ("t", J.Float t); ("peer", J.Int peer) ]
-    | Retransmit { t; peer; msg } ->
-      [ ("t", J.Float t); ("peer", J.Int peer); ("msg", J.Int msg) ]
-    | Checkpoint { t; node; bytes } ->
-      [ ("t", J.Float t); ("node", J.Int node); ("bytes", J.Int bytes) ]
-    | Crash { t; node } -> [ ("t", J.Float t); ("node", J.Int node) ]
-    | Recover { t; node } -> [ ("t", J.Float t); ("node", J.Int node) ]
-    | Link_down { t; u; v } | Link_up { t; u; v } ->
-      [ ("t", J.Float t); ("u", J.Int u); ("v", J.Int v) ]
-    | Hub_cohort { t; cohort; clients; established; frames; batched;
-                   coalesced } ->
-      [
-        ("t", J.Float t); ("cohort", J.Int cohort);
-        ("clients", J.Int clients); ("established", J.Int established);
-        ("frames", J.Int frames); ("batched", J.Int batched);
-        ("coalesced", J.Int coalesced);
-      ]
-    | Protocol_violation { t; node; rule; detail } ->
-      [
-        ("t", J.Float t); ("node", J.Int node); ("rule", J.Str rule);
-        ("detail", J.Str detail);
-      ]
-    | Span { name; dur } -> [ ("name", J.Str name); ("dur", J.Float dur) ]
+  let fields = ref [] in
+  let field (type a) k (ty : a ty) (x : a) =
+    let j : J.t =
+      match ty with
+      | Int -> J.Int x
+      | Str -> J.Str x
+      | Bool -> J.Bool x
+      | Float _ -> J.Float x
+    in
+    fields := (k, j) :: !fields
   in
-  J.Obj (("event", J.Str (label ev)) :: fields)
+  match describe ev with
+  | Ev (r, _) as d ->
+    walk { field } d;
+    J.Obj (("event", J.Str r.label) :: List.rev !fields)
 
-(* Inverse of [json_of_event], for the offline analyzer.  Non-finite
-   floats print as JSON null, so null reads back as the non-finite
-   value the producer plausibly wrote: [infinity] for interval widths
-   (an unbounded estimate), [nan] for timestamps and durations (a
-   producer with no clock). *)
+(* Inverse of [json_of_event], for the offline analyzer. *)
 let event_of_json (j : Json_out.t) : (event, string) result =
   let module J = Json_out in
-  let ( let* ) = Result.bind in
   match j with
-  | J.Obj fields ->
-    let field k =
-      match List.assoc_opt k fields with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "missing field %S" k)
+  | J.Obj fields -> (
+    let read (type a) k (ty : a ty) : a =
+      let fail what = failwith (Printf.sprintf "field %S: expected %s" k what) in
+      match (ty, List.assoc_opt k fields) with
+      | _, None -> failwith (Printf.sprintf "missing field %S" k)
+      | Int, Some (J.Int n) -> n
+      | Int, Some _ -> fail "integer"
+      | Str, Some (J.Str s) -> s
+      | Str, Some _ -> fail "string"
+      | Bool, Some (J.Bool b) -> b
+      | Bool, Some _ -> fail "bool"
+      | Float _, Some (J.Float f) -> f
+      | Float _, Some (J.Int n) -> float_of_int n
+      | Float null, Some J.Null -> null
+      | Float _, Some _ -> fail "number"
     in
-    let str k =
-      let* v = field k in
-      match v with
-      | J.Str s -> Ok s
-      | _ -> Error (Printf.sprintf "field %S: expected string" k)
-    in
-    let int k =
-      let* v = field k in
-      match v with
-      | J.Int n -> Ok n
-      | _ -> Error (Printf.sprintf "field %S: expected integer" k)
-    in
-    let boolean k =
-      let* v = field k in
-      match v with
-      | J.Bool b -> Ok b
-      | _ -> Error (Printf.sprintf "field %S: expected bool" k)
-    in
-    let num ~null k =
-      let* v = field k in
-      match v with
-      | J.Float f -> Ok f
-      | J.Int n -> Ok (float_of_int n)
-      | J.Null -> Ok null
-      | _ -> Error (Printf.sprintf "field %S: expected number" k)
-    in
-    let t k = num ~null:Float.nan k in
-    let* lbl = str "event" in
-    (match lbl with
-    | "send" ->
-      let* t = t "t" in
-      let* src = int "src" in
-      let* dst = int "dst" in
-      let* msg = int "msg" in
-      let* events = int "events" in
-      let* bytes = int "bytes" in
-      Ok (Send { t; src; dst; msg; events; bytes })
-    | "receive" ->
-      let* t = t "t" in
-      let* src = int "src" in
-      let* dst = int "dst" in
-      let* msg = int "msg" in
-      Ok (Receive { t; src; dst; msg })
-    | "lost" ->
-      let* t = t "t" in
-      let* msg = int "msg" in
-      Ok (Lost { t; msg })
-    | "estimate" ->
-      let* t = t "t" in
-      let* node = int "node" in
-      let* algo = str "algo" in
-      let* width = num ~null:Float.infinity "width" in
-      let* contained = boolean "contained" in
-      Ok (Estimate { t; node; algo; width; contained })
-    | "validation" ->
-      let* t = t "t" in
-      let* node = int "node" in
-      let* ok = boolean "ok" in
-      Ok (Validation { t; node; ok })
-    | "liveness" ->
-      let* node = int "node" in
-      let* live = int "live" in
-      Ok (Liveness { node; live })
-    | "oracle_insert" ->
-      let* key = int "key" in
-      let* live = int "live" in
-      Ok (Oracle_insert { key; live })
-    | "oracle_gc" ->
-      let* key = int "key" in
-      let* live = int "live" in
-      Ok (Oracle_gc { key; live })
-    | "net_tx" ->
-      let* t = t "t" in
-      let* dst = int "dst" in
-      let* kind = str "kind" in
-      let* bytes = int "bytes" in
-      Ok (Net_tx { t; dst; kind; bytes })
-    | "net_rx" ->
-      let* t = t "t" in
-      let* src = int "src" in
-      let* kind = str "kind" in
-      let* bytes = int "bytes" in
-      Ok (Net_rx { t; src; kind; bytes })
-    | "net_drop" ->
-      let* t = t "t" in
-      let* reason = str "reason" in
-      Ok (Net_drop { t; reason })
-    | "peer_up" ->
-      let* t = t "t" in
-      let* peer = int "peer" in
-      Ok (Peer_up { t; peer })
-    | "peer_down" ->
-      let* t = t "t" in
-      let* peer = int "peer" in
-      Ok (Peer_down { t; peer })
-    | "retransmit" ->
-      let* t = t "t" in
-      let* peer = int "peer" in
-      let* msg = int "msg" in
-      Ok (Retransmit { t; peer; msg })
-    | "checkpoint" ->
-      let* t = t "t" in
-      let* node = int "node" in
-      let* bytes = int "bytes" in
-      Ok (Checkpoint { t; node; bytes })
-    | "crash" ->
-      let* t = t "t" in
-      let* node = int "node" in
-      Ok (Crash { t; node })
-    | "recover" ->
-      let* t = t "t" in
-      let* node = int "node" in
-      Ok (Recover { t; node })
-    | "link_down" ->
-      let* t = t "t" in
-      let* u = int "u" in
-      let* v = int "v" in
-      Ok (Link_down { t; u; v })
-    | "link_up" ->
-      let* t = t "t" in
-      let* u = int "u" in
-      let* v = int "v" in
-      Ok (Link_up { t; u; v })
-    | "hub_cohort" ->
-      let* t = t "t" in
-      let* cohort = int "cohort" in
-      let* clients = int "clients" in
-      let* established = int "established" in
-      let* frames = int "frames" in
-      let* batched = int "batched" in
-      let* coalesced = int "coalesced" in
-      Ok
-        (Hub_cohort
-           { t; cohort; clients; established; frames; batched; coalesced })
-    | "protocol_violation" ->
-      let* t = t "t" in
-      let* node = int "node" in
-      let* rule = str "rule" in
-      let* detail = str "detail" in
-      Ok (Protocol_violation { t; node; rule; detail })
-    | "span" ->
-      let* name = str "name" in
-      let* dur = num ~null:Float.nan "dur" in
-      Ok (Span { name; dur })
-    | other -> Error (Printf.sprintf "unknown event label %S" other))
+    try
+      let lbl = read "event" Str in
+      match Array.find_opt (fun (Row r) -> r.label = lbl) rows with
+      | None -> Error (Printf.sprintf "unknown event label %S" lbl)
+      | Some row -> Ok (build { read } row)
+    with Failure m -> Error m)
   | _ -> Error "expected a JSON object"
 
 module Jsonl = struct

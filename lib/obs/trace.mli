@@ -122,15 +122,46 @@ val tee : sink -> sink -> sink
 val callback : (event -> unit) -> sink
 (** Arbitrary consumer from a closure (used by tests). *)
 
+(** {1 Event schema}
+
+    One table row per constructor gives its JSONL label, its flight tag
+    and its ordered, typed fields; every codec is a walker over it (the
+    table itself is in trace.ml, and in DESIGN.md, "Trace schema"). *)
+
+(** A field's type.  A [Float] carries the value JSON [null] reads back
+    as: [nan] for timestamps and span durations, [infinity] for
+    estimate widths. *)
+type _ ty = Int : int ty | Str : string ty | Bool : bool ty | Float : float -> float ty
+
+val label : event -> string
+(** The ["event"] discriminator of the JSONL encoding (["send"],
+    ["receive"], ..., ["span"]). *)
+
+val tag : event -> int
+(** The event's one-byte tag in the flight dump (0..21, in declaration
+    order). *)
+
+type visitor = { field : 'a. string -> 'a ty -> 'a -> unit }
+
+val iter_fields : visitor -> event -> unit
+(** Calls [field name ty value] for each field of the event, in table
+    order. *)
+
+type source = { read : 'a. string -> 'a ty -> 'a }
+
+val of_tag : int -> source -> event option
+(** Rebuilds the event with flight tag [n], reading its fields from the
+    source in table order; [None] for an unknown tag.  Exceptions raised
+    by [read] propagate. *)
+
 val json_of_event : event -> Json_out.t
 (** The JSONL encoding of one event: an object with an ["event"]
     discriminator field plus the event's payload fields. *)
 
 val event_of_json : Json_out.t -> (event, string) result
 (** Inverse of {!json_of_event} (used by the offline analyzer).
-    Non-finite floats are encoded as JSON [null]; they read back as
-    [infinity] for estimate widths and [nan] for timestamps and span
-    durations.  With that convention,
+    Non-finite floats are encoded as JSON [null] and read back per their
+    {!ty}.  With that convention,
     [event_of_json (json_of_event ev) = Ok ev] for every constructor. *)
 
 val jsonl : ?flush_every:int -> out_channel -> sink
@@ -138,11 +169,3 @@ val jsonl : ?flush_every:int -> out_channel -> sink
     every [flush_every] lines (default 1: the trace survives [kill -9]
     up to the last complete line).  The channel is not closed by the
     sink; close it after the run. *)
-
-val label : event -> string
-(** The ["event"] discriminator: ["send"], ["receive"], ["lost"],
-    ["estimate"], ["validation"], ["liveness"], ["oracle_insert"],
-    ["oracle_gc"], ["net_tx"], ["net_rx"], ["net_drop"], ["peer_up"],
-    ["peer_down"], ["retransmit"], ["checkpoint"], ["crash"],
-    ["recover"], ["link_down"], ["link_up"], ["hub_cohort"],
-    ["protocol_violation"], ["span"]. *)

@@ -329,6 +329,88 @@ let test_event_round_trip () =
   let labels = List.sort_uniq compare (List.map Trace.label all_events) in
   Alcotest.(check int) "all 22 constructors covered" 22 (List.length labels)
 
+(* ---- golden on-disk formats ---- *)
+
+(* [all_events] with its NaN timestamp pinned to explicit bits: the
+   stdlib [nan] changed bit pattern between OCaml 4.14 and 5.1, and the
+   flight dump stores raw IEEE-754 bits *)
+let golden_events =
+  let qnan = Int64.float_of_bits 0x7FF8_0000_0000_0001L in
+  List.map
+    (function
+      | Trace.Receive r when Float.is_nan r.t -> Trace.Receive { r with t = qnan }
+      | ev -> ev)
+    all_events
+
+(* The exact JSONL line of every event.  Round trips alone would accept
+   a codec that changed the on-disk schema in both directions at once;
+   traces already written (CI artifacts, crash post-mortems) would then
+   stop reading back. *)
+let golden_jsonl =
+  [
+    {|{"event":"send","t":1.5,"src":0,"dst":1,"msg":7,"events":3,"bytes":40}|};
+    {|{"event":"receive","t":null,"src":2,"dst":0,"msg":7}|};
+    {|{"event":"lost","t":2.25,"msg":9}|};
+    {|{"event":"estimate","t":3.0,"node":1,"algo":"optimal","width":0.125,"contained":true}|};
+    {|{"event":"estimate","t":3.0,"node":1,"algo":"ntp","width":null,"contained":false}|};
+    {|{"event":"validation","t":4.0,"node":2,"ok":false}|};
+    {|{"event":"liveness","node":0,"live":12}|};
+    {|{"event":"oracle_insert","key":3,"live":5}|};
+    {|{"event":"oracle_gc","key":3,"live":4}|};
+    {|{"event":"net_tx","t":5.0,"dst":1,"kind":"data","bytes":96}|};
+    {|{"event":"net_rx","t":5.5,"src":1,"kind":"ack","bytes":32}|};
+    {|{"event":"net_drop","t":6.0,"reason":"bad \"checksum\"\n"}|};
+    {|{"event":"peer_up","t":7.0,"peer":2}|};
+    {|{"event":"peer_down","t":8.0,"peer":2}|};
+    {|{"event":"retransmit","t":9.0,"peer":1,"msg":11}|};
+    {|{"event":"checkpoint","t":10.0,"node":1,"bytes":512}|};
+    {|{"event":"crash","t":11.0,"node":2}|};
+    {|{"event":"recover","t":12.0,"node":2}|};
+    {|{"event":"link_down","t":12.5,"u":1,"v":3}|};
+    {|{"event":"link_up","t":12.75,"u":1,"v":3}|};
+    {|{"event":"hub_cohort","t":13.0,"cohort":1,"clients":8,"established":7,"frames":4096,"batched":512,"coalesced":64}|};
+    {|{"event":"protocol_violation","t":13.5,"node":1,"rule":"receive_unique","detail":"msg 7 from 2 accepted \"twice\"\n"}|};
+    {|{"event":"span","name":"agdp_insert","dur":3.2e-05}|};
+  ]
+
+let jsonl_lines evs =
+  List.map (fun ev -> Json_out.to_line (Trace.json_of_event ev)) evs
+
+let test_golden_jsonl () =
+  Alcotest.(check (list string))
+    "JSONL lines" golden_jsonl (jsonl_lines golden_events)
+
+(* CSFR v1: magic, version, count, tagged events, FNV-1a/32 trailer *)
+let golden_flight_hex =
+  String.concat ""
+    [
+      "43534652012e00000000000000f83f00020e065001010000000000f87f04000e";
+      "02000000000000024012030000000000000840020e6f7074696d616c00000000";
+      "0000c03f0103000000000000084002066e7470000000000000f07f0004000000";
+      "0000001040040005001806060a070608080000000000001440020864617461c0";
+      "01090000000000001640020661636b400a00000000000018401e626164202263";
+      "6865636b73756d220a0b0000000000001c40040c0000000000002040040d0000";
+      "00000000224002160e00000000000024400280080f0000000000002640041000";
+      "0000000000284004110000000000002940020612000000000080294002061300";
+      "00000000002a4002100e804080088001140000000000002b40021c7265636569";
+      "76655f756e697175653c6d736720372066726f6d203220616363657074656420";
+      "227477696365220a1516616764705f696e736572748dedb5a0f7c6003ff58a73";
+      "02";
+    ]
+
+let test_golden_flight () =
+  let hex s =
+    String.concat ""
+      (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+  in
+  let data = Flight.encode golden_events in
+  Alcotest.(check string) "CSFR v1 bytes" golden_flight_hex (hex data);
+  match Flight.decode data with
+  | Error m -> Alcotest.fail m
+  | Ok evs ->
+    Alcotest.(check (list string))
+      "decodes back" golden_jsonl (jsonl_lines evs)
+
 let test_event_of_json_rejects () =
   let bad j =
     match Trace.event_of_json j with
@@ -654,6 +736,7 @@ let () =
             test_event_of_json_rejects;
           Alcotest.test_case "truncated at any byte" `Quick
             test_truncated_at_any_byte;
+          Alcotest.test_case "golden JSONL lines" `Quick test_golden_jsonl;
         ] );
       ( "histogram",
         [
@@ -671,6 +754,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_flight_round_trip;
           Alcotest.test_case "corrupt dumps fail loudly" `Quick
             test_flight_total;
+          Alcotest.test_case "golden CSFR v1 bytes" `Quick test_golden_flight;
         ] );
       ( "metrics",
         [
