@@ -142,7 +142,7 @@ let default_impl ~validate ~sink ~prof =
   else primary
 
 let create ?(lossy = false) ?(validate = false) ?(sink = Trace.null)
-    ?(prof = Prof.null) ?oracle spec ~me ~lt0 =
+    ?(prof = Prof.null) ?oracle ?neighbors spec ~me ~lt0 =
   let impl =
     match oracle with
     | Some i -> i
@@ -154,7 +154,8 @@ let create ?(lossy = false) ?(validate = false) ?(sink = Trace.null)
       me;
       hist =
         History.create ~n_procs:(System_spec.n spec) ~me
-          ~neighbors:(System_spec.neighbors spec me)
+          ~neighbors:
+            (Option.value neighbors ~default:(System_spec.neighbors spec me))
           ~lossy ();
       oracle = Distance_oracle.create impl;
       sink;
@@ -345,7 +346,7 @@ let snapshot t =
   Buffer.contents buf
 
 let restore_reader ?(validate = false) ?(sink = Trace.null)
-    ?(prof = Prof.null) ?oracle spec r =
+    ?(prof = Prof.null) ?oracle ?neighbors spec r =
   if Codec.read_varint r <> snapshot_version then
     failwith "Csa.restore: unsupported snapshot version";
   let me = Codec.read_varint r in
@@ -375,7 +376,8 @@ let restore_reader ?(validate = false) ?(sink = Trace.null)
   for _ = 1 to n_lost do
     Hashtbl.replace known_lost (Codec.read_varint r) ()
   done;
-  let neighbors = System_spec.neighbors spec me in
+  let spec_neighbors = System_spec.neighbors spec me in
+  let neighbors = Option.value neighbors ~default:spec_neighbors in
   (* [History.restore] blits these arrays and resolves the neighbor ids;
      validate here so corruption surfaces as a clean [Failure] rather
      than an [Invalid_argument] from deep inside the blit *)
@@ -385,11 +387,14 @@ let restore_reader ?(validate = false) ?(sink = Trace.null)
   let s_frontiers = ref [] in
   for _ = 1 to n_frontiers do
     let u = Codec.read_varint r in
-    if not (List.mem u neighbors) then
+    if not (List.mem u spec_neighbors) then
       failwith "Csa.restore: frontier for a non-neighbor";
     let c = read_int_array r in
     if Array.length c <> n then failwith "Csa.restore: bad frontier array";
-    s_frontiers := (u, c) :: !s_frontiers
+    (* a spec neighbor outside [neighbors] was never sent anything (older
+       hub snapshots kept a frontier for every spec neighbor): its
+       frontier carries no obligation *)
+    if List.mem u neighbors then s_frontiers := (u, c) :: !s_frontiers
   done;
   let s_frontiers = List.rev !s_frontiers in
   let s_events = read_event_list r in
@@ -410,8 +415,7 @@ let restore_reader ?(validate = false) ?(sink = Trace.null)
   let s_peak = Codec.read_varint r in
   let s_reported = Codec.read_varint r in
   let hist =
-    History.restore ~n_procs:n ~me ~neighbors:(System_spec.neighbors spec me)
-      ~lossy
+    History.restore ~n_procs:n ~me ~neighbors ~lossy
       {
         History.s_known;
         s_frontiers;
@@ -463,8 +467,8 @@ let restore_reader ?(validate = false) ?(sink = Trace.null)
     processed;
   }
 
-let restore ?validate ?sink ?prof ?oracle spec blob =
-  restore_reader ?validate ?sink ?prof ?oracle spec
+let restore ?validate ?sink ?prof ?oracle ?neighbors spec blob =
+  restore_reader ?validate ?sink ?prof ?oracle ?neighbors spec
     (Codec.reader_of_string blob)
 
 (* ext_L = LT(p) − d(sp, p), ext_U = LT(p) + d(p, sp); a query at local

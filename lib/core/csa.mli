@@ -27,6 +27,7 @@ val create :
   ?sink:Trace.sink ->
   ?prof:Prof.t ->
   ?oracle:Distance_oracle.impl ->
+  ?neighbors:Event.proc list ->
   System_spec.t ->
   me:Event.proc ->
   lt0:Q.t ->
@@ -35,6 +36,13 @@ val create :
     [lossy] enables the retransmission bookkeeping of Section 3.3 (the
     loss-detection hooks then require that every message is eventually
     reported delivered or lost).
+
+    [neighbors] (default: every spec neighbor of [me]) are the
+    processors this one exchanges messages with.  The history keeps one
+    frontier per neighbor and drops an event once every frontier covers
+    it, so a processor that serves only some of its spec neighbors (a
+    hub cohort session) must name them: an idle neighbor's frontier
+    never advances and would pin every event in H for good.
 
     [oracle] selects the distance-oracle implementation (default:
     {!Distance_oracle.agdp}).  [validate] wraps the default in
@@ -146,13 +154,15 @@ val restore :
   ?sink:Trace.sink ->
   ?prof:Prof.t ->
   ?oracle:Distance_oracle.impl ->
+  ?neighbors:Event.proc list ->
   System_spec.t ->
   string ->
   t
 (** The optional arguments choose the runtime wiring of the revived
     instance exactly as in {!create} (they are not part of the serialized
     state); a snapshot taken on one oracle implementation may be restored
-    onto another.
+    onto another.  A saved frontier for a spec neighbor outside
+    [neighbors] is dropped: such a neighbor was never sent anything.
     @raise Failure on malformed input. *)
 
 val restore_reader :
@@ -160,6 +170,7 @@ val restore_reader :
   ?sink:Trace.sink ->
   ?prof:Prof.t ->
   ?oracle:Distance_oracle.impl ->
+  ?neighbors:Event.proc list ->
   System_spec.t ->
   Codec.reader ->
   t

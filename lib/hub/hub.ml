@@ -17,6 +17,12 @@ module Make (N : Net_intf.NET) = struct
     mutable frames : int;
     mutable batched : int;
     mutable coalesced : int;
+    (* the deadline of this cohort's live entry in [timers]; [None] when
+       it has none (no timer pending, or the entry was just popped) *)
+    mutable sched : Q.t option;
+    mutable is_dirty : bool;  (* on [t.dirty] *)
+    (* [Session.all_peers_done], as of this cohort's last flush *)
+    mutable finished : bool;
   }
 
   type t = {
@@ -34,7 +40,39 @@ module Make (N : Net_intf.NET) = struct
        overwrites it *)
     rbuf : Bytes.t;
     burst : int;
+    (* every cohort's next timer, keyed by cohort index.  Lazily deleted:
+       an entry is live iff it still equals its cohort's [sched], so a
+       moved timer pushes a new entry and the old one is dropped when it
+       surfaces *)
+    timers : int Heap.t;
+    (* cohorts whose session moved since the last flush (a handled frame,
+       a fired timer, a queued frame): the only ones a flush drains and
+       re-reads *)
+    mutable dirty : cohort list;
+    mutable unfinished : int;  (* cohorts not [finished] *)
   }
+
+  let mark_dirty t c =
+    if not c.is_dirty then begin
+      c.is_dirty <- true;
+      t.dirty <- c :: t.dirty
+    end
+
+  (* Re-read a cohort whose session moved: reschedule its timer if it
+     changed, and update the finished count. *)
+  let refresh t c =
+    let d = Session.next_deadline c.session in
+    (match (d, c.sched) with
+    | Some a, Some b when Q.equal a b -> ()
+    | None, None -> ()
+    | _ ->
+      c.sched <- d;
+      Option.iter (fun at -> Heap.push t.timers ~at c.idx) d);
+    let fin = Session.all_peers_done c.session in
+    if fin <> c.finished then begin
+      c.finished <- fin;
+      t.unfinished <- (t.unfinished + if fin then -1 else 1)
+    end
 
   let cohort_count ~n ~cohort_size = (n - 1 + cohort_size - 1) / cohort_size
 
@@ -60,13 +98,14 @@ module Make (N : Net_intf.NET) = struct
         | Ok session ->
           build (idx - 1)
             ({ idx; members; session; frames = 0; batched = 0;
-               coalesced = 0 }
+               coalesced = 0; sched = None; is_dirty = false;
+               finished = false }
             :: acc)
     in
     match build (ncoh - 1) [] with
     | Error m -> Error m
     | Ok cohorts ->
-      Ok
+      let t =
         {
           net;
           sink;
@@ -77,7 +116,17 @@ module Make (N : Net_intf.NET) = struct
           routes = Hashtbl.create 64;
           rbuf = Bytes.create Frame.max_frame;
           burst;
+          timers = Heap.create ();
+          dirty = [];
+          unfinished = ncoh;
         }
+      in
+      Array.iter
+        (fun c ->
+          Session.set_on_output c.session (fun () -> mark_dirty t c);
+          refresh t c)
+        t.cohorts;
+      Ok t
 
   let net t = t.net
   let cohorts t = Array.length t.cohorts
@@ -91,33 +140,43 @@ module Make (N : Net_intf.NET) = struct
 
   let ft now = Q.to_float now
 
-  (* One pass over every cohort's outgoing queue: a drive tick's worth
-     of acks and heartbeats to the same client leaves in a single
-     flush rather than one flush per handled frame.  [coalesced]
-     counts the frames beyond the first that shared their flush with
-     an earlier frame to the same destination. *)
+  let by_idx a b = Int.compare a.idx b.idx
+
+  (* Drain every dirty cohort's outgoing queue and re-read its timers,
+     in cohort order, so the send order does not depend on the order
+     in which cohorts moved: a drive tick's worth of acks and
+     heartbeats to the same client leaves in a single flush rather than
+     one flush per handled frame.  [coalesced] counts the frames beyond
+     the first that shared their flush with an earlier frame to the
+     same destination. *)
   let flush t =
-    Array.iter
-      (fun c ->
-        match Session.drain c.session with
-        | [] -> ()
-        | frames ->
-          let seen = Hashtbl.create 8 in
-          List.iter
-            (fun (dst, bytes) ->
-              (match Hashtbl.find_opt t.routes dst with
-              | Some addr -> N.send t.net addr bytes
-              | None ->
-                (* the session only addresses reachable members, and
-                   reachability is only ever granted on receive, which
-                   records the route first — but dropping matches the
-                   datagram contract *)
-                ());
-              if Hashtbl.mem seen dst then
-                c.coalesced <- c.coalesced + 1
-              else Hashtbl.add seen dst ())
-            frames)
-      t.cohorts
+    match t.dirty with
+    | [] -> ()
+    | dirty ->
+      t.dirty <- [];
+      List.iter
+        (fun c ->
+          c.is_dirty <- false;
+          (match Session.drain c.session with
+          | [] -> ()
+          | frames ->
+            let seen = Hashtbl.create 8 in
+            List.iter
+              (fun (dst, bytes) ->
+                (match Hashtbl.find_opt t.routes dst with
+                | Some addr -> N.send t.net addr bytes
+                | None ->
+                  (* the session only addresses reachable members, and
+                     reachability is only ever granted on receive, which
+                     records the route first — but dropping matches the
+                     datagram contract *)
+                  ());
+                if Hashtbl.mem seen dst then
+                  c.coalesced <- c.coalesced + 1
+                else Hashtbl.add seen dst ())
+              frames);
+          refresh t c)
+        (List.sort by_idx dirty)
 
   let handle_datagram t ~batched (addr, len) =
     let now = N.now t.net in
@@ -139,20 +198,39 @@ module Make (N : Net_intf.NET) = struct
         | Some a when N.equal_addr a addr -> ()
         | _ -> Hashtbl.replace t.routes g addr);
         Session.peer_reachable c.session ~peer:g ~now;
-        Session.handle c.session ~now ~bytes:len frame)
+        Session.handle c.session ~now ~bytes:len frame;
+        mark_dirty t c)
+
+  let live t at idx =
+    match t.cohorts.(idx).sched with Some d -> Q.equal d at | None -> false
 
   let next_deadline t =
-    Array.fold_left
-      (fun acc c ->
-        match Session.next_deadline c.session with
-        | None -> acc
-        | Some d -> (
-          match acc with None -> Some d | Some a -> Some (Q.min a d)))
-      None t.cohorts
+    Option.map fst (Heap.peek_live t.timers ~live:(live t))
+
+  (* Tick exactly the cohorts whose timer came up, in cohort order: a
+     session with nothing due ignores a tick, so skipping the others
+     skips nothing.  Popping a live entry clears [sched], which makes
+     any duplicate entry stale; the flush that follows pushes the
+     cohort's next timer. *)
+  let tick_due t ~now =
+    let rec pop_due acc =
+      match Heap.peek_live t.timers ~live:(live t) with
+      | Some (at, idx) when Q.(at <= now) ->
+        ignore (Heap.pop t.timers);
+        let c = t.cohorts.(idx) in
+        c.sched <- None;
+        pop_due (c :: acc)
+      | _ -> acc
+    in
+    List.iter
+      (fun c ->
+        Session.tick c.session ~now;
+        mark_dirty t c)
+      (List.sort by_idx (pop_due []))
 
   let poll t ~max_wait = Prof.span t.prof "hub_poll" @@ fun () ->
     let now = N.now t.net in
-    Array.iter (fun c -> Session.tick c.session ~now) t.cohorts;
+    tick_due t ~now;
     flush t;
     let timeout =
       match next_deadline t with
@@ -209,9 +287,12 @@ module Make (N : Net_intf.NET) = struct
       t.cohorts
 
   let stop t ~now =
-    Array.iter (fun c -> Session.stop c.session ~now) t.cohorts;
+    Array.iter
+      (fun c ->
+        Session.stop c.session ~now;
+        mark_dirty t c)
+      t.cohorts;
     flush t
 
-  let all_clients_done t =
-    Array.for_all (fun c -> Session.all_peers_done c.session) t.cohorts
+  let all_clients_done t = t.unfinished = 0
 end

@@ -25,9 +25,19 @@
     The drive loop is readiness-driven and batched: one blocking
     receive per tick, then a zero-timeout burst drain of the kernel
     queue (decode in place from the single receive buffer), then {e
-    one} flush of every cohort's queued acks and heartbeats — frames
-    to the same client leave together ("coalesced") instead of one
-    flush per handled frame. *)
+    one} flush of the cohorts' queued acks and heartbeats — frames to
+    the same client leave together ("coalesced") instead of one flush
+    per handled frame.
+
+    A wakeup costs the work due, not a pass over every cohort.  A
+    min-heap holds each cohort's next session deadline (lazily deleted:
+    a moved deadline pushes a new entry, the stale one is dropped when
+    it surfaces), so a poll ticks only the cohorts whose timer came up
+    and {!next_deadline} reads the heap's top.  A dirty set names the
+    cohorts whose session moved since the last flush — a handled frame,
+    a fired timer, or a frame queued through {!Session.set_on_output} —
+    and a flush drains and re-reads only those, in cohort order, so the
+    hub sends exactly what a tick-and-flush-everyone pass would. *)
 
 type stats = {
   clients : int;
@@ -68,17 +78,21 @@ module Make (N : Net_intf.NET) : sig
   val cohorts : t -> int
   val clients : t -> int
   val session : t -> int -> Session.t
-  (** The cohort's session, for checkpoint wiring and tests. *)
+  (** The cohort's session, for checkpoint wiring and tests.  A frame
+      queued on it directly (e.g. [Session.send_data]) marks the cohort
+      dirty, so the next poll sends it and re-reads the cohort's timers. *)
 
   val members : t -> int -> Event.proc list
 
   val poll : t -> max_wait:Q.t -> unit
-  (** One drive tick: fire every cohort's due timers, flush, wait up to
-      [max_wait] (capped by the earliest cohort deadline) for a
-      datagram, burst-drain the queue, flush once more. *)
+  (** One drive tick: tick the cohorts whose timer is due, flush, wait
+      up to [max_wait] (capped by the earliest cohort deadline) for a
+      datagram, burst-drain the queue, flush once more.  Costs
+      O((due + touched) log K), not O(K). *)
 
   val next_deadline : t -> Q.t option
-  (** Earliest pending timer across all cohorts (local time). *)
+  (** Earliest pending timer across all cohorts (local time), as of the
+      last poll: the top of the deadline heap. *)
 
   val stats : t -> stats
 
@@ -92,5 +106,6 @@ module Make (N : Net_intf.NET) : sig
 
   val all_clients_done : t -> bool
   (** Every client of every cohort was up at some point and has since
-      said bye — the hub's natural exit condition. *)
+      said bye — the hub's natural exit condition.  O(1): a count kept
+      up to date by each flush. *)
 end

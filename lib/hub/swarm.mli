@@ -51,15 +51,18 @@ val run_loopback :
   ?hi_ms:int ->
   ?max_offset_ms:int ->
   ?sink:Trace.sink ->
+  ?prof:Prof.t ->
   ?burst:int ->
   clients:int ->
   unit ->
   report
 (** Hub + [clients] loopback clients on one fabric, driven to virtual
     time [duration] with samples (and [hub_cohort] stat emissions)
-    every [sample].  Per-client offsets in [[0, max_offset_ms]] and
-    skews in [[-drift_ppm, drift_ppm]] come from [seed]; same seed,
-    same report.  The hub runs offset 0 / rate 1, so the virtual clock
+    every [sample].  [prof] goes to the hub alone, so its [hub_poll]
+    spans time the hub apart from the clients and the fabric.
+    Per-client offsets in [[0, max_offset_ms]] and skews in
+    [[-drift_ppm, drift_ppm]] come from [seed]; same seed, same
+    report.  The hub runs offset 0 / rate 1, so the virtual clock
     is the source truth each sample is checked against. *)
 
 val run_udp :

@@ -1,30 +1,5 @@
 type packet = { at : Q.t; seq : int; src : int; dst : int; bytes : string }
 
-(* Pairing heap over (at, seq, dst): the fabric's delivery schedule.
-   Entries are never updated in place — consumption makes them stale and
-   they are discarded lazily when popped (an entry is live iff its
-   packet is still the head of its destination queue; both structures
-   share the (at, seq) order, so the check is one head comparison). *)
-type hnode = { h_at : Q.t; h_seq : int; h_dst : int }
-type heap = E | N of hnode * heap list
-
-let h_le a b =
-  match Q.compare a.h_at b.h_at with 0 -> a.h_seq <= b.h_seq | c -> c < 0
-
-let h_merge a b =
-  match (a, b) with
-  | E, h | h, E -> h
-  | N (x, xs), N (y, ys) -> if h_le x y then N (x, b :: xs) else N (y, a :: ys)
-
-let h_push h x = h_merge h (N (x, []))
-
-let rec h_merge_pairs = function
-  | [] -> E
-  | [ h ] -> h
-  | a :: b :: rest -> h_merge (h_merge a b) (h_merge_pairs rest)
-
-let h_pop = function E -> None | N (x, hs) -> Some (x, h_merge_pairs hs)
-
 type fabric = {
   rng : Rng.t;
   loss : float;
@@ -34,7 +9,12 @@ type fabric = {
   (* per-destination pending packets, each sorted by (at, seq); recv is
      a head pop instead of a scan of everyone's traffic *)
   queues : (int, packet list) Hashtbl.t;
-  mutable sched : heap;
+  (* the delivery schedule, (dst, seq) keyed by arrival time.  Entries
+     are never updated in place — consumption makes them stale and they
+     are discarded lazily when they surface (an entry is live iff its
+     packet is still the head of its destination queue; both structures
+     share the (at, seq) order, so the check is one head comparison) *)
+  sched : (int * int) Heap.t;
   mutable next_seq : int;
   mutable delivered : int;
   mutable dropped : int;
@@ -54,7 +34,7 @@ let fabric ?(seed = 11) ?(loss = 0.) ~delay_lo ~delay_hi () =
     delay_hi;
     vnow = Q.zero;
     queues = Hashtbl.create 64;
-    sched = E;
+    sched = Heap.create ();
     next_seq = 0;
     delivered = 0;
     dropped = 0;
@@ -93,26 +73,18 @@ let insert_sorted fab p =
   in
   let old = Option.value ~default:[] (Hashtbl.find_opt fab.queues p.dst) in
   Hashtbl.replace fab.queues p.dst (go old);
-  fab.sched <- h_push fab.sched { h_at = p.at; h_seq = p.seq; h_dst = p.dst }
+  (* sends push in [seq] order, so the heap's push-order tie-break is
+     the packets' own *)
+  Heap.push fab.sched ~at:p.at (p.dst, p.seq)
 
 (* drop stale heads (consumed or discarded packets); the surviving head
-   is the fabric's next delivery *)
-let rec sched_head fab =
-  match fab.sched with
-  | E -> None
-  | N (e, _) -> (
-    match queue_head fab e.h_dst with
-    | Some p when p.seq = e.h_seq -> Some e
-    | _ ->
-      (match h_pop fab.sched with
-      | Some (_, rest) -> fab.sched <- rest
-      | None -> ());
-      sched_head fab)
+   is the fabric's next delivery, as (at, dst) *)
+let sched_head fab =
+  Heap.peek_live fab.sched ~live:(fun _ (dst, seq) ->
+      match queue_head fab dst with Some p -> p.seq = seq | None -> false)
+  |> Option.map (fun (at, (dst, _)) -> (at, dst))
 
-let sched_drop fab =
-  match h_pop fab.sched with
-  | Some (_, rest) -> fab.sched <- rest
-  | None -> ()
+let sched_drop fab = ignore (Heap.pop fab.sched)
 
 module Net = struct
   type t = endpoint
@@ -163,7 +135,7 @@ module L = Loop.Make (Net)
 
 let deliverable fab =
   match sched_head fab with
-  | Some e -> Q.(e.h_at <= fab.vnow)
+  | Some (at, _) -> Q.(at <= fab.vnow)
   | None -> false
 
 (* The scheduler only needs three things from whatever it is driving: a
@@ -201,33 +173,19 @@ let run_drivers fab ~drivers ~until ?(script = []) () =
      min-heap mirrors the cache so finding the earliest deadline — and
      the set of due drivers — never scans all K drivers: an entry is
      live iff it still equals its driver's cached deadline, and stale
-     entries are discarded when popped, exactly like the packet
+     entries are discarded when they surface, exactly like the packet
      schedule above. *)
   let deadline = Array.map (fun d -> d.next_vt ()) drivers in
-  let dheap = ref E in
+  let dheap = Heap.create () in
   let push_deadline i =
-    match deadline.(i) with
-    | Some vt -> dheap := h_push !dheap { h_at = vt; h_seq = 0; h_dst = i }
-    | None -> ()
+    Option.iter (fun vt -> Heap.push dheap ~at:vt i) deadline.(i)
   in
   Array.iteri (fun i _ -> push_deadline i) deadline;
-  let rec dheap_head () =
-    match !dheap with
-    | E -> None
-    | N (e, _) -> (
-      match deadline.(e.h_dst) with
-      | Some vt when Q.equal vt e.h_at -> Some e
-      | _ ->
-        (match h_pop !dheap with
-        | Some (_, rest) -> dheap := rest
-        | None -> ());
-        dheap_head ())
+  let dheap_head () =
+    Heap.peek_live dheap ~live:(fun at i ->
+        match deadline.(i) with Some vt -> Q.equal vt at | None -> false)
   in
-  let dheap_pop () =
-    match h_pop !dheap with
-    | Some (_, rest) -> dheap := rest
-    | None -> ()
-  in
+  let dheap_pop () = ignore (Heap.pop dheap) in
   let refresh i =
     deadline.(i) <- drivers.(i).next_vt ();
     push_deadline i
@@ -282,9 +240,9 @@ let run_drivers fab ~drivers ~until ?(script = []) () =
          polled drivers' refresh re-pushes whatever deadline remains) *)
       let rec mark_deadlines () =
         match dheap_head () with
-        | Some e when Q.(e.h_at <= fab.vnow) ->
+        | Some (at, i) when Q.(at <= fab.vnow) ->
           dheap_pop ();
-          mark_due e.h_dst;
+          mark_due i;
           mark_deadlines ()
         | _ -> ()
       in
@@ -297,11 +255,11 @@ let run_drivers fab ~drivers ~until ?(script = []) () =
          head is consumed and its entry goes stale. *)
       let rec mark () =
         match sched_head fab with
-        | Some e when Q.(e.h_at <= fab.vnow) -> (
-          match Hashtbl.find_opt by_addr e.h_dst with
+        | Some (at, dst) when Q.(at <= fab.vnow) -> (
+          match Hashtbl.find_opt by_addr dst with
           | Some i -> mark_due i
           | None ->
-            ignore (queue_pop fab e.h_dst);
+            ignore (queue_pop fab dst);
             sched_drop fab;
             mark ())
         | _ -> ()
@@ -324,7 +282,7 @@ let run_drivers fab ~drivers ~until ?(script = []) () =
            neither can happen anymore *)
         let timers_pending =
           match dheap_head () with
-          | Some e -> Q.(e.h_at <= fab.vnow)
+          | Some (at, _) -> Q.(at <= fab.vnow)
           | None -> false
         in
         if fab.delivered > d0 || timers_pending then drain ()
@@ -332,24 +290,22 @@ let run_drivers fab ~drivers ~until ?(script = []) () =
           (* a due packet survived a poll of its receiver: undeliverable
              in practice; drop it rather than spin *)
           match sched_head fab with
-          | Some e ->
-            ignore (queue_pop fab e.h_dst);
+          | Some (_, dst) ->
+            ignore (queue_pop fab dst);
             sched_drop fab
           | None -> ()
         end
     in
     drain ()
   in
-  let next_deadline_vt () =
-    Option.map (fun e -> e.h_at) (dheap_head ())
-  in
+  let next_deadline_vt () = Option.map fst (dheap_head ()) in
   poll_all ();
   step ();
   let rec go () =
     if Q.(fab.vnow < until) then begin
       let cands = [] in
       let cands =
-        match sched_head fab with Some e -> e.h_at :: cands | None -> cands
+        match sched_head fab with Some (at, _) -> at :: cands | None -> cands
       in
       let cands =
         match !script with (at, _) :: _ -> at :: cands | [] -> cands

@@ -88,6 +88,7 @@ type t = {
   mutable lost_ring : int list;  (* recent loss verdicts, newest first *)
   mutable stopped : bool;
   mutable save_checkpoint : (string -> unit) option;
+  mutable on_output : unit -> unit;
 }
 
 let lost_ring_cap = 64
@@ -128,10 +129,11 @@ let member_subset cfg = function
 
 let create ?(sink = Trace.null) ?(prof = Prof.null) ?alloc_msg
     ?(preestablished = false) ?peers cfg ~now =
-  let csa =
-    Csa.create ~lossy:cfg.lossy ~sink ~prof cfg.spec ~me:cfg.me ~lt0:now
-  in
   let members = member_subset cfg peers in
+  let csa =
+    Csa.create ~lossy:cfg.lossy ~sink ~prof ~neighbors:members cfg.spec
+      ~me:cfg.me ~lt0:now
+  in
   let peers = Hashtbl.create (List.length members) in
   List.iter
     (fun id ->
@@ -150,6 +152,7 @@ let create ?(sink = Trace.null) ?(prof = Prof.null) ?alloc_msg
     lost_ring = [];
     stopped = false;
     save_checkpoint = None;
+    on_output = ignore;
   }
 
 let alloc_msg t =
@@ -181,7 +184,8 @@ let emit_frame t ~now ~dst body =
          kind = Frame.kind_label body;
          bytes = String.length bytes;
        });
-  Queue.add (dst, bytes) t.out
+  Queue.add (dst, bytes) t.out;
+  t.on_output ()
 
 let drain t =
   let rec go acc =
@@ -241,6 +245,7 @@ let snapshot t =
   Buffer.contents buf
 
 let set_checkpoint t save = t.save_checkpoint <- Some save
+let set_on_output t f = t.on_output <- f
 
 let do_checkpoint t ~now =
   match t.save_checkpoint with
@@ -286,8 +291,10 @@ let restore ?(sink = Trace.null) ?(prof = Prof.null) ?alloc_msg ?peers cfg
        over the embedded bytes, not a copied-out string *)
     let csa_r = Codec.reader_of_sub r len in
     if not (Codec.at_end r) then failwith "trailing bytes in snapshot";
-    let csa = Csa.restore_reader ~sink ~prof cfg.spec csa_r in
     let members = member_subset cfg peers in
+    let csa =
+      Csa.restore_reader ~sink ~prof ~neighbors:members cfg.spec csa_r
+    in
     let peers = Hashtbl.create (List.length members) in
     List.iter
       (fun id ->
@@ -311,6 +318,7 @@ let restore ?(sink = Trace.null) ?(prof = Prof.null) ?alloc_msg ?peers cfg
         lost_ring;
         stopped = false;
         save_checkpoint = None;
+        on_output = ignore;
       }
     in
     (* messages we sent before the crash that never got a verdict: arm a

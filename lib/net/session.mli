@@ -115,14 +115,22 @@ val note_drop : t -> now:Q.t -> string -> unit
 
 val tick : t -> now:Q.t -> unit
 (** Fire every due timer: hello re-announce (with backoff), heartbeats,
-    ack timeouts (declaring losses), peer-silence downs.  After a tick
-    at [now], every internal deadline is strictly after [now]. *)
+    ack timeouts (declaring losses), peer-silence downs.  Each timer
+    fires only once its deadline, as reported by {!next_deadline}, is at
+    or before [now], so a tick earlier than {!next_deadline} does
+    nothing: the hub relies on this to tick only the sessions whose
+    deadline came up. *)
 
 val next_deadline : t -> Q.t option
 (** Earliest pending timer, for the transport's select timeout. *)
 
 val drain : t -> (Event.proc * string) list
 (** Remove and return queued outgoing frames, oldest first. *)
+
+val set_on_output : t -> (unit -> unit) -> unit
+(** Install a hook called each time a frame is queued for {!drain}.  The
+    hub uses it to learn which of its sessions have output (and moved
+    timers) without scanning them all. *)
 
 val send_data : t -> now:Q.t -> dst:Event.proc -> unit
 (** Queue one data frame to [dst] immediately (heartbeats call this;

@@ -63,4 +63,12 @@ let pop t =
     Some (top.at, top.payload)
   end
 
-let peek_time t = if t.size = 0 then None else Some t.data.(0).at
+let peek t =
+  if t.size = 0 then None else Some (t.data.(0).at, t.data.(0).payload)
+
+let rec peek_live t ~live =
+  match peek t with
+  | Some (at, x) when not (live at x) ->
+    ignore (pop t);
+    peek_live t ~live
+  | top -> top

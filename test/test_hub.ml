@@ -234,6 +234,68 @@ let test_peers_subset_validated () =
   Alcotest.(check (list int)) "subset peers" [ 2 ] (Session.peer_ids s);
   Alcotest.(check bool) "non-member not a peer" false (Session.is_peer s 1)
 
+(* A cohort session's history keeps a frontier per member only.  With
+   one per spec neighbor, the never-contacted non-members pinned every
+   event in H for good: H, and the scan of it on every send, grew with
+   uptime. *)
+let test_cohort_history_bounded () =
+  let peak_history ~until =
+    let spec = star_spec ~nodes:5 in
+    let fab = Loopback.fabric ~seed:7 ~delay_lo:(ms 1) ~delay_hi:(ms 40) () in
+    let hub_ep = Loopback.endpoint fab ~id:0 () in
+    let cfg0 = mk_cfg ~spec ~me:0 ~heartbeat:(Q.of_ints 1 2) in
+    let hub =
+      match
+        Swarm.Lhub.create ~net:hub_ep ~spec ~cohort_size:2
+          ~mk_session:(fun ~idx:_ ~members ->
+            Ok (Session.create ~peers:members cfg0 ~now:Q.zero))
+          ()
+      with
+      | Ok h -> h
+      | Error m -> Alcotest.failf "create: %s" m
+    in
+    let loops =
+      List.init 4 (fun i ->
+          let ep = Loopback.endpoint fab ~id:(i + 1) () in
+          let s =
+            Session.create
+              (mk_cfg ~spec ~me:(i + 1) ~heartbeat:(Q.of_ints 1 2))
+              ~now:Q.zero
+          in
+          let l = Loopback.L.create ~net:ep ~session:s () in
+          Loopback.L.learn l ~peer:0 0;
+          l)
+    in
+    let drivers =
+      {
+        Loopback.poll = (fun () -> Swarm.Lhub.poll hub ~max_wait:Q.zero);
+        next_vt = (fun () -> Swarm.Lhub.next_deadline hub);
+        addr = Some 0;
+      }
+      :: List.map Loopback.driver_of_loop loops
+    in
+    Loopback.run_drivers fab ~drivers ~until:(Q.of_int until) ();
+    List.fold_left max 0
+      (List.init (Swarm.Lhub.cohorts hub) (fun i ->
+           Csa.peak_history_size (Session.csa (Swarm.Lhub.session hub i))))
+  in
+  (* linear growth would make the 40 s peak about 4x the 10 s one *)
+  let short = peak_history ~until:10 and long = peak_history ~until:40 in
+  if long * 4 > short * 5 then
+    Alcotest.failf "cohort history grows with uptime: peak %d at 10 s, %d at 40 s"
+      short long
+
+(* Older hub snapshots kept a frontier for every spec neighbor; a
+   member-only session drops the idle ones on restore. *)
+let test_restore_drops_idle_frontiers () =
+  let spec = star_spec ~nodes:4 in
+  let full = Csa.create ~lossy:true spec ~me:0 ~lt0:Q.zero in
+  let c = Csa.restore ~neighbors:[ 2 ] spec (Csa.snapshot full) in
+  ignore (Csa.send c ~dst:2 ~msg:0 ~lt:(ms 10));
+  match Csa.send c ~dst:1 ~msg:4 ~lt:(ms 20) with
+  | _ -> Alcotest.fail "sent to a processor outside the restored neighbors"
+  | exception Invalid_argument _ -> ()
+
 (* --- batching / coalescing accounting -------------------------------- *)
 
 (* a tickful of same-destination frames must leave in one flush and be
@@ -451,6 +513,145 @@ let test_swarm_deterministic () =
   Alcotest.(check int) "frames identical"
     (Option.get a.Swarm.hub).Hub.frames (Option.get b.Swarm.hub).Hub.frames
 
+(* --- wakeup scheduling ------------------------------------------------- *)
+
+(* The whole JSONL trace of a seeded loopback swarm — hub and client
+   events, hub gauges — as an event count and one digest.  A hub that
+   wakes only the cohorts with work due may skip only ticks and flushes
+   that would have done nothing, so it must reproduce the trace of one
+   that ticks, flushes and scans every cohort on every poll, byte for
+   byte: any change in what the hub sends, or when, fails these. *)
+let swarm_trace ~clients ~cohort ~loss =
+  let buf = Buffer.create 65536 and events = ref 0 in
+  let sink =
+    Trace.callback (fun ev ->
+        incr events;
+        Buffer.add_string buf (Json_out.to_line (Trace.json_of_event ev));
+        Buffer.add_char buf '\n')
+  in
+  let r =
+    Swarm.run_loopback ~seed:11 ~loss ~cohort ~clients
+      ~duration:(Q.of_int 6) ~sink ()
+  in
+  Alcotest.(check int) "all sound" clients r.Swarm.sound;
+  (!events, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let golden_swarm_traces =
+  [
+    (12, 1, 0.1, 5111, "28839d04667ae49359bd222e5b7032ce");
+    (10, 4, 0.1, 7228, "a801e25cc8a96b81ba5e9a2e6123efec");
+    (6, 6, 0., 6706, "7f15aab2519d63056eaf6025dfe51f00");
+  ]
+
+let test_golden_swarm_traces () =
+  List.iter
+    (fun (clients, cohort, loss, events, digest) ->
+      let what = Printf.sprintf "K=%d cohort=%d loss=%g" clients cohort loss in
+      let n, d = swarm_trace ~clients ~cohort ~loss in
+      Alcotest.(check int) (what ^ ": events") events n;
+      Alcotest.(check string) (what ^ ": digest") digest d)
+    golden_swarm_traces
+
+(* What the timer heap and the dirty set stand in for, recomputed by
+   scanning every cohort: the earliest session deadline, empty output
+   queues after a flush, and the all-clients-done verdict. *)
+let agrees_with_scan hub =
+  let sessions =
+    List.init (Swarm.Lhub.cohorts hub) (Swarm.Lhub.session hub)
+  in
+  let earliest =
+    List.fold_left
+      (fun acc s ->
+        match (Session.next_deadline s, acc) with
+        | None, a -> a
+        | Some d, None -> Some d
+        | Some d, Some a -> Some (Q.min a d))
+      None sessions
+  in
+  Option.equal Q.equal earliest (Swarm.Lhub.next_deadline hub)
+  && List.for_all (fun s -> Session.drain s = []) sessions
+  && Swarm.Lhub.all_clients_done hub
+     = List.for_all Session.all_peers_done sessions
+
+(* Random fleets under loss, every client saying bye mid-run: after
+   every hub poll the heap's deadline, the flushed queues and the
+   finished count must match a full scan, and a lossless run must end
+   with every client done. *)
+let prop_wakeups_agree_with_scan =
+  let open QCheck in
+  let gen =
+    Gen.(
+      let* k = int_range 2 10 in
+      let* cohort = int_range 1 4 in
+      let* loss = oneofl [ 0.; 0.1; 0.3 ] in
+      let* seed = int_range 0 1000 in
+      let* stop_at = int_range 2 5 in
+      return (k, cohort, loss, seed, stop_at))
+  in
+  let print (k, cohort, loss, seed, stop_at) =
+    Printf.sprintf "k=%d cohort=%d loss=%g seed=%d stop_at=%d" k cohort loss
+      seed stop_at
+  in
+  QCheck.Test.make ~count:20
+    ~name:"hub: timer heap and dirty set agree with a full scan"
+    (QCheck.make ~print gen)
+    (fun (k, cohort, loss, seed, stop_at) ->
+      let spec = star_spec ~nodes:(k + 1) in
+      let fab =
+        Loopback.fabric ~seed ~loss ~delay_lo:(ms 1) ~delay_hi:(ms 40) ()
+      in
+      let hub_ep = Loopback.endpoint fab ~id:0 () in
+      let cfg0 = mk_cfg ~spec ~me:0 ~heartbeat:(Q.of_ints 1 2) in
+      let hub =
+        match
+          Swarm.Lhub.create ~net:hub_ep ~spec ~cohort_size:cohort
+            ~mk_session:(fun ~idx:_ ~members ->
+              Ok (Session.create ~peers:members cfg0 ~now:Q.zero))
+            ()
+        with
+        | Ok h -> h
+        | Error m -> Alcotest.failf "create: %s" m
+      in
+      let cls =
+        List.init k (fun i ->
+            let g = i + 1 in
+            let ep = Loopback.endpoint fab ~id:g ~offset:(ms (37 * g)) () in
+            let session =
+              Session.create
+                (mk_cfg ~spec ~me:g ~heartbeat:(Q.of_ints 1 2))
+                ~now:(Loopback.Net.now ep)
+            in
+            let loop = Loopback.L.create ~net:ep ~session () in
+            Loopback.L.learn loop ~peer:0 0;
+            (ep, session, loop))
+      in
+      let agree = ref true and polls = ref 0 in
+      let drivers =
+        {
+          Loopback.poll =
+            (fun () ->
+              Swarm.Lhub.poll hub ~max_wait:Q.zero;
+              incr polls;
+              if not (agrees_with_scan hub) then agree := false);
+          next_vt = (fun () -> Swarm.Lhub.next_deadline hub);
+          addr = Some 0;
+        }
+        :: List.map (fun (_, _, loop) -> Loopback.driver_of_loop loop) cls
+      in
+      let script =
+        [
+          ( Q.of_int stop_at,
+            fun () ->
+              List.iter
+                (fun (ep, s, _) -> Session.stop s ~now:(Loopback.Net.now ep))
+                cls );
+        ]
+      in
+      Loopback.run_drivers fab ~drivers
+        ~until:(Q.of_int (stop_at + 2))
+        ~script ();
+      !agree && !polls > 0 && (loss > 0. || Swarm.Lhub.all_clients_done hub))
+
 (* --- Udp burst drain -------------------------------------------------- *)
 
 (* the EWOULDBLOCK fix: zero-timeout receives drain an entire kernel
@@ -505,6 +706,10 @@ let () =
           Alcotest.test_case "cohort partition" `Quick test_cohort_partition;
           Alcotest.test_case "peer subset validated" `Quick
             test_peers_subset_validated;
+          Alcotest.test_case "cohort history bounded" `Quick
+            test_cohort_history_bounded;
+          Alcotest.test_case "restore drops idle frontiers" `Quick
+            test_restore_drops_idle_frontiers;
         ] );
       ( "batching",
         [
@@ -519,6 +724,12 @@ let () =
             test_swarm_loopback_converges;
           Alcotest.test_case "deterministic under seed" `Quick
             test_swarm_deterministic;
+        ] );
+      ( "wakeups",
+        [
+          Alcotest.test_case "golden swarm traces" `Quick
+            test_golden_swarm_traces;
+          qt prop_wakeups_agree_with_scan;
         ] );
       ( "udp",
         [
