@@ -419,11 +419,6 @@ let sweep_cmd =
 
 module Unet = Loop.Make (Udp)
 
-let net_spec ~nodes ~drift_ppm ~hi_ms =
-  System_spec.uniform ~n:nodes ~source:0 ~drift:(Drift.of_ppm drift_ppm)
-    ~transit:(Transit.of_q Q.zero (Scenario.ms hi_ms))
-    ~links:(Topology.star nodes)
-
 let q_of_float_s f = Q.of_ints (int_of_float (f *. 1_000_000.)) 1_000_000
 
 let port_opt =
@@ -643,7 +638,9 @@ let run_node rt ~me ?offset ?rate ~port setup =
   match pin_epoch rt.checkpoint with
   | Error m -> `Error (false, m)
   | Ok () ->
-    let spec = net_spec ~nodes:rt.nodes ~drift_ppm:rt.drift_ppm ~hi_ms:rt.hi_ms in
+    let spec =
+      Swarm.star_spec ~nodes:rt.nodes ~drift_ppm:rt.drift_ppm ~hi_ms:rt.hi_ms
+    in
     let net =
       Udp.create ?offset ?rate ~drop:rt.drop ~seed:(rt.seed + me) ~port ()
     in
@@ -833,13 +830,8 @@ let cohort_opt =
                history, one AGDP matrix) across its members.  1 \
                degenerates to a private session per client.")
 
-let burst_opt =
-  Arg.(value & opt int 256 & info [ "burst" ] ~docv:"K"
-         ~doc:"Max datagrams handled per readiness wakeup (the burst \
-               drain cap).")
-
 let hub_cmd =
-  let action port cohort burst rt =
+  let action port cohort rt =
     if rt.nodes < 2 then `Error (false, "need at least 2 nodes")
     else if cohort < 1 then `Error (false, "--cohort must be >= 1")
     else
@@ -878,7 +870,7 @@ let hub_cmd =
             Ok ()
           in
           { poll = Swarm.Uhub.poll hub; print; finished = all_done; stop; report })
-        (Swarm.Uhub.create ~sink ~prof ~burst ~net ~spec ~cohort_size:cohort
+        (Swarm.Uhub.create ~sink ~prof ~net ~spec ~cohort_size:cohort
            ~mk_session:(fun ~idx ~members ->
              mk_session ~sink ~prof ~checkpoint:rt.checkpoint
                ~cohort:(idx, members) cfg ~now:start)
@@ -891,7 +883,7 @@ let hub_cmd =
           1..N-1, sharded into cohorts that share per-cohort protocol \
           state.  Drive it with $(b,clocksync swarm) or ordinary \
           $(b,clocksync peer) processes.")
-    Term.(ret (const action $ port_opt $ cohort_opt $ burst_opt $ runtime))
+    Term.(ret (const action $ port_opt $ cohort_opt $ runtime))
 
 (* print the swarm's outcome; every client must have converged soundly *)
 let swarm_verdict (r : Swarm.report) =
@@ -936,7 +928,7 @@ let swarm_cmd =
            ~doc:"Client initial offsets are drawn from [0, $(docv)].")
   in
   let action clients server nodes drift_ppm hi_ms duration sample heartbeat
-      drop seed cohort burst max_offset_ms trace =
+      drop seed cohort max_offset_ms trace =
     if clients < 1 then `Error (false, "need at least 1 client")
     else
       let duration = q_of_float_s duration
@@ -950,8 +942,8 @@ let swarm_cmd =
               clients cohort drop;
             let r =
               Swarm.run_loopback ~seed ~loss:drop ~cohort ~duration ~sample
-                ~heartbeat ~drift_ppm ~hi_ms ~max_offset_ms ~sink ~burst
-                ~clients ()
+                ~heartbeat ~drift_ppm ~hi_ms ~max_offset_ms ~sink ~clients
+                ()
             in
             swarm_verdict r)
       | Some server -> (
@@ -976,7 +968,7 @@ let swarm_cmd =
       ret
         (const action $ clients_arg $ server $ net_nodes $ net_drift
        $ net_hi_ms $ net_duration $ net_sample $ net_heartbeat $ net_drop
-       $ seed $ cohort_opt $ burst_opt $ max_offset_ms $ trace_file))
+       $ seed $ cohort_opt $ max_offset_ms $ trace_file))
   in
   Cmd.v
     (Cmd.info "swarm"

@@ -8,6 +8,8 @@ type stats = {
   coalesced : int;
 }
 
+let burst = 256 (* datagrams handled per readiness wakeup, the first included *)
+
 module Make (N : Net_intf.NET) = struct
   type cohort = {
     idx : int;
@@ -39,7 +41,6 @@ module Make (N : Net_intf.NET) = struct
        decoded in place and fully handled before the next receive
        overwrites it *)
     rbuf : Bytes.t;
-    burst : int;
     (* every cohort's next timer, keyed by cohort index.  Lazily deleted:
        an entry is live iff it still equals its cohort's [sched], so a
        moved timer pushes a new entry and the old one is dropped when it
@@ -81,11 +82,10 @@ module Make (N : Net_intf.NET) = struct
     let hi = min (n - 1) (lo + cohort_size - 1) in
     List.init (hi - lo + 1) (fun k -> lo + k)
 
-  let create ?(sink = Trace.null) ?(prof = Prof.null) ?(burst = 256) ~net
-      ~spec ~cohort_size ~mk_session () =
+  let create ?(sink = Trace.null) ?(prof = Prof.null) ~net ~spec ~cohort_size
+      ~mk_session () =
     if cohort_size < 1 then
       invalid_arg "Hub.create: cohort size must be >= 1";
-    if burst < 1 then invalid_arg "Hub.create: burst must be >= 1";
     let n = System_spec.n spec in
     if n < 2 then invalid_arg "Hub.create: need at least one client";
     let ncoh = cohort_count ~n ~cohort_size in
@@ -115,7 +115,6 @@ module Make (N : Net_intf.NET) = struct
           cohorts = Array.of_list cohorts;
           routes = Hashtbl.create 64;
           rbuf = Bytes.create Frame.max_frame;
-          burst;
           timers = Heap.create ();
           dirty = [];
           unfinished = ncoh;
@@ -244,7 +243,7 @@ module Make (N : Net_intf.NET) = struct
       (* one readiness wakeup, whole kernel burst: keep receiving with
          a zero timeout until the queue is dry or the cap is hit *)
       let rec go k =
-        if k < t.burst then
+        if k < burst then
           match N.recv t.net ~buf:t.rbuf ~timeout:Q.zero with
           | None -> ()
           | Some d ->

@@ -24,7 +24,7 @@
 
     The drive loop is readiness-driven and batched: one blocking
     receive per tick, then a zero-timeout burst drain of the kernel
-    queue (decode in place from the single receive buffer), then {e
+    queue, at most 256 datagrams per wakeup (decode in place from the single receive buffer), then {e
     one} flush of the cohorts' queued acks and heartbeats — frames to
     the same client leave together ("coalesced") instead of one flush
     per handled frame.
@@ -59,7 +59,6 @@ module Make (N : Net_intf.NET) : sig
   val create :
     ?sink:Trace.sink ->
     ?prof:Prof.t ->
-    ?burst:int ->
     net:N.t ->
     spec:System_spec.t ->
     cohort_size:int ->
@@ -70,8 +69,7 @@ module Make (N : Net_intf.NET) : sig
       ids and build one session per cohort through [mk_session] (which
       must return a processor-0 session of the full spec restricted to
       [members] — the CLI's checkpoint-or-fresh wiring lives there, so
-      the hub itself stays storage-free).  [burst] caps datagrams
-      handled per readiness wakeup.  Errors propagate from
+      the hub itself stays storage-free).  Errors propagate from
       [mk_session] (e.g. an unusable checkpoint). *)
 
   val net : t -> N.t

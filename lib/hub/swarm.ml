@@ -104,7 +104,7 @@ let run_loopback ?(seed = 42) ?(loss = 0.) ?(cohort = 8)
     ?(duration = Q.of_int 12) ?(sample = Q.one)
     ?(heartbeat = Q.of_ints 1 2) ?(drift_ppm = 500) ?(hi_ms = 50)
     ?(max_offset_ms = 250) ?(sink = Trace.null) ?(prof = Prof.null)
-    ?(burst = 256) ~clients () =
+    ~clients () =
   if clients < 1 then invalid_arg "Swarm.run_loopback: need >= 1 client";
   let wall0 = Unix.gettimeofday () in
   let nodes = clients + 1 in
@@ -119,7 +119,7 @@ let run_loopback ?(seed = 42) ?(loss = 0.) ?(cohort = 8)
   in
   let hub =
     match
-      Lhub.create ~sink ~prof ~burst ~net:hub_ep ~spec ~cohort_size:cohort
+      Lhub.create ~sink ~prof ~net:hub_ep ~spec ~cohort_size:cohort
         ~mk_session:(fun ~idx:_ ~members ->
           Ok
             (Session.create ~sink ~peers:members cfg0

@@ -52,7 +52,6 @@ val run_loopback :
   ?max_offset_ms:int ->
   ?sink:Trace.sink ->
   ?prof:Prof.t ->
-  ?burst:int ->
   clients:int ->
   unit ->
   report

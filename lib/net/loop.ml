@@ -8,24 +8,12 @@ module Make (N : Net_intf.NET) = struct
        slice before [poll] returns (it does — the decoded values never
        alias the buffer), because the next receive overwrites it *)
     rbuf : Bytes.t;
-    (* datagrams handled per poll: 1 keeps the historical one-frame-per-
-       wakeup behavior (the loopback equivalence tests depend on its
-       exact interleaving); the CLI runs real sockets with a burst, so
-       one select wakeup drains the kernel queue *)
-    burst : int;
     mutable routes : (Event.proc * N.addr) list;
   }
 
-  let create ?(prof = Prof.null) ?(burst = 1) ~net ~session () =
-    if burst < 1 then invalid_arg "Loop.create: burst must be >= 1";
-    {
-      net;
-      session;
-      prof;
-      rbuf = Bytes.create Frame.max_frame;
-      burst;
-      routes = [];
-    }
+  let create ?(prof = Prof.null) ~net ~session () =
+    { net; session; prof; rbuf = Bytes.create Frame.max_frame; routes = [] }
+
   let net t = t.net
   let session t = t.session
 
@@ -58,7 +46,9 @@ module Make (N : Net_intf.NET) = struct
       | None -> max_wait
       | Some d -> Q.max Q.zero (Q.min max_wait (Q.sub d now))
     in
-    let handle_one (addr, len) =
+    match N.recv t.net ~buf:t.rbuf ~timeout with
+    | None -> ()
+    | Some (addr, len) -> (
       let now = N.now t.net in
       match Frame.decode_sub t.rbuf ~pos:0 ~len with
       | Error e -> Session.note_drop t.session ~now ("frame: " ^ e)
@@ -70,33 +60,5 @@ module Make (N : Net_intf.NET) = struct
         end
         else
           Session.note_drop t.session ~now
-            (Printf.sprintf "frame from non-neighbor %d" frame.Frame.sender)
-    in
-    match N.recv t.net ~buf:t.rbuf ~timeout with
-    | None -> ()
-    | Some first ->
-      handle_one first;
-      (* drain the rest of the burst without further select wakeups;
-         each datagram is fully handled before the next receive reuses
-         the buffer *)
-      let rec go k =
-        if k < t.burst then
-          match N.recv t.net ~buf:t.rbuf ~timeout:Q.zero with
-          | None -> ()
-          | Some d ->
-            handle_one d;
-            go (k + 1)
-      in
-      go 1
-
-  let run_until t ~deadline ~stop =
-    let step = Q.of_ints 1 5 in
-    let rec go () =
-      let now = N.now t.net in
-      if (not (stop ())) && Q.(now < deadline) then begin
-        poll t ~max_wait:(Q.min step (Q.sub deadline now));
-        go ()
-      end
-    in
-    go ()
+            (Printf.sprintf "frame from non-neighbor %d" frame.Frame.sender))
 end

@@ -9,16 +9,9 @@
 module Make (N : Net_intf.NET) : sig
   type t
 
-  val create :
-    ?prof:Prof.t -> ?burst:int -> net:N.t -> session:Session.t -> unit -> t
+  val create : ?prof:Prof.t -> net:N.t -> session:Session.t -> unit -> t
   (** [prof] times each poll iteration as a ["net_poll"] span (select
-      wait included).  [burst] (default 1) is the number of datagrams
-      one {!poll} may handle: after the first blocking receive, the loop
-      keeps receiving with a zero timeout until the queue is empty or
-      the cap is hit — one readiness wakeup drains the whole kernel
-      burst.  The default preserves the historical one-datagram-per-poll
-      interleaving the deterministic equivalence tests pin down; the
-      CLI's real-socket loops run with a larger burst. *)
+      wait included). *)
 
   val net : t -> N.t
   val session : t -> Session.t
@@ -31,11 +24,8 @@ module Make (N : Net_intf.NET) : sig
 
   val poll : t -> max_wait:Q.t -> unit
   (** One loop iteration: fire due timers, flush, wait up to [max_wait]
-      (capped by the session's next deadline) for a datagram, dispatch
-      it (plus up to [burst - 1] more already-queued datagrams), flush
-      again. *)
-
-  val run_until : t -> deadline:Q.t -> stop:(unit -> bool) -> unit
-  (** Poll until the local clock passes [deadline] or [stop ()] is true;
-      used by the CLI subcommands. *)
+      (capped by the session's next deadline) for one datagram, dispatch
+      it, flush again.  One datagram per poll keeps the interleaving the
+      deterministic loopback equivalence tests pin down; the many-client
+      drain lives in {!Hub}. *)
 end

@@ -1,7 +1,7 @@
 (* Offline trace analyzer: reads back the JSONL a run wrote (Json_in +
    Trace.event_of_json), re-aggregates it through a fresh Metrics, and
-   reconstructs what happened — convergence timeline, per-peer session
-   health, checkpoint overhead, span profiles.
+   reconstructs what happened — counters, convergence timeline,
+   per-peer session health, span profiles.
 
    Because float round-trips are exact (Json_out.float_repr) and events
    are replayed in file order, the recomputed aggregates are
@@ -248,40 +248,49 @@ let render_accuracy buf t =
     Buffer.add_char buf '\n'
   end
 
+(* Every nonzero scalar counter, in trailer order. *)
+let render_counters buf t =
+  let rows =
+    List.filter_map
+      (fun (r : Metrics.row) ->
+        match Metrics.value t.metrics r with
+        | 0 -> None
+        | v -> Some [ r.key; string_of_int v ])
+      Metrics.rows
+  in
+  if rows <> [] then begin
+    Buffer.add_string buf "counters:\n";
+    Buffer.add_string buf (Table.render ~header:[ "counter"; "value" ] rows);
+    Buffer.add_char buf '\n'
+  end
+
+(* Per-peer session events and drop reasons, from the raw events. *)
 let render_sessions buf t =
-  let m = t.metrics in
-  if
-    Metrics.net_tx m + Metrics.net_rx m + Metrics.peer_ups m
-    + Metrics.net_drops m
-    > 0
-  then begin
-    Buffer.add_string buf "session health:\n";
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  tx %d frames / %d B, rx %d frames / %d B, drops %d, retransmits %d\n"
-         (Metrics.net_tx m) (Metrics.net_tx_bytes m) (Metrics.net_rx m)
-         (Metrics.net_rx_bytes m) (Metrics.net_drops m)
-         (Metrics.retransmits m));
-    (* per-peer counters from the raw events *)
-    let peers = Hashtbl.create 8 in
-    let bump peer i =
-      let arr =
-        match Hashtbl.find_opt peers peer with
-        | Some a -> a
-        | None ->
-          let a = [| 0; 0; 0 |] in
-          Hashtbl.replace peers peer a;
-          a
-      in
-      arr.(i) <- arr.(i) + 1
+  let peers = Hashtbl.create 8 in
+  let reasons = Hashtbl.create 8 in
+  let bump peer i =
+    let arr =
+      match Hashtbl.find_opt peers peer with
+      | Some a -> a
+      | None ->
+        let a = [| 0; 0; 0 |] in
+        Hashtbl.replace peers peer a;
+        a
     in
-    List.iter
-      (function
-        | Trace.Peer_up { peer; _ } -> bump peer 0
-        | Trace.Peer_down { peer; _ } -> bump peer 1
-        | Trace.Retransmit { peer; _ } -> bump peer 2
-        | _ -> ())
-      t.events;
+    arr.(i) <- arr.(i) + 1
+  in
+  List.iter
+    (function
+      | Trace.Peer_up { peer; _ } -> bump peer 0
+      | Trace.Peer_down { peer; _ } -> bump peer 1
+      | Trace.Retransmit { peer; _ } -> bump peer 2
+      | Trace.Net_drop { reason; _ } ->
+        Hashtbl.replace reasons reason
+          (1 + Option.value ~default:0 (Hashtbl.find_opt reasons reason))
+      | _ -> ())
+    t.events;
+  if Hashtbl.length peers + Hashtbl.length reasons > 0 then begin
+    Buffer.add_string buf "session health:\n";
     let peer_ids = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) peers []) in
     if peer_ids <> [] then begin
       let rows =
@@ -297,15 +306,6 @@ let render_sessions buf t =
       Buffer.add_string buf
         (Table.render ~header:[ "peer"; "ups"; "downs"; "retransmits" ] rows)
     end;
-    (* drop reasons *)
-    let reasons = Hashtbl.create 8 in
-    List.iter
-      (function
-        | Trace.Net_drop { reason; _ } ->
-          Hashtbl.replace reasons reason
-            (1 + Option.value ~default:0 (Hashtbl.find_opt reasons reason))
-        | _ -> ())
-      t.events;
     Hashtbl.iter
       (fun reason n ->
         Buffer.add_string buf (Printf.sprintf "  drop[%s]: %d\n" reason n))
@@ -342,24 +342,6 @@ let render_hub buf t =
          ~header:[ "cohort"; "clients"; "up"; "frames"; "batched"; "coalesced" ]
          rows);
     Buffer.add_char buf '\n'
-
-let render_checkpoints buf t =
-  let m = t.metrics in
-  if Metrics.checkpoints m + Metrics.crashes m + Metrics.recoveries m > 0 then begin
-    Buffer.add_string buf "checkpoint / fault overhead:\n";
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  checkpoints %d (%d B total%s), crashes %d, recoveries %d\n"
-         (Metrics.checkpoints m)
-         (Metrics.checkpoint_bytes m)
-         (if Metrics.checkpoints m > 0 then
-            Printf.sprintf ", %.1f B mean"
-              (float_of_int (Metrics.checkpoint_bytes m)
-              /. float_of_int (Metrics.checkpoints m))
-          else "")
-         (Metrics.crashes m) (Metrics.recoveries m));
-    Buffer.add_char buf '\n'
-  end
 
 let render_spans buf t =
   match Metrics.span_names t.metrics with
@@ -437,10 +419,10 @@ let render t =
         (Printf.sprintf "  SUMMARY MISMATCH: %s\n" msg)));
   Buffer.add_char buf '\n';
   render_event_counts buf t;
+  render_counters buf t;
   render_timeline buf t;
   render_accuracy buf t;
   render_sessions buf t;
   render_hub buf t;
-  render_checkpoints buf t;
   render_spans buf t;
   Buffer.contents buf

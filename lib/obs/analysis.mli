@@ -2,9 +2,9 @@
 
     Parses a trace back ({!Json_in} + {!Trace.event_of_json}),
     re-aggregates the events through a fresh {!Metrics}, and renders a
-    human report: convergence timeline, per-algorithm accuracy
-    percentiles, per-peer session health, checkpoint overhead, and
-    hot-path span profiles.
+    human report: the nonzero scalar counters ({!Metrics.rows}),
+    convergence timeline, per-algorithm accuracy percentiles, per-peer
+    session health, hub-cohort gauges, and hot-path span profiles.
 
     Float round-trips are exact and events replay in file order, so
     {!summary_matches} can demand byte-identical agreement between the

@@ -28,63 +28,15 @@ let render (m : Metrics.t) =
     Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help);
     Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind)
   in
-  let counter name help v =
-    header name "counter" help;
-    Buffer.add_string buf (Printf.sprintf "%s %d\n" name v)
-  in
-  let gauge name help v =
-    header name "gauge" help;
-    Buffer.add_string buf (Printf.sprintf "%s %d\n" name v)
-  in
-  counter "csync_sends_total" "Protocol messages sent." (Metrics.sends m);
-  counter "csync_receives_total" "Protocol messages received."
-    (Metrics.receives m);
-  counter "csync_losses_total" "Messages declared lost by the loss oracle."
-    (Metrics.losses m);
-  counter "csync_payload_events_total" "Events carried in sent payloads."
-    (Metrics.payload_events_total m);
-  counter "csync_payload_bytes_total" "Codec-encoded payload bytes sent."
-    (Metrics.payload_bytes_total m);
-  gauge "csync_payload_events_max" "Largest single payload, in events."
-    (Metrics.payload_events_max m);
-  counter "csync_validation_checks_total" "Cross-oracle validation checks."
-    (Metrics.validation_checks m);
-  counter "csync_validation_failures_total" "Cross-oracle validation failures."
-    (Metrics.validation_failures m);
-  counter "csync_soundness_failures_total"
-    "Optimal estimates that missed the true source time."
-    (Metrics.soundness_failures m);
-  gauge "csync_liveness_peak" "Peak live-point count in any node's view."
-    (Metrics.liveness_peak m);
-  counter "csync_oracle_inserts_total" "Distance-oracle insertions."
-    (Metrics.oracle_inserts m);
-  counter "csync_oracle_gcs_total" "Distance-oracle garbage collections."
-    (Metrics.oracle_gcs m);
-  counter "csync_net_tx_total" "Frames put on the wire." (Metrics.net_tx m);
-  counter "csync_net_tx_bytes_total" "Frame bytes put on the wire."
-    (Metrics.net_tx_bytes m);
-  counter "csync_net_rx_total" "Well-formed frames accepted."
-    (Metrics.net_rx m);
-  counter "csync_net_rx_bytes_total" "Frame bytes accepted."
-    (Metrics.net_rx_bytes m);
-  counter "csync_net_drops_total" "Incoming datagrams rejected."
-    (Metrics.net_drops m);
-  counter "csync_peer_ups_total" "Peer sessions established."
-    (Metrics.peer_ups m);
-  counter "csync_peer_downs_total" "Peer sessions lost."
-    (Metrics.peer_downs m);
-  counter "csync_retransmits_total"
-    "Data messages declared lost after an ack timeout."
-    (Metrics.retransmits m);
-  counter "csync_checkpoints_total" "Durable checkpoints written."
-    (Metrics.checkpoints m);
-  counter "csync_checkpoint_bytes_total" "Checkpoint bytes written."
-    (Metrics.checkpoint_bytes m);
-  counter "csync_crashes_total" "Node crashes." (Metrics.crashes m);
-  counter "csync_recoveries_total" "Node recoveries." (Metrics.recoveries m);
-  counter "csync_protocol_violations_total"
-    "Session protocol rules broken (live conformance monitor)."
-    (Metrics.protocol_violations m);
+  List.iter
+    (fun (r : Metrics.row) ->
+      let kind =
+        match r.kind with Metrics.Counter -> "counter" | Max_gauge -> "gauge"
+      in
+      header r.prom kind r.help;
+      Buffer.add_string buf
+        (Printf.sprintf "%s %d\n" r.prom (Metrics.value m r)))
+    Metrics.rows;
   (match Metrics.hub_cohort_ids m with
   | [] -> ()
   | ids ->

@@ -22,34 +22,84 @@ type cohort_stats = {
   cohort_coalesced : int;
 }
 
+type kind = Counter | Max_gauge
+
+type row = { key : string; prom : string; kind : kind; help : string; slot : int }
+
+(* The scalar counters, one row each, in trailer order.  [row] appends
+   to the table and gives the counter its slot in [t.counts]; the
+   trailer, the exposition and the analyzer walk [rows], and [on_event]
+   bumps a slot through the handles in [Row]. *)
+let table = ref []
+
+let row ?(kind = Counter) key help =
+  let prom =
+    if kind = Counter && not (String.ends_with ~suffix:"_total" key) then
+      "csync_" ^ key ^ "_total"
+    else "csync_" ^ key
+  in
+  let r = { key; prom; kind; help; slot = List.length !table } in
+  table := r :: !table;
+  r
+
+module Row = struct
+  let sends = row "sends" "Protocol messages sent."
+  let receives = row "receives" "Protocol messages received."
+  let losses = row "losses" "Messages declared lost by the loss oracle."
+
+  let payload_events_total =
+    row "payload_events_total" "Events carried in sent payloads."
+
+  let payload_events_max =
+    row ~kind:Max_gauge "payload_events_max"
+      "Largest single payload, in events."
+
+  let payload_bytes_total =
+    row "payload_bytes_total" "Codec-encoded payload bytes sent."
+
+  let validation_checks =
+    row "validation_checks" "Cross-oracle validation checks."
+
+  let validation_failures =
+    row "validation_failures" "Cross-oracle validation failures."
+
+  let soundness_failures =
+    row "soundness_failures"
+      "Optimal estimates that missed the true source time."
+
+  let liveness_peak =
+    row ~kind:Max_gauge "liveness_peak"
+      "Peak live-point count in any node's view."
+
+  let oracle_inserts = row "oracle_inserts" "Distance-oracle insertions."
+  let oracle_gcs = row "oracle_gcs" "Distance-oracle garbage collections."
+  let net_tx = row "net_tx" "Frames put on the wire."
+  let net_tx_bytes = row "net_tx_bytes" "Frame bytes put on the wire."
+  let net_rx = row "net_rx" "Well-formed frames accepted."
+  let net_rx_bytes = row "net_rx_bytes" "Frame bytes accepted."
+  let net_drops = row "net_drops" "Incoming datagrams rejected."
+  let peer_ups = row "peer_ups" "Peer sessions established."
+  let peer_downs = row "peer_downs" "Peer sessions lost."
+
+  let retransmits =
+    row "retransmits" "Data messages declared lost after an ack timeout."
+
+  let checkpoints = row "checkpoints" "Durable checkpoints written."
+  let checkpoint_bytes = row "checkpoint_bytes" "Checkpoint bytes written."
+  let crashes = row "crashes" "Node crashes."
+  let recoveries = row "recoveries" "Node recoveries."
+  let link_cuts = row "link_cuts" "Links cut by edge churn."
+  let link_heals = row "link_heals" "Cut links healed by edge churn."
+
+  let protocol_violations =
+    row "protocol_violations"
+      "Session protocol rules broken (live conformance monitor)."
+end
+
+let rows = List.rev !table
+
 type t = {
-  mutable sends : int;
-  mutable receives : int;
-  mutable losses : int;
-  mutable payload_events_total : int;
-  mutable payload_events_max : int;
-  mutable payload_bytes_total : int;
-  mutable validation_checks : int;
-  mutable validation_failures : int;
-  mutable soundness_failures : int;
-  mutable liveness_peak : int;
-  mutable oracle_inserts : int;
-  mutable oracle_gcs : int;
-  mutable net_tx : int;
-  mutable net_tx_bytes : int;
-  mutable net_rx : int;
-  mutable net_rx_bytes : int;
-  mutable net_drops : int;
-  mutable peer_ups : int;
-  mutable peer_downs : int;
-  mutable retransmits : int;
-  mutable checkpoints : int;
-  mutable checkpoint_bytes : int;
-  mutable crashes : int;
-  mutable recoveries : int;
-  mutable link_cuts : int;
-  mutable link_heals : int;
-  mutable protocol_violations : int;
+  counts : int array; (* indexed by [row.slot] *)
   algos : (string, acc) Hashtbl.t;
   mutable algo_order : string list; (* first-appearance order, reversed *)
   spans : (string, Histogram.t) Hashtbl.t;
@@ -62,33 +112,7 @@ type t = {
 
 let create () =
   {
-    sends = 0;
-    receives = 0;
-    losses = 0;
-    payload_events_total = 0;
-    payload_events_max = 0;
-    payload_bytes_total = 0;
-    validation_checks = 0;
-    validation_failures = 0;
-    soundness_failures = 0;
-    liveness_peak = 0;
-    oracle_inserts = 0;
-    oracle_gcs = 0;
-    net_tx = 0;
-    net_tx_bytes = 0;
-    net_rx = 0;
-    net_rx_bytes = 0;
-    net_drops = 0;
-    peer_ups = 0;
-    peer_downs = 0;
-    retransmits = 0;
-    checkpoints = 0;
-    checkpoint_bytes = 0;
-    crashes = 0;
-    recoveries = 0;
-    link_cuts = 0;
-    link_heals = 0;
-    protocol_violations = 0;
+    counts = Array.make (List.length rows) 0;
     algos = Hashtbl.create 8;
     algo_order = [];
     spans = Hashtbl.create 8;
@@ -96,6 +120,11 @@ let create () =
     hub = Hashtbl.create 8;
     hub_order = [];
   }
+
+let value t r = t.counts.(r.slot)
+let add t r k = t.counts.(r.slot) <- t.counts.(r.slot) + k
+let bump t r = add t r 1
+let raise_to t r v = if v > t.counts.(r.slot) then t.counts.(r.slot) <- v
 
 let acc t name =
   match Hashtbl.find_opt t.algos name with
@@ -111,49 +140,46 @@ let acc t name =
 let on_event t (ev : Trace.event) =
   match ev with
   | Trace.Send { events; bytes; _ } ->
-    t.sends <- t.sends + 1;
-    t.payload_events_total <- t.payload_events_total + events;
-    if events > t.payload_events_max then t.payload_events_max <- events;
-    t.payload_bytes_total <- t.payload_bytes_total + bytes
-  | Trace.Receive _ -> t.receives <- t.receives + 1
-  | Trace.Lost _ -> t.losses <- t.losses + 1
+    bump t Row.sends;
+    add t Row.payload_events_total events;
+    raise_to t Row.payload_events_max events;
+    add t Row.payload_bytes_total bytes
+  | Trace.Receive _ -> bump t Row.receives
+  | Trace.Lost _ -> bump t Row.losses
   | Trace.Estimate { algo; width; contained; _ } ->
     let a = acc t algo in
     a.n <- a.n + 1;
     if contained then a.contained_n <- a.contained_n + 1
-    else if algo = "optimal" then
-      t.soundness_failures <- t.soundness_failures + 1;
+    else if algo = "optimal" then bump t Row.soundness_failures;
     if Float.is_finite width then begin
       a.finite_n <- a.finite_n + 1;
       a.width_sum <- a.width_sum +. width;
       if width > a.width_max then a.width_max <- width
     end
   | Trace.Validation { ok; _ } ->
-    t.validation_checks <- t.validation_checks + 1;
-    if not ok then t.validation_failures <- t.validation_failures + 1
-  | Trace.Liveness { live; _ } ->
-    if live > t.liveness_peak then t.liveness_peak <- live
-  | Trace.Oracle_insert _ -> t.oracle_inserts <- t.oracle_inserts + 1
-  | Trace.Oracle_gc _ -> t.oracle_gcs <- t.oracle_gcs + 1
+    bump t Row.validation_checks;
+    if not ok then bump t Row.validation_failures
+  | Trace.Liveness { live; _ } -> raise_to t Row.liveness_peak live
+  | Trace.Oracle_insert _ -> bump t Row.oracle_inserts
+  | Trace.Oracle_gc _ -> bump t Row.oracle_gcs
   | Trace.Net_tx { bytes; _ } ->
-    t.net_tx <- t.net_tx + 1;
-    t.net_tx_bytes <- t.net_tx_bytes + bytes
+    bump t Row.net_tx;
+    add t Row.net_tx_bytes bytes
   | Trace.Net_rx { bytes; _ } ->
-    t.net_rx <- t.net_rx + 1;
-    t.net_rx_bytes <- t.net_rx_bytes + bytes
-  | Trace.Net_drop _ -> t.net_drops <- t.net_drops + 1
-  | Trace.Peer_up _ -> t.peer_ups <- t.peer_ups + 1
-  | Trace.Peer_down _ -> t.peer_downs <- t.peer_downs + 1
-  | Trace.Retransmit _ -> t.retransmits <- t.retransmits + 1
+    bump t Row.net_rx;
+    add t Row.net_rx_bytes bytes
+  | Trace.Net_drop _ -> bump t Row.net_drops
+  | Trace.Peer_up _ -> bump t Row.peer_ups
+  | Trace.Peer_down _ -> bump t Row.peer_downs
+  | Trace.Retransmit _ -> bump t Row.retransmits
   | Trace.Checkpoint { bytes; _ } ->
-    t.checkpoints <- t.checkpoints + 1;
-    t.checkpoint_bytes <- t.checkpoint_bytes + bytes
-  | Trace.Crash _ -> t.crashes <- t.crashes + 1
-  | Trace.Recover _ -> t.recoveries <- t.recoveries + 1
-  | Trace.Link_down _ -> t.link_cuts <- t.link_cuts + 1
-  | Trace.Link_up _ -> t.link_heals <- t.link_heals + 1
-  | Trace.Protocol_violation _ ->
-    t.protocol_violations <- t.protocol_violations + 1
+    bump t Row.checkpoints;
+    add t Row.checkpoint_bytes bytes
+  | Trace.Crash _ -> bump t Row.crashes
+  | Trace.Recover _ -> bump t Row.recoveries
+  | Trace.Link_down _ -> bump t Row.link_cuts
+  | Trace.Link_up _ -> bump t Row.link_heals
+  | Trace.Protocol_violation _ -> bump t Row.protocol_violations
   | Trace.Hub_cohort { cohort; clients; established; frames; batched;
                        coalesced; _ } ->
     if not (Hashtbl.mem t.hub cohort) then
@@ -186,33 +212,28 @@ end
 
 let sink t = Trace.Sink ((module Sink), t)
 
-let sends t = t.sends
-let receives t = t.receives
-let losses t = t.losses
-let payload_events_total t = t.payload_events_total
-let payload_events_max t = t.payload_events_max
-let payload_bytes_total t = t.payload_bytes_total
-let validation_checks t = t.validation_checks
-let validation_failures t = t.validation_failures
-let soundness_failures t = t.soundness_failures
-let liveness_peak t = t.liveness_peak
-let oracle_inserts t = t.oracle_inserts
-let oracle_gcs t = t.oracle_gcs
-let net_tx t = t.net_tx
-let net_tx_bytes t = t.net_tx_bytes
-let net_rx t = t.net_rx
-let net_rx_bytes t = t.net_rx_bytes
-let net_drops t = t.net_drops
-let peer_ups t = t.peer_ups
-let peer_downs t = t.peer_downs
-let retransmits t = t.retransmits
-let checkpoints t = t.checkpoints
-let checkpoint_bytes t = t.checkpoint_bytes
-let crashes t = t.crashes
-let recoveries t = t.recoveries
-let link_cuts t = t.link_cuts
-let link_heals t = t.link_heals
-let protocol_violations t = t.protocol_violations
+let sends t = value t Row.sends
+let receives t = value t Row.receives
+let losses t = value t Row.losses
+let payload_events_total t = value t Row.payload_events_total
+let payload_events_max t = value t Row.payload_events_max
+let payload_bytes_total t = value t Row.payload_bytes_total
+let validation_checks t = value t Row.validation_checks
+let validation_failures t = value t Row.validation_failures
+let soundness_failures t = value t Row.soundness_failures
+let liveness_peak t = value t Row.liveness_peak
+let oracle_inserts t = value t Row.oracle_inserts
+let oracle_gcs t = value t Row.oracle_gcs
+let net_drops t = value t Row.net_drops
+let peer_ups t = value t Row.peer_ups
+let retransmits t = value t Row.retransmits
+let checkpoints t = value t Row.checkpoints
+let checkpoint_bytes t = value t Row.checkpoint_bytes
+let crashes t = value t Row.crashes
+let recoveries t = value t Row.recoveries
+let link_cuts t = value t Row.link_cuts
+let link_heals t = value t Row.link_heals
+let protocol_violations t = value t Row.protocol_violations
 let algo_names t = List.rev t.algo_order
 let span_names t = List.rev t.span_order
 let span_hist t name = Hashtbl.find_opt t.spans name
@@ -255,36 +276,10 @@ let algo_stats t name =
 
 let summary_json t =
   let module J = Json_out in
+  let scalars = List.map (fun r -> (r.key, J.Int (value t r))) rows in
   J.Obj
-    [
-      ("event", J.Str "summary");
-      ("sends", J.Int t.sends);
-      ("receives", J.Int t.receives);
-      ("losses", J.Int t.losses);
-      ("payload_events_total", J.Int t.payload_events_total);
-      ("payload_events_max", J.Int t.payload_events_max);
-      ("payload_bytes_total", J.Int t.payload_bytes_total);
-      ("validation_checks", J.Int t.validation_checks);
-      ("validation_failures", J.Int t.validation_failures);
-      ("soundness_failures", J.Int t.soundness_failures);
-      ("liveness_peak", J.Int t.liveness_peak);
-      ("oracle_inserts", J.Int t.oracle_inserts);
-      ("oracle_gcs", J.Int t.oracle_gcs);
-      ("net_tx", J.Int t.net_tx);
-      ("net_tx_bytes", J.Int t.net_tx_bytes);
-      ("net_rx", J.Int t.net_rx);
-      ("net_rx_bytes", J.Int t.net_rx_bytes);
-      ("net_drops", J.Int t.net_drops);
-      ("peer_ups", J.Int t.peer_ups);
-      ("peer_downs", J.Int t.peer_downs);
-      ("retransmits", J.Int t.retransmits);
-      ("checkpoints", J.Int t.checkpoints);
-      ("checkpoint_bytes", J.Int t.checkpoint_bytes);
-      ("crashes", J.Int t.crashes);
-      ("recoveries", J.Int t.recoveries);
-      ("link_cuts", J.Int t.link_cuts);
-      ("link_heals", J.Int t.link_heals);
-      ("protocol_violations", J.Int t.protocol_violations);
+    ((("event", J.Str "summary") :: scalars)
+    @ [
       ( "algos",
         J.Obj
           (List.map
@@ -332,4 +327,4 @@ let summary_json t =
                      ("p99", J.Float (Histogram.quantile h 0.99));
                    ] ))
              (span_names t)) );
-    ]
+    ])

@@ -6,7 +6,14 @@
     statistics, validation outcomes, peak liveness.  {!Engine.run} builds
     its {!Engine.result} from exactly these aggregates, so an external
     consumer teeing its own [Metrics.t] onto the same stream is guaranteed
-    to reproduce the engine's numbers. *)
+    to reproduce the engine's numbers.
+
+    The scalar counters live in one table, {!rows}: each row carries its
+    trailer key, Prometheus name, kind and help text.  The JSONL trailer
+    ({!summary_json}), the [--stat-port] exposition ({!Expo.render}) and
+    [clocksync analyze] all walk that table, so a counter is one row plus
+    its arm in {!on_event} (see DESIGN.md, "Exposition").  The
+    per-algorithm, hub-cohort and span families stay separate. *)
 
 type algo_stats = {
   samples : int;  (** estimate samples recorded *)
@@ -37,22 +44,37 @@ val on_event : t -> Trace.event -> unit
 (** Feed one event directly (what {!sink} does; used by the offline
     analyzer to replay a parsed trace). *)
 
-(** {1 Aggregates} *)
+(** {1 Scalar counters} *)
+
+type kind =
+  | Counter  (** summed over events *)
+  | Max_gauge  (** the largest value any event reported *)
+
+type row = private {
+  key : string;  (** trailer field, e.g. ["net_drops"] *)
+  prom : string;
+      (** exposition name: ["csync_"] ^ key, plus ["_total"] for a
+          counter whose key lacks it *)
+  kind : kind;
+  help : string;  (** exposition HELP text *)
+  slot : int;  (** the row's index in the aggregate's counter array *)
+}
+
+val rows : row list
+(** Every scalar counter, in trailer order. *)
+
+val value : t -> row -> int
+
+(** {2 Named readers}
+
+    Shorthands for [value t] on the rows callers use by name. *)
 
 val sends : t -> int
 val receives : t -> int
 val losses : t -> int
-
 val payload_events_total : t -> int
 val payload_events_max : t -> int
 val payload_bytes_total : t -> int
-
-val algo_names : t -> string list
-(** Algorithms seen in [Estimate] events, in first-appearance order. *)
-
-val algo_stats : t -> string -> algo_stats
-(** All-zero stats for an algorithm never seen. *)
-
 val validation_checks : t -> int
 val validation_failures : t -> int
 
@@ -66,45 +88,33 @@ val liveness_peak : t -> int
 val oracle_inserts : t -> int
 val oracle_gcs : t -> int
 
-(** {1 Net runtime aggregates}
-
-    Counted from the [Net_*]/[Peer_*]/[Retransmit] events the socket
-    runtime ({!Session}, {!Loop}) emits; all zero on simulator runs. *)
-
-val net_tx : t -> int
-val net_tx_bytes : t -> int
-val net_rx : t -> int
-val net_rx_bytes : t -> int
-
 val net_drops : t -> int
 (** Incoming datagrams rejected at the frame boundary. *)
 
 val peer_ups : t -> int
-val peer_downs : t -> int
 
 val retransmits : t -> int
 (** Data messages declared lost after an ack timeout (Section 3.3). *)
-
-(** {1 Fault-layer aggregates}
-
-    Counted from the [Checkpoint]/[Crash]/[Recover] events the fault
-    subsystem emits; all zero when no faults or checkpointing are
-    configured. *)
 
 val checkpoints : t -> int
 val checkpoint_bytes : t -> int
 val crashes : t -> int
 val recoveries : t -> int
-
 val link_cuts : t -> int
-(** [Link_down] events: edges severed by churn. *)
-
 val link_heals : t -> int
 
 val protocol_violations : t -> int
-(** [Protocol_violation] events: Session protocol rules broken, as
-    flagged by the live conformance monitor or by {!Session}'s own wire
-    contract checks (must stay 0 on a healthy run). *)
+(** Session protocol rules broken, as flagged by the live conformance
+    monitor or by {!Session}'s own wire contract checks (must stay 0 on
+    a healthy run). *)
+
+(** {1 Per-algorithm aggregates} *)
+
+val algo_names : t -> string list
+(** Algorithms seen in [Estimate] events, in first-appearance order. *)
+
+val algo_stats : t -> string -> algo_stats
+(** All-zero stats for an algorithm never seen. *)
 
 (** {1 Hub aggregates}
 

@@ -114,4 +114,8 @@ if [ "$fail" -ne 0 ]; then
   exit 1
 fi
 
-echo "hub-smoke: OK ($CLIENTS clients through one socket: all established, converged, sound; trace analyzed + conformant)"
+# repeat the hub's last stats line so every run records how many frames
+# rode a burst drain and how many shared a flush
+FRAMES=$(grep -o 'frames [0-9]* (batched [0-9]*, coalesced [0-9]*)' \
+  "$DIR/hub.log" | tail -n 1)
+echo "hub-smoke: OK ($CLIENTS clients through one socket: all established, converged, sound; trace analyzed + conformant; hub $FRAMES)"

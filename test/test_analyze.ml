@@ -80,6 +80,7 @@ let test_engine_trace_round_trip () =
       Alcotest.(check bool) section true (contains report section))
     [
       "summary trailer matches recomputed aggregates exactly";
+      "counters:";
       "convergence timeline";
       "estimate accuracy";
       "optimal";
@@ -187,6 +188,30 @@ let test_expo_render () =
   Alcotest.(check string) "label escaping" "a\\\\b\\\"c\\nd"
     (Expo.escape_label "a\\b\"c\nd")
 
+(* A scrape must answer everything a stored trace answers: each scalar
+   field of the trailer has a series named after it. *)
+let test_expo_covers_trailer () =
+  let m = Metrics.create () in
+  let series =
+    List.filter_map
+      (fun line ->
+        if line = "" || line.[0] = '#' then None
+        else Some (List.hd (String.split_on_char ' ' line)))
+      (String.split_on_char '\n' (Expo.render m))
+  in
+  match Metrics.summary_json m with
+  | Json_out.Obj fields ->
+    List.iter
+      (function
+        | key, Json_out.Int _ ->
+          let name = "csync_" ^ key in
+          Alcotest.(check bool)
+            (key ^ " is exposed") true
+            (List.mem name series || List.mem (name ^ "_total") series)
+        | _ -> ())
+      fields
+  | _ -> Alcotest.fail "trailer is not an object"
+
 let () =
   Alcotest.run "analyze"
     [
@@ -202,6 +227,9 @@ let () =
             test_missing_file;
         ] );
       ( "expo",
-        [ Alcotest.test_case "prometheus rendering" `Quick test_expo_render ]
-      );
+        [
+          Alcotest.test_case "prometheus rendering" `Quick test_expo_render;
+          Alcotest.test_case "every trailer counter is exposed" `Quick
+            test_expo_covers_trailer;
+        ] );
     ]

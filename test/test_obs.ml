@@ -411,6 +411,176 @@ let test_golden_flight () =
     Alcotest.(check (list string))
       "decodes back" golden_jsonl (jsonl_lines evs)
 
+(* [golden_events] plus an "optimal" miss: every scalar counter moves.
+   The trailer and the exposition are what a scraper or a stored trace
+   depends on; both must change only on purpose. *)
+let counter_events =
+  golden_events
+  @ [ estimate ~t:14. ~node:2 ~algo:"optimal" ~width:0.25 ~contained:false () ]
+
+let golden_summary =
+  String.concat ""
+    [
+      {|{"event":"summary","sends":1,"receives":1,"losses":1,|};
+      {|"payload_events_total":3,"payload_events_max":3,|};
+      {|"payload_bytes_total":40,"validation_checks":1,|};
+      {|"validation_failures":1,"soundness_failures":1,"liveness_peak":12,|};
+      {|"oracle_inserts":1,"oracle_gcs":1,"net_tx":1,"net_tx_bytes":96,|};
+      {|"net_rx":1,"net_rx_bytes":32,"net_drops":1,"peer_ups":1,|};
+      {|"peer_downs":1,"retransmits":1,"checkpoints":1,|};
+      {|"checkpoint_bytes":512,"crashes":1,"recoveries":1,"link_cuts":1,|};
+      {|"link_heals":1,"protocol_violations":1,|};
+      {|"algos":{"optimal":{"samples":2,"contained":1,"finite":2,|};
+      {|"mean_width":0.1875,"max_width":0.25},"ntp":{"samples":1,|};
+      {|"contained":0,"finite":0,"mean_width":null,"max_width":0.0}},|};
+      {|"hub_cohorts":{"1":{"clients":8,"established":7,"frames":4096,|};
+      {|"batched":512,"coalesced":64}},"spans":{"agdp_insert":{"count":1,|};
+      {|"sum":3.2e-05,"min":3.2e-05,"max":3.2e-05,"p50":3.2e-05,|};
+      {|"p95":3.2e-05,"p99":3.2e-05}}}|};
+    ]
+
+let test_golden_summary () =
+  let m = Metrics.create () in
+  feed m counter_events;
+  List.iter
+    (fun (r : Metrics.row) ->
+      Alcotest.(check bool) (r.key ^ " moved") true (Metrics.value m r > 0))
+    Metrics.rows;
+  Alcotest.(check string)
+    "trailer" golden_summary
+    (Json_out.to_line (Metrics.summary_json m))
+
+(* Scalar families come in trailer order; the per-cohort, per-algorithm
+   and span families follow. *)
+let golden_expo =
+  [
+    {|# HELP csync_sends_total Protocol messages sent.|};
+    {|# TYPE csync_sends_total counter|};
+    {|csync_sends_total 1|};
+    {|# HELP csync_receives_total Protocol messages received.|};
+    {|# TYPE csync_receives_total counter|};
+    {|csync_receives_total 1|};
+    {|# HELP csync_losses_total Messages declared lost by the loss oracle.|};
+    {|# TYPE csync_losses_total counter|};
+    {|csync_losses_total 1|};
+    {|# HELP csync_payload_events_total Events carried in sent payloads.|};
+    {|# TYPE csync_payload_events_total counter|};
+    {|csync_payload_events_total 3|};
+    {|# HELP csync_payload_events_max Largest single payload, in events.|};
+    {|# TYPE csync_payload_events_max gauge|};
+    {|csync_payload_events_max 3|};
+    {|# HELP csync_payload_bytes_total Codec-encoded payload bytes sent.|};
+    {|# TYPE csync_payload_bytes_total counter|};
+    {|csync_payload_bytes_total 40|};
+    {|# HELP csync_validation_checks_total Cross-oracle validation checks.|};
+    {|# TYPE csync_validation_checks_total counter|};
+    {|csync_validation_checks_total 1|};
+    {|# HELP csync_validation_failures_total Cross-oracle validation failures.|};
+    {|# TYPE csync_validation_failures_total counter|};
+    {|csync_validation_failures_total 1|};
+    {|# HELP csync_soundness_failures_total Optimal estimates that missed the true source time.|};
+    {|# TYPE csync_soundness_failures_total counter|};
+    {|csync_soundness_failures_total 1|};
+    {|# HELP csync_liveness_peak Peak live-point count in any node's view.|};
+    {|# TYPE csync_liveness_peak gauge|};
+    {|csync_liveness_peak 12|};
+    {|# HELP csync_oracle_inserts_total Distance-oracle insertions.|};
+    {|# TYPE csync_oracle_inserts_total counter|};
+    {|csync_oracle_inserts_total 1|};
+    {|# HELP csync_oracle_gcs_total Distance-oracle garbage collections.|};
+    {|# TYPE csync_oracle_gcs_total counter|};
+    {|csync_oracle_gcs_total 1|};
+    {|# HELP csync_net_tx_total Frames put on the wire.|};
+    {|# TYPE csync_net_tx_total counter|};
+    {|csync_net_tx_total 1|};
+    {|# HELP csync_net_tx_bytes_total Frame bytes put on the wire.|};
+    {|# TYPE csync_net_tx_bytes_total counter|};
+    {|csync_net_tx_bytes_total 96|};
+    {|# HELP csync_net_rx_total Well-formed frames accepted.|};
+    {|# TYPE csync_net_rx_total counter|};
+    {|csync_net_rx_total 1|};
+    {|# HELP csync_net_rx_bytes_total Frame bytes accepted.|};
+    {|# TYPE csync_net_rx_bytes_total counter|};
+    {|csync_net_rx_bytes_total 32|};
+    {|# HELP csync_net_drops_total Incoming datagrams rejected.|};
+    {|# TYPE csync_net_drops_total counter|};
+    {|csync_net_drops_total 1|};
+    {|# HELP csync_peer_ups_total Peer sessions established.|};
+    {|# TYPE csync_peer_ups_total counter|};
+    {|csync_peer_ups_total 1|};
+    {|# HELP csync_peer_downs_total Peer sessions lost.|};
+    {|# TYPE csync_peer_downs_total counter|};
+    {|csync_peer_downs_total 1|};
+    {|# HELP csync_retransmits_total Data messages declared lost after an ack timeout.|};
+    {|# TYPE csync_retransmits_total counter|};
+    {|csync_retransmits_total 1|};
+    {|# HELP csync_checkpoints_total Durable checkpoints written.|};
+    {|# TYPE csync_checkpoints_total counter|};
+    {|csync_checkpoints_total 1|};
+    {|# HELP csync_checkpoint_bytes_total Checkpoint bytes written.|};
+    {|# TYPE csync_checkpoint_bytes_total counter|};
+    {|csync_checkpoint_bytes_total 512|};
+    {|# HELP csync_crashes_total Node crashes.|};
+    {|# TYPE csync_crashes_total counter|};
+    {|csync_crashes_total 1|};
+    {|# HELP csync_recoveries_total Node recoveries.|};
+    {|# TYPE csync_recoveries_total counter|};
+    {|csync_recoveries_total 1|};
+    {|# HELP csync_link_cuts_total Links cut by edge churn.|};
+    {|# TYPE csync_link_cuts_total counter|};
+    {|csync_link_cuts_total 1|};
+    {|# HELP csync_link_heals_total Cut links healed by edge churn.|};
+    {|# TYPE csync_link_heals_total counter|};
+    {|csync_link_heals_total 1|};
+    {|# HELP csync_protocol_violations_total Session protocol rules broken (live conformance monitor).|};
+    {|# TYPE csync_protocol_violations_total counter|};
+    {|csync_protocol_violations_total 1|};
+    {|# HELP csync_hub_clients Clients assigned to each hub cohort.|};
+    {|# TYPE csync_hub_clients gauge|};
+    {|csync_hub_clients{cohort="1"} 8|};
+    {|# HELP csync_hub_established Clients currently established per hub cohort.|};
+    {|# TYPE csync_hub_established gauge|};
+    {|csync_hub_established{cohort="1"} 7|};
+    {|# HELP csync_hub_frames_total Valid client frames handled per hub cohort.|};
+    {|# TYPE csync_hub_frames_total counter|};
+    {|csync_hub_frames_total{cohort="1"} 4096|};
+    {|# HELP csync_hub_batched_total Frames handled on a burst drain per hub cohort.|};
+    {|# TYPE csync_hub_batched_total counter|};
+    {|csync_hub_batched_total{cohort="1"} 512|};
+    {|# HELP csync_hub_coalesced_total Frames that shared a per-tick flush per hub cohort.|};
+    {|# TYPE csync_hub_coalesced_total counter|};
+    {|csync_hub_coalesced_total{cohort="1"} 64|};
+    {|# HELP csync_estimate_samples_total Estimate samples per algorithm.|};
+    {|# TYPE csync_estimate_samples_total counter|};
+    {|csync_estimate_samples_total{algo="optimal"} 2|};
+    {|csync_estimate_samples_total{algo="ntp"} 1|};
+    {|# HELP csync_estimate_contained_total Estimate samples whose interval contained the true time.|};
+    {|# TYPE csync_estimate_contained_total counter|};
+    {|csync_estimate_contained_total{algo="optimal"} 1|};
+    {|csync_estimate_contained_total{algo="ntp"} 0|};
+    {|# HELP csync_estimate_width_mean_seconds Mean finite estimate width per algorithm.|};
+    {|# TYPE csync_estimate_width_mean_seconds gauge|};
+    {|csync_estimate_width_mean_seconds{algo="optimal"} 0.1875|};
+    {|csync_estimate_width_mean_seconds{algo="ntp"} NaN|};
+    {|# HELP csync_estimate_width_max_seconds Max finite estimate width per algorithm.|};
+    {|# TYPE csync_estimate_width_max_seconds gauge|};
+    {|csync_estimate_width_max_seconds{algo="optimal"} 0.25|};
+    {|csync_estimate_width_max_seconds{algo="ntp"} 0.0|};
+    {|# HELP csync_op_duration_seconds Hot-path operation latency (profiler spans).|};
+    {|# TYPE csync_op_duration_seconds histogram|};
+    {|csync_op_duration_seconds_bucket{op="agdp_insert",le="3.2767999999999934e-05"} 1|};
+    {|csync_op_duration_seconds_bucket{op="agdp_insert",le="+Inf"} 1|};
+    {|csync_op_duration_seconds_sum{op="agdp_insert"} 3.2e-05|};
+    {|csync_op_duration_seconds_count{op="agdp_insert"} 1|};
+  ]
+
+let test_golden_expo () =
+  let m = Metrics.create () in
+  feed m counter_events;
+  Alcotest.(check (list string))
+    "exposition" golden_expo
+    (String.split_on_char '\n' (Expo.render m) |> List.filter (( <> ) ""))
+
 let test_event_of_json_rejects () =
   let bad j =
     match Trace.event_of_json j with
@@ -761,6 +931,9 @@ let () =
           Alcotest.test_case "counters" `Quick test_counters;
           Alcotest.test_case "algo stats and soundness" `Quick test_algo_stats;
           Alcotest.test_case "summary json" `Quick test_summary_json;
+          Alcotest.test_case "golden summary trailer" `Quick
+            test_golden_summary;
+          Alcotest.test_case "golden exposition" `Quick test_golden_expo;
           Alcotest.test_case "span histograms" `Quick test_metrics_spans;
           Alcotest.test_case "external metrics match engine result" `Quick
             test_external_metrics_match_result;
