@@ -30,7 +30,7 @@ bench-guard:
 # aggregates (which must match the trailer byte for byte) and replays
 # the events through the protocol-conformance monitor
 analyze-smoke: build
-	$(DUNE) exec bin/clocksync.exe -- run -n 4 -d 10 --chaos 1 \
+	$(DUNE) exec bin/clocksync.exe -- run -n 4 -d 10 --chaos 1 --algos all \
 	  --trace _build/analyze_smoke.jsonl --prof >/dev/null
 	$(DUNE) exec bin/clocksync.exe -- analyze _build/analyze_smoke.jsonl \
 	  --require-estimates --conform

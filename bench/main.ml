@@ -118,11 +118,12 @@ let e2_baselines () =
                        (Scenario.Ntp_poll { period = Scenario.sec period_s }))
                   with
                   Scenario.duration = Scenario.sec 30;
-                  run_driftfree = true;
-                  driftfree_window = Scenario.sec 16;
-                  run_ntp = true;
-                  run_cristian = true;
-                  cristian_rtt = Scenario.ms 25;
+                  baselines =
+                    [
+                      Baseline.Driftfree { window = Scenario.sec 16 };
+                      Baseline.Ntp;
+                      Baseline.Cristian { rtt = Scenario.ms 25 };
+                    ];
                   seed = 5;
                 }
             in
@@ -478,8 +479,7 @@ let e8_probabilistic () =
                       }))
               with
               Scenario.duration = Scenario.sec 30;
-              run_cristian = true;
-              cristian_rtt = Scenario.ms rtt_ms;
+              baselines = [ Baseline.Cristian { rtt = Scenario.ms rtt_ms } ];
               seed = 3;
             }
         in
@@ -757,7 +757,7 @@ let e13_heterogeneous () =
            ~traffic:(Scenario.Ntp_poll { period = Scenario.sec 2 }))
         with
         Scenario.duration = Scenario.sec 40;
-        run_ntp = true;
+        baselines = [ Baseline.Ntp ];
         seed = 17;
       }
   in
@@ -791,9 +791,8 @@ let e14_convergence_figure () =
            ~traffic:(Scenario.Ntp_poll { period = Scenario.sec 4 }))
         with
         Scenario.duration = Scenario.sec 60;
-        run_ntp = true;
-        run_driftfree = true;
-        driftfree_window = Scenario.sec 12;
+        baselines =
+          [ Baseline.Driftfree { window = Scenario.sec 12 }; Baseline.Ntp ];
         seed = 29;
       }
   in

@@ -6,7 +6,7 @@
 
    Examples:
      clocksync run --topology star --nodes 6 --traffic poll --duration 30
-     clocksync run --topology ntp:3x3 --ntp --driftfree --loss 0.2
+     clocksync run --topology ntp:3x3 --algos ntp,driftfree --loss 0.2
      clocksync sweep --param drift --values 10,100,1000 --traffic poll *)
 
 open Cmdliner
@@ -52,28 +52,37 @@ let parse_traffic s ~period =
     Ok (Scenario.Burst { check_period = period; width_target = Scenario.ms 5 })
   | _ -> Error (`Msg "unknown traffic (poll|gossip|token|burst)")
 
+(* --algos, shared by run, sweep and tournament: "all", or a comma list
+   to which the always-scored optimal CSA is added *)
+let parse_algos s =
+  if s = "all" then Tourney.algo_names
+  else
+    let a = String.split_on_char ',' s |> List.map String.trim in
+    if List.mem "optimal" a then a else "optimal" :: a
+
 let build_scenario ~topology ~nodes ~traffic ~duration ~drift_ppm ~lo_ms ~hi_ms
-    ~period_s ~loss ~seed ~ntp ~cristian ~driftfree ~validate =
-  Result.bind (parse_topology topology ~nodes) (fun (n, links) ->
-      let spec =
-        System_spec.uniform ~n ~source:0 ~drift:(Drift.of_ppm drift_ppm)
-          ~transit:(Transit.of_q (Scenario.ms lo_ms) (Scenario.ms hi_ms))
-          ~links
-      in
-      let period = Q.of_ints (int_of_float (period_s *. 1000.)) 1000 in
-      Result.map
-        (fun traffic ->
-          {
-            (Scenario.default ~spec ~traffic) with
-            Scenario.duration = Scenario.sec duration;
-            seed;
-            loss_prob = loss;
-            run_ntp = ntp;
-            run_cristian = cristian;
-            run_driftfree = driftfree;
-            validate;
-          })
-        (parse_traffic traffic ~period))
+    ~period_s ~loss ~seed ~algos ~validate =
+  let ( let* ) = Result.bind in
+  let* baselines =
+    Result.map_error (fun m -> `Msg m) (Baseline.of_names (parse_algos algos))
+  in
+  let* n, links = parse_topology topology ~nodes in
+  let spec =
+    System_spec.uniform ~n ~source:0 ~drift:(Drift.of_ppm drift_ppm)
+      ~transit:(Transit.of_q (Scenario.ms lo_ms) (Scenario.ms hi_ms))
+      ~links
+  in
+  let period = Q.of_ints (int_of_float (period_s *. 1000.)) 1000 in
+  let* traffic = parse_traffic traffic ~period in
+  Ok
+    {
+      (Scenario.default ~spec ~traffic) with
+      Scenario.duration = Scenario.sec duration;
+      seed;
+      loss_prob = loss;
+      baselines;
+      validate;
+    }
 
 let print_result r =
   Format.printf "simulated %s time units; %d messages (%d lost); %d events@.@."
@@ -161,15 +170,14 @@ let loss =
 
 let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
 
-let ntp_flag =
-  Arg.(value & flag & info [ "ntp" ] ~doc:"Also run the NTP-style baseline.")
+let algos_opt ~default ~verb ~past =
+  Arg.(value & opt string default & info [ "algos" ] ~docv:"A1,A2,.."
+         ~doc:(Printf.sprintf
+                 "Comma-separated algorithms to %s \
+                  (optimal|driftfree|ntp|cristian|ftsp|marzullo), or \
+                  $(b,all).  The optimal CSA is always %s." verb past))
 
-let cristian_flag =
-  Arg.(value & flag & info [ "cristian" ] ~doc:"Also run Cristian's baseline.")
-
-let driftfree_flag =
-  Arg.(value & flag & info [ "driftfree" ]
-         ~doc:"Also run the drift-free + fudge baseline.")
+let run_algos = algos_opt ~default:"optimal" ~verb:"run" ~past:"run"
 
 let validate_flag =
   Arg.(value & flag & info [ "validate" ]
@@ -291,10 +299,10 @@ let prof_flag =
 
 let run_cmd =
   let action topology nodes traffic duration drift_ppm lo_ms hi_ms period_s
-      loss seed ntp cristian driftfree validate chaos csv trace profile =
+      loss seed algos validate chaos csv trace profile =
     match
       build_scenario ~topology ~nodes ~traffic ~duration ~drift_ppm ~lo_ms
-        ~hi_ms ~period_s ~loss ~seed ~ntp ~cristian ~driftfree ~validate
+        ~hi_ms ~period_s ~loss ~seed ~algos ~validate
     with
     | Error (`Msg m) -> `Error (false, m)
     | Ok scenario when chaos > 0 && validate ->
@@ -339,9 +347,8 @@ let run_cmd =
     Term.(
       ret
         (const action $ topology $ nodes $ traffic $ duration $ drift_ppm
-       $ lo_ms $ hi_ms $ period_s $ loss $ seed $ ntp_flag $ cristian_flag
-       $ driftfree_flag $ validate_flag $ chaos_opt $ csv_prefix $ trace_file
-       $ prof_flag))
+       $ lo_ms $ hi_ms $ period_s $ loss $ seed $ run_algos $ validate_flag
+       $ chaos_opt $ csv_prefix $ trace_file $ prof_flag))
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Simulate one scenario and print accuracy/resources.")
@@ -359,7 +366,7 @@ let sweep_cmd =
            ~doc:"Comma-separated values for the swept parameter.")
   in
   let action param values topology nodes traffic duration drift_ppm lo_ms hi_ms
-      period_s loss seed ntp cristian driftfree =
+      period_s loss seed algos =
     let vals = String.split_on_char ',' values in
     let build v =
       let nodes, drift_ppm, loss, period_s =
@@ -371,7 +378,7 @@ let sweep_cmd =
         | _ -> failwith "unknown sweep parameter (drift|nodes|loss|period)"
       in
       build_scenario ~topology ~nodes ~traffic ~duration ~drift_ppm ~lo_ms
-        ~hi_ms ~period_s ~loss ~seed ~ntp ~cristian ~driftfree ~validate:false
+        ~hi_ms ~period_s ~loss ~seed ~algos ~validate:false
     in
     try
       let rows =
@@ -410,8 +417,7 @@ let sweep_cmd =
     Term.(
       ret
         (const action $ param $ values $ topology $ nodes $ traffic $ duration
-       $ drift_ppm $ lo_ms $ hi_ms $ period_s $ loss $ seed $ ntp_flag
-       $ cristian_flag $ driftfree_flag))
+       $ drift_ppm $ lo_ms $ hi_ms $ period_s $ loss $ seed $ run_algos))
   in
   Cmd.v (Cmd.info "sweep" ~doc:"Sweep one parameter and tabulate results.") term
 
@@ -1097,12 +1103,6 @@ let tournament_cmd =
                  (static|ntp-poll|gossip|churn|partition-heal), or \
                  $(b,all).")
   in
-  let algos_opt =
-    Arg.(value & opt string "all" & info [ "algos" ] ~docv:"A1,A2,.."
-           ~doc:"Comma-separated algorithms to score \
-                 (optimal|driftfree|ntp|cristian|ftsp|marzullo), or \
-                 $(b,all).  The optimal CSA is always scored.")
-  in
   let trace_dir_opt =
     Arg.(value & opt (some string) None & info [ "trace-dir" ] ~docv:"DIR"
            ~doc:"Write each family's full event stream to \
@@ -1138,12 +1138,7 @@ let tournament_cmd =
     match families with
     | Error m -> `Error (false, m)
     | Ok families -> (
-      let algos =
-        if algos = "all" then Tourney.algo_names
-        else
-          let a = split algos in
-          if List.mem "optimal" a then a else "optimal" :: a
-      in
+      let algos = parse_algos algos in
       let spec =
         {
           Tourney.nodes;
@@ -1192,7 +1187,8 @@ let tournament_cmd =
   let term =
     Term.(
       ret
-        (const action $ nodes $ duration $ seed $ families_opt $ algos_opt
+        (const action $ nodes $ duration $ seed $ families_opt
+       $ algos_opt ~default:"all" ~verb:"score" ~past:"scored"
        $ trace_dir_opt $ json_opt $ assert_sound $ assert_leads))
   in
   Cmd.v

@@ -1,3 +1,5 @@
+exception Not_causally_closed of string
+
 type inflight = {
   dst : Event.proc;
   reported : Event.t list;
@@ -180,9 +182,10 @@ let topo_sort t batch =
               Printf.sprintf "; +%d more" (List.length missing - 4) )
           else (missing, "")
         in
-        invalid_arg
-          ("History.integrate: payload not causally closed: "
-          ^ String.concat "; " shown ^ rest)
+        raise
+          (Not_causally_closed
+             ("History.integrate: payload not causally closed: "
+             ^ String.concat "; " shown ^ rest))
       end;
       List.iter
         (fun (e : Event.t) ->

@@ -53,14 +53,20 @@ val prepare_send : t -> Event.t -> Payload.t
     @raise Invalid_argument unless the event is a send by this processor
     to a neighbor. *)
 
+exception Not_causally_closed of string
+(** A payload presupposes events this processor has not seen.  In lossy
+    mode that is healthy: the datagram carrying them was lost and its
+    re-report has not landed yet, so the receiver drops the payload and
+    waits.  The string names the missing events. *)
+
 val integrate : t -> Payload.t -> Event.t list
 (** Merge a received payload: returns the {e previously unknown} events in
     a dependency-respecting order (ready to be inserted into a view or the
     AGDP structure one by one).  Advances the sender's frontier and
     garbage-collects.  The caller must afterwards pass its own [Recv]
     event to {!learn_own}.
-    @raise Invalid_argument when the payload is not causally closed with
-    respect to current knowledge (a protocol violation). *)
+    @raise Not_causally_closed when the payload is not causally closed
+    with respect to current knowledge. *)
 
 val inflight_msgs : t -> (int * Event.proc) list
 (** Messages sent but not yet acknowledged or declared lost, as

@@ -87,6 +87,9 @@ type t = {
   mutable next_k : int;
   mutable lost_ring : int list;  (* recent loss verdicts, newest first *)
   mutable stopped : bool;
+  (* a receive broke off half-applied (see [handle]): the CSA is no
+     longer trustworthy, so the session neither sends nor receives *)
+  mutable failed : bool;
   mutable save_checkpoint : (string -> unit) option;
   mutable on_output : unit -> unit;
 }
@@ -151,6 +154,7 @@ let create ?(sink = Trace.null) ?(prof = Prof.null) ?alloc_msg
     next_k = 0;
     lost_ring = [];
     stopped = false;
+    failed = false;
     save_checkpoint = None;
     on_output = ignore;
   }
@@ -197,6 +201,20 @@ let drain t =
 
 let note_drop t ~now reason =
   Trace.emit t.sink (Trace.Net_drop { t = ft now; reason })
+
+(* a peer broke the wire contract: the typed event is what the
+   conformance monitor and the metrics counter key on; the net_drop
+   beside it keeps the drop reasons complete *)
+let violation t ~now ~peer ~msg ~rule detail =
+  Trace.emit t.sink
+    (Trace.Protocol_violation
+       {
+         t = ft now;
+         node = t.cfg.me;
+         rule;
+         detail = Printf.sprintf "peer %d msg %d: %s" peer msg detail;
+       });
+  note_drop t ~now ("protocol violation: " ^ detail)
 
 let remember_lost t msg =
   if not (List.mem msg t.lost_ring) then begin
@@ -292,6 +310,16 @@ let restore ?(sink = Trace.null) ?(prof = Prof.null) ?alloc_msg ?peers cfg
     let csa_r = Codec.reader_of_sub r len in
     if not (Codec.at_end r) then failwith "trailing bytes in snapshot";
     let members = member_subset cfg peers in
+    let recorded = List.map fst floors in
+    if List.sort compare recorded <> List.sort compare members then begin
+      (* a hub restarted with another cohort size numbers its cohorts
+         the same way but fills them with other clients: reviving this
+         state for them would mix two sessions' histories *)
+      let ids l = String.concat ";" (List.map string_of_int l) in
+      failwith
+        (Printf.sprintf "snapshot peers [%s] differ from requested peers [%s]"
+           (ids recorded) (ids members))
+    end;
     let csa =
       Csa.restore_reader ~sink ~prof ~neighbors:members cfg.spec csa_r
     in
@@ -299,9 +327,7 @@ let restore ?(sink = Trace.null) ?(prof = Prof.null) ?alloc_msg ?peers cfg
     List.iter
       (fun id ->
         let p = fresh_peer cfg ~now ~preestablished:false id in
-        (match List.assoc_opt id floors with
-        | Some floor -> p.last_seen_msg <- floor
-        | None -> ());
+        p.last_seen_msg <- List.assoc id floors;
         Hashtbl.replace peers id p)
       members;
     let t =
@@ -317,6 +343,7 @@ let restore ?(sink = Trace.null) ?(prof = Prof.null) ?alloc_msg ?peers cfg
         next_k;
         lost_ring;
         stopped = false;
+        failed = false;
         save_checkpoint = None;
         on_output = ignore;
       }
@@ -389,6 +416,9 @@ let digest_matches t nodes digest =
 
 let handle t ~now ~bytes (frame : Frame.t) =
   match Hashtbl.find_opt t.peers frame.sender with
+  | _ when t.failed ->
+    note_drop t ~now
+      (Printf.sprintf "frame from %d: session failed" frame.sender)
   | None ->
     note_drop t ~now
       (Printf.sprintf "frame from non-neighbor %d" frame.sender)
@@ -459,36 +489,24 @@ let handle t ~now ~bytes (frame : Frame.t) =
               emit_frame t ~now ~dst:p.id (Frame.Ack { msg });
             (* data implies the peer considers us up *)
             mark_established t p ~now
-          | exception Invalid_argument m ->
-            (* the payload decoded but broke a CSA precondition.  One
-               precondition fails in healthy lossy operation: causal
-               closure, when the datagram carrying this payload's
-               dependencies was dropped and its retransmission has not
-               landed yet — dropping and waiting is the protocol's
-               answer, not a breach of it.  Anything else is the peer
-               violating the wire contract: emit the typed event (what
-               the conformance monitor and the metrics counter key on)
-               alongside the stringly net_drop kept for backward
-               compatibility. *)
-            let causal_gap =
-              let sub = "causally closed" in
-              let n = String.length m and k = String.length sub in
-              let rec scan i =
-                i + k <= n && (String.sub m i k = sub || scan (i + 1))
-              in
-              scan 0
-            in
-            if not causal_gap then
-              Trace.emit t.sink
-                (Trace.Protocol_violation
-                   {
-                     t = ft now;
-                     node = t.cfg.me;
-                     rule = "wire_contract";
-                     detail =
-                       Printf.sprintf "peer %d msg %d: %s" p.id msg m;
-                   });
+          | exception History.Not_causally_closed m ->
+            (* healthy in lossy operation: the datagram carrying this
+               payload's dependencies was dropped and its retransmission
+               has not landed yet — dropping and waiting is the
+               protocol's answer, not a breach of it *)
             note_drop t ~now ("protocol violation: " ^ m)
+          | exception Invalid_argument m ->
+            violation t ~now ~peer:p.id ~msg ~rule:"wire_contract" m
+          | exception Agdp.Negative_cycle ->
+            (* the peer's timestamps cannot all be true under the spec:
+               a clock outside its declared drift bound, or a delay
+               outside the link's transit bounds.  The receive broke
+               off half-applied and nothing rolls it back, so the
+               session fail-stops rather than serve estimates from a
+               CSA holding part of a contradiction. *)
+            violation t ~now ~peer:p.id ~msg ~rule:"spec_violation"
+              "payload contradicts the declared drift/transit bounds";
+            t.failed <- true
           | exception Failure m -> note_drop t ~now ("bad payload: " ^ m)))
     | Frame.Ack { msg } ->
       (* an ack after the timeout already declared the loss is ignored:
@@ -551,10 +569,14 @@ let tick_peer t p ~now =
   if p.established && (not t.stopped) && Q.(p.next_heartbeat <= now) then
     send_data t ~now ~dst:p.id
 
-let tick t ~now = List.iter (fun id -> tick_peer t (Hashtbl.find t.peers id) ~now) t.peer_order
+let tick t ~now =
+  if not t.failed then
+    List.iter (fun id -> tick_peer t (Hashtbl.find t.peers id) ~now) t.peer_order
 
 let next_deadline t =
   let add acc d = match acc with None -> Some d | Some a -> Some (Q.min a d) in
+  if t.failed then None
+  else
   Hashtbl.fold
     (fun _ p acc ->
       let acc =

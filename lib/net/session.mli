@@ -79,11 +79,12 @@ val restore :
   (t, string) result
 (** Rebuild a session from {!snapshot} output at local time [now].
     [peers] restricts the revived session to a neighbor subset exactly
-    as in {!create} (dedup floors recorded for non-members are simply
-    not revived; in-flight messages to non-members are left for the
-    owning cohort).
+    as in {!create}.
     Refuses (like the hello handshake) when the snapshot's config digest
-    does not match [config], or when it belongs to a different node id.
+    does not match [config], when it belongs to a different node id, or
+    when the peers it recorded are not exactly the requested members (a
+    hub restarted with another [--cohort] would otherwise revive one
+    cohort's state for other clients); the error names both lists.
     Every peer starts unestablished — the restored node re-announces and
     re-handshakes — but dedup floors survive, so a peer's stale data
     frames from before the crash are still rejected; and messages we

@@ -103,13 +103,7 @@ type state = {
 }
 
 let algo_names st =
-  "optimal"
-  ::
-  (if st.scenario.Scenario.run_driftfree then [ Driftfree.name ] else [])
-  @ (if st.scenario.Scenario.run_ntp then [ Ntp.name ] else [])
-  @ (if st.scenario.Scenario.run_cristian then [ Cristian.name ] else [])
-  @ (if st.scenario.Scenario.run_ftsp then [ Ftsp.name ] else [])
-  @ if st.scenario.Scenario.run_marzullo then [ Marzullo.name ] else []
+  "optimal" :: List.map Baseline.name st.scenario.Scenario.baselines
 
 let lt_now st node = Node_rt.lt_at node ~rt:st.now
 let now_f st = Q.to_float st.now
@@ -169,6 +163,16 @@ let lossy st =
 
 let is_down st p =
   match st.frt with None -> false | Some f -> f.down.(p)
+
+(* trace a loss now; the Section 3.3 oracle rules on it at [detect_at],
+   [loss_detect] from now unless the transport said otherwise *)
+let declare_lost ?detect_at st msg =
+  let at =
+    Option.value detect_at
+      ~default:(Q.add st.now st.scenario.Scenario.loss_detect)
+  in
+  Trace.emit st.trace (Trace.Lost { t = now_f st; msg });
+  Heap.push st.agenda ~at (Lost_notify { msg })
 
 (* Write-ahead checkpoint of node [p]: persist its CSA, then release the
    acknowledgements withheld since the last checkpoint — only now are
@@ -256,49 +260,33 @@ let send st ~src ~dst ~app =
       else verdict
     in
     match verdict with
-    | Transport.Lost { detect_at } ->
-      Trace.emit st.trace (Trace.Lost { t = now_f st; msg });
-      Heap.push st.agenda ~at:detect_at (Lost_notify { msg })
+    | Transport.Lost { detect_at } -> declare_lost ~detect_at st msg
     | Transport.Deliver_at at ->
       Heap.push st.agenda ~at
         (Deliver { msg; src; dst; env; app; sent_at = st.now })
   end
 
 let deliver st ~msg ~src ~dst ~env ~app ~sent_at =
-  if severed st ~src ~dst ~sent_at then begin
-    (* the link was cut under a message in flight: the datagram died on
-       the wire.  It must NOT be silently dropped — the loss oracle
-       reports it like any other lost message, or the sender would wait
-       on a verdict forever and CSA's Section 3.3 bookkeeping would leak
-       a pending message (soundness is indifferent, liveness is not). *)
-    Trace.emit st.trace (Trace.Lost { t = now_f st; msg });
-    Heap.push st.agenda
-      ~at:(Q.add st.now st.scenario.Scenario.loss_detect)
-      (Lost_notify { msg })
-  end
-  else if is_down st dst then begin
-    (* crash-as-loss: the datagram reached a dead host; the loss oracle
-       reports it like any other lost message (Section 3.3) *)
-    Trace.emit st.trace (Trace.Lost { t = now_f st; msg });
-    Heap.push st.agenda
-      ~at:(Q.add st.now st.scenario.Scenario.loss_detect)
-      (Lost_notify { msg })
-  end
+  if severed st ~src ~dst ~sent_at || is_down st dst then
+    (* the link was cut under a message in flight, or the datagram
+       reached a dead host (crash-as-loss).  It must NOT be silently
+       dropped — the loss oracle reports it like any other lost message,
+       or the sender would wait on a verdict forever and CSA's Section
+       3.3 bookkeeping would leak a pending message (soundness is
+       indifferent, liveness is not). *)
+    declare_lost st msg
   else begin
     let node = st.nodes.(dst) in
     let lt = lt_now st node in
     match Node_rt.receive node ~src ~msg ~lt env with
-    | exception Invalid_argument _ when lossy st ->
+    | exception History.Not_causally_closed _ when lossy st ->
       (* In lossy mode the sender's frontier advances optimistically at
          send time (see History), so a payload can presuppose an earlier
          message that was in fact lost and not yet ruled on.  Such a
          payload is not integrable; the receiver discards it — exactly
          what [Session] does over UDP — and the loss oracle reports this
          message lost too, so the sender rolls back and re-reports. *)
-      Trace.emit st.trace (Trace.Lost { t = now_f st; msg });
-      Heap.push st.agenda
-        ~at:(Q.add st.now st.scenario.Scenario.loss_detect)
-        (Lost_notify { msg })
+      declare_lost st msg
     | () ->
     Trace.emit st.trace (Trace.Receive { t = now_f st; src; dst; msg });
     (match st.frt with
@@ -346,13 +334,7 @@ let crash st p =
       let unacked = List.rev f.unacked.(p) in
       f.unacked.(p) <- [];
       Fault.Policy.flushed f.policies.(p);
-      List.iter
-        (fun (msg, _) ->
-          Trace.emit st.trace (Trace.Lost { t = now_f st; msg });
-          Heap.push st.agenda
-            ~at:(Q.add st.now st.scenario.Scenario.loss_detect)
-            (Lost_notify { msg }))
-        unacked
+      List.iter (fun (msg, _) -> declare_lost st msg) unacked
     end
 
 let restart st p =
@@ -474,10 +456,16 @@ let burst_check st ~p =
   match st.scenario.Scenario.traffic with
   | Scenario.Burst { check_period; width_target } ->
     let lt = lt_now st node in
+    (* Cristian's probes are driven by its own width (DESIGN §13) *)
     let width =
-      match node.Node_rt.cristian with
-      | Some a -> Interval.width (Cristian.estimate_at a ~lt)
-      | None -> Interval.width (Csa.estimate_at node.Node_rt.csa ~lt)
+      Interval.width
+        (match
+           List.find_map
+             (function Baseline.Cristian_st a -> Some a | _ -> None)
+             node.Node_rt.baselines
+         with
+        | Some a -> Cristian.estimate_at a ~lt
+        | None -> Csa.estimate_at node.Node_rt.csa ~lt)
     in
     let loose = Ext.lt (Ext.Fin width_target) width in
     if loose then begin
@@ -493,18 +481,19 @@ let burst_check st ~p =
 
 (* ------------------------------------------------------------------ *)
 
+(* the spec's undirected links, each once *)
+let links spec =
+  List.concat_map
+    (fun u ->
+      List.filter_map
+        (fun v -> if u < v then Some (u, v) else None)
+        (System_spec.neighbors spec u))
+    (List.init (System_spec.n spec) Fun.id)
+
 let init_nodes (scenario : Scenario.t) rng sink =
-  let spec = scenario.Scenario.spec in
-  let n = System_spec.n spec in
-  let links =
-    (* recover the undirected link list for parent computation *)
-    List.concat
-      (List.init n (fun u ->
-           List.filter_map
-             (fun v -> if u < v then Some (u, v) else None)
-             (System_spec.neighbors spec u)))
-  in
-  Array.init n (fun p -> Node_rt.create scenario ~rng ~links ~sink p)
+  let links = links scenario.Scenario.spec in
+  Array.init (System_spec.n scenario.Scenario.spec) (fun p ->
+      Node_rt.create scenario ~rng ~links ~sink p)
 
 let bootstrap st =
   let n = Array.length st.nodes in
@@ -545,17 +534,9 @@ let run_nodes (scenario : Scenario.t) =
     match scenario.Scenario.churn with
     | None -> scenario
     | Some { Scenario.cuts; min_down; max_down } ->
-      let spec = scenario.Scenario.spec in
-      let n = System_spec.n spec in
-      let links =
-        List.concat
-          (List.init n (fun u ->
-               List.filter_map
-                 (fun v -> if u < v then Some (u, v) else None)
-                 (System_spec.neighbors spec u)))
-      in
       let churn_faults =
-        Fault.Chaos.link_churn ~seed:scenario.Scenario.seed ~links
+        Fault.Chaos.link_churn ~seed:scenario.Scenario.seed
+          ~links:(links scenario.Scenario.spec)
           ~duration:scenario.Scenario.duration ~cuts ?min_down ?max_down ()
       in
       {
@@ -615,13 +596,9 @@ let run_nodes (scenario : Scenario.t) =
     end
   in
   let transport =
-    (* the loss gate is always present so the random stream is identical
-       whether or not loss is enabled *)
-    Transport.lossy ~rng ~loss_prob:scenario.Scenario.loss_prob
+    Transport.create scenario.Scenario.spec ~rng ~delay:scenario.Scenario.delay
+      ~loss_prob:scenario.Scenario.loss_prob
       ~detect_delay:scenario.Scenario.loss_detect
-      (Transport.fifo
-         (Transport.policy scenario.Scenario.spec ~rng
-            ~delay:scenario.Scenario.delay))
   in
   let st =
     {

@@ -1,24 +1,30 @@
-type envelope = {
-  wire : string;
-  ntp_w : Ntp.wire option;
-  cris_w : Cristian.wire option;
-  ftsp_w : Ftsp.wire option;
-  marz_w : Marzullo.wire option;
-}
+type envelope = { wire : string; baseline_wires : Baseline.wire list }
 
 type t = {
   proc : Event.proc;
   clock : Clock.t;
   csa : Csa.t;
   mirror : Mirror.t option;
-  driftfree : Driftfree.t option;
-  ntp : Ntp.t option;
-  cristian : Cristian.t option;
-  ftsp : Ftsp.t option;
-  marzullo : Marzullo.t option;
+  baselines : Baseline.instance list;
   parents : Event.proc list;
   prof : Prof.t;
 }
+
+(* the part of booting shared by a fresh start and a revival: every
+   baseline starts from scratch at the clock's current reading *)
+let boot (scenario : Scenario.t) ~clock ~csa ~mirror ~parents ~lt0 p =
+  {
+    proc = p;
+    clock;
+    csa;
+    mirror;
+    baselines =
+      List.map
+        (fun b -> Baseline.create b scenario.Scenario.spec ~me:p ~lt0)
+        scenario.Scenario.baselines;
+    parents;
+    prof = scenario.Scenario.prof;
+  }
 
 let create (scenario : Scenario.t) ~rng ~links ~sink p =
   let spec = scenario.Scenario.spec in
@@ -32,106 +38,46 @@ let create (scenario : Scenario.t) ~rng ~links ~sink p =
       ~policy:scenario.Scenario.clock_policy
       ~segment:scenario.Scenario.clock_segment ~lt0 ~rng:(Rng.split rng)
   in
-  {
-    proc = p;
-    clock;
-    csa =
-      Csa.create
-        ~lossy:
-          (scenario.Scenario.loss_prob > 0.
-          || scenario.Scenario.faults <> []
-          || scenario.Scenario.churn <> None)
-        ~validate:scenario.Scenario.validate_oracle ~sink
-        ~prof:scenario.Scenario.prof spec ~me:p ~lt0;
-    mirror =
-      (if scenario.Scenario.validate then Some (Mirror.create spec ~me:p ~lt0)
-       else None);
-    driftfree =
-      (if scenario.Scenario.run_driftfree then
-         Some
-           (Driftfree.create ~window:scenario.Scenario.driftfree_window spec
-              ~me:p ~lt0)
-       else None);
-    ntp =
-      (if scenario.Scenario.run_ntp then Some (Ntp.create spec ~me:p ~lt0)
-       else None);
-    cristian =
-      (if scenario.Scenario.run_cristian then
-         Some
-           (Cristian.create ~rtt_threshold:scenario.Scenario.cristian_rtt spec
-              ~me:p ~lt0)
-       else None);
-    ftsp =
-      (if scenario.Scenario.run_ftsp then Some (Ftsp.create spec ~me:p ~lt0)
-       else None);
-    marzullo =
-      (if scenario.Scenario.run_marzullo then
-         Some (Marzullo.create spec ~me:p ~lt0)
-       else None);
-    parents =
-      Topology.parents_toward_source ~n ~links
-        ~source:(System_spec.source spec) p;
-    prof = scenario.Scenario.prof;
-  }
+  let csa =
+    Csa.create
+      ~lossy:
+        (scenario.Scenario.loss_prob > 0.
+        || scenario.Scenario.faults <> []
+        || scenario.Scenario.churn <> None)
+      ~validate:scenario.Scenario.validate_oracle ~sink
+      ~prof:scenario.Scenario.prof spec ~me:p ~lt0
+  in
+  let mirror =
+    if scenario.Scenario.validate then Some (Mirror.create spec ~me:p ~lt0)
+    else None
+  in
+  boot scenario ~clock ~csa ~mirror
+    ~parents:
+      (Topology.parents_toward_source ~n ~links
+         ~source:(System_spec.source spec) p)
+    ~lt0 p
 
-let revive (scenario : Scenario.t) ~clock ~parents ~csa ~now p =
-  let spec = scenario.Scenario.spec in
-  (* the clock survives a crash (hardware keeps ticking); the restored
-     CSA carries everything durable.  Baselines have no snapshot — a
-     revived node restarts them from scratch, which is exactly the
-     comparison the fault scenarios are after.  No mirror: the full-view
-     mirror cannot survive a crash, and the engine rejects validate
-     scenarios with faults. *)
-  let lt0 = Clock.lt_of_rt clock now in
-  {
-    proc = p;
-    clock;
-    csa;
-    mirror = None;
-    driftfree =
-      (if scenario.Scenario.run_driftfree then
-         Some
-           (Driftfree.create ~window:scenario.Scenario.driftfree_window spec
-              ~me:p ~lt0)
-       else None);
-    ntp =
-      (if scenario.Scenario.run_ntp then Some (Ntp.create spec ~me:p ~lt0)
-       else None);
-    cristian =
-      (if scenario.Scenario.run_cristian then
-         Some
-           (Cristian.create ~rtt_threshold:scenario.Scenario.cristian_rtt spec
-              ~me:p ~lt0)
-       else None);
-    ftsp =
-      (if scenario.Scenario.run_ftsp then Some (Ftsp.create spec ~me:p ~lt0)
-       else None);
-    marzullo =
-      (if scenario.Scenario.run_marzullo then
-         Some (Marzullo.create spec ~me:p ~lt0)
-       else None);
-    parents;
-    prof = scenario.Scenario.prof;
-  }
+(* the clock survives a crash (hardware keeps ticking); the restored CSA
+   carries everything durable.  Baselines have no snapshot, which is
+   exactly the comparison the fault scenarios are after.  No mirror: the
+   full-view mirror cannot survive a crash, and the engine rejects
+   validate scenarios with faults. *)
+let revive scenario ~clock ~parents ~csa ~now p =
+  boot scenario ~clock ~csa ~mirror:None ~parents
+    ~lt0:(Clock.lt_of_rt clock now) p
 
 let lt_at t ~rt = Clock.lt_of_rt t.clock rt
 
 let prepare_send t ~dst ~msg ~lt =
   let payload = Csa.send t.csa ~dst ~msg ~lt in
   Option.iter (fun m -> Mirror.send m ~payload) t.mirror;
-  Option.iter (fun df -> Driftfree.on_send df ~payload) t.driftfree;
-  let ntp_w = Option.map (fun a -> Ntp.on_send a ~dst ~msg ~lt) t.ntp in
-  let cris_w =
-    Option.map (fun a -> Cristian.on_send a ~dst ~msg ~lt) t.cristian
-  in
-  let ftsp_w = Option.map (fun a -> Ftsp.on_send a ~dst ~msg ~lt) t.ftsp in
-  let marz_w =
-    Option.map (fun a -> Marzullo.on_send a ~dst ~msg ~lt) t.marzullo
+  let baseline_wires =
+    List.map (fun b -> Baseline.on_send b ~dst ~msg ~lt ~payload) t.baselines
   in
   let t0 = Prof.start t.prof in
   let wire = Codec.encode payload in
   Prof.stop t.prof "codec_encode" t0;
-  ({ wire; ntp_w; cris_w; ftsp_w; marz_w }, Payload.size payload)
+  ({ wire; baseline_wires }, Payload.size payload)
 
 let receive t ~src ~msg ~lt env =
   (* messages travel in their encoded form; decode exactly once here *)
@@ -140,36 +86,15 @@ let receive t ~src ~msg ~lt env =
   Prof.stop t.prof "codec_decode" t0;
   Csa.receive t.csa ~msg ~lt payload;
   Option.iter (fun m -> Mirror.receive m ~msg ~lt ~payload) t.mirror;
-  Option.iter (fun df -> Driftfree.on_recv df ~msg ~lt ~payload) t.driftfree;
-  (match t.ntp, env.ntp_w with
-  | Some a, Some w -> Ntp.on_recv a ~src ~msg ~lt w
-  | _ -> ());
-  (match t.cristian, env.cris_w with
-  | Some a, Some w -> Cristian.on_recv a ~src ~msg ~lt w
-  | _ -> ());
-  (match t.ftsp, env.ftsp_w with
-  | Some a, Some w -> Ftsp.on_recv a ~src ~msg ~lt w
-  | _ -> ());
-  match t.marzullo, env.marz_w with
-  | Some a, Some w -> Marzullo.on_recv a ~src ~msg ~lt w
-  | _ -> ()
+  List.iter2
+    (fun b w -> Baseline.on_recv b ~src ~msg ~lt ~payload w)
+    t.baselines env.baseline_wires
 
 let estimates t ~lt =
   ("optimal", Csa.estimate_at t.csa ~lt)
-  :: List.filter_map Fun.id
-       [
-         Option.map
-           (fun df -> (Driftfree.name, Driftfree.estimate_at df ~lt))
-           t.driftfree;
-         Option.map (fun a -> (Ntp.name, Ntp.estimate_at a ~lt)) t.ntp;
-         Option.map
-           (fun a -> (Cristian.name, Cristian.estimate_at a ~lt))
-           t.cristian;
-         Option.map (fun a -> (Ftsp.name, Ftsp.estimate_at a ~lt)) t.ftsp;
-         Option.map
-           (fun a -> (Marzullo.name, Marzullo.estimate_at a ~lt))
-           t.marzullo;
-       ]
+  :: List.map
+       (fun b -> (Baseline.instance_name b, Baseline.estimate_at b ~lt))
+       t.baselines
 
 let validate t =
   Option.map

@@ -1,7 +1,7 @@
 (** Per-node runtime of the simulator: one drifting clock plus the full
     algorithm stack riding on it — the optimal CSA, the optional
-    validation mirror, and the optional baseline algorithms, all fed from
-    the very same messages.
+    validation mirror, and the scenario's {!Baseline} instances, all fed
+    from the very same messages.
 
     This is the simulator's realization of a {e processor} in the paper's
     model; {!Engine} is left with scheduling, traffic generation and
@@ -10,27 +10,17 @@
     that is all. *)
 
 (** What actually crosses a link.  The CSA payload travels Codec-encoded —
-    the real wire format end to end; baseline wire formats ride alongside
-    when those algorithms are enabled.  Application-level message kinds
-    are the engine's business and are deliberately absent. *)
-type envelope = {
-  wire : string;
-  ntp_w : Ntp.wire option;
-  cris_w : Cristian.wire option;
-  ftsp_w : Ftsp.wire option;
-  marz_w : Marzullo.wire option;
-}
+    the real wire format end to end; each baseline's wire rides alongside,
+    one per entry of [baselines], in the same order.  Application-level
+    message kinds are the engine's business and are deliberately absent. *)
+type envelope = { wire : string; baseline_wires : Baseline.wire list }
 
 type t = {
   proc : Event.proc;
   clock : Clock.t;
   csa : Csa.t;
   mirror : Mirror.t option;
-  driftfree : Driftfree.t option;
-  ntp : Ntp.t option;
-  cristian : Cristian.t option;
-  ftsp : Ftsp.t option;
-  marzullo : Marzullo.t option;
+  baselines : Baseline.instance list;  (** the scenario's, in its order *)
   parents : Event.proc list;  (** next hops toward the source *)
   prof : Prof.t;  (** scenario profiler (times codec encode/decode) *)
 }
@@ -77,7 +67,7 @@ val receive : t -> src:Event.proc -> msg:int -> lt:Q.t -> envelope -> unit
 
 val estimates : t -> lt:Q.t -> (string * Interval.t) list
 (** Per-algorithm source-time estimates at local time [lt], the optimal
-    CSA first, then enabled baselines in a fixed order. *)
+    CSA first, then the baselines in the scenario's order. *)
 
 val validate : t -> bool option
 (** Cross-check the CSA estimate against the brute-force

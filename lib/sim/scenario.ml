@@ -1,5 +1,3 @@
-type delay_policy = Transport.delay_policy
-
 type traffic =
   | Ntp_poll of { period : Q.t }
   | Gossip of { mean_gap : Q.t }
@@ -16,17 +14,11 @@ type t = {
   clock_policy : Clock.policy;
   clock_segment : Q.t;
   max_offset : Q.t;
-  delay : delay_policy;
+  delay : Transport.delay_policy;
   loss_prob : float;
   loss_detect : Q.t;
   traffic : traffic;
-  run_driftfree : bool;
-  driftfree_window : Q.t;
-  run_ntp : bool;
-  run_cristian : bool;
-  cristian_rtt : Q.t;
-  run_ftsp : bool;
-  run_marzullo : bool;
+  baselines : Baseline.t list;
   churn : churn option;
   validate : bool;
   validate_oracle : bool;
@@ -54,13 +46,7 @@ let default ~spec ~traffic =
     loss_prob = 0.;
     loss_detect = sec 1;
     traffic;
-    run_driftfree = false;
-    driftfree_window = sec 30;
-    run_ntp = false;
-    run_cristian = false;
-    cristian_rtt = ms 50;
-    run_ftsp = false;
-    run_marzullo = false;
+    baselines = [];
     churn = None;
     validate = false;
     validate_oracle = false;

@@ -2,16 +2,8 @@
 
     A scenario bundles the system specification, the hidden-truth knobs
     (clock rate policy, per-message delay policy, loss), the traffic
-    pattern (the paper's "send module"), and which algorithms to run
+    pattern (the paper's "send module"), and which {!Baseline}s to run
     alongside the optimal CSA. *)
-
-type delay_policy = Transport.delay_policy
-(** See {!Transport.delay_policy}:
-    [`Uniform] — uniform within the link's [lo, hi];
-    [`Min] / [`Max] — always the corresponding bound;
-    [`Alternate] — adversarial alternation between the extremes;
-    [`Capped c] — uniform within [lo, min hi (lo + c)], for asynchronous
-    links with infinite upper bounds. *)
 
 type traffic =
   | Ntp_poll of { period : Q.t }
@@ -50,17 +42,14 @@ type t = {
   clock_policy : Clock.policy;
   clock_segment : Q.t;  (** local-time length of constant-rate segments *)
   max_offset : Q.t;  (** initial clock readings drawn from [0, max_offset] *)
-  delay : delay_policy;
+  delay : Transport.delay_policy;
   loss_prob : float;  (** per-message loss probability *)
   loss_detect : Q.t;  (** latency of the loss-detection oracle (§3.3) *)
   traffic : traffic;
-  run_driftfree : bool;
-  driftfree_window : Q.t;
-  run_ntp : bool;
-  run_cristian : bool;
-  cristian_rtt : Q.t;  (** Cristian's quick-round-trip threshold *)
-  run_ftsp : bool;
-  run_marzullo : bool;
+  baselines : Baseline.t list;
+      (** baselines run beside the optimal CSA on the same messages;
+          estimates and [per_algo] follow this order ({!Baseline.all}'s
+          canonical order when built from names) *)
   churn : churn option;
       (** edge churn compiled into [Link_cut] faults at engine start.
           Like any fault, churn forces lossy CSA mode (severed messages
@@ -104,7 +93,7 @@ type t = {
 
 val default : spec:System_spec.t -> traffic:traffic -> t
 (** 60 s duration, uniform delays, random clock rates over 5 s segments,
-    offsets up to 1 s, no loss, no extra algorithms, no validation. *)
+    offsets up to 1 s, no loss, no baselines, no validation. *)
 
 val sec : int -> Q.t
 (** Seconds as rational time units. *)

@@ -4,83 +4,47 @@ type decision =
   | Deliver_at of Q.t
   | Lost of { detect_at : Q.t }
 
-module type S = sig
-  type t
+type t = {
+  spec : System_spec.t;
+  rng : Rng.t;
+  delay : delay_policy;
+  loss_prob : float;
+  detect_delay : Q.t;
+  last : (int * int, Q.t) Hashtbl.t; (* directed link -> latest arrival *)
+}
 
-  val name : string
-  val send : t -> now:Q.t -> seq:int -> src:int -> dst:int -> decision
-end
+let create spec ~rng ~delay ~loss_prob ~detect_delay =
+  { spec; rng; delay; loss_prob; detect_delay; last = Hashtbl.create 32 }
 
-type t = Packed : (module S with type t = 'a) * 'a -> t
-
-let send (Packed ((module M), tr)) ~now ~seq ~src ~dst =
-  M.send tr ~now ~seq ~src ~dst
-
-let name (Packed ((module M), _)) = M.name
-
-let policy spec ~rng ~(delay : delay_policy) : t =
-  let choose ~seq ~src ~dst =
-    let tr = System_spec.transit_exn spec src dst in
-    let lo = tr.Transit.lo in
-    let hi_or lo_plus =
-      match tr.Transit.hi with Ext.Fin h -> h | Ext.Inf -> Q.add lo lo_plus
-    in
-    match delay with
-    | `Min -> lo
-    | `Max -> hi_or Q.one
-    | `Alternate -> if seq mod 2 = 0 then lo else hi_or Q.one
-    | `Uniform -> Rng.q_between rng lo (hi_or Q.one)
-    | `Capped cap ->
-      let hi =
-        match tr.Transit.hi with
-        | Ext.Fin h -> Q.min h (Q.add lo cap)
-        | Ext.Inf -> Q.add lo cap
-      in
-      Rng.q_between rng lo hi
+let draw_delay t ~seq ~src ~dst =
+  let tr = System_spec.transit_exn t.spec src dst in
+  let lo = tr.Transit.lo in
+  let hi_or lo_plus =
+    match tr.Transit.hi with Ext.Fin h -> h | Ext.Inf -> Q.add lo lo_plus
   in
-  let module M = struct
-    type t = unit
+  match t.delay with
+  | `Min -> lo
+  | `Max -> hi_or Q.one
+  | `Alternate -> if seq mod 2 = 0 then lo else hi_or Q.one
+  | `Uniform -> Rng.q_between t.rng lo (hi_or Q.one)
+  | `Capped cap ->
+    let hi =
+      match tr.Transit.hi with
+      | Ext.Fin h -> Q.min h (Q.add lo cap)
+      | Ext.Inf -> Q.add lo cap
+    in
+    Rng.q_between t.rng lo hi
 
-    let name = "policy"
-
-    let send () ~now ~seq ~src ~dst =
-      Deliver_at (Q.add now (choose ~seq ~src ~dst))
-  end in
-  Packed ((module M), ())
-
-let fifo inner : t =
-  let module M = struct
-    (* directed link -> latest scheduled arrival *)
-    type t = (int * int, Q.t) Hashtbl.t
-
-    let name = Printf.sprintf "fifo(%s)" (name inner)
-
-    let send last ~now ~seq ~src ~dst =
-      match send inner ~now ~seq ~src ~dst with
-      | Lost _ as l -> l
-      | Deliver_at at ->
-        let at =
-          match Hashtbl.find_opt last (src, dst) with
-          | Some prev -> Q.max at prev
-          | None -> at
-        in
-        Hashtbl.replace last (src, dst) at;
-        Deliver_at at
-  end in
-  Packed ((module M), Hashtbl.create 32)
-
-let lossy ~rng ~loss_prob ~detect_delay inner : t =
-  let module M = struct
-    type t = unit
-
-    let name = Printf.sprintf "lossy(%g;%s)" loss_prob (name inner)
-
-    let send () ~now ~seq ~src ~dst =
-      (* the draw precedes (and on loss, replaces) the inner decision, so
-         the delay policy's stream is a function of the survivor set
-         only *)
-      if Rng.bernoulli rng ~p:loss_prob then
-        Lost { detect_at = Q.add now detect_delay }
-      else send inner ~now ~seq ~src ~dst
-  end in
-  Packed ((module M), ())
+let send t ~now ~seq ~src ~dst =
+  if Rng.bernoulli t.rng ~p:t.loss_prob then
+    Lost { detect_at = Q.add now t.detect_delay }
+  else begin
+    let at = Q.add now (draw_delay t ~seq ~src ~dst) in
+    let at =
+      match Hashtbl.find_opt t.last (src, dst) with
+      | Some prev -> Q.max at prev
+      | None -> at
+    in
+    Hashtbl.replace t.last (src, dst) at;
+    Deliver_at at
+  end

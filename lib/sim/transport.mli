@@ -1,66 +1,50 @@
-(** The message-transport seam of the simulator.
+(** The simulator's links: decides the fate of each message handed to
+    it — delivered at some real time, or lost (with the real time at
+    which the loss oracle of Section 3.3 reports it).
 
-    A transport decides the fate of each message handed to it: delivered
-    at some real time, or lost (with the real time at which the loss
-    oracle of Section 3.3 reports it).  {!Engine} is a scheduler over this
-    seam and the node runtimes ({!Node_rt}); everything link-behavioural —
-    delay distributions, FIFO ordering, loss — lives here as composable
-    decorators, so tests can exercise link laws in isolation and new
-    behaviours (partitions, burst loss, asymmetric links) slot in without
-    touching the engine.
+    Every send makes the same three steps, in this order:
+    - a Bernoulli loss draw, made even when [loss_prob] is [0], so that
+      enabling loss never shifts the random stream the delay draws see;
+    - for a survivor, a per-message delay within the link's transit
+      bounds, per the {!delay_policy};
+    - a FIFO clamp per directed link: an arrival is never earlier than
+      the previous arrival on that link, so no message overtakes — the
+      paper's FIFO-link assumption.  The clamp stays within the link's
+      transit bounds because the earlier message's arrival respected its
+      own (even earlier) send's bound.  A lost message does not advance
+      the clamp.
 
-    The stock stack, assembled by the engine, is [lossy (fifo (policy _))]:
-    an innermost per-message delay draw within the link's transit bounds,
-    a FIFO clamp per directed link, and an outermost Bernoulli loss
-    gate. *)
+    Partitions and link cuts are the engine's: they override a verdict
+    after it is drawn, never skip the draw. *)
 
 type delay_policy = [ `Uniform | `Min | `Max | `Alternate | `Capped of Q.t ]
 (** Per-message delay choice within a link's [lo, hi] transit bounds:
     always-min, always-max, strict alternation (adversarial for round-trip
-    symmetry assumptions), uniform random, or uniform capped at [lo + c]. *)
+    symmetry assumptions), uniform random, or uniform capped at [lo + c].
+    On a link with no finite [hi], [`Max]/[`Alternate]/[`Uniform] use
+    [lo + 1] as the upper end. *)
 
 type decision =
   | Deliver_at of Q.t  (** arrival real time *)
   | Lost of { detect_at : Q.t }
       (** dropped; the loss oracle fires at [detect_at] *)
 
-(** What an implementation provides.  [seq] is the global 1-based send
-    attempt number (deterministic input for stateless policies such as
-    [`Alternate]); [now] is the send's real time. *)
-module type S = sig
-  type t
-
-  val name : string
-  val send : t -> now:Q.t -> seq:int -> src:int -> dst:int -> decision
-end
-
 type t
 
+val create :
+  System_spec.t ->
+  rng:Rng.t ->
+  delay:delay_policy ->
+  loss_prob:float ->
+  detect_delay:Q.t ->
+  t
+(** Links of the spec.  A message is lost with probability [loss_prob];
+    its loss is reported [detect_delay] after the send.  The loss and
+    the random delay policies draw from [rng]. *)
+
 val send : t -> now:Q.t -> seq:int -> src:int -> dst:int -> decision
-val name : t -> string
-
-(** {1 Building blocks} *)
-
-val policy : System_spec.t -> rng:Rng.t -> delay:delay_policy -> t
-(** Per-message delay within the link's transit bounds, no ordering
-    guarantee: two messages on one link may overtake when the first drew
-    a larger delay.  Random policies consume [rng].
-    @raise Invalid_argument when no link [src → dst] exists. *)
-
-val fifo : t -> t
-(** Decorator: clamps the inner transport's arrival times to be
-    non-decreasing per directed link, so no overtaking — the paper's
-    FIFO-link assumption.  The clamp stays within the link's transit
-    bounds because the earlier message's arrival respected its own (even
-    earlier) send's bound.  Lost messages pass through untouched and do
-    not advance the clamp. *)
-
-val lossy : rng:Rng.t -> loss_prob:float -> detect_delay:Q.t -> t -> t
-(** Decorator: drops each message independently with probability
-    [loss_prob], reporting the loss [detect_delay] after the send (the
-    detection oracle of Section 3.3).  The Bernoulli draw happens {e
-    before} the inner transport is consulted, and happens even when
-    [loss_prob] is [0] — so enabling or disabling loss never shifts the
-    random stream seen by the delay policy.  Always include this layer
-    (possibly at probability [0]) when stream-compatibility with the
-    stock engine stack matters. *)
+(** The fate of a message sent at real time [now].  [seq] is the global
+    1-based send attempt number ([`Alternate] draws the slow extreme on
+    odd, the fast one on even attempts).
+    @raise Invalid_argument when no link [src → dst] exists (after the
+    loss draw, which may already report the message lost). *)

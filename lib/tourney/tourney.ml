@@ -9,9 +9,7 @@ type family = {
   build : nodes:int -> duration:Q.t -> seed:int -> Scenario.t;
 }
 
-let algo_names =
-  [ "optimal"; Driftfree.name; Ntp.name; Cristian.name; Ftsp.name;
-    Marzullo.name ]
+let algo_names = "optimal" :: List.map Baseline.name Baseline.all
 
 (* one spec shape shared by the families: uniform drift and transit, the
    knobs that differ are topology, traffic and dynamics *)
@@ -19,17 +17,6 @@ let mk_spec ~n ~links =
   System_spec.uniform ~n ~source:0 ~drift:(Drift.of_ppm 100)
     ~transit:(Transit.of_q (Scenario.ms 1) (Scenario.ms 10))
     ~links
-
-let enable (s : Scenario.t) ~algos =
-  let on a = List.mem a algos in
-  {
-    s with
-    Scenario.run_driftfree = on Driftfree.name;
-    run_ntp = on Ntp.name;
-    run_cristian = on Cristian.name;
-    run_ftsp = on Ftsp.name;
-    run_marzullo = on Marzullo.name;
-  }
 
 let static_family =
   {
@@ -261,16 +248,13 @@ let default_spec =
     trace_dir = None;
   }
 
-let check_algos algos =
-  match List.filter (fun a -> not (List.mem a algo_names)) algos with
-  | [] ->
-    if List.mem "optimal" algos then Ok ()
-    else Error "the tournament always scores \"optimal\"; do not drop it"
-  | bad ->
-    Error
-      (Printf.sprintf "unknown algorithm(s) %s (known: %s)"
-         (String.concat ", " bad)
-         (String.concat "|" algo_names))
+let baselines_of algos =
+  match Baseline.of_names algos with
+  | Error m -> invalid_arg ("Tourney.run: " ^ m)
+  | Ok _ when not (List.mem "optimal" algos) ->
+    invalid_arg
+      "Tourney.run: the tournament always scores \"optimal\"; do not drop it"
+  | Ok baselines -> baselines
 
 let rec mkdir_p d =
   if d = "" || d = "." || d = "/" || Sys.file_exists d then ()
@@ -299,9 +283,7 @@ let with_family_sink ~trace_dir ~family f =
       (fun () -> f sink)
 
 let run ?(log = fun _ -> ()) spec =
-  (match check_algos spec.algos with
-  | Ok () -> ()
-  | Error m -> invalid_arg ("Tourney.run: " ^ m));
+  let baselines = baselines_of spec.algos in
   if spec.nodes < 3 then invalid_arg "Tourney.run: need at least 3 nodes";
   if spec.families = [] then invalid_arg "Tourney.run: no families";
   let duels =
@@ -311,9 +293,12 @@ let run ?(log = fun _ -> ()) spec =
           (Printf.sprintf "family %s (%d/%d): %s" fam.fam_name (i + 1)
              (List.length spec.families) fam.fam_doc);
         let scenario =
-          enable ~algos:spec.algos
+          {
             (fam.build ~nodes:spec.nodes ~duration:spec.duration
                ~seed:(spec.seed + i))
+            with
+            Scenario.baselines;
+          }
         in
         let r =
           with_family_sink ~trace_dir:spec.trace_dir ~family:fam.fam_name

@@ -20,8 +20,8 @@ type family = {
           algorithm must rank at or above every baseline on median
           width — the tournament's acceptance gate *)
   build : nodes:int -> duration:Q.t -> seed:int -> Scenario.t;
-      (** baseline-enable flags are overwritten by the runner from the
-          requested algorithm list *)
+      (** [baselines] is overwritten by the runner from the requested
+          algorithm list *)
 }
 
 val all_families : family list

@@ -245,7 +245,7 @@ let test_ftsp_election_converges_under_churn () =
         with
         Scenario.duration = Scenario.sec 15;
         seed = 11;
-        run_ftsp = true;
+        baselines = [ Baseline.Ftsp ];
         churn = Some { Scenario.cuts = 4; min_down = None; max_down = None };
       }
   in
@@ -255,12 +255,12 @@ let test_ftsp_election_converges_under_churn () =
     ftsp.Engine.contained;
   Array.iter
     (fun node ->
-      match node.Node_rt.ftsp with
-      | None -> Alcotest.fail "ftsp stack missing"
-      | Some f ->
+      match node.Node_rt.baselines with
+      | [ Baseline.Ftsp_st f ] ->
         Alcotest.(check int)
           (Printf.sprintf "node %d elected the source" node.Node_rt.proc)
-          0 (Ftsp.root f))
+          0 (Ftsp.root f)
+      | _ -> Alcotest.fail "ftsp stack missing")
     nodes
 
 (* ---------------------------------------------------------------------- *)
@@ -275,13 +275,14 @@ let compare_scenario ~traffic ~seed =
     (Scenario.default ~spec ~traffic) with
     Scenario.duration = Scenario.sec 12;
     seed;
-    run_driftfree = true;
-    run_ntp = true;
-    run_cristian = true;
-    cristian_rtt = Scenario.ms 25;
-    driftfree_window = Scenario.sec 5;
-    run_ftsp = true;
-    run_marzullo = true;
+    baselines =
+      [
+        Baseline.Driftfree { window = Scenario.sec 5 };
+        Baseline.Ntp;
+        Baseline.Cristian { rtt = Scenario.ms 25 };
+        Baseline.Ftsp;
+        Baseline.Marzullo;
+      ];
   }
 
 (* Simulation-level comparison: all baselines sound on random executions,
@@ -326,8 +327,7 @@ let test_driftfree_soundness_in_sim () =
            ~traffic:(Scenario.Ntp_poll { period = Scenario.sec 1 }))
         with
         Scenario.duration = Scenario.sec 30;
-        run_driftfree = true;
-        driftfree_window = Scenario.sec 10;
+        baselines = [ Baseline.Driftfree { window = Scenario.sec 10 } ];
       }
   in
   let df = List.assoc "driftfree" r.Engine.per_algo in
@@ -355,9 +355,35 @@ let test_driftfree_unit () =
     (Interval.mem (q 11) est && Interval.mem (q 15) est);
   Alcotest.(check bool) "retained small" true (Driftfree.retained_events df <= 4)
 
+(* --algos names map to baselines in the canonical order whatever order
+   they are given in, so estimates and per_algo keep one order *)
+let test_of_names () =
+  let names r =
+    match r with
+    | Ok bs -> List.map Baseline.name bs
+    | Error m -> Alcotest.failf "refused: %s" m
+  in
+  Alcotest.(check (list string))
+    "canonical order, optimal skipped" [ "ntp"; "cristian"; "marzullo" ]
+    (names (Baseline.of_names [ "marzullo"; "optimal"; "cristian"; "ntp" ]));
+  Alcotest.(check (list string))
+    "all" (List.map Baseline.name Baseline.all)
+    (names (Baseline.of_names (List.map Baseline.name Baseline.all)));
+  match Baseline.of_names [ "ntp"; "sundial" ] with
+  | Ok _ -> Alcotest.fail "unknown name accepted"
+  | Error m ->
+    Alcotest.(check string)
+      "names the unknown one"
+      "unknown algorithm(s) sundial (known: \
+       optimal|driftfree|ntp|cristian|ftsp|marzullo)"
+      m
+
 let () =
   Alcotest.run "baseline"
     [
+      ( "names",
+        [ Alcotest.test_case "of_names order and errors" `Quick test_of_names ]
+      );
       ( "rtt",
         [
           Alcotest.test_case "ntp round trip sound" `Quick

@@ -183,7 +183,7 @@ let test_bad_payload_rejected () =
   let payload = { Payload.send_event = orphan_send; events = [ orphan_send ] } in
   match History.integrate b.hist payload with
   | _ -> Alcotest.fail "expected a causal-closure rejection"
-  | exception Invalid_argument m ->
+  | exception History.Not_causally_closed m ->
     let prefix = "History.integrate: payload not causally closed" in
     Alcotest.(check bool) "names the closure failure" true
       (String.length m >= String.length prefix

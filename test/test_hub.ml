@@ -296,6 +296,95 @@ let test_restore_drops_idle_frontiers () =
   | _ -> Alcotest.fail "sent to a processor outside the restored neighbors"
   | exception Invalid_argument _ -> ()
 
+(* Per-cohort checkpoints are keyed by cohort index: a hub restarted
+   with another cohort size would hand cohort i's state to other
+   clients.  Restore refuses a snapshot whose members differ. *)
+let test_restore_refuses_other_members () =
+  let spec = star_spec ~nodes:5 in
+  let cfg = mk_cfg ~spec ~me:0 ~heartbeat:q_one in
+  let blob =
+    Session.snapshot (Session.create ~peers:[ 1; 2 ] cfg ~now:Q.zero)
+  in
+  (match Session.restore ~peers:[ 1; 2; 3; 4 ] cfg ~now:(ms 5) blob with
+  | Ok _ -> Alcotest.fail "restored a [1;2] snapshot for [1;2;3;4]"
+  | Error m ->
+    Alcotest.(check string)
+      "names both lists"
+      "Session.restore: snapshot peers [1;2] differ from requested peers \
+       [1;2;3;4]"
+      m);
+  match Session.restore ~peers:[ 2; 1 ] cfg ~now:(ms 5) blob with
+  | Ok s -> Alcotest.(check (list int)) "members" [ 1; 2 ]
+              (List.sort compare (Session.peer_ids s))
+  | Error m -> Alcotest.failf "same members refused: %s" m
+
+(* A client whose clock runs 5% fast against a 300 ppm spec sends
+   timestamps that cannot all be true: the AGDP structure finds a
+   negative cycle.  The hub refuses such a payload as a spec violation
+   and keeps serving everyone else. *)
+let test_spec_violating_client () =
+  let spec = star_spec ~nodes:3 in
+  let fab = Loopback.fabric ~seed:1 ~delay_lo:(ms 5) ~delay_hi:(ms 5) () in
+  let hub_ep = Loopback.endpoint fab ~id:0 () in
+  let violations = ref [] in
+  let sink =
+    Trace.callback (function
+      | Trace.Protocol_violation { rule; _ } -> violations := rule :: !violations
+      | _ -> ())
+  in
+  let cfg0 = mk_cfg ~spec ~me:0 ~heartbeat:q_one in
+  let hub =
+    match
+      Swarm.Lhub.create ~sink ~net:hub_ep ~spec ~cohort_size:1
+        ~mk_session:(fun ~idx:_ ~members ->
+          Ok (Session.create ~sink ~peers:members cfg0 ~now:Q.zero))
+        ()
+    with
+    | Ok h -> h
+    | Error m -> Alcotest.failf "create: %s" m
+  in
+  let client g rate =
+    let ep = Loopback.endpoint fab ~id:g ~rate () in
+    let session =
+      Session.create (mk_cfg ~spec ~me:g ~heartbeat:q_one)
+        ~now:(Loopback.Net.now ep)
+    in
+    let loop = Loopback.L.create ~net:ep ~session () in
+    Loopback.L.learn loop ~peer:0 0;
+    (ep, session, loop)
+  in
+  let honest_ep, honest, honest_loop = client 1 Q.one in
+  let _, _, fast_loop = client 2 (Q.of_ints 105 100) in
+  let drivers =
+    [
+      {
+        Loopback.poll = (fun () -> Swarm.Lhub.poll hub ~max_wait:Q.zero);
+        next_vt = (fun () -> Swarm.Lhub.next_deadline hub);
+        addr = Some 0;
+      };
+      Loopback.driver_of_loop honest_loop;
+      Loopback.driver_of_loop fast_loop;
+    ]
+  in
+  (* the hub runs offset 0 / rate 1: virtual time is the source's *)
+  let missed = ref 0 and last = ref Interval.full in
+  let script =
+    List.init 10 (fun k ->
+        ( Q.of_int (k + 1),
+          fun () ->
+            last := Session.sample honest ~now:(Loopback.Net.now honest_ep) ();
+            if not (Interval.mem (Loopback.vnow fab) !last) then incr missed ))
+  in
+  Loopback.run_drivers fab ~drivers ~until:(Q.of_int 10) ~script ();
+  Alcotest.(check bool)
+    "spec violation traced" true
+    (List.mem "spec_violation" !violations);
+  Alcotest.(check bool) "honest client established" true
+    (Session.established honest 0);
+  Alcotest.(check int) "honest samples contained" 0 !missed;
+  Alcotest.(check bool) "honest client converged" true
+    (Ext.is_fin (Interval.width !last))
+
 (* --- batching / coalescing accounting -------------------------------- *)
 
 (* a tickful of same-destination frames must leave in one flush and be
@@ -710,6 +799,10 @@ let () =
             test_cohort_history_bounded;
           Alcotest.test_case "restore drops idle frontiers" `Quick
             test_restore_drops_idle_frontiers;
+          Alcotest.test_case "restore refuses other members" `Quick
+            test_restore_refuses_other_members;
+          Alcotest.test_case "spec-violating client contained" `Quick
+            test_spec_violating_client;
         ] );
       ( "batching",
         [

@@ -205,10 +205,12 @@ let test_engine_ntp_poll_validated () =
       with
       Scenario.duration = Scenario.sec 20;
       validate = true;
-      run_driftfree = true;
-      run_ntp = true;
-      run_cristian = true;
-      cristian_rtt = Scenario.ms 25;
+      baselines =
+        [
+          Baseline.Driftfree { window = Scenario.sec 30 };
+          Baseline.Ntp;
+          Baseline.Cristian { rtt = Scenario.ms 25 };
+        ];
     }
   in
   let r = Engine.run scenario in
@@ -233,6 +235,46 @@ let test_engine_ntp_poll_validated () =
               Alcotest.failf "optimal wider than %s at node %d" name i)
           a.Engine.final_widths)
     r.Engine.per_algo
+
+(* Execution-identity pin: every per-algorithm summary of one lossy run
+   with all five baselines, digested.  Recorded before baselines became
+   one Baseline.t list; a change to the RNG streams, the transport's
+   draw order, estimate order or any baseline's arithmetic fails it. *)
+let per_algo_digest (r : Engine.result) =
+  let b = Buffer.create 256 in
+  Printf.bprintf b "%d/%d/%d;" r.Engine.messages_sent r.Engine.messages_lost
+    r.Engine.events_total;
+  List.iter
+    (fun (name, (a : Engine.algo_summary)) ->
+      Printf.bprintf b "%s:%d,%d,%d,%h,%h" name a.Engine.samples
+        a.Engine.contained a.Engine.finite a.Engine.mean_width
+        a.Engine.max_width;
+      Array.iter (Printf.bprintf b ",%h") a.Engine.final_widths;
+      Buffer.add_char b ';')
+    r.Engine.per_algo;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_engine_per_algo_pin () =
+  let spec = small_spec (Topology.star 5) 5 in
+  let r =
+    Engine.run
+      {
+        (Scenario.default ~spec
+           ~traffic:(Scenario.Ntp_poll { period = Scenario.ms 500 }))
+        with
+        Scenario.duration = Scenario.sec 15;
+        seed = 11;
+        loss_prob = 0.15;
+        baselines = Baseline.all;
+      }
+  in
+  Alcotest.(check (list string))
+    "per_algo names"
+    [ "optimal"; "driftfree"; "ntp"; "cristian"; "ftsp"; "marzullo" ]
+    (List.map fst r.Engine.per_algo);
+  Alcotest.(check int) "messages lost" 56 r.Engine.messages_lost;
+  Alcotest.(check string)
+    "per-algo digest" "769a729618b5c3b4c74f5c6a955c8ce6" (per_algo_digest r)
 
 let test_engine_deterministic () =
   let spec = small_spec (Topology.line 3) 3 in
@@ -279,8 +321,7 @@ let test_engine_burst () =
               { check_period = Scenario.sec 1; width_target = Scenario.ms 1 }))
       with
       Scenario.duration = Scenario.sec 15;
-      run_cristian = true;
-      cristian_rtt = Scenario.ms 12;
+      baselines = [ Baseline.Cristian { rtt = Scenario.ms 12 } ];
     }
   in
   let r = Engine.run scenario in
@@ -370,7 +411,7 @@ let test_export_csv () =
            ~traffic:(Scenario.Ntp_poll { period = Scenario.sec 1 }))
         with
         Scenario.duration = Scenario.sec 8;
-        run_ntp = true;
+        baselines = [ Baseline.Ntp ];
       }
   in
   let series = Export.series_csv r in
@@ -427,6 +468,8 @@ let () =
           Alcotest.test_case "ntp poll, fully validated" `Slow
             test_engine_ntp_poll_validated;
           Alcotest.test_case "deterministic runs" `Quick test_engine_deterministic;
+          Alcotest.test_case "per-algo pin, all baselines, lossy" `Quick
+            test_engine_per_algo_pin;
           Alcotest.test_case "ring token" `Quick test_engine_ring_token;
           Alcotest.test_case "probabilistic bursts" `Quick test_engine_burst;
           Alcotest.test_case "message loss (Section 3.3)" `Quick

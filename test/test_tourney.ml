@@ -79,6 +79,24 @@ let test_family_of_name () =
   | Ok _ -> Alcotest.fail "unknown family accepted"
   | Error _ -> ()
 
+(* Execution-identity pin: the JSON of a short two-family grid with every
+   algorithm, digested.  Recorded before baselines became one Baseline.t
+   list. *)
+let test_json_pin () =
+  let fam name =
+    match Tourney.family_of_name name with
+    | Ok f -> f
+    | Error e -> Alcotest.fail e
+  in
+  let o =
+    Tourney.run
+      { small_spec with Tourney.families = [ fam "ntp-poll"; fam "churn" ] }
+  in
+  Alcotest.(check string)
+    "json digest" "3d32b4c4ef5035d72d0b4a17bccfbed0"
+    (Digest.to_hex
+       (Digest.string (Json_out.to_line (Tourney.json_of_outcome o))))
+
 let check_rejected label spec =
   match Tourney.run spec with
   | _ -> Alcotest.failf "%s accepted" label
@@ -102,6 +120,7 @@ let () =
             test_csa_checks;
           Alcotest.test_case "dynamic families lose messages" `Quick
             test_dynamic_families_lose_messages;
+          Alcotest.test_case "json pin, two families" `Quick test_json_pin;
         ] );
       ( "spec",
         [
