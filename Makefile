@@ -28,12 +28,18 @@ bench-guard:
 # round-trip the trace loop: a profiled simulator run writes a JSONL
 # trace, then `clocksync analyze` re-parses every line, recomputes the
 # aggregates (which must match the trailer byte for byte) and replays
-# the events through the protocol-conformance monitor
+# the events through the protocol-conformance monitor; its hot-path
+# profile must list the agdp_insert and agdp_kill spans
 analyze-smoke: build
 	$(DUNE) exec bin/clocksync.exe -- run -n 4 -d 10 --chaos 1 --algos all \
 	  --trace _build/analyze_smoke.jsonl --prof >/dev/null
 	$(DUNE) exec bin/clocksync.exe -- analyze _build/analyze_smoke.jsonl \
-	  --require-estimates --conform
+	  --require-estimates --conform >_build/analyze_smoke.txt
+	@cat _build/analyze_smoke.txt
+	@for op in agdp_insert agdp_kill; do \
+	  grep -q "^$$op " _build/analyze_smoke.txt || \
+	    { echo "analyze-smoke: no $$op row in the hot-path profile"; exit 1; }; \
+	done
 
 # 3-process localhost UDP session with injected loss; asserts every
 # printed peer interval contained the reference node's true time and

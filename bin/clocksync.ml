@@ -66,13 +66,31 @@ let build_scenario ~topology ~nodes ~traffic ~duration ~drift_ppm ~lo_ms ~hi_ms
   let* baselines =
     Result.map_error (fun m -> `Msg m) (Baseline.of_names (parse_algos algos))
   in
+  (* refuse what would hang the engine (a zero period schedules traffic
+     forever at one instant) or trip an Invalid_argument deep inside it *)
+  let require ok msg = if ok then Ok () else Error (`Msg msg) in
+  let period_ms =
+    if Float.is_nan period_s then 0 else int_of_float (period_s *. 1000.)
+  in
+  let* () = require (nodes >= 1) "--nodes must be at least 1" in
   let* n, links = parse_topology topology ~nodes in
+  let* () = require (duration >= 0) "--duration must not be negative" in
+  let* () =
+    require (drift_ppm >= 0 && drift_ppm < 1_000_000)
+      "--drift must be in [0, 1000000) ppm"
+  in
+  let* () = require (lo_ms >= 0) "--min-delay must not be negative" in
+  let* () =
+    require (hi_ms >= lo_ms) "--max-delay must be at least --min-delay"
+  in
+  let* () = require (period_ms >= 1) "--period must be at least 0.001 s" in
+  let* () = require (loss >= 0. && loss <= 1.) "--loss must be in [0, 1]" in
   let spec =
     System_spec.uniform ~n ~source:0 ~drift:(Drift.of_ppm drift_ppm)
       ~transit:(Transit.of_q (Scenario.ms lo_ms) (Scenario.ms hi_ms))
       ~links
   in
-  let period = Q.of_ints (int_of_float (period_s *. 1000.)) 1000 in
+  let period = Q.of_ints period_ms 1000 in
   let* traffic = parse_traffic traffic ~period in
   Ok
     {

@@ -295,30 +295,21 @@ let render_report r =
 
 (* ----------------------------------------------------------- online *)
 
-module Monitor = struct
-  type nonrec t = {
-    st : t;
-    base : Trace.sink;
-    on_violation : Trace.event -> violation -> unit;
-  }
-
-  let emit m ev =
-    Trace.emit m.base ev;
-    match ev with
-    | Trace.Protocol_violation _ ->
-      (* already a violation signal (ours, or Session's own): count it
-         but do not re-flag it, or the stream would double-report *)
-      ()
-    | _ -> (
-      match check m.st ev with
-      | None -> ()
-      | Some v ->
-        let t = Option.value ~default:Float.nan (time_of ev) in
-        let node = Option.value ~default:(-1) (node_of ev) in
-        Trace.emit m.base
-          (Trace.Protocol_violation { t; node; rule = v.rule; detail = v.detail });
-        m.on_violation ev v)
-end
-
 let monitor ?(on_violation = fun _ _ -> ()) ?(state = create ()) base =
-  Trace.Sink ((module Monitor), { Monitor.st = state; base; on_violation })
+  Trace.callback (fun ev ->
+      Trace.emit base ev;
+      match ev with
+      | Trace.Protocol_violation _ ->
+        (* already a violation signal (ours, or Session's own): count it
+           but do not re-flag it, or the stream would double-report *)
+        ()
+      | _ -> (
+        match check state ev with
+        | None -> ()
+        | Some v ->
+          let t = Option.value ~default:Float.nan (time_of ev) in
+          let node = Option.value ~default:(-1) (node_of ev) in
+          Trace.emit base
+            (Trace.Protocol_violation
+               { t; node; rule = v.rule; detail = v.detail });
+          on_violation ev v))

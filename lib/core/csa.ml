@@ -2,7 +2,9 @@ type t = {
   spec : System_spec.t;
   me : Event.proc;
   hist : History.t;
-  oracle : Distance_oracle.t;
+  agdp : Agdp.t;
+  shadow : Fw_oracle.t option; (* under [validate]: the naive reference *)
+  prof : Prof.t;
   sink : Trace.sink; (* liveness-change events *)
   last_known : Event.t option array; (* per processor: newest event known *)
   pending : (int, Event.t) Hashtbl.t; (* msg id -> live send event *)
@@ -16,15 +18,86 @@ type t = {
 let me t = t.me
 let spec t = t.spec
 let last_lt t = t.last_lt
-let live_count t = Distance_oracle.size t.oracle
+let live_count t = Agdp.size t.agdp
 let peak_live_count t = t.peak_live
 let history_size t = History.h_size t.hist
 let peak_history_size t = History.peak_h_size t.hist
-let oracle_relaxations t = Distance_oracle.relaxations t.oracle
-let oracle_name t = Distance_oracle.name t.oracle
+let oracle_relaxations t = Agdp.relaxations t.agdp
 let events_processed t = t.processed
 let events_reported t = History.events_reported t.hist
 let known_upto t w = History.known_upto t.hist w
+
+(* --- the distance structure -------------------------------------------
+
+   Every mutation goes to [agdp] and, under [validate], to the
+   Floyd–Warshall [shadow]; each side is timed as its own profiler span,
+   closed even when the mutation raises.  The two must agree on accepting
+   or rejecting every mutation, and after each accepted one (and on
+   restore) the live sets and all live-pair distances are compared.  A
+   divergence is a bug in one of them (almost certainly the optimized
+   one), so it fails hard rather than limping on. *)
+
+let diverged fmt =
+  Printf.ksprintf
+    (fun msg -> failwith ("Csa.validate: agdp vs floyd-warshall: " ^ msg))
+    fmt
+
+let dist t x y =
+  let d = Agdp.dist t.agdp x y in
+  (match t.shadow with
+  | Some fw ->
+    let d' = Fw_oracle.dist fw x y in
+    if not (Ext.equal d d') then
+      diverged "dist %d -> %d: %s vs %s" x y (Ext.to_string d)
+        (Ext.to_string d')
+  | None -> ());
+  d
+
+let verify t fw =
+  let keys = Agdp.live_keys t.agdp and fkeys = Fw_oracle.live_keys fw in
+  if keys <> fkeys then
+    diverged "live sets differ (%d vs %d keys)" (List.length keys)
+      (List.length fkeys);
+  List.iter (fun x -> List.iter (fun y -> ignore (dist t x y)) keys) keys
+
+(* [f x] timed as the profiler span [name], closed even when [f] raises *)
+let timed prof name f x =
+  let t0 = Prof.start prof in
+  match f x with
+  | () -> Prof.stop prof name t0
+  | exception e ->
+    Prof.stop prof name t0;
+    raise e
+
+let mutate t what (agdp_span, on_agdp) (fw_span, on_fw) =
+  match t.shadow with
+  | None -> timed t.prof agdp_span on_agdp t.agdp
+  | Some fw -> (
+    let attempt span f x = try Ok (timed t.prof span f x) with e -> Error e in
+    let a = attempt agdp_span on_agdp t.agdp in
+    match (a, attempt fw_span on_fw fw) with
+    | Ok (), Ok () -> verify t fw
+    | Error Agdp.Negative_cycle, Error Agdp.Negative_cycle ->
+      raise Agdp.Negative_cycle
+    | Error (Invalid_argument m), Error (Invalid_argument _) -> invalid_arg m
+    | Error e, Error e' ->
+      diverged "%s: mismatched exceptions %s vs %s" what
+        (Printexc.to_string e) (Printexc.to_string e')
+    | Error e, Ok () ->
+      diverged "%s: only agdp rejected (%s)" what (Printexc.to_string e)
+    | Ok (), Error e ->
+      diverged "%s: only floyd-warshall rejected (%s)" what
+        (Printexc.to_string e))
+
+let insert_key t ~key ~in_edges ~out_edges =
+  mutate t "insert"
+    ("agdp_insert", fun a -> Agdp.insert a ~key ~in_edges ~out_edges)
+    ("fw_insert", fun fw -> Fw_oracle.insert fw ~key ~in_edges ~out_edges)
+
+let kill_key t key =
+  mutate t "kill"
+    ("agdp_kill", fun a -> Agdp.kill a key)
+    ("fw_kill", fun fw -> Fw_oracle.kill fw key)
 
 (* Event ids are mapped to AGDP keys by the reversible encoding
    [seq * n + proc]. *)
@@ -34,10 +107,8 @@ let id_of t key =
   let n = System_spec.n t.spec in
   { Event.proc = key mod n; seq = key / n }
 
-let live_event_ids t = List.map (id_of t) (Distance_oracle.live_keys t.oracle)
-
-let dist_between t a b =
-  Distance_oracle.dist t.oracle (key_of t a) (key_of t b)
+let live_event_ids t = List.map (id_of t) (Agdp.live_keys t.agdp)
+let dist_between t a b = dist t (key_of t a) (key_of t b)
 
 let is_last_known t (e : Event.t) =
   match t.last_known.(Event.loc e) with
@@ -98,13 +169,13 @@ let insert_event t (e : Event.t) =
         else (ins, outs))
       ([], []) edges
   in
-  Distance_oracle.insert t.oracle ~key:(key_of t e.id) ~in_edges ~out_edges;
+  insert_key t ~key:(key_of t e.id) ~in_edges ~out_edges;
   t.processed <- t.processed + 1;
   (* Liveness updates (Definition 3.1): *)
   (* 1. the predecessor stops being the last point of its processor *)
   (match prev with
   | Some p when not (is_pending_send t p) ->
-    Distance_oracle.kill t.oracle (key_of t p.id)
+    kill_key t (key_of t p.id)
   | _ -> ());
   (* 2. a receive closes its message: the send is no longer pending *)
   (match e.kind with
@@ -113,7 +184,7 @@ let insert_event t (e : Event.t) =
     | Some s ->
       Hashtbl.remove t.pending msg;
       if not (is_last_known t s) then
-        Distance_oracle.kill t.oracle (key_of t s.id)
+        kill_key t (key_of t s.id)
     | None -> ())
   | _ -> ());
   (* 3. a send becomes pending — unless already flagged lost (Sec 3.3) *)
@@ -122,32 +193,12 @@ let insert_event t (e : Event.t) =
     if not (Hashtbl.mem t.known_lost msg) then Hashtbl.replace t.pending msg e
   | _ -> ());
   t.last_known.(Event.loc e) <- Some e;
-  let l = Distance_oracle.size t.oracle in
+  let l = Agdp.size t.agdp in
   if l > t.peak_live then t.peak_live <- l;
   Trace.emit t.sink (Trace.Liveness { node = t.me; live = l })
 
-(* Default oracle choice: the paper's incremental structure, wrapped in
-   the Floyd–Warshall cross-check when [validate] is on, each timed
-   separately when profiling is on. *)
-let default_impl ~validate ~sink ~prof =
-  let primary =
-    Distance_oracle.profiled ~prof ~prefix:"agdp"
-      (Distance_oracle.agdp ~sink ())
-  in
-  if validate then
-    Distance_oracle.checked ~primary
-      ~reference:
-        (Distance_oracle.profiled ~prof ~prefix:"fw"
-           (Distance_oracle.floyd_warshall ()))
-  else primary
-
 let create ?(lossy = false) ?(validate = false) ?(sink = Trace.null)
-    ?(prof = Prof.null) ?oracle ?neighbors spec ~me ~lt0 =
-  let impl =
-    match oracle with
-    | Some i -> i
-    | None -> default_impl ~validate ~sink ~prof
-  in
+    ?(prof = Prof.null) ?neighbors spec ~me ~lt0 =
   let t =
     {
       spec;
@@ -157,7 +208,9 @@ let create ?(lossy = false) ?(validate = false) ?(sink = Trace.null)
           ~neighbors:
             (Option.value neighbors ~default:(System_spec.neighbors spec me))
           ~lossy ();
-      oracle = Distance_oracle.create impl;
+      agdp = Agdp.create ~sink ();
+      shadow = (if validate then Some (Fw_oracle.create ()) else None);
+      prof;
       sink;
       last_known = Array.make (System_spec.n spec) None;
       pending = Hashtbl.create 16;
@@ -222,9 +275,9 @@ let on_msg_lost t ~msg =
   | Some s ->
     Hashtbl.remove t.pending msg;
     if not (is_last_known t s) then begin
-      Distance_oracle.kill t.oracle (key_of t s.id);
+      kill_key t (key_of t s.id);
       Trace.emit t.sink
-        (Trace.Liveness { node = t.me; live = Distance_oracle.size t.oracle })
+        (Trace.Liveness { node = t.me; live = Agdp.size t.agdp })
     end
   | None -> ()
 
@@ -334,10 +387,8 @@ let snapshot t =
     hs.History.s_inflight;
   Codec.add_varint buf hs.History.s_peak;
   Codec.add_varint buf hs.History.s_reported;
-  (* oracle: the snapshot matrix is already flat row-major, count × count.
-     The wire format predates the oracle seam and is unchanged: any
-     implementation serializes to the same live-pair matrix. *)
-  let gs = Distance_oracle.snapshot t.oracle in
+  (* AGDP: the snapshot matrix is already flat row-major, count × count *)
+  let gs = Agdp.snapshot t.agdp in
   Codec.add_varint buf (Array.length gs.Agdp.s_keys);
   Array.iter (Codec.add_varint buf) gs.Agdp.s_keys;
   Array.iter (add_ext buf) gs.Agdp.s_dist;
@@ -346,7 +397,7 @@ let snapshot t =
   Buffer.contents buf
 
 let restore_reader ?(validate = false) ?(sink = Trace.null)
-    ?(prof = Prof.null) ?oracle ?neighbors spec r =
+    ?(prof = Prof.null) ?neighbors spec r =
   if Codec.read_varint r <> snapshot_version then
     failwith "Csa.restore: unsupported snapshot version";
   let me = Codec.read_varint r in
@@ -443,32 +494,30 @@ let restore_reader ?(validate = false) ?(sink = Trace.null)
   let s_relaxations = Codec.read_varint r in
   let s_peak_agdp = Codec.read_varint r in
   if not (Codec.at_end r) then failwith "Csa.restore: trailing bytes";
-  let impl =
-    match oracle with
-    | Some i -> i
-    | None -> default_impl ~validate ~sink ~prof
+  let gs = { Agdp.s_keys; s_dist; s_relaxations; s_peak = s_peak_agdp } in
+  let t =
+    {
+      spec;
+      me;
+      hist;
+      agdp = Agdp.restore ~sink gs;
+      shadow = (if validate then Some (Fw_oracle.restore gs) else None);
+      prof;
+      sink;
+      last_known;
+      pending;
+      known_lost;
+      next_seq;
+      last_lt;
+      peak_live;
+      processed;
+    }
   in
-  let oracle =
-    Distance_oracle.restore impl
-      { Agdp.s_keys; s_dist; s_relaxations; s_peak = s_peak_agdp }
-  in
-  {
-    spec;
-    me;
-    hist;
-    oracle;
-    sink;
-    last_known;
-    pending;
-    known_lost;
-    next_seq;
-    last_lt;
-    peak_live;
-    processed;
-  }
+  Option.iter (verify t) t.shadow;
+  t
 
-let restore ?validate ?sink ?prof ?oracle ?neighbors spec blob =
-  restore_reader ?validate ?sink ?prof ?oracle ?neighbors spec
+let restore ?validate ?sink ?prof ?neighbors spec blob =
+  restore_reader ?validate ?sink ?prof ?neighbors spec
     (Codec.reader_of_string blob)
 
 (* ext_L = LT(p) − d(sp, p), ext_U = LT(p) + d(p, sp); a query at local
@@ -478,8 +527,8 @@ let estimate_at t ~lt =
   match t.last_known.(System_spec.source t.spec), t.last_known.(t.me) with
   | None, _ | _, None -> Interval.full
   | Some sp, Some p ->
-    let d_p_sp = Distance_oracle.dist t.oracle (key_of t p.id) (key_of t sp.id) in
-    let d_sp_p = Distance_oracle.dist t.oracle (key_of t sp.id) (key_of t p.id) in
+    let d_p_sp = dist t (key_of t p.id) (key_of t sp.id) in
+    let d_sp_p = dist t (key_of t sp.id) (key_of t p.id) in
     let drift = System_spec.drift t.spec t.me in
     let elapsed = Q.sub lt p.lt in
     let lo =
@@ -513,10 +562,10 @@ let peer_clock_bounds t w =
     | None, _ | _, None -> Interval.full
     | Some q_ev, Some p_ev ->
       let d_pq =
-        Distance_oracle.dist t.oracle (key_of t p_ev.id) (key_of t q_ev.id)
+        dist t (key_of t p_ev.id) (key_of t q_ev.id)
       in
       let d_qp =
-        Distance_oracle.dist t.oracle (key_of t q_ev.id) (key_of t p_ev.id)
+        dist t (key_of t q_ev.id) (key_of t p_ev.id)
       in
       let vd = Q.sub p_ev.lt q_ev.lt in
       let drift_w = System_spec.drift t.spec w in

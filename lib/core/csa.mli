@@ -9,10 +9,10 @@
     Internally it composes:
     - the full-information propagation protocol (Lemma 3.1–3.3): at every
       point the processor knows exactly its local view of the execution;
-    - a {!Distance_oracle} (Lemma 3.4–3.5): exact synchronization-graph
-      distances between the {e live} points of that view, garbage-collected
-      per Definition 3.1 — this layer only ever speaks to the oracle
-      signature, never to a concrete implementation;
+    - the AGDP structure {!Agdp} (Lemma 3.4–3.5): exact
+      synchronization-graph distances between the {e live} points of that
+      view, garbage-collected per Definition 3.1 (under [validate], a
+      {!Fw_oracle} shadow cross-checks every one of them);
     and answers with [ext_L = LT(p) − d(sp, p)], [ext_U = LT(p) + d(p, sp)]
     (Theorem 2.1), which is optimal: no algorithm can output a smaller
     interval on any indistinguishable execution.
@@ -26,7 +26,6 @@ val create :
   ?validate:bool ->
   ?sink:Trace.sink ->
   ?prof:Prof.t ->
-  ?oracle:Distance_oracle.impl ->
   ?neighbors:Event.proc list ->
   System_spec.t ->
   me:Event.proc ->
@@ -44,16 +43,17 @@ val create :
     hub cohort session) must name them: an idle neighbor's frontier
     never advances and would pin every event in H for good.
 
-    [oracle] selects the distance-oracle implementation (default:
-    {!Distance_oracle.agdp}).  [validate] wraps the default in
-    {!Distance_oracle.checked} against the naive Floyd–Warshall reference,
-    failing hard on any divergence ([validate] is ignored when [oracle] is
-    given explicitly).  [sink] receives [Liveness] events on every
-    live-set change plus whatever the oracle emits (defaults to
-    {!Trace.null}).  [prof] times the default oracle's insert/kill hot
-    paths as ["agdp_*"] (and ["fw_*"] under [validate]) spans; ignored
-    when [oracle] is given explicitly (wrap it in
-    {!Distance_oracle.profiled} yourself). *)
+    [validate] mirrors every AGDP insert and kill onto the naive
+    {!Fw_oracle} reference.  Both must accept or both reject each
+    mutation ({!Agdp.Negative_cycle} from both is re-raised); after every
+    accepted one, and on {!restore}, the live sets and all live-pair
+    distances are compared, and every distance query is answered by both.
+    Any divergence raises [Failure] naming both sides.  [sink] receives
+    [Liveness] events on every live-set change plus the AGDP structure's
+    [Oracle_insert]/[Oracle_gc] events (defaults to {!Trace.null}).
+    [prof] times each insert and kill as an ["agdp_insert"]/["agdp_kill"]
+    span (then ["fw_insert"]/["fw_kill"] under [validate]), closed even
+    when the mutation raises. *)
 
 val me : t -> Event.proc
 val spec : t -> System_spec.t
@@ -121,12 +121,8 @@ val history_size : t -> int
 val peak_history_size : t -> int
 
 val oracle_relaxations : t -> int
-(** The distance oracle's cumulative relaxation count (its
-    machine-independent work measure; see
-    {!Distance_oracle.S.relaxations}). *)
-
-val oracle_name : t -> string
-(** Which oracle implementation this instance runs on. *)
+(** The AGDP structure's cumulative relaxation count (its
+    machine-independent work measure; see {!Agdp.relaxations}). *)
 
 val events_processed : t -> int
 val events_reported : t -> int
@@ -134,7 +130,7 @@ val live_event_ids : t -> Event.id list
 val known_upto : t -> Event.proc -> int
 
 val dist_between : t -> Event.id -> Event.id -> Ext.t
-(** Distance between two live points in this processor's oracle graph
+(** Distance between two live points in this processor's AGDP graph
     (test hook for the Lemma 3.4 invariant).
     @raise Invalid_argument when either point is not live. *)
 
@@ -153,15 +149,14 @@ val restore :
   ?validate:bool ->
   ?sink:Trace.sink ->
   ?prof:Prof.t ->
-  ?oracle:Distance_oracle.impl ->
   ?neighbors:Event.proc list ->
   System_spec.t ->
   string ->
   t
 (** The optional arguments choose the runtime wiring of the revived
     instance exactly as in {!create} (they are not part of the serialized
-    state); a snapshot taken on one oracle implementation may be restored
-    onto another.  A saved frontier for a spec neighbor outside
+    state); a snapshot taken with or without [validate] restores either
+    way.  A saved frontier for a spec neighbor outside
     [neighbors] is dropped: such a neighbor was never sent anything.
     @raise Failure on malformed input. *)
 
@@ -169,7 +164,6 @@ val restore_reader :
   ?validate:bool ->
   ?sink:Trace.sink ->
   ?prof:Prof.t ->
-  ?oracle:Distance_oracle.impl ->
   ?neighbors:Event.proc list ->
   System_spec.t ->
   Codec.reader ->

@@ -1,4 +1,4 @@
-(** Naive reference implementation of the distance-oracle seam.
+(** Naive reference implementation of the AGDP problem (Section 3.2).
 
     Keeps the {e entire} accumulated graph — dead nodes included, since
     shortest live-to-live paths may route through them — and answers
@@ -6,7 +6,10 @@
     Floyd–Warshall over every node ever inserted.  Obviously correct
     straight from Section 3.2's problem statement, and deliberately free
     of the incremental cleverness of {!Agdp}, which makes it the
-    cross-checking reference behind {!Distance_oracle.checked}.
+    cross-checking shadow that {!Csa.create}'s [~validate] mirrors every
+    AGDP insert and kill onto.  Its comparisons use the exact tier
+    ({!Q.compare_exact}) alone, so it shares no float fast path with
+    {!Agdp}.
 
     The recompute is cached and invalidated on [insert] (a [kill] cannot
     change live-pair distances, Lemma 3.4), so query bursts between
@@ -15,8 +18,8 @@
 type t
 
 exception Negative_cycle
-(** The same exception as {!Agdp.Negative_cycle}, so callers (and the
-    {!Distance_oracle.checked} decorator) see one failure mode. *)
+(** The same exception as {!Agdp.Negative_cycle}, so callers (and
+    {!Csa}'s [validate] cross-check) see one failure mode. *)
 
 val create : unit -> t
 

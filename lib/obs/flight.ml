@@ -38,13 +38,7 @@ let events t =
   let start = (t.next - t.len + t.capacity) mod t.capacity in
   List.init t.len (fun i -> t.ring.((start + i) mod t.capacity))
 
-module Sink = struct
-  type nonrec t = t
-
-  let emit = record
-end
-
-let sink t = Trace.Sink ((module Sink), t)
+let sink t = Trace.callback (record t)
 
 (* ------------------------------------------------------------ codec *)
 

@@ -204,13 +204,7 @@ let on_event t (ev : Trace.event) =
     in
     Histogram.record h dur
 
-module Sink = struct
-  type nonrec t = t
-
-  let emit = on_event
-end
-
-let sink t = Trace.Sink ((module Sink), t)
+let sink t = Trace.callback (on_event t)
 
 let sends t = value t Row.sends
 let receives t = value t Row.receives

@@ -48,41 +48,16 @@ type event =
     }
   | Span of { name : string; dur : float }
 
-module type SINK = sig
-  type t
+type sink = event -> unit
 
-  val emit : t -> event -> unit
-end
+let emit sink ev = sink ev
+let null _ = ()
 
-type sink = Sink : (module SINK with type t = 'a) * 'a -> sink
+let tee a b ev =
+  a ev;
+  b ev
 
-let emit (Sink ((module S), s)) ev = S.emit s ev
-
-module Null = struct
-  type t = unit
-
-  let emit () _ = ()
-end
-
-let null = Sink ((module Null), ())
-
-module Tee = struct
-  type t = sink * sink
-
-  let emit (a, b) ev =
-    emit a ev;
-    emit b ev
-end
-
-let tee a b = Sink ((module Tee), (a, b))
-
-module Callback = struct
-  type t = event -> unit
-
-  let emit f ev = f ev
-end
-
-let callback f = Sink ((module Callback), f)
+let callback f = f
 
 (* --- the event table ------------------------------------------------------
 
@@ -329,21 +304,10 @@ let event_of_json (j : Json_out.t) : (event, string) result =
     with Failure m -> Error m)
   | _ -> Error "expected a JSON object"
 
-module Jsonl = struct
-  (* Flush every [every] lines (default: every line).  The trace is the
-     flight recorder for crash post-mortems: a kill -9 must not eat the
-     tail, so relying on out_channel buffering is not an option.  Lines
-     are written with a single [output_string] so a crash can truncate
-     the final line but never interleave two. *)
-  type t = { oc : out_channel; every : int; mutable pending : int }
-
-  let emit s ev =
-    output_string s.oc (Json_out.to_line (json_of_event ev) ^ "\n");
-    s.pending <- s.pending + 1;
-    if s.pending >= s.every then (
-      flush s.oc;
-      s.pending <- 0)
-end
-
-let jsonl ?(flush_every = 1) oc =
-  Sink ((module Jsonl), { Jsonl.oc; every = max 1 flush_every; pending = 0 })
+(* The trace is the flight recorder for crash post-mortems: a kill -9
+   must not eat the tail, so every line is flushed rather than left to
+   out_channel buffering, and written with a single [output_string] so a
+   crash can truncate the final line but never interleave two. *)
+let jsonl oc ev =
+  output_string oc (Json_out.to_line (json_of_event ev) ^ "\n");
+  flush oc

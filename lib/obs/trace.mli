@@ -3,10 +3,12 @@
     The paper's stack is layered (Figure 1: send module, full-information
     propagation, AGDP); this module gives each layer one place to report
     what it did.  Producers ({!Csa}, {!Agdp}, {!Engine}) emit {!event}
-    values into a {!sink}; consumers pick a sink: {!null} (discard),
-    {!Metrics} (aggregate counters — the single source of the engine's
-    summary numbers), or {!jsonl} (machine-readable log, one JSON object
-    per line; schema documented in DESIGN.md, "Trace schema").
+    values into a {!sink}, which is nothing but a closure over events.
+    Consumers pick one, or {!tee} several: {!null} (discard), {!Metrics}
+    (aggregate counters — the single source of the engine's summary
+    numbers), {!Flight} (a ring of the latest events), {!Conform}'s
+    monitor, or {!jsonl} (machine-readable log, one JSON object per line;
+    schema documented in DESIGN.md, "Trace schema").
 
     Timestamps are simulated real time as floats ([nan] when the producer
     has no clock, e.g. the distance oracle).  Processors are plain ints.
@@ -101,15 +103,8 @@ type event =
           operation label, e.g. ["agdp_insert"]; [dur] is wall-clock
           seconds).  Emitted by {!Prof} only when profiling is on. *)
 
-(** Consumers implement this signature; {!sink} packs one with its
-    state. *)
-module type SINK = sig
-  type t
-
-  val emit : t -> event -> unit
-end
-
-type sink = Sink : (module SINK with type t = 'a) * 'a -> sink
+type sink
+(** A consumer of events: a closure over [event -> unit]. *)
 
 val emit : sink -> event -> unit
 
@@ -120,7 +115,7 @@ val tee : sink -> sink -> sink
 (** [tee a b] forwards every event to [a] then [b]. *)
 
 val callback : (event -> unit) -> sink
-(** Arbitrary consumer from a closure (used by tests). *)
+(** The sink that calls [f] on every event. *)
 
 (** {1 Event schema}
 
@@ -164,8 +159,8 @@ val event_of_json : Json_out.t -> (event, string) result
     {!ty}.  With that convention,
     [event_of_json (json_of_event ev) = Ok ev] for every constructor. *)
 
-val jsonl : ?flush_every:int -> out_channel -> sink
-(** Writes each event as one JSON object per line, flushing the channel
-    every [flush_every] lines (default 1: the trace survives [kill -9]
-    up to the last complete line).  The channel is not closed by the
-    sink; close it after the run. *)
+val jsonl : out_channel -> sink
+(** Writes each event as one JSON object per line and flushes the
+    channel after every line, so the trace survives [kill -9] up to the
+    last complete line.  The channel is not closed by the sink; close it
+    after the run. *)

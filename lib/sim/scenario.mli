@@ -60,9 +60,9 @@ type t = {
           that the CSA equals the reference optimal algorithm and contains
           the hidden real time (expensive; for tests and E1) *)
   validate_oracle : bool;
-      (** run every node's CSA on {!Distance_oracle.checked} — the AGDP
-          structure cross-checked against naive Floyd–Warshall after every
-          mutation (very expensive: [Θ(n³)] per insertion over the
+      (** create every node's CSA with [~validate:true]: a naive
+          {!Fw_oracle} shadow mirrors every AGDP insert and kill, and the
+          two are compared after every mutation (very expensive: [Θ(n³)] per insertion over the
           all-time event count; for short test runs only) *)
   series_cap : int;  (** max number of time-series samples retained *)
   trace : Trace.sink;

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Regression check: an unwritable --trace or --flight path is refused at
-# startup with a clean command-line error (exit 124, message on stderr),
-# never an uncaught exception (exit 125), a silent success, or a
+# Regression check: an unwritable --trace or --flight path, or a
+# degenerate numeric flag of run/sweep, is refused at startup with a
+# clean command-line error (exit 124, message on stderr), never an
+# uncaught exception (exit 125), a hang, a silent success, or a
 # "wrote FILE" claim for a file that does not exist.
 #
 #   sh test/cli_errors.sh path/to/clocksync.exe
@@ -45,6 +46,45 @@ for cmd in serve peer hub; do
   refused "$BIN" $cmd $port -d 0.5 --trace "$BAD.jsonl"
   # shellcheck disable=SC2086
   refused "$BIN" $cmd $port -d 0.5 --flight "$BAD.flight"
+done
+
+# rejects FLAG CMD...: CMD exits 124 within 20 s and names FLAG on stderr
+# (a hang is killed, and SIGKILL's status 137 is never 124)
+rejects() {
+  flag=$1
+  shift
+  err=$(timeout -s KILL 20 "$@" 2>&1 >/dev/null)
+  status=$?
+  if [ "$status" -ne 124 ]; then
+    echo "cli_errors: '$*' exited $status, expected 124"
+    printf '%s\n' "$err"
+    fail=1
+  fi
+  case $err in
+  *"$flag"*) ;;
+  *)
+    echo "cli_errors: '$*' did not name $flag on stderr"
+    printf '%s\n' "$err"
+    fail=1
+    ;;
+  esac
+}
+
+# sweep sweeps the node count here, so every other flag is taken as given
+for cmd in "run" "sweep --param nodes --values 3"; do
+  # shellcheck disable=SC2086
+  set -- "$BIN" $cmd -n 3
+  for traffic in poll gossip burst; do
+    rejects --period "$@" -d 5 --traffic=$traffic --period 0
+  done
+  rejects --period "$@" -d 5 --period=0.0004
+  rejects --period "$@" -d 5 --period=-1
+  rejects --duration "$@" --duration=-5
+  rejects --max-delay "$@" -d 5 --min-delay=20 --max-delay=10
+  rejects --drift "$@" -d 5 --drift=-5
+  rejects --drift "$@" -d 5 --drift=2000000
+  rejects --loss "$@" -d 5 --loss=1.5
+  rejects --loss "$@" -d 5 --loss=-0.5
 done
 
 exit "$fail"

@@ -86,6 +86,21 @@ let test_engine_trace_round_trip () =
       "optimal";
     ]
 
+let span_count m op =
+  match Metrics.span_hist m op with Some h -> Histogram.count h | None -> 0
+
+(* every insert into and every kill in the structure named [prefix] is
+   timed exactly once *)
+let check_oracle_spans m prefix =
+  Alcotest.(check int)
+    (prefix ^ "_insert spans = oracle_inserts")
+    (Metrics.oracle_inserts m)
+    (span_count m (prefix ^ "_insert"));
+  Alcotest.(check int)
+    (prefix ^ "_kill spans = oracle_gcs")
+    (Metrics.oracle_gcs m)
+    (span_count m (prefix ^ "_kill"))
+
 let test_profiled_trace_has_spans () =
   let path = Filename.temp_file "analyze" ".jsonl" in
   let _, m = write_trace ~with_prof:true path in
@@ -118,10 +133,37 @@ let test_profiled_trace_has_spans () =
              (Int64.bits_of_float (Histogram.sum offline)))
       | _ -> Alcotest.failf "histogram for %s missing" op)
     (Metrics.span_names m);
-  Alcotest.(check bool) "agdp spans present" true
-    (List.mem "agdp_insert" (Metrics.span_names m));
+  check_oracle_spans m "agdp";
   Alcotest.(check bool) "report has profile section" true
     (contains (Analysis.render a) "hot-path profile")
+
+let test_validated_run_times_both () =
+  (* under validate_oracle the Floyd–Warshall shadow mirrors every AGDP
+     mutation, and each side gets its own span *)
+  let spec =
+    System_spec.uniform ~n:3 ~source:0 ~drift:(Drift.of_ppm 200)
+      ~transit:(Transit.of_q (Scenario.ms 1) (Scenario.ms 10))
+      ~links:(Topology.star 3)
+  in
+  let m = Metrics.create () in
+  let sink = Metrics.sink m in
+  let _ =
+    Engine.run
+      {
+        (Scenario.default ~spec
+           ~traffic:(Scenario.Ntp_poll { period = Scenario.sec 1 }))
+        with
+        Scenario.duration = Scenario.sec 6;
+        validate_oracle = true;
+        trace = sink;
+        prof = fake_prof sink;
+        seed = 17;
+      }
+  in
+  check_oracle_spans m "agdp";
+  check_oracle_spans m "fw";
+  Alcotest.(check (pair int int)) "inserts, kills" (145, 133)
+    (Metrics.oracle_inserts m, Metrics.oracle_gcs m)
 
 let test_trailerless_crash_trace () =
   let path = Filename.temp_file "analyze" ".jsonl" in
@@ -221,6 +263,8 @@ let () =
             `Quick test_engine_trace_round_trip;
           Alcotest.test_case "profiled trace reconstructs span histograms"
             `Quick test_profiled_trace_has_spans;
+          Alcotest.test_case "validated run times both structures" `Quick
+            test_validated_run_times_both;
           Alcotest.test_case "trailerless crash trace" `Quick
             test_trailerless_crash_trace;
           Alcotest.test_case "missing file is an Error" `Quick

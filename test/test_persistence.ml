@@ -151,48 +151,47 @@ let test_payload_codec_fuzz () =
     done
   done
 
-let test_cross_oracle_restore () =
-  (* Lemma 3.4 says live-pair distances determine all future answers, so
-     a snapshot is a complete checkpoint for any oracle implementation: a
-     state built on the default AGDP structure must restore under the
-     naive Floyd–Warshall reference (and back) with identical distances
-     between every pair of live points and an identical estimate. *)
-  let event_id = Alcotest.testable Event.pp_id ( = ) in
-  let check_pairwise_equal tag x y =
-    let ids = Csa.live_event_ids x in
-    Alcotest.(check (list event_id))
-      (tag ^ ": same live points") ids (Csa.live_event_ids y);
-    List.iter
-      (fun a ->
-        List.iter
-          (fun b ->
-            Alcotest.(check bool)
-              (Format.asprintf "%s: dist %a -> %a agrees" tag Event.pp_id a
-                 Event.pp_id b)
-              true
-              (Ext.equal (Csa.dist_between x a b) (Csa.dist_between y a b)))
-          ids)
-      ids;
-    Alcotest.(check bool) (tag ^ ": estimates agree") true
-      (Interval.equal (Csa.estimate x) (Csa.estimate y))
-  in
+let test_validated_restore_continues () =
+  (* [~validate:true] adds a Floyd–Warshall shadow that cross-checks the
+     restored distance matrix and every later mutation.  It must change
+     nothing the instance does: a lossy run continues exactly as after a
+     plain restore, down to the payload and snapshot bytes. *)
   let a, b = run_script ~lossy:true [ 0; 1; 4; 3; 2; 6 ] in
-  List.iter
-    (fun csa ->
-      let on_fw =
-        Csa.restore
-          ~oracle:(Distance_oracle.floyd_warshall ())
-          spec2 (Csa.snapshot csa)
-      in
-      Alcotest.(check string)
-        "restored onto the reference oracle" "floyd-warshall"
-        (Csa.oracle_name on_fw);
-      check_pairwise_equal "agdp -> fw" csa on_fw;
-      (* and back: a snapshot taken on the reference implementation
-         restores under the default AGDP oracle unchanged *)
-      let back = Csa.restore spec2 (Csa.snapshot on_fw) in
-      check_pairwise_equal "fw -> agdp" on_fw back)
-    [ a; b ]
+  let continue ~validate =
+    let a = Csa.restore ~validate spec2 (Csa.snapshot a) in
+    let b = Csa.restore ~validate spec2 (Csa.snapshot b) in
+    List.iter
+      (fun (m, _) ->
+        Csa.on_msg_lost a ~msg:m;
+        Csa.on_msg_lost b ~msg:m)
+      (Csa.inflight a @ Csa.inflight b);
+    let p = Csa.send a ~dst:1 ~msg:100 ~lt:(q 1000) in
+    Csa.receive b ~msg:100 ~lt:(q 1003) p;
+    Csa.on_msg_delivered a ~msg:100;
+    let p' = Csa.send b ~dst:0 ~msg:101 ~lt:(q 1010) in
+    Csa.receive a ~msg:101 ~lt:(q 1012) p';
+    Csa.on_msg_delivered b ~msg:101;
+    ( [ Codec.encode p; Codec.encode p'; Csa.snapshot a; Csa.snapshot b ],
+      [ a; b ] )
+  in
+  let plain_bytes, plain = continue ~validate:false in
+  let checked_bytes, checked = continue ~validate:true in
+  Alcotest.(check (list string)) "same payloads and snapshots" plain_bytes
+    checked_bytes;
+  List.iter2
+    (fun x y ->
+      Alcotest.(check bool) "estimates agree" true
+        (Interval.equal (Csa.estimate x) (Csa.estimate y));
+      let ids = Csa.live_event_ids x in
+      List.iter
+        (fun i ->
+          List.iter
+            (fun j ->
+              Alcotest.(check bool) "distances agree" true
+                (Ext.equal (Csa.dist_between x i j) (Csa.dist_between y i j)))
+            ids)
+        ids)
+    plain checked
 
 let test_restore_continues_lossy () =
   (* one a → b message and one b → a reply, both still in flight; after
@@ -226,8 +225,8 @@ let () =
           Alcotest.test_case "payload codec fuzz" `Quick test_payload_codec_fuzz;
           Alcotest.test_case "restore continues a lossy run" `Quick
             test_restore_continues_lossy;
-          Alcotest.test_case "cross-oracle restore (agdp <-> fw)" `Quick
-            test_cross_oracle_restore;
+          Alcotest.test_case "validated restore continues a lossy run" `Quick
+            test_validated_restore_continues;
         ] );
       qsuite "props" [ prop_snapshot_round_trip ];
     ]
