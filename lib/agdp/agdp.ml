@@ -1,15 +1,33 @@
 exception Negative_cycle
 
 (* The live nodes occupy slots [0 .. count-1].  Exact pairwise distances
-   of the accumulated graph live in one flat row-major array [d] of
+   of the accumulated graph live in one flat row-major matrix of
    [cap * cap] cells (stride [cap]), so the O(L²) insert loop is index
    arithmetic on a single block instead of chasing a row pointer per
-   access.  Cells hold plain [Q.t] values; "no path" is the out-of-band
-   [Q.sentinel] marker, tested in O(1) without allocating an [Ext.t] per
-   relaxation.  [kill] swaps the victim's slot with the last one, so the
-   matrix stays compact.  The matrix doubles in capacity when full. *)
+   access.  [kill] swaps the victim's slot with the last one, so the
+   matrix stays compact.  The matrix doubles in capacity when full.
+
+   The matrix has two numeric representations (DESIGN.md Section 11):
+
+   - the lattice: while every weight seen lies in (1/scale)·Z for a
+     scale at most [max_scale], cell [c] is the native int [c·scale],
+     "no path" is [no_path], and a relaxation is one int add and one
+     compare.  The scale is the lcm of the weight denominators seen so
+     far; a weight with a new denominator grows it and rescales the
+     cells.  The cells, and every sum the insert forms, stay within
+     ±[max_cell], so no int operation below can overflow.
+   - the exact matrix: [Q.t] cells (no path is the out-of-band
+     [Q.sentinel]) with float bound planes that let the float tier reject
+     most candidates without touching a rational.
+
+   The first weight off the lattice, a scale beyond [max_scale], or a
+   cell or sum beyond ±[max_cell] promotes the structure, for good, to
+   the exact matrix.  [scale = 0] marks a promoted structure; exactly one
+   of [c] and [d]/[dlo]/[dhi] is in use, the other is empty. *)
 type t = {
-  mutable d : Q.t array; (* cap * cap, row-major *)
+  mutable scale : int; (* lattice denominator; 0 once promoted *)
+  mutable c : int array; (* lattice cells, cap * cap, row-major *)
+  mutable d : Q.t array; (* exact cells, cap * cap, row-major *)
   mutable dlo : float array; (* lower bound plane: dlo.(i) <= d.(i) *)
   mutable dhi : float array; (* upper bound plane: d.(i) <= dhi.(i) *)
   mutable cap : int;
@@ -24,6 +42,14 @@ type t = {
 let initial_capacity = 8
 let inf = Q.sentinel
 let is_inf = Q.is_sentinel
+let no_path = max_int
+let max_cell = (1 lsl 61) - 1
+let max_scale = 1 lsl 40
+
+(* Raised inside the lattice insert, before anything is committed, when
+   the insert cannot stay on the lattice; [insert] then promotes and
+   runs the exact insert instead. *)
+exception Off_lattice
 
 (* Same primitive the stdlib's [Float.pred] wraps, declared unboxed so
    the hot loop below can round a bound outward without boxing the
@@ -32,22 +58,27 @@ external next_after : float -> float -> float
   = "caml_nextafter_float" "caml_nextafter"
 [@@unboxed] [@@noalloc]
 
-let create ?(sink = Trace.null) () =
+let make ~cap ~count ~relax_count ~peak ~sink =
   {
-    d = Array.make (initial_capacity * initial_capacity) inf;
-    dlo = Array.make (initial_capacity * initial_capacity) Float.nan;
-    dhi = Array.make (initial_capacity * initial_capacity) Float.nan;
-    cap = initial_capacity;
-    keys = Array.make initial_capacity (-1);
-    slot_of = Hashtbl.create 16;
-    count = 0;
-    relax_count = 0;
-    peak = 0;
+    scale = 1;
+    c = Array.make (cap * cap) no_path;
+    d = [||];
+    dlo = [||];
+    dhi = [||];
+    cap;
+    keys = Array.make cap (-1);
+    slot_of = Hashtbl.create (max 16 count);
+    count;
+    relax_count;
+    peak;
     sink;
   }
 
-(* Every matrix write goes through here so the float bound planes stay
-   in lockstep with the exact cells.  The planes are the
+let create ?(sink = Trace.null) () =
+  make ~cap:initial_capacity ~count:0 ~relax_count:0 ~peak:0 ~sink
+
+(* Every exact-matrix write goes through here so the float bound planes
+   stay in lockstep with the exact cells.  The planes are the
    structure-of-arrays face of Q's enclosures: the Phase-3 loop reads
    them as contiguous unboxed floats instead of chasing each cell's
    rational.  A sentinel cell gets NaN bounds (Q.Approx.lo/hi of the
@@ -63,6 +94,7 @@ let size t = t.count
 let capacity t = t.cap
 let relaxations t = t.relax_count
 let peak_size t = t.peak
+let scale t = if t.scale > 0 then Some t.scale else None
 
 let live_keys t =
   List.init t.count (fun i -> t.keys.(i)) |> List.sort compare
@@ -73,39 +105,207 @@ let slot_exn t key =
   | None ->
     invalid_arg (Printf.sprintf "Agdp: node %d is not live" key)
 
+(* the exact value of cell [idx], whichever representation holds it *)
+let cell t idx =
+  if t.scale > 0 then
+    let v = t.c.(idx) in
+    if v = no_path then Ext.Inf else Ext.Fin (Q.make_ints v t.scale)
+  else
+    let v = t.d.(idx) in
+    if is_inf v then Ext.Inf else Ext.Fin v
+
 let dist t x y =
   let sx = slot_exn t x and sy = slot_exn t y in
-  let v = t.d.((sx * t.cap) + sy) in
-  if is_inf v then Ext.Inf else Ext.Fin v
+  cell t ((sx * t.cap) + sy)
 
-(* Re-stride the matrix and its bound planes into fresh cap'-wide
+(* Re-stride the matrix (and its bound planes) into fresh cap'-wide
    arrays (shared by grow and shrink). *)
 let restride t cap' =
   let cap = t.cap in
-  let d' = Array.make (cap' * cap') inf in
-  let lo' = Array.make (cap' * cap') Float.nan in
-  let hi' = Array.make (cap' * cap') Float.nan in
-  for i = 0 to t.count - 1 do
-    Array.blit t.d (i * cap) d' (i * cap') t.count;
-    Array.blit t.dlo (i * cap) lo' (i * cap') t.count;
-    Array.blit t.dhi (i * cap) hi' (i * cap') t.count
-  done;
+  let move src fill =
+    let dst = Array.make (cap' * cap') fill in
+    for i = 0 to t.count - 1 do
+      Array.blit src (i * cap) dst (i * cap') t.count
+    done;
+    dst
+  in
+  if t.scale > 0 then t.c <- move t.c no_path
+  else begin
+    t.d <- move t.d inf;
+    t.dlo <- move t.dlo Float.nan;
+    t.dhi <- move t.dhi Float.nan
+  end;
   let keys' = Array.make cap' (-1) in
   Array.blit t.keys 0 keys' 0 t.count;
-  t.d <- d';
-  t.dlo <- lo';
-  t.dhi <- hi';
   t.cap <- cap';
   t.keys <- keys'
 
-let grow t = restride t (2 * t.cap)
+(* Take the next slot for [key], growing the matrix when full. *)
+let claim_slot t key =
+  let k = t.count in
+  if k = t.cap then restride t (2 * t.cap);
+  t.count <- k + 1;
+  t.keys.(k) <- key;
+  Hashtbl.replace t.slot_of key k;
+  if t.count > t.peak then t.peak <- t.count;
+  k
 
-(* Relaxation core shared by the Phase-1 and Phase-3 loops: improve
-   [arr.(idx)] with the candidate path [a + b] if it is shorter.  Tier 1
-   decides from the float enclosures (Q.Approx.add_cmp) without building
-   the sum, so the steady-state "candidate does not improve" rejection
-   costs a few flops and never allocates; only actual improvements and
-   inconclusive overlaps pay the exact Bigint addition. *)
+(* One-way switch to the exact matrix: every lattice cell becomes the
+   rational it stands for. *)
+let promote t =
+  let n = t.cap * t.cap in
+  t.d <- Array.make n inf;
+  t.dlo <- Array.make n Float.nan;
+  t.dhi <- Array.make n Float.nan;
+  for i = 0 to t.count - 1 do
+    for j = 0 to t.count - 1 do
+      let idx = (i * t.cap) + j in
+      let v = t.c.(idx) in
+      if v <> no_path then set_cell t idx (Q.make_ints v t.scale)
+    done
+  done;
+  t.c <- [||];
+  t.scale <- 0
+
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+(* The smallest lattice scale that is a multiple of [s] and admits the
+   denominator of [w]. *)
+let widen_scale s w =
+  match Bigint.to_int_opt (Q.den w) with
+  | Some den when den <= max_scale ->
+    if s mod den = 0 then s
+    else
+      let f = den / gcd s den in
+      if s > max_scale / f then raise Off_lattice else s * f
+  | _ -> raise Off_lattice
+
+(* Multiply every live cell by [f], checking all of them before writing
+   any, so an overflow leaves the cells as they were. *)
+let rescale t f =
+  let bound = max_cell / f in
+  for i = 0 to t.count - 1 do
+    for j = 0 to t.count - 1 do
+      let v = t.c.((i * t.cap) + j) in
+      if v <> no_path && (v > bound || v < -bound) then raise Off_lattice
+    done
+  done;
+  for i = 0 to t.count - 1 do
+    for j = 0 to t.count - 1 do
+      let idx = (i * t.cap) + j in
+      let v = t.c.(idx) in
+      if v <> no_path then t.c.(idx) <- v * f
+    done
+  done;
+  t.scale <- t.scale * f
+
+(* [w] in units of 1/[s]; [s] is a multiple of its denominator. *)
+let to_cell s w =
+  match Bigint.to_int_opt (Q.num w), Bigint.to_int_opt (Q.den w) with
+  | Some n, Some den ->
+    let m = s / den in
+    if n > max_cell / m || n < -(max_cell / m) then raise Off_lattice
+    else n * m
+  | _ -> raise Off_lattice
+
+(* [a + b] for two in-range cells, or [Off_lattice] when the sum leaves
+   the range (the add itself cannot overflow: |a|, |b| <= 2^61 - 1) *)
+let checked_add a b =
+  let s = a + b in
+  if s > max_cell || s < -max_cell then raise Off_lattice else s
+
+(* The insert on the lattice: the same three phases as [insert_exact]
+   below, over native ints.  Everything before [claim_slot] is read-only
+   apart from a rescale, which keeps every distance's value; so an
+   [Off_lattice] or [Negative_cycle] raised there leaves the structure
+   as it was.  Past [claim_slot] nothing can fail: the range check ahead
+   of Phase 3 bounds every sum it forms. *)
+let insert_lattice t ~key ~in_edges ~out_edges =
+  let s =
+    List.fold_left (fun s (_, w) -> widen_scale s w) t.scale
+      (List.rev_append in_edges out_edges)
+  in
+  if s <> t.scale then rescale t (s / t.scale);
+  let in_edges = List.map (fun (a, w) -> (a, to_cell s w)) in_edges
+  and out_edges = List.map (fun (b, w) -> (b, to_cell s w)) out_edges in
+  let k = t.count in
+  let c = t.c and cap = t.cap in
+  let relaxed = ref 0 in
+  let col = Array.make (max k 1) no_path in (* col.(i) = d(i, k) *)
+  let row = Array.make (max k 1) no_path in (* row.(i) = d(k, i) *)
+  for i = 0 to k - 1 do
+    let base = i * cap in
+    List.iter
+      (fun (a, w) ->
+        incr relaxed;
+        let dia = Array.unsafe_get c (base + a) in
+        if dia <> no_path then begin
+          let v = checked_add dia w in
+          if v < col.(i) then col.(i) <- v
+        end)
+      in_edges;
+    List.iter
+      (fun (b, w) ->
+        incr relaxed;
+        let dbi = Array.unsafe_get c ((b * cap) + i) in
+        if dbi <> no_path then begin
+          let v = checked_add w dbi in
+          if v < row.(i) then row.(i) <- v
+        end)
+      out_edges
+  done;
+  (* Phase 2, tracking the extremes of col and row on the way *)
+  let col_lo = ref 0 and col_hi = ref 0 and row_lo = ref 0 and row_hi = ref 0 in
+  for i = 0 to k - 1 do
+    incr relaxed;
+    let ci = col.(i) and ri = row.(i) in
+    if ci <> no_path && ri <> no_path && ci + ri < 0 then raise Negative_cycle;
+    if ci <> no_path then begin
+      if ci < !col_lo then col_lo := ci;
+      if ci > !col_hi then col_hi := ci
+    end;
+    if ri <> no_path then begin
+      if ri < !row_lo then row_lo := ri;
+      if ri > !row_hi then row_hi := ri
+    end
+  done;
+  (* every Phase-3 candidate is some col.(i) + row.(j), so the sums of
+     the extremes bound them all *)
+  if !col_lo + !row_lo < -max_cell || !col_hi + !row_hi > max_cell then
+    raise Off_lattice;
+  (* Phase 3: commit *)
+  let k = claim_slot t key in
+  let c = t.c and cap = t.cap in
+  let krow = k * cap in
+  for i = 0 to k - 1 do
+    c.(krow + i) <- row.(i);
+    c.((i * cap) + k) <- col.(i)
+  done;
+  c.(krow + k) <- 0;
+  for i = 0 to k - 1 do
+    let dik = Array.unsafe_get col i in
+    if dik <> no_path then begin
+      let base = i * cap in
+      relaxed := !relaxed + k;
+      for j = 0 to k - 1 do
+        let dkj = Array.unsafe_get c (krow + j) in
+        if dkj <> no_path then begin
+          let v = dik + dkj in
+          if v < Array.unsafe_get c (base + j) then
+            Array.unsafe_set c (base + j) v
+        end
+      done
+    end
+  done;
+  !relaxed
+
+(* Relaxation core shared by the exact Phase-1 and Phase-3 loops:
+   improve [arr.(idx)] with the candidate path [a + b] if it is shorter.
+   Tier 1 decides from the float enclosures (Q.Approx.add_cmp) without
+   building the sum, so the steady-state "candidate does not improve"
+   rejection costs a few flops and never allocates; only actual
+   improvements and inconclusive overlaps pay the exact Bigint
+   addition. *)
 let relax arr idx a b =
   let cur = Array.unsafe_get arr idx in
   if is_inf cur then Array.unsafe_set arr idx (Q.add a b)
@@ -117,15 +317,7 @@ let relax arr idx a b =
       if Q.compare cand cur < 0 then Array.unsafe_set arr idx cand
     end
 
-let insert t ~key ~in_edges ~out_edges =
-  if mem t key then
-    invalid_arg (Printf.sprintf "Agdp.insert: duplicate key %d" key);
-  List.iter
-    (fun (x, _) ->
-      if x = key then invalid_arg "Agdp.insert: self-loop edge")
-    (in_edges @ out_edges);
-  let in_edges = List.map (fun (x, w) -> (slot_exn t x, w)) in_edges
-  and out_edges = List.map (fun (y, w) -> (slot_exn t y, w)) out_edges in
+let insert_exact t ~key ~in_edges ~out_edges =
   let k = t.count in
   let d = t.d and cap = t.cap in
   let relaxed = ref 0 in
@@ -167,12 +359,8 @@ let insert t ~key ~in_edges ~out_edges =
     end
   done;
   (* Phase 3: commit; no failure can occur past this point. *)
-  if k = t.cap then grow t;
+  let k = claim_slot t key in
   let d = t.d and cap = t.cap in
-  t.count <- k + 1;
-  t.keys.(k) <- key;
-  Hashtbl.replace t.slot_of key k;
-  if t.count > t.peak then t.peak <- t.count;
   let krow = k * cap in
   for i = 0 to k - 1 do
     set_cell t (krow + i) (Array.unsafe_get row i);
@@ -183,16 +371,15 @@ let insert t ~key ~in_edges ~out_edges =
      negative: phase 2 ruled out negative cycles through k, and the
      committed matrix had none.
 
-     This is the hot loop of the whole structure, and it runs on the
-     float bound planes: the candidate i ⇝ k ⇝ j fails to improve
-     d(i, j) whenever a lower bound on dik + dkj clears d(i, j)'s upper
-     bound, which is three contiguous unboxed float loads and a 2Sum —
-     no rational is even dereferenced.  The 2Sum recovers the exact
-     rounding error of the float addition (one outward ulp only when it
-     is inexact), so ties are rejected too.  NaN plane entries (no-path
-     cells, including the whole untouched row k tail) fail the
-     comparison and fall through to the exact path, as does everything
-     when the fast tier is disabled. *)
+     On this path the loop runs on the float bound planes: the candidate
+     i ⇝ k ⇝ j fails to improve d(i, j) whenever a lower bound on
+     dik + dkj clears d(i, j)'s upper bound, which is three contiguous
+     unboxed float loads and a 2Sum — no rational is even dereferenced.
+     The 2Sum recovers the exact rounding error of the float addition
+     (one outward ulp only when it is inexact), so ties are rejected
+     too.  NaN plane entries (no-path cells, including the whole
+     untouched row k tail) fail the comparison and fall through to the
+     exact path, as does everything when the fast tier is disabled. *)
   let dlo = t.dlo and dhi = t.dhi in
   let fast = Q.Approx.enabled () in
   for i = 0 to k - 1 do
@@ -226,7 +413,27 @@ let insert t ~key ~in_edges ~out_edges =
       done
     end
   done;
-  t.relax_count <- t.relax_count + !relaxed;
+  !relaxed
+
+let insert t ~key ~in_edges ~out_edges =
+  if mem t key then
+    invalid_arg (Printf.sprintf "Agdp.insert: duplicate key %d" key);
+  List.iter
+    (fun (x, _) ->
+      if x = key then invalid_arg "Agdp.insert: self-loop edge")
+    (in_edges @ out_edges);
+  let in_edges = List.map (fun (x, w) -> (slot_exn t x, w)) in_edges
+  and out_edges = List.map (fun (y, w) -> (slot_exn t y, w)) out_edges in
+  let relaxed =
+    if t.scale = 0 then insert_exact t ~key ~in_edges ~out_edges
+    else
+      match insert_lattice t ~key ~in_edges ~out_edges with
+      | r -> r
+      | exception Off_lattice ->
+        promote t;
+        insert_exact t ~key ~in_edges ~out_edges
+  in
+  t.relax_count <- t.relax_count + relaxed;
   Trace.emit t.sink (Trace.Oracle_insert { key; live = t.count })
 
 type snapshot = {
@@ -238,48 +445,70 @@ type snapshot = {
 
 let snapshot t =
   let n = t.count in
-  let dist = Array.make (n * n) Ext.Inf in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      let v = t.d.((i * t.cap) + j) in
-      if not (is_inf v) then dist.((i * n) + j) <- Ext.Fin v
-    done
-  done;
   {
     s_keys = Array.sub t.keys 0 n;
-    s_dist = dist;
+    s_dist = Array.init (n * n) (fun x -> cell t (((x / n) * t.cap) + (x mod n)));
     s_relaxations = t.relax_count;
     s_peak = t.peak;
   }
 
-let restore ?(sink = Trace.null) s =
-  let count = Array.length s.s_keys in
-  if Array.length s.s_dist <> count * count then
+(* Rejects a snapshot no insert/kill sequence can produce: repeated
+   keys, a diagonal other than 0, or a negative 2-cycle. *)
+let check_snapshot s =
+  let n = Array.length s.s_keys in
+  if Array.length s.s_dist <> n * n then
     invalid_arg "Agdp.restore: distance matrix size mismatch";
+  let seen = Hashtbl.create (max 16 n) in
+  Array.iter
+    (fun key ->
+      if Hashtbl.mem seen key then
+        invalid_arg (Printf.sprintf "Agdp.restore: duplicate key %d" key);
+      Hashtbl.replace seen key ())
+    s.s_keys;
+  for i = 0 to n - 1 do
+    (match s.s_dist.((i * n) + i) with
+    | Ext.Fin q when Q.is_zero q -> ()
+    | _ -> invalid_arg "Agdp.restore: non-zero diagonal");
+    for j = i + 1 to n - 1 do
+      match s.s_dist.((i * n) + j), s.s_dist.((j * n) + i) with
+      | Ext.Fin a, Ext.Fin b when Q.sign (Q.add a b) < 0 ->
+        invalid_arg "Agdp.restore: negative cycle"
+      | _ -> ()
+    done
+  done
+
+let restore ?(sink = Trace.null) s =
+  check_snapshot s;
+  let count = Array.length s.s_keys in
   let cap = max initial_capacity count in
   let t =
-    {
-      d = Array.make (cap * cap) inf;
-      dlo = Array.make (cap * cap) Float.nan;
-      dhi = Array.make (cap * cap) Float.nan;
-      cap;
-      keys = Array.make cap (-1);
-      slot_of = Hashtbl.create (max 16 count);
-      count;
-      relax_count = s.s_relaxations;
-      peak = s.s_peak;
-      sink;
-    }
+    make ~cap ~count ~relax_count:s.s_relaxations ~peak:s.s_peak ~sink
   in
   Array.blit s.s_keys 0 t.keys 0 count;
   Array.iteri (fun i key -> Hashtbl.replace t.slot_of key i) s.s_keys;
-  for i = 0 to count - 1 do
-    for j = 0 to count - 1 do
-      match s.s_dist.((i * count) + j) with
-      | Ext.Inf -> ()
-      | Ext.Fin q -> set_cell t ((i * cap) + j) q
-    done
-  done;
+  let place x = ((x / count) * cap) + (x mod count) in
+  (* learn the lattice from the distances themselves; the original
+     structure's scale may have been a multiple of it *)
+  (match
+     let sc =
+       Array.fold_left
+         (fun sc v -> match v with Ext.Fin q -> widen_scale sc q | Ext.Inf -> sc)
+         1 s.s_dist
+     in
+     ( sc,
+       Array.map
+         (function Ext.Fin q -> to_cell sc q | Ext.Inf -> no_path)
+         s.s_dist )
+   with
+  | sc, cells ->
+    t.scale <- sc;
+    Array.iteri (fun x v -> t.c.(place x) <- v) cells
+  | exception Off_lattice ->
+    promote t;
+    Array.iteri
+      (fun x v ->
+        match v with Ext.Fin q -> set_cell t (place x) q | Ext.Inf -> ())
+      s.s_dist);
   t
 
 (* Halve the matrix when occupancy drops to a quarter (floor at the
@@ -291,38 +520,38 @@ let shrink t =
   let cap' = Stdlib.max initial_capacity (t.cap / 2) in
   if cap' < t.cap then restride t cap'
 
+(* Move the last slot into [s] (row blit, then column copy — at i = s
+   the column copy also lands the diagonal d(last,last) in d(s,s)),
+   then scrub the last slot to [fill]. *)
+let move_last arr ~cap ~s ~last fill =
+  if s <> last then begin
+    Array.blit arr (last * cap) arr (s * cap) (last + 1);
+    for i = 0 to last do
+      arr.((i * cap) + s) <- arr.((i * cap) + last)
+    done
+  end;
+  for i = 0 to last do
+    arr.((last * cap) + i) <- fill;
+    arr.((i * cap) + last) <- fill
+  done
+
 let kill t key =
   let s = slot_exn t key in
   let last = t.count - 1 in
-  let d = t.d and dlo = t.dlo and dhi = t.dhi and cap = t.cap in
+  let cap = t.cap in
+  if t.scale > 0 then move_last t.c ~cap ~s ~last no_path
+  else begin
+    (* scrubbing the dead slot lets its rationals be reclaimed; the
+       bound planes move in lockstep *)
+    move_last t.d ~cap ~s ~last inf;
+    move_last t.dlo ~cap ~s ~last Float.nan;
+    move_last t.dhi ~cap ~s ~last Float.nan
+  end;
   if s <> last then begin
-    (* move the last slot into s: row blit, then column copy — at i = s
-       the column copy also lands the diagonal d(last,last) in d(s,s);
-       the bound planes move in lockstep *)
-    Array.blit d (last * cap) d (s * cap) (last + 1);
-    Array.blit dlo (last * cap) dlo (s * cap) (last + 1);
-    Array.blit dhi (last * cap) dhi (s * cap) (last + 1);
-    for i = 0 to last do
-      let src = (i * cap) + last and dst = (i * cap) + s in
-      d.(dst) <- d.(src);
-      dlo.(dst) <- dlo.(src);
-      dhi.(dst) <- dhi.(src)
-    done;
     let moved_key = t.keys.(last) in
     t.keys.(s) <- moved_key;
     Hashtbl.replace t.slot_of moved_key s
   end;
-  (* scrub the dead slot so its rationals can be reclaimed *)
-  let lrow = last * cap in
-  for i = 0 to last do
-    d.(lrow + i) <- inf;
-    dlo.(lrow + i) <- Float.nan;
-    dhi.(lrow + i) <- Float.nan;
-    let ci = (i * cap) + last in
-    d.(ci) <- inf;
-    dlo.(ci) <- Float.nan;
-    dhi.(ci) <- Float.nan
-  done;
   t.keys.(last) <- -1;
   Hashtbl.remove t.slot_of key;
   t.count <- last;

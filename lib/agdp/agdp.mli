@@ -9,7 +9,18 @@
     of live nodes (Lemma 3.5), using the incremental all-pairs update of
     Ausiello et al.
 
-    Nodes are identified by client-chosen integer keys. *)
+    Nodes are identified by client-chosen integer keys.
+
+    Distances are exact on one of two numeric paths, chosen from the
+    input (DESIGN.md Section 11).  While every weight lies in
+    [(1/D)·Z] for a learned [D] (the lcm of the weight denominators seen,
+    at most [2^40]) and every distance and candidate sum within
+    [±(2^61 − 1)/D], the matrix holds native ints [d·D] — a
+    relaxation is one int add and one compare.  The first input that
+    does not fit promotes the structure, once and for good, to exact
+    {!Q.t} cells with a float enclosure tier.  Both paths give identical
+    answers, relaxation counts and snapshots; {!scale} tells which one
+    is running. *)
 
 type t
 
@@ -36,7 +47,9 @@ val insert :
     was before the call — the new node's row and column are validated
     against the committed matrix before any mutation, so after catching
     either exception [size], [live_keys], [dist], and [relaxations] are
-    all unchanged and the structure remains fully usable.
+    all unchanged and the structure remains fully usable.  (A rejected
+    insert may still have grown {!scale} or promoted the structure; both
+    keep every distance's value.)
     @raise Invalid_argument on duplicate keys, self-loops, or dead/unknown
     endpoints.
     @raise Negative_cycle when the insertion would create a
@@ -75,6 +88,12 @@ val peak_size : t -> int
 (** Maximum number of live nodes ever held — the space measure for
     Theorem 3.6's [O(L²)] claim. *)
 
+val scale : t -> int option
+(** [Some d] while the distances are held as native multiples of [1/d]
+    (the lattice path), [None] once the structure has promoted to exact
+    rationals.  Read-only: promotion happens inside {!insert} and
+    {!restore}, never on request. *)
+
 (** {1 Snapshots}
 
     The full state of the structure, for crash-recovery persistence
@@ -92,4 +111,13 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
+(** Exact values on either numeric path, so a snapshot does not say
+    which path took it. *)
+
 val restore : ?sink:Trace.sink -> snapshot -> t
+(** Relearns the lattice from the snapshot's own distances, so the
+    restored [scale] may be a divisor of the original's.
+    @raise Invalid_argument when the snapshot cannot come from any
+    insert/kill sequence: a matrix of the wrong size, a repeated key, a
+    diagonal cell other than [0], or a pair with
+    [d(i, j) + d(j, i) < 0]. *)

@@ -23,6 +23,7 @@ let peak_live_count t = t.peak_live
 let history_size t = History.h_size t.hist
 let peak_history_size t = History.peak_h_size t.hist
 let oracle_relaxations t = Agdp.relaxations t.agdp
+let oracle_scale t = Agdp.scale t.agdp
 let events_processed t = t.processed
 let events_reported t = History.events_reported t.hist
 let known_upto t w = History.known_upto t.hist w
@@ -495,12 +496,16 @@ let restore_reader ?(validate = false) ?(sink = Trace.null)
   let s_peak_agdp = Codec.read_varint r in
   if not (Codec.at_end r) then failwith "Csa.restore: trailing bytes";
   let gs = { Agdp.s_keys; s_dist; s_relaxations; s_peak = s_peak_agdp } in
+  let agdp =
+    try Agdp.restore ~sink gs
+    with Invalid_argument m -> failwith ("Csa.restore: " ^ m)
+  in
   let t =
     {
       spec;
       me;
       hist;
-      agdp = Agdp.restore ~sink gs;
+      agdp;
       shadow = (if validate then Some (Fw_oracle.restore gs) else None);
       prof;
       sink;

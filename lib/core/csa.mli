@@ -124,6 +124,10 @@ val oracle_relaxations : t -> int
 (** The AGDP structure's cumulative relaxation count (its
     machine-independent work measure; see {!Agdp.relaxations}). *)
 
+val oracle_scale : t -> int option
+(** The AGDP structure's lattice scale ({!Agdp.scale}): [None] once an
+    off-lattice weight has promoted it to exact rationals. *)
+
 val events_processed : t -> int
 val events_reported : t -> int
 val live_event_ids : t -> Event.id list

@@ -9,9 +9,11 @@ type t = {
   mutable last_now : Q.t;
 }
 
-(* exact microseconds: floats in this range hold integers exactly, and
-   the quotient stays well inside 63-bit ints *)
-let q_of_wall f = Q.of_ints (int_of_float (f *. 1e6)) 1_000_000
+(* whole ticks (Clock.tick, 1 µs), truncated: floats in this range hold
+   integers exactly, and the quotient stays well inside 63-bit ints *)
+let q_of_wall f =
+  let per_s = Clock.ticks_per_second in
+  Q.of_ints (int_of_float (f *. float_of_int per_s)) per_s
 
 (* Local times are process-relative, not Unix-epoch: wall readings are
    rebased to a per-process epoch fixed at the first reading.  Epochs

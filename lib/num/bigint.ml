@@ -275,7 +275,9 @@ let to_int_opt x =
       then ok := false;
       v := Int64.add shifted (Int64.of_int x.mag.(i))
     done;
-    if not !ok then None
+    (* a magnitude of 2^63 or more passes the shift check but lands on
+       Int64's sign bit *)
+    if (not !ok) || Int64.compare !v 0L < 0 then None
     else
       let v = if x.sign < 0 then Int64.neg !v else !v in
       let i = Int64.to_int v in

@@ -54,7 +54,7 @@ let approx n d =
 
 let mk_raw n d = { n; d; ap = approx n d }
 
-let make num den =
+let make_big num den =
   if B.is_zero den then raise Division_by_zero
   else if B.is_zero num then mk_raw B.zero B.one
   else begin
@@ -107,7 +107,7 @@ let make_ints n d =
   if d = 0 then raise Division_by_zero
   else if n = 0 then zero
   else if n = Stdlib.min_int || d = Stdlib.min_int then
-    make (B.of_int n) (B.of_int d)
+    make_big (B.of_int n) (B.of_int d)
   else begin
     let n, d = if d < 0 then (-n, -d) else (n, d) in
     let g = igcd (Stdlib.abs n) d in
@@ -115,6 +115,14 @@ let make_ints n d =
   end
 
 let of_ints n d = make_ints n d
+
+(* Terms that fit native ints reduce by the native gcd: a bigint gcd
+   runs Euclid on limb arrays, an allocating division per step, and
+   costs microseconds where the native one costs nanoseconds. *)
+let make num den =
+  match B.to_int_opt num, B.to_int_opt den with
+  | Some n, Some d -> make_ints n d
+  | _ -> make_big num den
 
 (* Sum of two single-limb rationals entirely in native ints: magnitudes
    are below 2^30, so the cross products stay below 2^60 and the

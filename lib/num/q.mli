@@ -12,7 +12,8 @@ val one : t
 val minus_one : t
 
 val make : Bigint.t -> Bigint.t -> t
-(** [make num den] is the normalized rational [num/den].
+(** [make num den] is the normalized rational [num/den]; terms that fit
+    native ints reduce through {!make_ints}.
     @raise Division_by_zero when [den] is zero. *)
 
 val of_bigint : Bigint.t -> t

@@ -1,5 +1,35 @@
 type policy = [ `Fixed of Q.t | `Random | `Adversarial | `Sawtooth of int ]
 
+let ticks_per_second = 1_000_000
+let tick = Q.of_ints 1 ticks_per_second
+
+(* [lt] rounded to a whole tick toward -inf ([up = false]) or +inf; a
+   reading that is already a whole tick comes back physically unchanged.
+   Native ints whenever the scaled numerator fits (every simulator
+   reading), [Bigint] otherwise.  Both divisions truncate toward zero,
+   so the remainder's sign says which way to step. *)
+let round_tick ~up lt =
+  let step q r =
+    if up then if r > 0 then q + 1 else q else if r < 0 then q - 1 else q
+  in
+  let num = Q.num lt and den = Q.den lt in
+  match Bigint.to_int_opt num, Bigint.to_int_opt den with
+  | Some n, Some d when abs n <= max_int / ticks_per_second ->
+    let m = n * ticks_per_second in
+    let r = m mod d in
+    if r = 0 then lt else Q.make_ints (step (m / d) r) ticks_per_second
+  | _ ->
+    let q, r = Bigint.divmod (Bigint.mul_int num ticks_per_second) den in
+    let s = Bigint.sign r in
+    if s = 0 then lt
+    else
+      Q.make
+        (Bigint.add_int q (step 0 s))
+        (Bigint.of_int ticks_per_second)
+
+let floor_tick = round_tick ~up:false
+let ceil_tick = round_tick ~up:true
+
 (* Segments are delimited by LOCAL duration, not real duration: the local
    boundary readings form an exact arithmetic progression (tiny rational
    denominators), and the real boundaries accumulate as sums
@@ -92,3 +122,8 @@ let rt_of_lt t lt =
     | None -> invalid_arg "Clock.rt_of_lt: local time before clock start"
   in
   Q.add seg.rt0 (Q.mul (Q.sub lt seg.lt0) seg.inv_rate)
+
+let tick_at_or_after t rt =
+  let lt = lt_of_rt t rt in
+  let up = ceil_tick lt in
+  if up == lt then rt else rt_of_lt t up

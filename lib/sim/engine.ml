@@ -50,6 +50,13 @@ type sim_event =
       app : app;
       sent_at : Q.t; (* send real time, for the in-flight sever check *)
     }
+  | Send of {
+      src : Event.proc;
+      dst : Event.proc;
+      app : app;
+      msg : int;
+      verdict : Transport.decision;
+    }  (* a send waiting for [src]'s next whole tick *)
   | Lost_notify of { msg : int }
   | Link_heal of { u : Event.proc; v : Event.proc }
   | Poll of { p : Event.proc }
@@ -226,13 +233,16 @@ let partitioned st ~src ~dst =
       (fun (_, island) -> List.mem src island <> List.mem dst island)
       f.partitions
 
-let send st ~src ~dst ~app =
-  if is_down st src then ()
+(* The CSA-visible half of a send, on a whole tick of [src]'s clock:
+   the payload, the write-ahead checkpoint, the trace, and the agenda
+   entry for the transport's verdict. *)
+let emit_send st ~src ~dst ~app ~msg verdict =
+  if is_down st src then
+    (* crashed while the send waited for its tick: it never left *)
+    ()
   else begin
     let node = st.nodes.(src) in
     let lt = lt_now st node in
-    let msg = st.next_msg in
-    st.next_msg <- msg + 1;
     let env, n_events = Node_rt.prepare_send node ~dst ~msg ~lt in
     (* the payload that just left carries src's own events: they must be
        durable before anything downstream can depend on them *)
@@ -247,9 +257,6 @@ let send st ~src ~dst ~app =
            events = n_events;
            bytes = String.length env.Node_rt.wire;
          });
-    (* [seq] counts this send: the metrics sink has already seen it *)
-    let seq = Metrics.sends st.metrics in
-    let verdict = Transport.send st.transport ~now:st.now ~seq ~src ~dst in
     (* a partition or a cut link overrides the transport verdict but
        never skips it: the random stream stays aligned with an
        unperturbed run *)
@@ -264,6 +271,23 @@ let send st ~src ~dst ~app =
     | Transport.Deliver_at at ->
       Heap.push st.agenda ~at
         (Deliver { msg; src; dst; env; app; sent_at = st.now })
+  end
+
+(* [src] sends at its first whole tick at or after now: at once when
+   its clock shows a whole tick, otherwise from the agenda less than a
+   tick later.  The transport's draws happen here either way, so they
+   come in the same order as without alignment; [seq] is the 1-based
+   send attempt number. *)
+let send st ~src ~dst ~app =
+  if not (is_down st src) then begin
+    let msg = st.next_msg in
+    st.next_msg <- msg + 1;
+    let at = Clock.tick_at_or_after st.nodes.(src).Node_rt.clock st.now in
+    let verdict =
+      Transport.send st.transport ~now:at ~seq:(msg + 1) ~src ~dst
+    in
+    if Q.equal at st.now then emit_send st ~src ~dst ~app ~msg verdict
+    else Heap.push st.agenda ~at (Send { src; dst; app; msg; verdict })
   end
 
 let deliver st ~msg ~src ~dst ~env ~app ~sent_at =
@@ -375,7 +399,10 @@ let fault_ev st (ev : Fault.Injection.event) =
   | Fault.Injection.Crash { node; _ } | Fault.Injection.Leave { node; _ } ->
     crash st node
   | Fault.Injection.Restart { node; _ } | Fault.Injection.Join { node; _ } ->
-    restart st node
+    (* the node boots on a whole tick of its clock *)
+    let at = Clock.tick_at_or_after st.nodes.(node).Node_rt.clock st.now in
+    if Q.equal at st.now then restart st node
+    else Heap.push st.agenda ~at (Fault_ev ev)
   | Fault.Injection.Partition { heal; island; _ } -> (
     match st.frt with
     | None -> ()
@@ -399,8 +426,9 @@ let link_heal st ~u ~v =
     ()
 
 let schedule_local st node ~after_lt ev =
-  (* fire when the node's clock shows (now_lt + after_lt) *)
-  let target_lt = Q.add (lt_now st node) after_lt in
+  (* fire when the node's clock shows (now_lt + after_lt), rounded up
+     to a whole tick *)
+  let target_lt = Clock.ceil_tick (Q.add (lt_now st node) after_lt) in
   let rt = Clock.rt_of_lt node.Node_rt.clock target_lt in
   Heap.push st.agenda ~at:(Q.max rt st.now) ev
 
@@ -504,7 +532,9 @@ let bootstrap st =
       (fun (node : Node_rt.t) ->
         if node.Node_rt.parents <> [] then begin
           let jitter = Rng.q_between st.rng Q.zero Q.one in
-          Heap.push st.agenda ~at:jitter (Poll { p = node.Node_rt.proc })
+          Heap.push st.agenda
+            ~at:(Clock.tick_at_or_after node.Node_rt.clock jitter)
+            (Poll { p = node.Node_rt.proc })
         end)
       st.nodes
   | Scenario.Gossip _ -> Heap.push st.agenda ~at:Q.zero Gossip_tick
@@ -517,7 +547,9 @@ let bootstrap st =
           && n > 1
         then begin
           let jitter = Rng.q_between st.rng Q.zero Q.one in
-          Heap.push st.agenda ~at:jitter (Burst_check { p = node.Node_rt.proc })
+          Heap.push st.agenda
+            ~at:(Clock.tick_at_or_after node.Node_rt.clock jitter)
+            (Burst_check { p = node.Node_rt.proc })
         end)
       st.nodes
   | Scenario.Script { sends } ->
@@ -596,7 +628,9 @@ let run_nodes (scenario : Scenario.t) =
     end
   in
   let transport =
-    Transport.create scenario.Scenario.spec ~rng ~delay:scenario.Scenario.delay
+    Transport.create scenario.Scenario.spec
+      ~clocks:(Array.map (fun (node : Node_rt.t) -> node.Node_rt.clock) nodes)
+      ~rng ~delay:scenario.Scenario.delay
       ~loss_prob:scenario.Scenario.loss_prob
       ~detect_delay:scenario.Scenario.loss_detect
   in
@@ -657,6 +691,8 @@ let run_nodes (scenario : Scenario.t) =
       match ev with
       | Deliver { msg; src; dst; env; app; sent_at } ->
         deliver st ~msg ~src ~dst ~env ~app ~sent_at
+      | Send { src; dst; app; msg; verdict } ->
+        emit_send st ~src ~dst ~app ~msg verdict
       | Lost_notify { msg } -> lost_notify st ~msg
       | Link_heal { u; v } -> link_heal st ~u ~v
       | Poll { p } -> poll st ~p

@@ -3,9 +3,10 @@
     Substitutes for the distributed testbed the paper assumes (see
     DESIGN.md): exact rational real time, drifting clocks within spec,
     per-message delays within the link's transit bounds (FIFO per directed
-    link), optional loss with a detection oracle (Section 3.3), and a
-    pluggable traffic pattern playing the role of the "send module" of
-    Figure 1.  The synchronization algorithms are passive throughout, as
+    link), every algorithm-visible event on a whole {!Clock.tick} of the
+    acting node's clock (DESIGN.md §4), optional loss with a detection
+    oracle (Section 3.3), and a pluggable traffic pattern playing the role
+    of the "send module" of Figure 1.  The synchronization algorithms are passive throughout, as
     the paper requires.
 
     The engine itself is a thin scheduler over three seams: link behaviour

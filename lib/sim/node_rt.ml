@@ -31,7 +31,7 @@ let create (scenario : Scenario.t) ~rng ~links ~sink p =
   let n = System_spec.n spec in
   let lt0 =
     if p = System_spec.source spec then Q.zero
-    else Rng.q_between rng Q.zero scenario.Scenario.max_offset
+    else Clock.floor_tick (Rng.q_between rng Q.zero scenario.Scenario.max_offset)
   in
   let clock =
     Clock.create ~drift:(System_spec.drift spec p)

@@ -41,7 +41,9 @@ type t = {
   duration : Q.t;  (** real-time horizon *)
   clock_policy : Clock.policy;
   clock_segment : Q.t;  (** local-time length of constant-rate segments *)
-  max_offset : Q.t;  (** initial clock readings drawn from [0, max_offset] *)
+  max_offset : Q.t;
+      (** initial clock readings drawn from [0, max_offset], rounded down
+          to a whole {!Clock.tick} *)
   delay : Transport.delay_policy;
   loss_prob : float;  (** per-message loss probability *)
   loss_detect : Q.t;  (** latency of the loss-detection oracle (§3.3) *)

@@ -165,6 +165,34 @@ let test_kill_shrinks_capacity () =
   Alcotest.(check ext) "reusable after full churn" (fin 0)
     (Agdp.dist t 1000 1000)
 
+let off_lattice = Q.of_ints 7 (1_000_000_000 * 1_048_576)
+
+let test_restore_rejects_inconsistent () =
+  (* three matrices no insert/kill sequence can produce, tried with
+     values on the int lattice and with values off it: restore must
+     refuse each before building anything (a duplicate key used to
+     leave a phantom live node behind after one kill) *)
+  List.iter
+    (fun (unit_, path, lattice) ->
+      let v k = Ext.Fin (Q.mul_int unit_ k) in
+      let snap keys dist =
+        { Agdp.s_keys = keys; s_dist = dist; s_relaxations = 0; s_peak = 2 }
+      in
+      let rejects name s =
+        match Agdp.restore s with
+        | _ -> Alcotest.failf "%s (%s values): accepted" name path
+        | exception Invalid_argument _ -> ()
+      in
+      rejects "duplicate keys" (snap [| 5; 5 |] [| v 0; v 1; v 1; v 0 |]);
+      rejects "negative 2-cycle" (snap [| 1; 2 |] [| v 0; v (-3); v 1; v 0 |]);
+      rejects "non-zero diagonal" (snap [| 1; 2 |] [| v 7; v 1; v 1; v 0 |]);
+      (* the consistent matrix of the same shape restores, onto the path
+         its values call for *)
+      let t = Agdp.restore (snap [| 1; 2 |] [| v 0; v 3; v 1; v 0 |]) in
+      Alcotest.(check bool) (path ^ " path") lattice (Agdp.scale t <> None);
+      Alcotest.(check ext) (path ^ " distance") (v 3) (Agdp.dist t 1 2))
+    [ (Q.one, "lattice", true); (off_lattice, "exact", false) ]
+
 (* Property: drive AGDP with a random insert/kill schedule and compare
    every pairwise distance against Floyd-Warshall on the full accumulated
    graph (the Lemma 3.4 invariant). *)
@@ -240,19 +268,59 @@ let prop_matches_full_graph =
 
 (* Same invariant under fractional weights and churn, run once with the
    float fast tier disabled and once enabled: both tiers must report
-   identical (exact) distances.  Fractional weights make the float sums
-   inexact, exercising the 2Sum tie-handling and the outward-rounded
-   enclosures rather than the integer-exact easy case. *)
+   identical (exact) distances.  Three weight generators steer the
+   numeric path:
+   - [Small]: denominators 1..5, so the structure stays on the int
+     lattice throughout (its scale divides 60), and a snapshot restores
+     onto the lattice again;
+   - [Off_at s]: the same, except that the first edge of insert [s]
+     gets a fleet-like off-lattice term k/(10^9·2^20), whose
+     denominator exceeds the 2^40 scale cap: the structure promotes to
+     exact rationals right there and must keep every distance;
+   - [Huge]: 2^60 plus the small weight, so any two-edge sum leaves
+     ±(2^61 − 1) on every scale: once an insert
+     carries both an in- and an out-edge (a two-edge path through it),
+     the structure must have promoted.
+   On the exact path, fractional weights make the float sums inexact,
+   exercising the 2Sum tie-handling and the outward-rounded enclosures
+   rather than the integer-exact easy case. *)
+type wgen = Small | Off_at of int | Huge
+
+let arbitrary_wgen_schedule =
+  let open QCheck in
+  let wgen =
+    Gen.(
+      frequency
+        [ (2, return Small); (2, map (fun s -> Off_at s) (int_range 0 24));
+          (1, return Huge) ])
+  in
+  pair
+    (make
+       ~print:(function
+         | Small -> "small"
+         | Off_at s -> Printf.sprintf "off-lattice at %d" s
+         | Huge -> "huge")
+       wgen)
+    arbitrary_schedule
+
+let ext_list = Alcotest.list ext
+
 let prop_fractional_matches_full_graph =
   QCheck.Test.make
     ~name:"agdp: fractional weights match Floyd-Warshall with either tier"
-    ~count:60 arbitrary_schedule (fun ops ->
-      let weight u k = Q.of_ints ((u + k) mod 7) (1 + ((u + (2 * k)) mod 5)) in
+    ~count:90 arbitrary_wgen_schedule (fun (wgen, ops) ->
+      let weight u k =
+        let d = 1 + ((u + (2 * k)) mod 5) in
+        match wgen with
+        | Small | Off_at _ -> Q.of_ints ((u + k) mod 7) d
+        | Huge -> Q.add (Q.of_int (1 lsl 60)) (Q.of_ints ((u + k) mod 7) d)
+      in
       let run () =
         let t = Agdp.create () in
         let all_edges = ref [] in
         let live = ref [] in
         let n_nodes = ref 0 in
+        let off_seen = ref false and two_edge = ref false in
         let ok = ref true in
         List.iter
           (fun (ins, outs) ->
@@ -270,6 +338,17 @@ let prop_fractional_matches_full_graph =
             let out_nodes = List.sort_uniq compare (pick outs) in
             let in_edges = List.map (fun x -> (x, weight x k)) in_nodes in
             let out_edges = List.map (fun y -> (y, weight (3 * y) k)) out_nodes in
+            let in_edges, out_edges =
+              match wgen, in_edges, out_edges with
+              | Off_at s, (x, w) :: rest, _ when s = k ->
+                off_seen := true;
+                ((x, Q.add w off_lattice) :: rest, out_edges)
+              | Off_at s, [], (y, w) :: rest when s = k ->
+                off_seen := true;
+                ([], (y, Q.add w off_lattice) :: rest)
+              | _ -> (in_edges, out_edges)
+            in
+            if in_edges <> [] && out_edges <> [] then two_edge := true;
             Agdp.insert t ~key:k ~in_edges ~out_edges;
             List.iter (fun (x, w) -> all_edges := (x, k, w) :: !all_edges) in_edges;
             List.iter (fun (y, w) -> all_edges := (k, y, w) :: !all_edges) out_edges;
@@ -278,6 +357,11 @@ let prop_fractional_matches_full_graph =
             | _ :: victim :: _ when victim mod 3 = 0 ->
               Agdp.kill t victim;
               live := List.filter (fun x -> x <> victim) !live
+            | _ -> ());
+            (match wgen, Agdp.scale t with
+            | Small, None -> ok := false
+            | Off_at _, sc -> if !off_seen <> (sc = None) then ok := false
+            | Huge, Some _ when !two_edge -> ok := false
             | _ -> ());
             let g = Digraph.create !n_nodes in
             List.iter (fun (u, v, w) -> Digraph.add_edge g u v w) !all_edges;
@@ -291,6 +375,20 @@ let prop_fractional_matches_full_graph =
                   !live)
               !live)
           ops;
+        (* on the lattice, a snapshot restores onto the lattice with the
+           same keys and distances, and snapshots again to itself *)
+        (if wgen = Small then
+           let s = Agdp.snapshot t in
+           let t' = Agdp.restore s in
+           let s' = Agdp.snapshot t' in
+           if
+             Agdp.scale t' = None
+             || Agdp.live_keys t' <> Agdp.live_keys t
+             || s'.Agdp.s_keys <> s.Agdp.s_keys
+             || not
+                  (Alcotest.equal ext_list (Array.to_list s'.Agdp.s_dist)
+                     (Array.to_list s.Agdp.s_dist))
+           then ok := false);
         !ok
       in
       let exact_ok =
@@ -326,6 +424,8 @@ let () =
             test_insert_exception_safety;
           Alcotest.test_case "kill shrinks capacity" `Quick
             test_kill_shrinks_capacity;
+          Alcotest.test_case "restore rejects inconsistent snapshots" `Quick
+            test_restore_rejects_inconsistent;
         ] );
       qsuite "props"
         [ prop_matches_full_graph; prop_fractional_matches_full_graph ];

@@ -84,7 +84,16 @@ let test_bigint_to_int () =
   Alcotest.(check (option int)) "min_int" (Some min_int)
     (B.to_int_opt (B.of_int min_int));
   Alcotest.(check (option int)) "too big" None
-    (B.to_int_opt (B.of_string "123456789012345678901234567890"))
+    (B.to_int_opt (B.of_string "123456789012345678901234567890"));
+  (* three limbs whose magnitude reaches Int64's sign bit: 2^63 and
+     1.5·2^63 used to come back as min_int *)
+  List.iter
+    (fun s ->
+      Alcotest.(check (option int)) s None (B.to_int_opt (B.of_string s)))
+    [ "9223372036854775808"; "13835058055282163712"; "-13835058055282163712";
+      "4611686018427387904" ];
+  Alcotest.(check (option int)) "-2^62" (Some min_int)
+    (B.to_int_opt (B.of_string "-4611686018427387904"))
 
 (* --- Bigint properties -------------------------------------------------- *)
 

@@ -244,7 +244,8 @@ let prop_impls_agree =
            ka)
 
 (* an end-to-end run with the oracle cross-check live on every insert *)
-let validate_scenario ?(trace = Trace.null) ?(prof = Prof.null) () =
+let validate_scenario ?(trace = Trace.null) ?(prof = Prof.null)
+    ?(validate_oracle = true) () =
   let spec =
     System_spec.uniform ~n:3 ~source:0 ~drift:(Drift.of_ppm 200)
       ~transit:(Transit.of_q (Scenario.ms 1) (Scenario.ms 10))
@@ -256,27 +257,68 @@ let validate_scenario ?(trace = Trace.null) ?(prof = Prof.null) () =
     with
     Scenario.duration = Scenario.sec 6;
     validate = true;
-    validate_oracle = true;
+    validate_oracle;
     trace;
     prof;
     seed = 17;
   }
 
-let test_engine_validate_oracle () =
+let jsonl_digest run =
   let path = Filename.temp_file "oracle" ".jsonl" in
   let oc = open_out path in
-  let r = Engine.run (validate_scenario ~trace:(Trace.jsonl oc) ()) in
+  let r = run (Trace.jsonl oc) in
   close_out oc;
   let digest = Digest.to_hex (Digest.file path) in
   Sys.remove path;
+  (r, digest)
+
+let test_engine_validate_oracle () =
+  let r, digest =
+    jsonl_digest (fun trace -> Engine.run (validate_scenario ~trace ()))
+  in
+  let _, unchecked =
+    jsonl_digest (fun trace ->
+        Engine.run (validate_scenario ~trace ~validate_oracle:false ()))
+  in
   Alcotest.(check (option int))
     "no estimate divergence" (Some 0) r.Engine.validation_failures;
   Alcotest.(check int) "sound" 0 r.Engine.soundness_failures;
   Alcotest.(check bool) "messages flowed" true (r.Engine.messages_sent > 0);
-  (* the cross-check must change nothing a run emits: this digest of its
-     trace was recorded before the check moved into Csa *)
-  Alcotest.(check string) "trace digest" "788c98d5578a73089fcc53c720361a81"
-    digest
+  (* the cross-check must change nothing a run emits *)
+  Alcotest.(check string) "same trace with the check off" unchecked digest;
+  Alcotest.(check string)
+    "trace digest" "afbf2f5ce7a71a16472e3e191f0339a6" digest
+
+(* A multi-neighbor run on the int lattice: every node of a gossip ring
+   inserts receives from two neighbors, and the Floyd-Warshall shadow
+   re-checks all live distances after every lattice insert and kill
+   (Csa raises on the first divergence). *)
+let test_gossip_ring_validate_oracle () =
+  let spec =
+    System_spec.uniform ~n:8 ~source:0 ~drift:(Drift.of_ppm 100)
+      ~transit:(Transit.of_q (Scenario.ms 1) (Scenario.ms 10))
+      ~links:(Topology.ring 8)
+  in
+  let r, nodes =
+    Engine.run_nodes
+      {
+        (Scenario.default ~spec
+           ~traffic:(Scenario.Gossip { mean_gap = Scenario.ms 20 }))
+        with
+        Scenario.duration = Scenario.ms 600;
+        validate_oracle = true;
+        seed = 7;
+      }
+  in
+  Alcotest.(check int) "sound" 0 r.Engine.soundness_failures;
+  Alcotest.(check bool) "messages flowed" true (r.Engine.messages_sent > 10);
+  Array.iter
+    (fun (node : Node_rt.t) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d on the lattice" node.Node_rt.proc)
+        true
+        (Csa.oracle_scale node.Node_rt.csa <> None))
+    nodes
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -299,6 +341,8 @@ let () =
             test_validate_negative_cycle;
           Alcotest.test_case "engine with validate_oracle" `Slow
             test_engine_validate_oracle;
+          Alcotest.test_case "gossip ring with validate_oracle" `Slow
+            test_gossip_ring_validate_oracle;
         ] );
       qsuite "props" [ prop_impls_agree ];
     ]

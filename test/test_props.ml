@@ -217,6 +217,202 @@ let prop_peer_bounds_contain_truth =
         steps;
       !ok)
 
+(* --- simulator executions stay legal on the tick lattice --------------- *)
+
+type sim_case = {
+  seed : int;
+  ring : bool;  (* ring of 5, else star of 5 *)
+  traffic : int;  (* poll, gossip, token, burst *)
+  policy : Clock.policy;
+  delay : Transport.delay_policy;
+  loss : bool;
+  chaos : bool;
+}
+
+let traffic_names = [| "poll"; "gossip"; "token"; "burst" |]
+
+let arbitrary_sim_case =
+  let open QCheck.Gen in
+  let gen =
+    map
+      (fun (seed, ring, traffic, (policy, delay, loss, chaos)) ->
+        { seed; ring; traffic; policy; delay; loss; chaos })
+      (quad (int_range 0 10_000) bool (int_range 0 3)
+         (quad
+            (oneofl [ `Random; `Adversarial; `Fixed Q.one ])
+            (oneofl [ `Uniform; `Min; `Max; `Alternate ])
+            bool bool))
+  in
+  QCheck.make gen ~print:(fun c ->
+      Printf.sprintf "seed %d, %s, %s, %s, %s delays%s%s" c.seed
+        (if c.ring then "ring" else "star")
+        traffic_names.(c.traffic)
+        (match c.policy with
+        | `Random -> "random"
+        | `Adversarial -> "adversarial"
+        | `Fixed _ -> "fixed"
+        | `Sawtooth _ -> "sawtooth")
+        (match c.delay with
+        | `Uniform -> "uniform"
+        | `Min -> "min"
+        | `Max -> "max"
+        | `Alternate -> "alternate"
+        | `Capped _ -> "capped")
+        (if c.loss then ", loss" else "")
+        (if c.chaos then ", chaos" else ""))
+
+let sim_n = 5
+let sim_lo = Scenario.ms 1
+let sim_hi = Scenario.ms 10
+
+let sim_scenario ?(transit = Transit.of_q sim_lo sim_hi) c =
+  let links = if c.ring then Topology.ring sim_n else Topology.star sim_n in
+  let spec =
+    System_spec.uniform ~n:sim_n ~source:0 ~drift:(Drift.of_ppm 100) ~transit
+      ~links
+  in
+  let traffic =
+    match c.traffic with
+    | 0 -> Scenario.Ntp_poll { period = Scenario.ms 300 }
+    | 1 -> Scenario.Gossip { mean_gap = Scenario.ms 40 }
+    | 2 -> Scenario.Ring_token { gap = Scenario.ms 37 }
+    | _ ->
+      Scenario.Burst
+        { check_period = Scenario.ms 400; width_target = Scenario.ms 2 }
+  in
+  let duration = Scenario.sec 4 in
+  {
+    (Scenario.default ~spec ~traffic) with
+    Scenario.seed = c.seed;
+    duration;
+    clock_policy = c.policy;
+    delay = c.delay;
+    clock_segment = Scenario.ms 700;
+    loss_prob = (if c.loss then 0.15 else 0.);
+    faults =
+      (if c.chaos then
+         Fault.Chaos.schedule ~seed:c.seed ~nodes:sim_n ~duration ~cycles:1 ()
+       else []);
+  }
+
+(* The trace stamps events with [Q.to_float] of their real time.  On
+   the lattice that real time is [rt_of_lt] of a whole tick of the
+   acting node's clock, and the tick nearest the traced time must map
+   back to exactly the traced float; off the lattice it cannot (two
+   whole ticks are a microsecond apart).  So this recovers the exact
+   real time of an on-tick event, and [None] means off the tick. *)
+let on_tick_rt clock t =
+  let lt = Clock.lt_of_rt clock (Q.of_float_exact t) in
+  let nearest = Clock.floor_tick (Q.add lt (Q.div_int Clock.tick 2)) in
+  let rt = Clock.rt_of_lt clock nearest in
+  if Float.equal (Q.to_float rt) t then Some rt else None
+
+let prop_sim_on_tick =
+  QCheck.Test.make
+    ~name:"sim: executions land on whole ticks and stay within the spec"
+    ~count:60 arbitrary_sim_case (fun c ->
+      let sends = Hashtbl.create 64 and recvs = ref [] and acts = ref [] in
+      let on_event : Trace.event -> unit = function
+        | Trace.Send { t; src; dst; msg; _ } ->
+          Hashtbl.replace sends msg (t, src, dst);
+          acts := (t, src) :: !acts
+        | Trace.Receive { t; dst; msg; _ } ->
+          recvs := (msg, t) :: !recvs;
+          acts := (t, dst) :: !acts
+        | Trace.Estimate { t; node; _ } | Trace.Recover { t; node } ->
+          acts := (t, node) :: !acts
+        | _ -> ()
+      in
+      let r, nodes =
+        Engine.run_nodes
+          { (sim_scenario c) with Scenario.trace = Trace.callback on_event }
+      in
+      let clock p = nodes.(p).Node_rt.clock in
+      let exact_rt p t =
+        match on_tick_rt (clock p) t with
+        | Some rt -> rt
+        | None ->
+          QCheck.Test.fail_reportf "node %d acted off its ticks at %h" p t
+      in
+      Array.iter
+        (fun (node : Node_rt.t) ->
+          let lt0 = Clock.lt_of_rt node.Node_rt.clock Q.zero in
+          if not (Q.equal lt0 (Clock.floor_tick lt0)) then
+            QCheck.Test.fail_reportf "node %d boots off a tick"
+              node.Node_rt.proc)
+        nodes;
+      List.iter (fun (t, p) -> ignore (exact_rt p t)) !acts;
+      (* exact delays within [lo, hi], and FIFO per directed link *)
+      let per_link = Hashtbl.create 16 in
+      List.iter
+        (fun (msg, t_recv) ->
+          let t_send, src, dst = Hashtbl.find sends msg in
+          let rt_send = exact_rt src t_send and rt_recv = exact_rt dst t_recv in
+          let delay = Q.sub rt_recv rt_send in
+          if Q.(delay < sim_lo || delay > sim_hi) then
+            QCheck.Test.fail_reportf "msg %d: delay %s outside [lo, hi]" msg
+              (Q.to_string delay);
+          Hashtbl.replace per_link (src, dst)
+            ((msg, rt_send, rt_recv)
+            :: Option.value ~default:[] (Hashtbl.find_opt per_link (src, dst))))
+        !recvs;
+      Hashtbl.iter
+        (fun (src, dst) msgs ->
+          let sorted = List.sort compare msgs in
+          ignore
+            (List.fold_left
+               (fun (ps, pr) (msg, s, r) ->
+                 if Q.(s < ps || r < pr) then
+                   QCheck.Test.fail_reportf "msg %d overtakes on %d->%d" msg
+                     src dst;
+                 (s, r))
+               (Q.zero, Q.zero) sorted))
+        per_link;
+      if r.Engine.soundness_failures <> 0 then
+        QCheck.Test.fail_reportf "%d unsound estimates"
+          r.Engine.soundness_failures;
+      Array.for_all
+        (fun (node : Node_rt.t) -> Csa.oracle_scale node.Node_rt.csa <> None)
+        nodes)
+
+(* A link with lo = hi admits a single arrival instant, which is almost
+   never a whole tick of the receiver: such deliveries stay unaligned,
+   and their receivers leave the lattice for exact rationals. *)
+let test_sim_exact_link () =
+  let c =
+    {
+      seed = 3;
+      ring = false;
+      traffic = 0;
+      policy = `Random;
+      delay = `Uniform;
+      loss = false;
+      chaos = false;
+    }
+  in
+  let received = Hashtbl.create 8 in
+  let on_event : Trace.event -> unit = function
+    | Trace.Receive { dst; _ } -> Hashtbl.replace received dst ()
+    | _ -> ()
+  in
+  let r, nodes =
+    Engine.run_nodes
+      {
+        (sim_scenario ~transit:(Transit.exact (Scenario.ms 5)) c) with
+        Scenario.trace = Trace.callback on_event;
+      }
+  in
+  Alcotest.(check bool) "messages flowed" true (r.Engine.messages_sent > 20);
+  Alcotest.(check int) "sound" 0 r.Engine.soundness_failures;
+  Alcotest.(check int) "every node received" sim_n (Hashtbl.length received);
+  Array.iter
+    (fun (node : Node_rt.t) ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "node %d promoted" node.Node_rt.proc)
+        None
+        (Csa.oracle_scale node.Node_rt.csa))
+    nodes
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -227,4 +423,8 @@ let () =
       qsuite "snapshot" [ prop_snapshot_canonical ];
       qsuite "witness" [ prop_witness_attains_bounds ];
       qsuite "peer-bounds" [ prop_peer_bounds_contain_truth ];
+      ( "sim-ticks",
+        QCheck_alcotest.to_alcotest prop_sim_on_tick
+        :: [ Alcotest.test_case "lo = hi link promotes" `Quick
+               test_sim_exact_link ] );
     ]

@@ -141,6 +141,27 @@ let test_clock_validation () =
         (Clock.create ~drift:(Drift.of_ppm 10) ~policy:`Random ~segment:Q.zero
            ~lt0:Q.zero ~rng:(Rng.create 1)))
 
+let test_tick_rounding () =
+  let qq = Alcotest.testable Q.pp Q.equal in
+  let us n d = Q.of_ints n (d * 1_000_000) in
+  (* native path: both signs, and a whole tick comes back as is *)
+  Alcotest.check qq "floor 1.5 us" (us 1 1) (Clock.floor_tick (us 3 2));
+  Alcotest.check qq "ceil 1.5 us" (us 2 1) (Clock.ceil_tick (us 3 2));
+  Alcotest.check qq "floor -1.5 us" (us (-2) 1) (Clock.floor_tick (us (-3) 2));
+  Alcotest.check qq "ceil -1.5 us" (us (-1) 1) (Clock.ceil_tick (us (-3) 2));
+  let whole = us 7 1 in
+  Alcotest.(check bool) "whole tick unchanged" true
+    (Clock.floor_tick whole == whole && Clock.ceil_tick whole == whole);
+  (* Bigint path: a numerator too large to scale natively *)
+  let big = Q.add (Q.of_int (1 lsl 55)) (us 1 3) in
+  Alcotest.check qq "big floor" (Q.of_int (1 lsl 55)) (Clock.floor_tick big);
+  Alcotest.check qq "big ceil"
+    (Q.add (Q.of_int (1 lsl 55)) Clock.tick)
+    (Clock.ceil_tick big);
+  Alcotest.check qq "big negative floor"
+    (Q.neg (Q.add (Q.of_int (1 lsl 55)) Clock.tick))
+    (Clock.floor_tick (Q.neg big))
+
 (* --- Topology ---------------------------------------------------------- *)
 
 let connected n links =
@@ -237,8 +258,8 @@ let test_engine_ntp_poll_validated () =
     r.Engine.per_algo
 
 (* Execution-identity pin: every per-algorithm summary of one lossy run
-   with all five baselines, digested.  Recorded before baselines became
-   one Baseline.t list; a change to the RNG streams, the transport's
+   with all five baselines, digested.  Re-recorded when simulator events
+   moved onto whole clock ticks; a change to the RNG streams, the transport's
    draw order, estimate order or any baseline's arithmetic fails it. *)
 let per_algo_digest (r : Engine.result) =
   let b = Buffer.create 256 in
@@ -274,7 +295,7 @@ let test_engine_per_algo_pin () =
     (List.map fst r.Engine.per_algo);
   Alcotest.(check int) "messages lost" 56 r.Engine.messages_lost;
   Alcotest.(check string)
-    "per-algo digest" "769a729618b5c3b4c74f5c6a955c8ce6" (per_algo_digest r)
+    "per-algo digest" "319808c2638269adc9756635837bed5e" (per_algo_digest r)
 
 let test_engine_deterministic () =
   let spec = small_spec (Topology.line 3) 3 in
@@ -456,6 +477,7 @@ let () =
             test_clock_rate_bounds;
           Alcotest.test_case "monotone" `Quick test_clock_monotone;
           Alcotest.test_case "validation" `Quick test_clock_validation;
+          Alcotest.test_case "tick rounding" `Quick test_tick_rounding;
         ] );
       ( "topology",
         [
