@@ -1618,12 +1618,14 @@ let guard () =
   in
   (* Hub floor (E19): a 256-client loopback swarm through one hub socket
      (cohort 1) must fully converge, and sustain a frame-handling rate
-     that only a hub whose wakeups cost the work due can reach.  The
-     reference container measures ~3600 hub frames per wall second; a
-     hub that ticks, flushes and scans every session on each wakeup, or
-     whose sessions carry a history frontier per spec neighbor, measured
-     ~290.  1000/s absorbs heavy machine noise and fails CI on either. *)
-  let floor_hub_fps = 1000. in
+     that only a hub whose wakeups cost the work due can reach.  With
+     arrivals on receiver ticks (sessions on the AGDP int lattice) a
+     shared 2-vCPU Xeon measures ~9100-11300 hub frames per wall
+     second, ~3200-3600 with every session on exact Q; a hub that
+     ticks, flushes and scans every session on each wakeup, or whose
+     sessions carry a history frontier per spec neighbor, measured
+     ~290.  3000/s leaves ~3x headroom for machine noise. *)
+  let floor_hub_fps = 3000. in
   let hub_clients, hub_r, hub_fps =
     let e = e19_row ~clients:256 ~cohort:1 in
     (e.clients, e.r, e19_fps e)

@@ -1,18 +1,22 @@
 module Make (N : Net_intf.NET) = struct
+  (* one receive buffer for every loop of this instance: each datagram
+     lands here and is decoded in place.  [Session.handle] consumes any
+     payload slice before [poll] returns (the decoded values never alias
+     the buffer), loops run on one thread and nothing in [poll] polls
+     another loop, so the buffer is dead between polls and K loops need
+     not hold K copies of [Frame.max_frame].  Lazy: a program that
+     links an instance but never polls it (the simulator) pays nothing *)
+  let rbuf = lazy (Bytes.create Frame.max_frame)
+
   type t = {
     net : N.t;
     session : Session.t;
     prof : Prof.t;
-    (* the loop's single receive buffer: every datagram lands here and
-       is decoded in place; [Session.handle] must consume any payload
-       slice before [poll] returns (it does — the decoded values never
-       alias the buffer), because the next receive overwrites it *)
-    rbuf : Bytes.t;
     mutable routes : (Event.proc * N.addr) list;
   }
 
   let create ?(prof = Prof.null) ~net ~session () =
-    { net; session; prof; rbuf = Bytes.create Frame.max_frame; routes = [] }
+    { net; session; prof; routes = [] }
 
   let net t = t.net
   let session t = t.session
@@ -46,11 +50,12 @@ module Make (N : Net_intf.NET) = struct
       | None -> max_wait
       | Some d -> Q.max Q.zero (Q.min max_wait (Q.sub d now))
     in
-    match N.recv t.net ~buf:t.rbuf ~timeout with
+    let rbuf = Lazy.force rbuf in
+    match N.recv t.net ~buf:rbuf ~timeout with
     | None -> ()
     | Some (addr, len) -> (
       let now = N.now t.net in
-      match Frame.decode_sub t.rbuf ~pos:0 ~len with
+      match Frame.decode_sub rbuf ~pos:0 ~len with
       | Error e -> Session.note_drop t.session ~now ("frame: " ^ e)
       | Ok frame ->
         if Session.is_peer t.session frame.Frame.sender then begin

@@ -1,14 +1,21 @@
 type packet = { at : Q.t; seq : int; src : int; dst : int; bytes : string }
 
+(* one destination address: its pending packets, sorted by (at, seq), so
+   recv is a head pop instead of a scan of everyone's traffic; and the
+   receiving endpoint's clock [(offset, rate)], which places arrivals on
+   its ticks ([None] until an endpoint claims the address) *)
+type dest = {
+  mutable pending : packet list;
+  mutable clock : (Q.t * Q.t) option;
+}
+
 type fabric = {
   rng : Rng.t;
   loss : float;
   delay_lo : Q.t;
   delay_hi : Q.t;
   mutable vnow : Q.t;
-  (* per-destination pending packets, each sorted by (at, seq); recv is
-     a head pop instead of a scan of everyone's traffic *)
-  queues : (int, packet list) Hashtbl.t;
+  queues : (int, dest) Hashtbl.t;
   (* the delivery schedule, (dst, seq) keyed by arrival time.  Entries
      are never updated in place — consumption makes them stale and they
      are discarded lazily when they surface (an entry is live iff its
@@ -40,9 +47,18 @@ let fabric ?(seed = 11) ?(loss = 0.) ~delay_lo ~delay_hi () =
     dropped = 0;
   }
 
+let dest fab id =
+  match Hashtbl.find_opt fab.queues id with
+  | Some d -> d
+  | None ->
+    let d = { pending = []; clock = None } in
+    Hashtbl.replace fab.queues id d;
+    d
+
 let endpoint fab ~id ?(offset = Q.zero) ?(rate = Q.one) () =
   if Q.sign rate <= 0 then
     invalid_arg "Loopback.endpoint: rate must be positive";
+  (dest fab id).clock <- Some (offset, rate);
   { fab; id; offset; rate }
 
 let vnow fab = fab.vnow
@@ -53,17 +69,17 @@ let virtual_of_local ep lt = Q.div (Q.sub lt ep.offset) ep.rate
 
 let queue_head fab dst =
   match Hashtbl.find_opt fab.queues dst with
-  | Some (p :: _) -> Some p
+  | Some { pending = p :: _; _ } -> Some p
   | _ -> None
 
 let queue_pop fab dst =
   match Hashtbl.find_opt fab.queues dst with
-  | Some (p :: rest) ->
-    Hashtbl.replace fab.queues dst rest;
+  | Some ({ pending = p :: rest; _ } as d) ->
+    d.pending <- rest;
     Some p
   | _ -> None
 
-let insert_sorted fab p =
+let insert_sorted fab d p =
   let earlier q =
     Q.(q.at < p.at) || (Q.(q.at = p.at) && q.seq < p.seq)
   in
@@ -71,11 +87,31 @@ let insert_sorted fab p =
     | q :: rest when earlier q -> q :: go rest
     | rest -> p :: rest
   in
-  let old = Option.value ~default:[] (Hashtbl.find_opt fab.queues p.dst) in
-  Hashtbl.replace fab.queues p.dst (go old);
+  d.pending <- go d.pending;
   (* sends push in [seq] order, so the heap's push-order tie-break is
      the packets' own *)
   Heap.push fab.sched ~at:p.at (p.dst, p.seq)
+
+(* Move an arrival [at], drawn inside [vnow + lo, vnow + hi], onto a
+   whole tick of the receiver's clock: the first one at or after [at],
+   unless that overshoots [vnow + hi]; then the last one at or before
+   [at], unless that undershoots [vnow + lo]; then [at] as drawn (a
+   link narrower than one receiver tick, whose receiver reads off the
+   lattice).  The transport does the same in the simulator. *)
+let align fab d at =
+  match d.clock with
+  | None -> at
+  | Some (offset, rate) ->
+    let lt = Q.add offset (Q.mul rate at) in
+    let up = Clock.ceil_tick lt in
+    if up == lt then at
+    else
+      let vt lt = Q.div (Q.sub lt offset) rate in
+      let a = vt up in
+      if Q.(a <= add fab.vnow fab.delay_hi) then a
+      else
+        let b = vt (Clock.floor_tick lt) in
+        if Q.(b >= add fab.vnow fab.delay_lo) then b else at
 
 (* drop stale heads (consumed or discarded packets); the surviving head
    is the fabric's next delivery, as (at, dst) *)
@@ -103,9 +139,10 @@ module Net = struct
         if Q.(fab.delay_lo = fab.delay_hi) then fab.delay_lo
         else Rng.q_between fab.rng fab.delay_lo fab.delay_hi
       in
+      let q = dest fab dst in
       let p =
         {
-          at = Q.add fab.vnow d;
+          at = align fab q (Q.add fab.vnow d);
           seq = fab.next_seq;
           src = ep.id;
           dst;
@@ -113,7 +150,7 @@ module Net = struct
         }
       in
       fab.next_seq <- fab.next_seq + 1;
-      insert_sorted fab p
+      insert_sorted fab q p
     end
 
   (* non-blocking by design: time only moves in [run] *)

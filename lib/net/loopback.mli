@@ -19,12 +19,17 @@ val fabric :
 (** [loss] drops each datagram independently at send time.  Delays are
     drawn uniformly from [[delay_lo, delay_hi]]; [delay_lo] must be
     positive, which guarantees the {!run} driver always makes progress
-    (a zero-delay reply could be due at the very instant it was sent). *)
+    (a zero-delay reply could be due at the very instant it was sent).
+    The drawn arrival then moves to a whole tick ({!Clock.tick}) of the
+    receiver's clock inside [[send + delay_lo, send + delay_hi]]: the
+    first at or after the draw, else the last before it, else (no tick
+    in the window) the draw itself.  Placing an arrival draws nothing,
+    so the random stream is that of an unaligned fabric. *)
 
 val endpoint :
   fabric -> id:int -> ?offset:Q.t -> ?rate:Q.t -> unit -> endpoint
-(** Attach processor [id]; its address {e is} [id].  [rate] must be
-    positive. *)
+(** Attach processor [id]; its address {e is} [id], and its clock is
+    the one arrivals to [id] are placed on.  [rate] must be positive. *)
 
 val vnow : fabric -> Q.t
 val delivered : fabric -> int

@@ -63,7 +63,8 @@ let set_epoch e =
 
 (* the subtraction is exact: both operands are representable and the
    difference needs far fewer mantissa bits than either *)
-let wall () = q_of_wall (Unix.gettimeofday () -. float_of_int (epoch ()))
+let wall_s () = Unix.gettimeofday () -. float_of_int (epoch ())
+let wall () = q_of_wall (wall_s ())
 
 let create ?(offset = Q.zero) ?(rate = Q.one) ?(drop = 0.) ?(seed = 7)
     ~port () =
@@ -84,8 +85,17 @@ let port t =
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
+(* A skewed clock is quantized once, from the exact wall reading: a
+   whole tick of [offset + rate·wall] lags it by under one tick, as the
+   unskewed reading does, where [rate] times a whole-tick wall reading
+   would sit off the tick lattice. *)
 let now t =
-  let lt = Q.add t.offset (Q.mul t.rate (wall ())) in
+  let lt =
+    if Q.equal t.rate Q.one then Q.add t.offset (wall ())
+    else
+      Clock.floor_tick
+        (Q.add t.offset (Q.mul t.rate (Q.of_float_exact (wall_s ()))))
+  in
   let lt = Q.max lt t.last_now in
   t.last_now <- lt;
   lt

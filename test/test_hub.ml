@@ -627,9 +627,9 @@ let swarm_trace ~clients ~cohort ~loss =
 
 let golden_swarm_traces =
   [
-    (12, 1, 0.1, 5111, "28839d04667ae49359bd222e5b7032ce");
-    (10, 4, 0.1, 7228, "a801e25cc8a96b81ba5e9a2e6123efec");
-    (6, 6, 0., 6706, "7f15aab2519d63056eaf6025dfe51f00");
+    (12, 1, 0.1, 5111, "3b06b6724e72ca8eb74c47d51671c3cb");
+    (10, 4, 0.1, 7228, "eb6a71e0ad231acb4560ce7a4e229ef5");
+    (6, 6, 0., 6706, "0ee1926ae97d501bf6ae81daa0bb9c33");
   ]
 
 let test_golden_swarm_traces () =
@@ -741,6 +741,212 @@ let prop_wakeups_agree_with_scan =
         ~script ();
       !agree && !polls > 0 && (loss > 0. || Swarm.Lhub.all_clients_done hub))
 
+(* --- loopback ticks --------------------------------------------------- *)
+
+(* The fabric puts every arrival on a whole tick of its receiver's clock,
+   inside [send + lo, send + hi], so sessions read only whole ticks and
+   their AGDP stays on the int lattice.  [Rec] is a NET that observes
+   every datagram of a [Swarm.run_loopback]-wired fleet on its way
+   through the fabric: a send the fabric kept is in flight under
+   (dst, bytes); its receive pops the oldest such send and checks the
+   delay and the receiver's reading.  Identical frames in flight at once
+   may pair crosswise, but a crossed pair's delays still lie between the
+   two true ones, so the bounds check holds either way. *)
+module Rec = struct
+  let fab = ref (Loopback.fabric ~delay_lo:Q.one ~delay_hi:Q.one ())
+  let ids : (Loopback.endpoint * int) list ref = ref []
+  let flights : (int * string, Q.t Queue.t) Hashtbl.t = Hashtbl.create 64
+  let arrivals = ref 0
+  let off_tick = ref 0
+  let bad = ref []
+  let lo = ref Q.zero
+  let hi = ref Q.zero
+
+  let reset f ~delay_lo ~delay_hi =
+    fab := f;
+    lo := delay_lo;
+    hi := delay_hi;
+    ids := [];
+    Hashtbl.reset flights;
+    arrivals := 0;
+    off_tick := 0;
+    bad := []
+
+  let on_tick lt = Q.equal (Clock.floor_tick lt) lt
+
+  include Loopback.Net
+
+  let send ep dst bytes =
+    let lost = Loopback.dropped !fab in
+    Loopback.Net.send ep dst bytes;
+    if Loopback.dropped !fab = lost then begin
+      let k = (dst, bytes) in
+      let q =
+        match Hashtbl.find_opt flights k with
+        | Some q -> q
+        | None ->
+          let q = Queue.create () in
+          Hashtbl.replace flights k q;
+          q
+      in
+      Queue.push (Loopback.vnow !fab) q
+    end
+
+  let recv ep ~buf ~timeout =
+    let r = Loopback.Net.recv ep ~buf ~timeout in
+    Option.iter
+      (fun (_, len) ->
+        let me = List.assq ep !ids in
+        let k = (me, Bytes.sub_string buf 0 len) in
+        let sent = Queue.pop (Hashtbl.find flights k) in
+        let d = Q.sub (Loopback.vnow !fab) sent in
+        incr arrivals;
+        if not (on_tick (Loopback.Net.now ep)) then incr off_tick;
+        if Q.(d < !lo) || Q.(d > !hi) then
+          bad := Printf.sprintf "delay %s to %d" (Q.to_string d) me :: !bad)
+      r;
+    r
+end
+
+module Rhub = Hub.Make (Rec)
+module Rloop = Loop.Make (Rec)
+
+(* [Swarm.run_loopback]'s wiring (spec, fabric, clock draws, driver
+   order, once-a-second samples) over [Rec]: the same seed gives the
+   same execution.  Returns the sessions (hub cohorts first), the final
+   client widths, and the fabric's delivered and dropped counts. *)
+let recorded_swarm ~seed ~loss ~cohort ~heartbeat ~clients ~duration
+    ~delay_lo ~delay_hi =
+  let spec = Swarm.star_spec ~nodes:(clients + 1) ~drift_ppm:500 ~hi_ms:50 in
+  let fab = Loopback.fabric ~seed ~loss ~delay_lo ~delay_hi () in
+  Rec.reset fab ~delay_lo ~delay_hi;
+  let cfg me = mk_cfg ~spec ~me ~heartbeat in
+  let endpoint ~id ?offset ?rate () =
+    let ep = Loopback.endpoint fab ~id ?offset ?rate () in
+    Rec.ids := (ep, id) :: !Rec.ids;
+    ep
+  in
+  let hub_ep = endpoint ~id:0 () in
+  let hub =
+    match
+      Rhub.create ~net:hub_ep ~spec ~cohort_size:cohort
+        ~mk_session:(fun ~idx:_ ~members ->
+          Ok (Session.create ~peers:members (cfg 0) ~now:(Rec.now hub_ep)))
+        ()
+    with
+    | Ok h -> h
+    | Error m -> Alcotest.failf "hub create: %s" m
+  in
+  let rng = Rng.create (seed lxor 0x5157) in
+  let cls =
+    List.init clients (fun i ->
+        let g = i + 1 in
+        let offset = ms (Rng.int rng 251) in
+        let ppm = Rng.int rng 1001 - 500 in
+        let rate = Q.add Q.one (Q.of_ints ppm 1_000_000) in
+        let ep = endpoint ~id:g ~offset ~rate () in
+        let session = Session.create (cfg g) ~now:(Rec.now ep) in
+        let loop = Rloop.create ~net:ep ~session () in
+        Rloop.learn loop ~peer:0 0;
+        (ep, session, loop))
+  in
+  let drivers =
+    {
+      Loopback.poll = (fun () -> Rhub.poll hub ~max_wait:Q.zero);
+      next_vt = (fun () -> Rhub.next_deadline hub);
+      addr = Some 0;
+    }
+    :: List.mapi
+         (fun i (ep, session, loop) ->
+           {
+             Loopback.poll = (fun () -> Rloop.poll loop ~max_wait:Q.zero);
+             next_vt =
+               (fun () ->
+                 Option.map (Loopback.virtual_of_local ep)
+                   (Session.next_deadline session));
+             addr = Some (i + 1);
+           })
+         cls
+  in
+  let widths = Array.make clients infinity in
+  let sample_all () =
+    List.iteri
+      (fun i (ep, session, _) ->
+        let est =
+          Session.sample session ~now:(Rec.now ep)
+            ~truth:(Loopback.vnow fab) ()
+        in
+        widths.(i) <-
+          (match Interval.width est with
+          | Ext.Fin w -> Q.to_float w
+          | Ext.Inf -> infinity))
+      cls
+  in
+  let script = List.init duration (fun k -> (Q.of_int (k + 1), sample_all)) in
+  Loopback.run_drivers fab ~drivers ~until:(Q.of_int duration) ~script ();
+  sample_all ();
+  ( List.init (Rhub.cohorts hub) (Rhub.session hub)
+    @ List.map (fun (_, s, _) -> s) cls,
+    Array.to_list widths,
+    Loopback.delivered fab,
+    Loopback.dropped fab )
+
+let check_scales ~what ~on_lattice sessions =
+  List.iteri
+    (fun i s ->
+      match (Csa.oracle_scale (Session.csa s), on_lattice) with
+      | Some _, true | None, false -> ()
+      | Some _, false ->
+        Alcotest.failf "%s: session %d stayed on the lattice" what i
+      | None, true ->
+        Alcotest.failf "%s: session %d promoted to exact Q" what i)
+    sessions
+
+(* Two seeded lossy fleets: one sharded like the golden traces, one the
+   bench's fleet-32-lossy at K = 8.  The delivered and dropped counts are
+   those of the fabric before arrivals moved onto ticks: placing an
+   arrival draws nothing, so the same packets go through. *)
+let test_loopback_on_ticks ~seed ~cohort ~heartbeat ~clients ~duration
+    ~delivered ~dropped () =
+  let what = Printf.sprintf "seed %d K=%d cohort %d" seed clients cohort in
+  let sessions, widths, dl, dr =
+    recorded_swarm ~seed ~loss:0.1 ~cohort ~heartbeat ~clients ~duration
+      ~delay_lo:(ms 1) ~delay_hi:(ms 50)
+  in
+  let swarm =
+    Swarm.run_loopback ~seed ~loss:0.1 ~cohort ~heartbeat ~clients
+      ~duration:(Q.of_int duration) ()
+  in
+  Alcotest.(check int) "same run: delivered" swarm.Swarm.fabric_delivered dl;
+  Alcotest.(check (list (float 0.)))
+    "same run: final widths"
+    (List.map (fun (c : Swarm.client_report) -> c.last_width)
+       swarm.Swarm.per_client)
+    widths;
+  Alcotest.(check int) "all sound" clients swarm.Swarm.sound;
+  Alcotest.(check int) "delivered" delivered dl;
+  Alcotest.(check int) "dropped" dropped dr;
+  Alcotest.(check int) "every receive observed" dl !Rec.arrivals;
+  Alcotest.(check (list string)) "delays in [lo, hi]" [] !Rec.bad;
+  check_scales ~what ~on_lattice:true sessions;
+  Alcotest.(check int) "receives off a receiver tick" 0 !Rec.off_tick
+
+(* lo = hi leaves no room to move an arrival: it stays at send + lo,
+   the skewed clients read off their ticks, and every session promotes,
+   as a narrow link does in the simulator *)
+let test_loopback_fixed_delay_unaligned () =
+  let sessions, widths, dl, _ =
+    recorded_swarm ~seed:3 ~loss:0. ~cohort:1 ~heartbeat:(Q.of_ints 1 2)
+      ~clients:4 ~duration:4 ~delay_lo:(ms 5) ~delay_hi:(ms 5)
+  in
+  Alcotest.(check int) "every receive observed" dl !Rec.arrivals;
+  Alcotest.(check (list string)) "delays in [lo, hi]" [] !Rec.bad;
+  if !Rec.off_tick = 0 then Alcotest.fail "every receive read a whole tick";
+  List.iter
+    (fun w -> if not (Float.is_finite w) then Alcotest.fail "no estimate")
+    widths;
+  check_scales ~what:"lo = hi" ~on_lattice:false sessions
+
 (* --- Udp burst drain -------------------------------------------------- *)
 
 (* the EWOULDBLOCK fix: zero-timeout receives drain an entire kernel
@@ -779,6 +985,55 @@ let test_udp_burst_drain () =
     Alcotest.fail "zero-timeout recv blocked";
   Udp.close a;
   Udp.close b
+
+(* A hub and skewed clients over real localhost UDP, all in this
+   process: a skewed reading is one whole tick of [offset + rate·wall],
+   so every session, hub cohorts and clients alike, keeps its AGDP on
+   the int lattice after its first edges. *)
+let test_udp_skewed_swarm_on_lattice () =
+  let clients = 4 in
+  let spec = Swarm.star_spec ~nodes:(clients + 1) ~drift_ppm:500 ~hi_ms:250 in
+  let cfg me = mk_cfg ~spec ~me ~heartbeat:(Q.of_ints 1 4) in
+  let hub_net = Udp.create ~port:0 () in
+  let hub =
+    match
+      Swarm.Uhub.create ~net:hub_net ~spec ~cohort_size:2
+        ~mk_session:(fun ~idx:_ ~members ->
+          Ok (Session.create ~peers:members (cfg 0) ~now:(Udp.now hub_net)))
+        ()
+    with
+    | Ok h -> h
+    | Error m -> Alcotest.failf "hub create: %s" m
+  in
+  let cls =
+    List.init clients (fun i ->
+        let g = i + 1 in
+        let rate = Q.add Q.one (Q.of_ints (137 * g - 300) 1_000_000) in
+        let net = Udp.create ~offset:(ms (40 * g)) ~rate ~port:0 () in
+        let session = Session.create (cfg g) ~now:(Udp.now net) in
+        let loop = Swarm.Unet.create ~net ~session () in
+        Swarm.Unet.learn loop ~peer:0 (Udp.loopback (Udp.port hub_net));
+        (net, session, loop))
+  in
+  let until = Unix.gettimeofday () +. 1.5 in
+  while Unix.gettimeofday () < until do
+    Swarm.Uhub.poll hub ~max_wait:Q.zero;
+    List.iter (fun (_, _, loop) -> Swarm.Unet.poll loop ~max_wait:Q.zero) cls;
+    Unix.sleepf 0.001
+  done;
+  List.iter
+    (fun (net, session, _) ->
+      if not (Session.established session 0) then
+        Alcotest.fail "a client never reached the hub";
+      match Interval.width (Session.sample session ~now:(Udp.now net) ()) with
+      | Ext.Fin _ -> ()
+      | Ext.Inf -> Alcotest.fail "a client never converged")
+    cls;
+  check_scales ~what:"udp" ~on_lattice:true
+    (List.init (Swarm.Uhub.cohorts hub) (Swarm.Uhub.session hub)
+    @ List.map (fun (_, s, _) -> s) cls);
+  List.iter (fun (net, _, _) -> Udp.close net) cls;
+  Udp.close hub_net
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -824,9 +1079,24 @@ let () =
             test_golden_swarm_traces;
           qt prop_wakeups_agree_with_scan;
         ] );
+      ( "ticks",
+        [
+          Alcotest.test_case "lossy swarm on receiver ticks" `Quick
+            (test_loopback_on_ticks ~seed:11 ~cohort:4
+               ~heartbeat:(Q.of_ints 1 2) ~clients:10 ~duration:6
+               ~delivered:404 ~dropped:49);
+          Alcotest.test_case "fleet-32-lossy at K=8 on receiver ticks" `Quick
+            (test_loopback_on_ticks ~seed:7 ~cohort:1
+               ~heartbeat:(Q.of_ints 1 2) ~clients:8 ~duration:6
+               ~delivered:347 ~dropped:32);
+          Alcotest.test_case "lo = hi stays unaligned" `Quick
+            test_loopback_fixed_delay_unaligned;
+        ] );
       ( "udp",
         [
           Alcotest.test_case "burst drain until EWOULDBLOCK" `Quick
             test_udp_burst_drain;
+          Alcotest.test_case "skewed swarm stays on the lattice" `Quick
+            test_udp_skewed_swarm_on_lattice;
         ] );
     ]
