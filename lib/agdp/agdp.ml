@@ -17,19 +17,17 @@ exception Negative_cycle
      cells.  The cells, and every sum the insert forms, stay within
      ±[max_cell], so no int operation below can overflow.
    - the exact matrix: [Q.t] cells (no path is the out-of-band
-     [Q.sentinel]) with float bound planes that let the float tier reject
-     most candidates without touching a rational.
+     [Q.sentinel]); each rational's own float enclosure lets most
+     relaxations reject a candidate without building it.
 
    The first weight off the lattice, a scale beyond [max_scale], or a
    cell or sum beyond ±[max_cell] promotes the structure, for good, to
    the exact matrix.  [scale = 0] marks a promoted structure; exactly one
-   of [c] and [d]/[dlo]/[dhi] is in use, the other is empty. *)
+   of [c] and [d] is in use, the other is empty. *)
 type t = {
   mutable scale : int; (* lattice denominator; 0 once promoted *)
   mutable c : int array; (* lattice cells, cap * cap, row-major *)
   mutable d : Q.t array; (* exact cells, cap * cap, row-major *)
-  mutable dlo : float array; (* lower bound plane: dlo.(i) <= d.(i) *)
-  mutable dhi : float array; (* upper bound plane: d.(i) <= dhi.(i) *)
   mutable cap : int;
   mutable keys : int array; (* slot -> key *)
   slot_of : (int, int) Hashtbl.t; (* key -> slot *)
@@ -51,20 +49,11 @@ let max_scale = 1 lsl 40
    runs the exact insert instead. *)
 exception Off_lattice
 
-(* Same primitive the stdlib's [Float.pred] wraps, declared unboxed so
-   the hot loop below can round a bound outward without boxing the
-   float through a closure call. *)
-external next_after : float -> float -> float
-  = "caml_nextafter_float" "caml_nextafter"
-[@@unboxed] [@@noalloc]
-
 let make ~cap ~count ~relax_count ~peak ~sink =
   {
     scale = 1;
     c = Array.make (cap * cap) no_path;
     d = [||];
-    dlo = [||];
-    dhi = [||];
     cap;
     keys = Array.make cap (-1);
     slot_of = Hashtbl.create (max 16 count);
@@ -76,18 +65,6 @@ let make ~cap ~count ~relax_count ~peak ~sink =
 
 let create ?(sink = Trace.null) () =
   make ~cap:initial_capacity ~count:0 ~relax_count:0 ~peak:0 ~sink
-
-(* Every exact-matrix write goes through here so the float bound planes
-   stay in lockstep with the exact cells.  The planes are the
-   structure-of-arrays face of Q's enclosures: the Phase-3 loop reads
-   them as contiguous unboxed floats instead of chasing each cell's
-   rational.  A sentinel cell gets NaN bounds (Q.Approx.lo/hi of the
-   sentinel), which fail every comparison — no-path cells can never be
-   rejected by the fast tier. *)
-let set_cell t idx q =
-  Array.unsafe_set t.d idx q;
-  Array.unsafe_set t.dlo idx (Q.Approx.lo q);
-  Array.unsafe_set t.dhi idx (Q.Approx.hi q)
 
 let mem t key = Hashtbl.mem t.slot_of key
 let size t = t.count
@@ -118,8 +95,8 @@ let dist t x y =
   let sx = slot_exn t x and sy = slot_exn t y in
   cell t ((sx * t.cap) + sy)
 
-(* Re-stride the matrix (and its bound planes) into fresh cap'-wide
-   arrays (shared by grow and shrink). *)
+(* Re-stride the matrix into a fresh cap'-wide array (shared by grow
+   and shrink). *)
 let restride t cap' =
   let cap = t.cap in
   let move src fill =
@@ -129,12 +106,7 @@ let restride t cap' =
     done;
     dst
   in
-  if t.scale > 0 then t.c <- move t.c no_path
-  else begin
-    t.d <- move t.d inf;
-    t.dlo <- move t.dlo Float.nan;
-    t.dhi <- move t.dhi Float.nan
-  end;
+  if t.scale > 0 then t.c <- move t.c no_path else t.d <- move t.d inf;
   let keys' = Array.make cap' (-1) in
   Array.blit t.keys 0 keys' 0 t.count;
   t.cap <- cap';
@@ -153,15 +125,12 @@ let claim_slot t key =
 (* One-way switch to the exact matrix: every lattice cell becomes the
    rational it stands for. *)
 let promote t =
-  let n = t.cap * t.cap in
-  t.d <- Array.make n inf;
-  t.dlo <- Array.make n Float.nan;
-  t.dhi <- Array.make n Float.nan;
+  t.d <- Array.make (t.cap * t.cap) inf;
   for i = 0 to t.count - 1 do
     for j = 0 to t.count - 1 do
       let idx = (i * t.cap) + j in
       let v = t.c.(idx) in
-      if v <> no_path then set_cell t idx (Q.make_ints v t.scale)
+      if v <> no_path then t.d.(idx) <- Q.make_ints v t.scale
     done
   done;
   t.c <- [||];
@@ -301,11 +270,10 @@ let insert_lattice t ~key ~in_edges ~out_edges =
 
 (* Relaxation core shared by the exact Phase-1 and Phase-3 loops:
    improve [arr.(idx)] with the candidate path [a + b] if it is shorter.
-   Tier 1 decides from the float enclosures (Q.Approx.add_cmp) without
+   The operands' float enclosures (Q.Approx.add_cmp) decide without
    building the sum, so the steady-state "candidate does not improve"
    rejection costs a few flops and never allocates; only actual
-   improvements and inconclusive overlaps pay the exact Bigint
-   addition. *)
+   improvements and inconclusive overlaps pay the exact addition. *)
 let relax arr idx a b =
   let cur = Array.unsafe_get arr idx in
   if is_inf cur then Array.unsafe_set arr idx (Q.add a b)
@@ -363,53 +331,21 @@ let insert_exact t ~key ~in_edges ~out_edges =
   let d = t.d and cap = t.cap in
   let krow = k * cap in
   for i = 0 to k - 1 do
-    set_cell t (krow + i) (Array.unsafe_get row i);
-    set_cell t ((i * cap) + k) (Array.unsafe_get col i)
+    d.(krow + i) <- row.(i);
+    d.((i * cap) + k) <- col.(i)
   done;
-  set_cell t (krow + k) Q.zero;
+  d.(krow + k) <- Q.zero;
   (* Relax all pairs through the new node: O(L²).  The diagonal cannot go
      negative: phase 2 ruled out negative cycles through k, and the
-     committed matrix had none.
-
-     On this path the loop runs on the float bound planes: the candidate
-     i ⇝ k ⇝ j fails to improve d(i, j) whenever a lower bound on
-     dik + dkj clears d(i, j)'s upper bound, which is three contiguous
-     unboxed float loads and a 2Sum — no rational is even dereferenced.
-     The 2Sum recovers the exact rounding error of the float addition
-     (one outward ulp only when it is inexact), so ties are rejected
-     too.  NaN plane entries (no-path cells, including the whole
-     untouched row k tail) fail the comparison and fall through to the
-     exact path, as does everything when the fast tier is disabled. *)
-  let dlo = t.dlo and dhi = t.dhi in
-  let fast = Q.Approx.enabled () in
+     committed matrix had none. *)
   for i = 0 to k - 1 do
     let dik = Array.unsafe_get col i in
     if not (is_inf dik) then begin
       let base = i * cap in
-      (* disabling the fast tier poisons the hoisted bound with NaN, so
-         the rejection test fails unconditionally — no per-iteration
-         enabled check *)
-      let xlo = if fast then Q.Approx.lo dik else Float.nan in
       relaxed := !relaxed + k;
       for j = 0 to k - 1 do
-        let ylo = Array.unsafe_get dlo (krow + j) in
-        let s = xlo +. ylo in
-        let bv = s -. xlo in
-        let err = (xlo -. (s -. bv)) +. (ylo -. bv) in
-        let sum_lo = if err >= 0. then s else next_after s neg_infinity in
-        if sum_lo >= Array.unsafe_get dhi (base + j) then ()
-        else begin
-          let dkj = Array.unsafe_get d (krow + j) in
-          if not (is_inf dkj) then begin
-            let idx = base + j in
-            let cur = Array.unsafe_get d idx in
-            if is_inf cur then set_cell t idx (Q.add dik dkj)
-            else begin
-              let cand = Q.add dik dkj in
-              if Q.compare cand cur < 0 then set_cell t idx cand
-            end
-          end
-        end
+        let dkj = Array.unsafe_get d (krow + j) in
+        if not (is_inf dkj) then relax d (base + j) dik dkj
       done
     end
   done;
@@ -507,7 +443,7 @@ let restore ?(sink = Trace.null) s =
     promote t;
     Array.iteri
       (fun x v ->
-        match v with Ext.Fin q -> set_cell t (place x) q | Ext.Inf -> ())
+        match v with Ext.Fin q -> t.d.(place x) <- q | Ext.Inf -> ())
       s.s_dist);
   t
 
@@ -539,14 +475,9 @@ let kill t key =
   let s = slot_exn t key in
   let last = t.count - 1 in
   let cap = t.cap in
+  (* scrubbing the dead slot lets its rationals be reclaimed *)
   if t.scale > 0 then move_last t.c ~cap ~s ~last no_path
-  else begin
-    (* scrubbing the dead slot lets its rationals be reclaimed; the
-       bound planes move in lockstep *)
-    move_last t.d ~cap ~s ~last inf;
-    move_last t.dlo ~cap ~s ~last Float.nan;
-    move_last t.dhi ~cap ~s ~last Float.nan
-  end;
+  else move_last t.d ~cap ~s ~last inf;
   if s <> last then begin
     let moved_key = t.keys.(last) in
     t.keys.(s) <- moved_key;

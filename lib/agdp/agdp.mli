@@ -18,9 +18,11 @@
     [±(2^61 − 1)/D], the matrix holds native ints [d·D] — a
     relaxation is one int add and one compare.  The first input that
     does not fit promotes the structure, once and for good, to exact
-    {!Q.t} cells with a float enclosure tier.  Both paths give identical
-    answers, relaxation counts and snapshots; {!scale} tells which one
-    is running. *)
+    {!Q.t} cells, where each relaxation first asks the operands' float
+    enclosures ({!Q.Approx.add_cmp}) and builds the exact sum only when
+    they cannot reject it.  Both paths give identical answers,
+    relaxation counts and snapshots; {!scale} tells which one is
+    running. *)
 
 type t
 

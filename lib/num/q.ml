@@ -127,8 +127,8 @@ let make num den =
 (* Sum of two single-limb rationals entirely in native ints: magnitudes
    are below 2^30, so the cross products stay below 2^60 and the
    numerator below 2^61 — no bigint allocation until the final reduced
-   result.  This is the Phase-1 backbone of the AGDP insert (distances
-   to a freshly inserted node are built by exactly these additions), so
+   result.  This is the backbone of the exact AGDP insert (every
+   improving relaxation builds its candidate by one such addition), so
    the enclosure is also computed directly: below 2^53 both conversions
    are exact and one division rounding means a one-ulp widening; larger
    reduced terms fall back to the relative widening. *)
@@ -184,15 +184,11 @@ let compare_exact a b =
     if sa <> sb then Stdlib.compare sa sb
     else B.compare (B.mul a.n b.d) (B.mul b.n a.d)
 
-(* Runtime switch for the float tier, so benchmarks and the agreement
-   tests can A/B the two tiers on identical inputs.  On by default. *)
-let fast_enabled = ref true
-
 let compare a b =
   (* tier 1: strict separation of the float enclosures decides without
      touching a bigint (NaN bounds — the sentinel — never separate) *)
-  if !fast_enabled && a.ap.bhi < b.ap.blo then -1
-  else if !fast_enabled && b.ap.bhi < a.ap.blo then 1
+  if a.ap.bhi < b.ap.blo then -1
+  else if b.ap.bhi < a.ap.blo then 1
   else compare_exact a b
 let equal a b = B.equal a.n b.n && B.equal a.d b.d
 let hash a = (B.hash a.n * 31) + B.hash a.d
@@ -219,14 +215,6 @@ let of_float_exact f =
 module Approx = struct
   let lo a = a.ap.blo
   let hi a = a.ap.bhi
-  let enabled () = !fast_enabled
-  let set_enabled b = fast_enabled := b
-
-  let cmp a b =
-    if not !fast_enabled then 0
-    else if a.ap.bhi < b.ap.blo then -1
-    else if b.ap.bhi < a.ap.blo then 1
-    else 0
 
   (* The sum bounds use the 2Sum transformation: [s = fl(x + y)] plus
      the exact rounding error [err] recovered from it, so when the float
@@ -239,22 +227,19 @@ module Approx = struct
      nanoseconds of the AGDP relaxation loop — as a single body the
      whole computation stays in registers and allocates nothing. *)
   let add_cmp a b c =
-    if not !fast_enabled then 0
+    let x = a.ap.blo and y = b.ap.blo in
+    let s = x +. y in
+    let bv = s -. x in
+    let err = (x -. (s -. bv)) +. (y -. bv) in
+    let sum_lo = if err >= 0. then s else Float.pred s in
+    if sum_lo >= c.ap.bhi then 1
     else begin
-      let x = a.ap.blo and y = b.ap.blo in
+      let x = a.ap.bhi and y = b.ap.bhi in
       let s = x +. y in
       let bv = s -. x in
       let err = (x -. (s -. bv)) +. (y -. bv) in
-      let sum_lo = if err >= 0. then s else Float.pred s in
-      if sum_lo >= c.ap.bhi then 1
-      else begin
-        let x = a.ap.bhi and y = b.ap.bhi in
-        let s = x +. y in
-        let bv = s -. x in
-        let err = (x -. (s -. bv)) +. (y -. bv) in
-        let sum_hi = if err <= 0. then s else Float.succ s in
-        if sum_hi < c.ap.blo then -1 else 0
-      end
+      let sum_hi = if err <= 0. then s else Float.succ s in
+      if sum_hi < c.ap.blo then -1 else 0
     end
 end
 

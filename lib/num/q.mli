@@ -3,7 +3,13 @@
     All timestamps, clock rates, transit bounds, and synchronization-graph
     edge weights in this library are exact rationals, so the containment
     invariant ("the source time lies in [[ext_L, ext_U]]") can be tested
-    with no rounding slack. *)
+    with no rounding slack.
+
+    Every rational also carries an outward-rounded float enclosure of
+    its value ({!Approx}), fixed at construction.  {!compare} and
+    {!Approx.add_cmp} answer from it when it separates the operands and
+    fall back to exact arithmetic when it does not, so every answer is
+    exact either way. *)
 
 type t
 
@@ -84,11 +90,10 @@ val compare_exact : t -> t -> int
     Fast paths: equal denominators compare numerators directly, and
     operands of different sign never multiply. *)
 
-(** The guaranteed-enclosure float tier.  Every rational carries
-    outward-rounded float bounds [lo, hi] of its value, computed at
-    construction; conclusive bound separations answer order queries in a
-    few flops, overlaps fall back to exact arithmetic.  The sentinel's
-    bounds are NaN, so no [Approx] query ever concludes on it. *)
+(** The guaranteed float enclosure.  It has no off switch: it keeps the
+    exact AGDP path about 40x faster than bigint comparisons alone
+    (DESIGN.md Section 11).  The sentinel's bounds are NaN, so no
+    [Approx] query ever concludes on it. *)
 module Approx : sig
   val lo : t -> float
   (** Guaranteed lower bound ([nan] on the sentinel). *)
@@ -96,22 +101,11 @@ module Approx : sig
   val hi : t -> float
   (** Guaranteed upper bound ([nan] on the sentinel). *)
 
-  val cmp : t -> t -> int
-  (** [-1]/[1] when the enclosures prove the order, [0] when
-      inconclusive (including whenever the fast tier is disabled). *)
-
   val add_cmp : t -> t -> t -> int
   (** [add_cmp a b c] compares [a + b] against [c] without building the
       sum: [1] means provably [a + b >= c], [-1] provably [a + b < c],
       [0] inconclusive.  This is the AGDP relaxation kernel: the common
       "candidate does not improve" rejection allocates nothing. *)
-
-  val enabled : unit -> bool
-
-  val set_enabled : bool -> unit
-  (** Disabling forces every query through the exact tier (benchmarks
-      A/B the tiers; the agreement tests cross-check them).  On by
-      default. *)
 end
 
 val equal : t -> t -> bool

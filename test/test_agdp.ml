@@ -59,6 +59,29 @@ let test_negative_cycle_detected () =
   Alcotest.check_raises "negative cycle" Agdp.Negative_cycle (fun () ->
       Agdp.insert t ~key:1 ~in_edges:[ (0, q 2) ] ~out_edges:[ (0, q (-3)) ])
 
+(* On the exact path, Phase 2 asks the float enclosures for the sign of
+   each 2-cycle first and takes the exact sum only when they straddle
+   zero.  Here a and b carry 2^-60 terms that no float enclosure of
+   them can resolve, so only the exact fallback decides: a - a - 2^-60
+   is a negative cycle, a - a + 2^-60 is not. *)
+let test_negative_cycle_tie () =
+  let a = Q.add Q.one (Q.make Bigint.one (Bigint.pow2 60)) in
+  let b sigma = Q.add (Q.neg a) (Q.make (Bigint.of_int sigma) (Bigint.pow2 60)) in
+  let two_node sigma =
+    let t = Agdp.create () in
+    Agdp.insert t ~key:0 ~in_edges:[] ~out_edges:[];
+    Alcotest.(check int) "enclosures cannot tell" 0
+      (Q.Approx.add_cmp a (b sigma) Q.zero);
+    Agdp.insert t ~key:1 ~in_edges:[ (0, a) ] ~out_edges:[ (0, b sigma) ];
+    t
+  in
+  Alcotest.check_raises "a + b < 0 by 2^-60" Agdp.Negative_cycle (fun () ->
+      ignore (two_node (-1)));
+  let t = two_node 1 in
+  Alcotest.(check (option int)) "exact path" None (Agdp.scale t);
+  Alcotest.(check ext) "0->1" (Ext.Fin a) (Agdp.dist t 0 1);
+  Alcotest.(check ext) "1->0" (Ext.Fin (b 1)) (Agdp.dist t 1 0)
+
 let test_validation () =
   let t = Agdp.create () in
   Agdp.insert t ~key:0 ~in_edges:[] ~out_edges:[];
@@ -266,10 +289,8 @@ let prop_matches_full_graph =
         ops;
       !ok)
 
-(* Same invariant under fractional weights and churn, run once with the
-   float fast tier disabled and once enabled: both tiers must report
-   identical (exact) distances.  Three weight generators steer the
-   numeric path:
+(* Same invariant under fractional weights and churn.  Three weight
+   generators steer the numeric path:
    - [Small]: denominators 1..5, so the structure stays on the int
      lattice throughout (its scale divides 60), and a snapshot restores
      onto the lattice again;
@@ -283,7 +304,10 @@ let prop_matches_full_graph =
      the structure must have promoted.
    On the exact path, fractional weights make the float sums inexact,
    exercising the 2Sum tie-handling and the outward-rounded enclosures
-   rather than the integer-exact easy case. *)
+   rather than the integer-exact easy case.  Every run ends with a
+   snapshot round trip: same keys, distances and snapshot, on the
+   lattice for [Small] and on the exact path whenever a distance fits
+   no lattice. *)
 type wgen = Small | Off_at of int | Huge
 
 let arbitrary_wgen_schedule =
@@ -307,7 +331,7 @@ let ext_list = Alcotest.list ext
 
 let prop_fractional_matches_full_graph =
   QCheck.Test.make
-    ~name:"agdp: fractional weights match Floyd-Warshall with either tier"
+    ~name:"agdp: fractional weights match Floyd-Warshall"
     ~count:90 arbitrary_wgen_schedule (fun (wgen, ops) ->
       let weight u k =
         let d = 1 + ((u + (2 * k)) mod 5) in
@@ -315,90 +339,93 @@ let prop_fractional_matches_full_graph =
         | Small | Off_at _ -> Q.of_ints ((u + k) mod 7) d
         | Huge -> Q.add (Q.of_int (1 lsl 60)) (Q.of_ints ((u + k) mod 7) d)
       in
-      let run () =
-        let t = Agdp.create () in
-        let all_edges = ref [] in
-        let live = ref [] in
-        let n_nodes = ref 0 in
-        let off_seen = ref false and two_edge = ref false in
-        let ok = ref true in
-        List.iter
-          (fun (ins, outs) ->
-            let k = !n_nodes in
-            incr n_nodes;
-            let pick targets =
-              List.filter_map
-                (fun r ->
-                  match !live with
-                  | [] -> None
-                  | l -> Some (List.nth l (r mod List.length l)))
-                targets
-            in
-            let in_nodes = List.sort_uniq compare (pick ins) in
-            let out_nodes = List.sort_uniq compare (pick outs) in
-            let in_edges = List.map (fun x -> (x, weight x k)) in_nodes in
-            let out_edges = List.map (fun y -> (y, weight (3 * y) k)) out_nodes in
-            let in_edges, out_edges =
-              match wgen, in_edges, out_edges with
-              | Off_at s, (x, w) :: rest, _ when s = k ->
-                off_seen := true;
-                ((x, Q.add w off_lattice) :: rest, out_edges)
-              | Off_at s, [], (y, w) :: rest when s = k ->
-                off_seen := true;
-                ([], (y, Q.add w off_lattice) :: rest)
-              | _ -> (in_edges, out_edges)
-            in
-            if in_edges <> [] && out_edges <> [] then two_edge := true;
-            Agdp.insert t ~key:k ~in_edges ~out_edges;
-            List.iter (fun (x, w) -> all_edges := (x, k, w) :: !all_edges) in_edges;
-            List.iter (fun (y, w) -> all_edges := (k, y, w) :: !all_edges) out_edges;
-            live := k :: !live;
-            (match !live with
-            | _ :: victim :: _ when victim mod 3 = 0 ->
-              Agdp.kill t victim;
-              live := List.filter (fun x -> x <> victim) !live
-            | _ -> ());
-            (match wgen, Agdp.scale t with
-            | Small, None -> ok := false
-            | Off_at _, sc -> if !off_seen <> (sc = None) then ok := false
-            | Huge, Some _ when !two_edge -> ok := false
-            | _ -> ());
-            let g = Digraph.create !n_nodes in
-            List.iter (fun (u, v, w) -> Digraph.add_edge g u v w) !all_edges;
-            let d = Floyd_warshall.apsp g in
-            List.iter
-              (fun x ->
-                List.iter
-                  (fun y ->
-                    if not (Ext.equal (Agdp.dist t x y) d.(x).(y)) then
-                      ok := false)
-                  !live)
-              !live)
-          ops;
-        (* on the lattice, a snapshot restores onto the lattice with the
-           same keys and distances, and snapshots again to itself *)
-        (if wgen = Small then
-           let s = Agdp.snapshot t in
-           let t' = Agdp.restore s in
-           let s' = Agdp.snapshot t' in
-           if
-             Agdp.scale t' = None
-             || Agdp.live_keys t' <> Agdp.live_keys t
-             || s'.Agdp.s_keys <> s.Agdp.s_keys
-             || not
-                  (Alcotest.equal ext_list (Array.to_list s'.Agdp.s_dist)
-                     (Array.to_list s.Agdp.s_dist))
-           then ok := false);
-        !ok
+      let t = Agdp.create () in
+      let all_edges = ref [] in
+      let live = ref [] in
+      let n_nodes = ref 0 in
+      let off_seen = ref false and two_edge = ref false in
+      let ok = ref true in
+      List.iter
+        (fun (ins, outs) ->
+          let k = !n_nodes in
+          incr n_nodes;
+          let pick targets =
+            List.filter_map
+              (fun r ->
+                match !live with
+                | [] -> None
+                | l -> Some (List.nth l (r mod List.length l)))
+              targets
+          in
+          let in_nodes = List.sort_uniq compare (pick ins) in
+          let out_nodes = List.sort_uniq compare (pick outs) in
+          let in_edges = List.map (fun x -> (x, weight x k)) in_nodes in
+          let out_edges = List.map (fun y -> (y, weight (3 * y) k)) out_nodes in
+          let in_edges, out_edges =
+            match wgen, in_edges, out_edges with
+            | Off_at s, (x, w) :: rest, _ when s = k ->
+              off_seen := true;
+              ((x, Q.add w off_lattice) :: rest, out_edges)
+            | Off_at s, [], (y, w) :: rest when s = k ->
+              off_seen := true;
+              ([], (y, Q.add w off_lattice) :: rest)
+            | _ -> (in_edges, out_edges)
+          in
+          if in_edges <> [] && out_edges <> [] then two_edge := true;
+          Agdp.insert t ~key:k ~in_edges ~out_edges;
+          List.iter (fun (x, w) -> all_edges := (x, k, w) :: !all_edges) in_edges;
+          List.iter (fun (y, w) -> all_edges := (k, y, w) :: !all_edges) out_edges;
+          live := k :: !live;
+          (match !live with
+          | _ :: victim :: _ when victim mod 3 = 0 ->
+            Agdp.kill t victim;
+            live := List.filter (fun x -> x <> victim) !live
+          | _ -> ());
+          (match wgen, Agdp.scale t with
+          | Small, None -> ok := false
+          | Off_at _, sc -> if !off_seen <> (sc = None) then ok := false
+          | Huge, Some _ when !two_edge -> ok := false
+          | _ -> ());
+          let g = Digraph.create !n_nodes in
+          List.iter (fun (u, v, w) -> Digraph.add_edge g u v w) !all_edges;
+          let d = Floyd_warshall.apsp g in
+          List.iter
+            (fun x ->
+              List.iter
+                (fun y ->
+                  if not (Ext.equal (Agdp.dist t x y) d.(x).(y)) then
+                    ok := false)
+                !live)
+            !live)
+        ops;
+      (* a snapshot restores with the same keys and distances and
+         snapshots again to itself; a distance whose denominator exceeds
+         the 2^40 scale cap, or whose magnitude reaches 2^61, fits no
+         lattice, so such a snapshot must restore onto the exact path *)
+      let s = Agdp.snapshot t in
+      let t' = Agdp.restore s in
+      let s' = Agdp.snapshot t' in
+      let fits_no_lattice = function
+        | Ext.Inf -> false
+        | Ext.Fin q ->
+          (match Bigint.to_int_opt (Q.den q) with
+          | Some den -> den > 1 lsl 40
+          | None -> true)
+          || Q.compare (Q.abs q) (Q.of_int (1 lsl 61)) >= 0
       in
-      let exact_ok =
-        Fun.protect
-          ~finally:(fun () -> Q.Approx.set_enabled true)
-          (fun () ->
-            Q.Approx.set_enabled false;
-            run ())
-      in
-      exact_ok && run ())
+      let must_promote = Array.exists fits_no_lattice s.Agdp.s_dist in
+      if
+        (wgen = Small && Agdp.scale t' = None)
+        || (must_promote && Agdp.scale t' <> None)
+        || Agdp.live_keys t' <> Agdp.live_keys t
+        || s'.Agdp.s_keys <> s.Agdp.s_keys
+        || s'.Agdp.s_relaxations <> s.Agdp.s_relaxations
+        || s'.Agdp.s_peak <> s.Agdp.s_peak
+        || not
+             (Alcotest.equal ext_list (Array.to_list s'.Agdp.s_dist)
+                (Array.to_list s.Agdp.s_dist))
+      then ok := false;
+      !ok)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -416,6 +443,8 @@ let () =
           Alcotest.test_case "negative edges" `Quick test_negative_edges;
           Alcotest.test_case "negative cycle detected" `Quick
             test_negative_cycle_detected;
+          Alcotest.test_case "negative cycle on an enclosure tie" `Quick
+            test_negative_cycle_tie;
           Alcotest.test_case "argument validation" `Quick test_validation;
           Alcotest.test_case "growth beyond capacity" `Quick
             test_growth_beyond_capacity;

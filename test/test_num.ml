@@ -295,29 +295,14 @@ let prop_of_float_exact_roundtrip =
       Q.to_float (Q.of_float_exact f) = f)
 
 let test_approx_sentinel_safety () =
-  (* the sentinel's NaN bounds must make every fast-tier query
-     inconclusive — Agdp relies on this to keep no-path cells out of the
-     float rejection path *)
+  (* the sentinel's NaN bounds must make every enclosure query
+     inconclusive, so a no-path cell never settles a comparison *)
   let s = Q.sentinel in
   Alcotest.(check bool) "lo is nan" true (Float.is_nan (Q.Approx.lo s));
   Alcotest.(check bool) "hi is nan" true (Float.is_nan (Q.Approx.hi s));
-  Alcotest.(check int) "cmp left" 0 (Q.Approx.cmp s Q.one);
-  Alcotest.(check int) "cmp right" 0 (Q.Approx.cmp Q.one s);
   Alcotest.(check int) "add_cmp target" 0 (Q.Approx.add_cmp Q.one Q.one s);
   Alcotest.(check int) "add_cmp operand" 0 (Q.Approx.add_cmp s Q.one Q.one);
   Alcotest.(check int) "add_cmp other operand" 0 (Q.Approx.add_cmp Q.one s Q.one)
-
-let test_approx_toggle () =
-  Fun.protect
-    ~finally:(fun () -> Q.Approx.set_enabled true)
-    (fun () ->
-      Alcotest.(check bool) "enabled by default" true (Q.Approx.enabled ());
-      Q.Approx.set_enabled false;
-      Alcotest.(check bool) "disabled" false (Q.Approx.enabled ());
-      Alcotest.(check int) "cmp inconclusive when off" 0
-        (Q.Approx.cmp Q.zero Q.one);
-      Alcotest.(check int) "compare still works when off" (-1)
-        (Q.compare Q.zero Q.one))
 
 (* Adversarial inputs for the fast tier: shared denominators, near-equal
    and exactly-equal values in different forms, sign boundaries around
@@ -370,14 +355,6 @@ let prop_compare_two_tier_agrees =
       Q.compare a b = Q.compare_exact a b
       && Q.compare b a = Q.compare_exact b a
       && Q.compare a a = 0)
-
-let prop_approx_cmp_sound =
-  QCheck.Test.make
-    ~name:"q: Approx.cmp conclusions match exact order" ~count:2000
-    arbitrary_adversarial_pair (fun (a, b) ->
-      match Q.Approx.cmp a b with
-      | 0 -> true
-      | c -> c = Q.compare_exact a b)
 
 let prop_approx_add_cmp_sound =
   QCheck.Test.make
@@ -515,13 +492,12 @@ let () =
           Alcotest.test_case "of_float_exact" `Quick test_q_of_float_exact;
           Alcotest.test_case "approx sentinel safety" `Quick
             test_approx_sentinel_safety;
-          Alcotest.test_case "approx toggle" `Quick test_approx_toggle;
         ] );
       qsuite "q-props" [ prop_q_field; prop_q_compare_antisym; prop_q_to_float ];
       qsuite "q-two-tier-props"
         [
           prop_of_float_exact_roundtrip; prop_compare_two_tier_agrees;
-          prop_approx_cmp_sound; prop_approx_add_cmp_sound;
+          prop_approx_add_cmp_sound;
           prop_enclosure_contains;
         ];
       ("ext", [ Alcotest.test_case "extended weights" `Quick test_ext ]);
