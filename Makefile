@@ -4,7 +4,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test bench-smoke bench-guard analyze-smoke net-smoke crash-smoke hub-smoke hub-crash-smoke tournament-smoke check fmt fmt-check apalache clean
+.PHONY: all build test bench-smoke bench-guard analyze-smoke net-smoke crash-smoke hub-smoke hub-crash-smoke tournament-smoke check fmt fmt-check clean
 
 all: build
 
@@ -92,20 +92,6 @@ fmt-check:
 	  $(DUNE) build @fmt; \
 	else \
 	  echo "fmt-check: ocamlformat not installed, skipping"; \
-	fi
-
-# Model-check the Session reference spec (spec/Session.tla), from which
-# the lib/conform monitor rules are transcribed.  Best effort: the
-# sealed image does not ship a TLA+ toolchain, so this skips
-# (successfully) when no checker binary is present and never gates CI.
-apalache:
-	@if command -v apalache-mc >/dev/null 2>&1; then \
-	  apalache-mc check --inv=AllInvariants \
-	    --cinit=ConstInit spec/Session.tla || exit 1; \
-	elif command -v tlc >/dev/null 2>&1; then \
-	  tlc spec/Session.tla || exit 1; \
-	else \
-	  echo "apalache: no TLA+ checker installed, skipping"; \
 	fi
 
 clean:

@@ -1475,7 +1475,7 @@ let e20_tournament () =
 (* ---------------- E21: conformance-monitor overhead (live hub) *)
 
 (* The online protocol monitor (lib/conform) wraps the outermost trace
-   sink of serve/peer/hub, checking every event against the Session
+   sink of peer/hub, checking every event against the Session
    spec's transition relation.  Its budget: a monitored hub must stay
    within 1.05x the wall time of an unmonitored one on the E19
    loopback-swarm workload (min-of-3 each, so scheduler noise cancels).

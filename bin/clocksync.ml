@@ -217,7 +217,7 @@ let trace_file =
 
 (* ---- run ---- *)
 
-(* The shared observability harness of run, serve, peer and hub: one
+(* The shared observability harness of run, peer and hub: one
    JSONL sink with a summary trailer (closed even on exceptions — the
    stream is mirrored to disk and aggregated a second time independently
    of the engine, so the trailing summary line is computed from exactly
@@ -439,7 +439,7 @@ let sweep_cmd =
   in
   Cmd.v (Cmd.info "sweep" ~doc:"Sweep one parameter and tabulate results.") term
 
-(* ---- serve / peer / hub: the socket runtime ---- *)
+(* ---- peer / hub: the socket runtime ---- *)
 
 module Unet = Loop.Make (Udp)
 
@@ -447,7 +447,7 @@ let q_of_float_s f = Q.of_ints (int_of_float (f *. 1_000_000.)) 1_000_000
 
 let port_opt =
   Arg.(value & opt int 9460 & info [ "port" ] ~docv:"PORT"
-         ~doc:"UDP port to bind (serve) — 0 picks a free port.")
+         ~doc:"UDP port to bind — 0 picks a free port.")
 
 let net_nodes =
   Arg.(value & opt int 3 & info [ "nodes"; "n" ] ~docv:"N"
@@ -610,7 +610,7 @@ let mk_stats ~stat_port ~metrics =
       srv)
     stat_port
 
-(* the options serve, peer and hub share *)
+(* the options peer and hub share *)
 type runtime = {
   nodes : int;
   drift_ppm : int;
@@ -649,8 +649,8 @@ type node = {
 }
 
 (* Observability, spec, epoch pin, socket, session config, stat server,
-   the drive loop and the monitor verdict — everything serve, peer and
-   hub share.  [setup] builds the node; the loop then polls until the
+   the drive loop and the monitor verdict — everything peer and hub
+   share.  [setup] builds the node; the loop then polls until the
    wall deadline, printing every --sample seconds and serving the stat
    endpoint at least every 0.2 s. *)
 let run_node rt ~me ?offset ?rate ~port setup =
@@ -711,58 +711,10 @@ let run_node rt ~me ?offset ?rate ~port setup =
     monitor_verdict ~monitor:rt.monitor ~metrics
       (match result with Ok () -> `Ok () | Error m -> `Error (false, m))
 
-let serve_cmd =
-  let action port rt =
-    if rt.nodes < 2 then `Error (false, "need at least 2 nodes")
-    else
-      run_node rt ~me:0 ~port @@ fun ~sink ~prof ~net ~spec:_ ~cfg ->
-      Format.printf "clocksync reference node: processor 0 of %d, %s@."
-        rt.nodes
-        (Udp.string_of_addr (Udp.loopback (Udp.port net)));
-      Format.printf
-        "spec: drift %d ppm, transit [0, %d ms]; waiting for peers@."
-        rt.drift_ppm rt.hi_ms;
-      let start = Udp.now net in
-      Result.map
-        (fun session ->
-          let loop = Unet.create ~prof ~net ~session () in
-          let all_done () = Session.all_peers_done session in
-          let print ~now =
-            let up =
-              List.filter (Session.established session)
-                (Session.peer_ids session)
-            in
-            (* the reference node is the source: its interval is the
-               exact point [now, now] — sampling it still feeds the
-               trace stream *)
-            ignore (Session.sample session ~now ~truth:now ());
-            Format.printf "t=%6.2f  peers up: %d/%d%s@."
-              (Q.to_float (Q.sub now start))
-              (List.length up) (rt.nodes - 1)
-              (if up = [] then ""
-               else "  [" ^ String.concat "," (List.map string_of_int up) ^ "]")
-          in
-          let report () =
-            Format.printf "reference node done (%s)@."
-              (if all_done () then "all peers came up and said bye"
-               else "duration elapsed");
-            Ok ()
-          in
-          { poll = Unet.poll loop; print; finished = all_done;
-            stop = Session.stop session; report })
-        (mk_session ~sink ~prof ~checkpoint:rt.checkpoint cfg ~now:start)
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run the reference node (processor 0, the time source) on a UDP \
-          port.  Peers connect with $(b,clocksync peer).")
-    Term.(ret (const action $ port_opt $ runtime))
-
 let peer_cmd =
   let server =
     Arg.(value & opt string "127.0.0.1:9460" & info [ "server" ]
-           ~docv:"HOST:PORT" ~doc:"The reference node's address.")
+           ~docv:"HOST:PORT" ~doc:"The $(b,clocksync hub)'s address.")
   in
   let id =
     Arg.(value & opt int 1 & info [ "id" ] ~docv:"ID"
@@ -800,9 +752,9 @@ let peer_cmd =
             let samples = ref 0 and finite = ref 0 and uncontained = ref 0 in
             let print ~now =
               (* on localhost every process shares the wall clock, and
-                 the reference node runs offset 0 / rate 1: the wall
-                 clock IS the source's local time, so soundness is
-                 checkable end to end *)
+                 the hub runs offset 0 / rate 1: the wall clock IS the
+                 source's local time, so soundness is checkable end to
+                 end *)
               let truth = Udp.wall () in
               let est = Session.sample session ~now ~truth () in
               let w =
@@ -828,7 +780,7 @@ let peer_cmd =
                 id !samples !finite !uncontained;
               if !uncontained > 0 then
                 Error "soundness violated: some intervals missed the \
-                       reference time"
+                       source time"
               else if !finite = 0 then Error "never converged to a finite interval"
               else Ok ()
             in
@@ -840,10 +792,10 @@ let peer_cmd =
   Cmd.v
     (Cmd.info "peer"
        ~doc:
-         "Run one peer processor against a $(b,clocksync serve) reference \
-          node, printing live optimal offset intervals (and checking, on \
-          localhost, that each interval contains the reference node's \
-          true time).")
+         "Run one peer processor against a $(b,clocksync hub) (the \
+          source), printing live optimal offset intervals (and checking, \
+          on localhost, that each interval contains the hub's true \
+          time).")
     Term.(ret (const action $ server $ id $ offset_ms $ skew_ppm $ runtime))
 
 (* ---- hub / swarm: one socket, thousands of clients ---- *)
@@ -903,10 +855,11 @@ let hub_cmd =
   Cmd.v
     (Cmd.info "hub"
        ~doc:
-         "Run the reference node as a single-socket hub serving clients \
-          1..N-1, sharded into cohorts that share per-cohort protocol \
-          state.  Drive it with $(b,clocksync swarm) or ordinary \
-          $(b,clocksync peer) processes.")
+         "Run the reference node (processor 0, the time source) as a \
+          single-socket hub serving clients 1..N-1 on a UDP port, \
+          sharded into cohorts that share per-cohort protocol state.  \
+          Drive it with $(b,clocksync peer) processes or a $(b,clocksync \
+          swarm).")
     Term.(ret (const action $ port_opt $ cohort_opt $ runtime))
 
 (* print the swarm's outcome; every client must have converged soundly *)
@@ -1008,7 +961,7 @@ let swarm_cmd =
 let analyze_cmd =
   let trace_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE.jsonl"
-           ~doc:"A trace written by $(b,run)/$(b,serve)/$(b,peer) \
+           ~doc:"A trace written by $(b,run)/$(b,peer)/$(b,hub) \
                  $(b,--trace) (a crash-truncated one is fine), or a \
                  $(i,.flight) crash-recorder dump written by \
                  $(b,--flight).")
@@ -1286,5 +1239,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ run_cmd; sweep_cmd; tournament_cmd; verify_cmd; serve_cmd;
-            peer_cmd; hub_cmd; swarm_cmd; analyze_cmd ]))
+          [ run_cmd; sweep_cmd; tournament_cmd; verify_cmd; peer_cmd;
+            hub_cmd; swarm_cmd; analyze_cmd ]))

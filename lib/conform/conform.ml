@@ -5,14 +5,13 @@
    state — per-pair message-id floors, per-pair accepted-message sets,
    the global sent/lost ledgers, peer session parity, and the set of
    crashed nodes — and checks every guarded transition the spec allows
-   (spec/Session.tla is the same relation written for Apalache; the
-   mapping table lives in DESIGN.md §15).  The relation is deliberately
-   sound for BOTH producers of traces:
+   (the rule table lives in DESIGN.md §15).  The relation is
+   deliberately sound for BOTH producers of traces:
 
    - the simulator (run / tournament), where delivery may reorder
      messages (delay policies) and a crash kills unacked receives by
      declaring their messages lost through the Section 3.3 oracle; and
-   - the socket runtime (serve / peer / hub), including trailerless
+   - the socket runtime (peer / hub), including trailerless
      kill -9 victim traces and post-recovery traces whose pre-crash
      history lives in a different file.
 

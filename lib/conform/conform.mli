@@ -4,8 +4,7 @@
     protocol state — per-pair message-id floors, accepted-message sets,
     the sent/lost ledgers, peer session parity, crashed nodes — and
     checks the guarded transition relation of the Session spec at every
-    step ([spec/Session.tla] is the same relation written for Apalache;
-    DESIGN.md §15 has the rule-by-rule mapping).  The relation is sound
+    step (DESIGN.md §15 has the rule-by-rule table).  The relation is sound
     for both simulator traces (reordering delivery, crash-as-loss) and
     socket-runtime traces (including trailerless kill -9 victims and
     post-recovery runs whose pre-crash history is in another file).

@@ -243,15 +243,18 @@ let run_udp ?(seed = 42) ?(drop = 0.) ?(duration = Q.of_int 15)
     end
   in
   go ();
+  (* read liveness before saying bye: a hub that sees every client's bye
+     answers with its own at once, and the last client's teardown poll
+     can receive that bye and mark the hub down *)
+  let established =
+    Array.to_list clients_a
+    |> List.map (fun (_, session, _, _) -> Session.established session 0)
+  in
   Array.iter
     (fun (net, session, loop, _) ->
       Session.stop session ~now:(Udp.now net);
       Unet.poll loop ~max_wait:Q.zero)
     clients_a;
-  let established =
-    Array.to_list clients_a
-    |> List.map (fun (_, session, _, _) -> Session.established session 0)
-  in
   let trackers =
     Array.to_list clients_a |> List.map (fun (_, _, _, tr) -> tr)
   in

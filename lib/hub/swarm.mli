@@ -7,12 +7,14 @@
     {!run_udp} runs K real-socket clients (each its own ephemeral UDP
     port, seeded offset/skew) against an external
     [clocksync hub] process — the smoke test's mode.  Every client is
-    an ordinary {!Session} + {!Loop}; nothing in the fleet knows it is
-    talking to a hub rather than a [clocksync serve] node. *)
+    an ordinary {!Session} + {!Loop}, the same stack a [clocksync peer]
+    runs; nothing in the fleet is specific to the hub. *)
 
 type client_report = {
   id : int;
-  established : bool;  (** the hub was up from this client's view at the end *)
+  established : bool;
+      (** the hub was up from this client's view when the run ended,
+          before the bye exchange *)
   samples : int;
   finite : int;  (** samples whose interval width was finite *)
   uncontained : int;  (** samples whose interval missed the truth *)

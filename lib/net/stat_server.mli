@@ -1,4 +1,4 @@
-(** Live metrics exposition endpoint ([clocksync serve/peer
+(** Live metrics exposition endpoint ([clocksync peer/hub
     --stat-port]).
 
     A minimal single-threaded TCP responder: every connection gets one

@@ -163,11 +163,6 @@ let validate st (node : Node_rt.t) =
 
 (* ------------------------------------------------------------------ *)
 
-let lossy st =
-  st.scenario.Scenario.loss_prob > 0.
-  || st.scenario.Scenario.faults <> []
-  || st.scenario.Scenario.churn <> None
-
 let is_down st p =
   match st.frt with None -> false | Some f -> f.down.(p)
 
@@ -303,7 +298,8 @@ let deliver st ~msg ~src ~dst ~env ~app ~sent_at =
     let node = st.nodes.(dst) in
     let lt = lt_now st node in
     match Node_rt.receive node ~src ~msg ~lt env with
-    | exception History.Not_causally_closed _ when lossy st ->
+    | exception History.Not_causally_closed _
+      when Scenario.lossy st.scenario ->
       (* In lossy mode the sender's frontier advances optimistically at
          send time (see History), so a payload can presuppose an earlier
          message that was in fact lost and not yet ruled on.  Such a
@@ -319,7 +315,8 @@ let deliver st ~msg ~src ~dst ~env ~app ~sent_at =
       f.unacked.(dst) <- (msg, src) :: f.unacked.(dst);
       if Fault.Policy.note_receive f.policies.(dst) then checkpoint st dst
     | None ->
-      if lossy st then Csa.on_msg_delivered st.nodes.(src).Node_rt.csa ~msg);
+      if Scenario.lossy st.scenario then
+        Csa.on_msg_delivered st.nodes.(src).Node_rt.csa ~msg);
     validate st node;
     record_sample st node;
     (* application behaviour *)

@@ -40,10 +40,7 @@ let create (scenario : Scenario.t) ~rng ~links ~sink p =
   in
   let csa =
     Csa.create
-      ~lossy:
-        (scenario.Scenario.loss_prob > 0.
-        || scenario.Scenario.faults <> []
-        || scenario.Scenario.churn <> None)
+      ~lossy:(Scenario.lossy scenario)
       ~validate:scenario.Scenario.validate_oracle ~sink
       ~prof:scenario.Scenario.prof spec ~me:p ~lt0
   in

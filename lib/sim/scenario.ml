@@ -30,6 +30,8 @@ type t = {
   checkpoint_dir : string option;
 }
 
+let lossy t = t.loss_prob > 0. || t.faults <> [] || t.churn <> None
+
 let sec n = Q.of_int n
 let ms n = Q.of_ints n 1_000
 let us n = Q.of_ints n 1_000_000

@@ -97,6 +97,11 @@ val default : spec:System_spec.t -> traffic:traffic -> t
 (** 60 s duration, uniform delays, random clock rates over 5 s segments,
     offsets up to 1 s, no loss, no baselines, no validation. *)
 
+val lossy : t -> bool
+(** Whether the run needs the Section 3.3 loss machinery: lossy CSA
+    mode, loss verdicts and optimistic frontiers.  True under message
+    loss, any fault, or churn. *)
+
 val sec : int -> Q.t
 (** Seconds as rational time units. *)
 

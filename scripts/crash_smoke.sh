@@ -1,12 +1,13 @@
 #!/bin/sh
 # Crash/recovery smoke test for the net runtime's checkpointing:
-#   - a reference node (processor 0) plus one peer running with
-#     --checkpoint, with receive-side loss injected on both ends;
+#   - a `clocksync hub` (processor 0, the source) plus one `clocksync
+#     peer` running with --checkpoint, with receive-side loss injected
+#     on both ends;
 #   - the peer is kill -9'd mid-session, then restarted on the same
 #     checkpoint directory;
 #   - the restarted peer must print "recovered from checkpoint",
 #     re-handshake, and every post-recovery sample must be contained
-#     (the interval must hold the reference node's wall-clock time).
+#     (the interval must hold the hub's wall-clock time).
 # Exercises: write-ahead checkpoints on send/ack, Session.restore's
 # dedup-floor and msg-id-counter persistence, re-armed ack deadlines
 # for in-flight messages, and the re-announce handshake after reboot.
@@ -14,7 +15,7 @@
 # Environment knobs (shared with net_smoke.sh):
 #   NET_SMOKE_PORT_BASE   first port of the random range (default 20000)
 #   NET_SMOKE_DROP        receive-side loss probability (default 0.15)
-#   CRASH_SMOKE_DURATION  reference-node lifetime in seconds (default 16)
+#   CRASH_SMOKE_DURATION  hub lifetime in seconds (default 16)
 #   SMOKE_ARTIFACT_DIR    if set, logs + JSONL traces are copied there on
 #                         failure so CI can upload them
 set -eu
@@ -29,11 +30,11 @@ DROP=${NET_SMOKE_DROP:-0.15}
 
 echo "crash-smoke: UDP session on 127.0.0.1:$PORT (drop=$DROP), peer will be kill -9'd"
 
-"$BIN" serve --port "$PORT" --nodes 2 --duration "$DURATION" \
-  --sample 1 --drop "$DROP" --trace "$DIR/serve.jsonl" --monitor \
-  >"$DIR/serve.log" 2>&1 &
-SERVE_PID=$!
-smoke_track "$SERVE_PID"
+"$BIN" hub --port "$PORT" --nodes 2 --duration "$DURATION" \
+  --sample 1 --drop "$DROP" --trace "$DIR/hub.jsonl" --monitor \
+  >"$DIR/hub.log" 2>&1 &
+HUB_PID=$!
+smoke_track "$HUB_PID"
 
 sleep 1
 
@@ -61,7 +62,7 @@ smoke_track "$PEER_PID"
 
 fail=0
 wait "$PEER_PID" || { echo "crash-smoke: restarted peer FAILED"; fail=1; }
-wait "$SERVE_PID" || { echo "crash-smoke: reference node FAILED"; fail=1; }
+wait "$HUB_PID" || { echo "crash-smoke: hub FAILED"; fail=1; }
 PIDS=""
 
 if ! grep -q "checkpointing to" "$DIR/peer-run1.log"; then
@@ -84,26 +85,27 @@ if ! grep -q "0 containment failures" "$DIR/peer-run2.log"; then
   echo "crash-smoke: restarted peer containment summary missing or nonzero"
   fail=1
 fi
-if ! grep -q "reference node done" "$DIR/serve.log"; then
-  echo "crash-smoke: reference node did not shut down cleanly"
+if ! grep -q "hub done" "$DIR/hub.log"; then
+  echo "crash-smoke: hub did not shut down cleanly"
   fail=1
 fi
 
 # Injected loss discards datagrams at the transport, before decode; a
 # "frame: ..." drop would mean the in-place decoder rejected real bytes
 # — and here the decode path also spans the checkpoint restore.
-if grep -q '"reason":"frame:' "$DIR/serve.jsonl"; then
-  echo "crash-smoke: reference node dropped a frame as undecodable"
+if grep -q '"reason":"frame:' "$DIR/hub.jsonl"; then
+  echo "crash-smoke: hub dropped a frame as undecodable"
   fail=1
 fi
 
-# Close the trace loop.  The reference node ran to completion, so its
-# trace must parse completely, match its trailer, hold estimates, and
-# replay clean through the Session protocol spec.
-if ! "$BIN" analyze "$DIR/serve.jsonl" --require-estimates --conform \
-    >"$DIR/serve-analysis.txt" 2>&1; then
-  echo "crash-smoke: serve trace analysis FAILED"
-  cat "$DIR/serve-analysis.txt"
+# Close the trace loop.  The hub ran to completion, so its trace must
+# parse completely, match its trailer, and replay clean through the
+# Session protocol spec.  (The hub computes no estimates; the recovered
+# peer's trace below must hold them.)
+if ! "$BIN" analyze "$DIR/hub.jsonl" --conform \
+    >"$DIR/hub-analysis.txt" 2>&1; then
+  echo "crash-smoke: hub trace analysis FAILED"
+  cat "$DIR/hub-analysis.txt"
   fail=1
 fi
 # The first peer run was kill -9'd mid-write: its trace has no summary
@@ -126,9 +128,10 @@ if ! "$BIN" analyze "$DIR/peer-run1.flight" --conform \
   cat "$DIR/peer-run1-flight-analysis.txt"
   fail=1
 fi
-# The recovered run's trace spans restore + re-handshake; it must also
+# The recovered run's trace spans restore + re-handshake; it ran to
+# completion, so it must hold the estimate samples it printed and also
 # replay conformant (recovery exemptions engage on its Recover event).
-if ! "$BIN" analyze "$DIR/peer-run2.jsonl" --conform \
+if ! "$BIN" analyze "$DIR/peer-run2.jsonl" --require-estimates --conform \
     >"$DIR/peer-run2-analysis.txt" 2>&1; then
   echo "crash-smoke: recovered peer's trace analysis FAILED"
   cat "$DIR/peer-run2-analysis.txt"
@@ -136,7 +139,7 @@ if ! "$BIN" analyze "$DIR/peer-run2.jsonl" --conform \
 fi
 
 if [ "$fail" -ne 0 ]; then
-  echo "--- serve ---";      cat "$DIR/serve.log"
+  echo "--- hub ---";        cat "$DIR/hub.log"
   echo "--- peer run 1 ---"; cat "$DIR/peer-run1.log"
   echo "--- peer run 2 ---"; cat "$DIR/peer-run2.log"
   exit 1

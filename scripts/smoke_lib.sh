@@ -21,7 +21,7 @@ BIN=${CLOCKSYNC:-_build/default/bin/clocksync.exe}
 PIDS=""
 
 # On any exit, reap whatever child processes are still alive: a failed
-# assertion must not leave an orphaned serve/peer squatting on the port.
+# assertion must not leave an orphaned hub/peer squatting on the port.
 smoke_cleanup() {
   status=$?
   for pid in $PIDS; do

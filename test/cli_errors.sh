@@ -39,7 +39,7 @@ refused() {
 }
 
 refused "$BIN" run -n 3 -d 1 --trace "$BAD.jsonl"
-for cmd in serve peer hub; do
+for cmd in peer hub; do
   port=""
   [ "$cmd" = peer ] || port="--port 0"
   # shellcheck disable=SC2086
@@ -47,6 +47,24 @@ for cmd in serve peer hub; do
   # shellcheck disable=SC2086
   refused "$BIN" $cmd $port -d 0.5 --flight "$BAD.flight"
 done
+
+# `hub` is the only server subcommand: `serve` must be refused as an
+# unknown command, before it binds a socket or writes anything
+out=$(timeout -s KILL 20 "$BIN" serve --port 0 -d 0.5 2>&1)
+status=$?
+case $status:$out in
+0:* | 137:* | *"wrote "* | *": processor "*)
+  echo "cli_errors: 'serve' ran (exit $status) instead of being refused"
+  printf '%s\n' "$out"
+  fail=1
+  ;;
+*"unknown command 'serve'"*) ;;
+*)
+  echo "cli_errors: 'serve' was not refused as an unknown command"
+  printf '%s\n' "$out"
+  fail=1
+  ;;
+esac
 
 # rejects FLAG CMD...: CMD exits 124 within 20 s and names FLAG on stderr
 # (a hang is killed, and SIGKILL's status 137 is never 124)
