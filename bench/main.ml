@@ -274,19 +274,13 @@ let e4_report_once () =
 
 (* ---------------------------------------------------------------- E5 *)
 
-(* Sliding-window edge weights for the two numeric paths of [Agdp]
-   (DESIGN.md Section 11).  Unit weights stay on the int lattice.  A
-   fleet-like rate k/(10^9·2^20) has a denominator past the lattice's
-   2^40 scale cap, so it promotes the structure on its first insert and
-   the window runs on exact rationals. *)
-let lattice_weight = q 1
-let exact_weight = Q.of_ints 1_048_576_000_000_037 1_048_576_000_000_000
-
-(* synthetic AGDP load shared by E5, E18, the guard and the smoke test:
+(* synthetic AGDP load shared by E5, the guard and the smoke test:
    maintain exactly [l] live nodes in a sliding chain whose edges all
-   weigh [weight]; measure relaxations and wall clock per insert *)
-let agdp_sliding_window ~weight ~l ~inserts =
-  let t = Agdp.create () in
+   weigh 1 s, on a simulator spec's lattice (1/10^10: ppm drift, µs
+   ticks); measure relaxations and wall clock per insert *)
+let agdp_sliding_window ~l ~inserts =
+  let weight = q 1 in
+  let t = Agdp.create ~scale:10_000_000_000 () in
   Agdp.insert t ~key:0 ~in_edges:[] ~out_edges:[];
   for k = 1 to l - 1 do
     Agdp.insert t ~key:k ~in_edges:[ (k - 1, weight) ]
@@ -326,7 +320,7 @@ let e5_agdp_cost () =
     List.map
       (fun l ->
         let per_insert, peak, ns =
-          agdp_sliding_window ~weight:lattice_weight ~l ~inserts:200
+          agdp_sliding_window ~l ~inserts:200
         in
         (l, per_insert, peak, ns))
       [ 8; 16; 32; 64; 128 ]
@@ -808,16 +802,17 @@ let e14_convergence_figure () =
         seed = 29;
       }
   in
+  let quantum = Q.to_float (System_spec.quantum (System_spec.charge spec)) in
   let series_of name =
     {
       Plot.label = name;
       points =
-        (* drop the source's own zero-width samples: they are exact by
-           definition and would squash the log scale *)
+        (* drop the source's own samples: exact but for the reading
+           quantum (DESIGN.md §4), they would squash the log scale *)
         List.filter_map
           (fun (rt, widths) ->
             match List.assoc_opt name widths with
-            | Some w when w > 0. -> Some (rt, w)
+            | Some w when w > quantum -> Some (rt, w)
             | _ -> None)
           r.Engine.series;
     }
@@ -867,7 +862,7 @@ let microbenches () =
   let bench_agdp_insert l =
     Test.make ~name:(Printf.sprintf "agdp_insert_L%d" l)
       (Staged.stage
-         (let t = Agdp.create () in
+         (let t = Agdp.create ~scale:1 () in
           Agdp.insert t ~key:0 ~in_edges:[] ~out_edges:[];
           for k = 1 to l - 1 do
             Agdp.insert t ~key:k ~in_edges:[ (k - 1, q 1) ]
@@ -1256,51 +1251,6 @@ let e17_instrumentation_overhead () =
                  clock reads + one Span emit).@."
     hist_ns off_ns on_ns
 
-(* ------------------------------ E18: the AGDP's two numeric paths *)
-
-(* The same L = 128 sliding-window insert on both numeric paths of
-   [Agdp] (DESIGN.md Section 11): unit weights stay on the int lattice,
-   fleet-like off-lattice weights promote to exact rationals, where each
-   relaxation asks Q's float enclosures before it builds a sum.  Both
-   paths do the same relaxations; only their cost differs.  Best-of-3
-   per path to shed scheduler noise. *)
-let e18_numeric_paths () =
-  section "E18" "AGDP insert throughput at L=128, int lattice vs exact path";
-  let l = 128 in
-  let measure weight inserts =
-    let run () = agdp_sliding_window ~weight ~l ~inserts in
-    let per_insert, _, a = run () in
-    let _, _, b = run () in
-    let _, _, c = run () in
-    (per_insert, Stdlib.min a (Stdlib.min b c))
-  in
-  let rl, ns_lattice = measure lattice_weight 300 in
-  let rx, ns_exact = measure exact_weight 100 in
-  let ips_lattice = 1e9 /. ns_lattice and ips_exact = 1e9 /. ns_exact in
-  metric "numeric_paths"
-    (J.Obj
-       [
-         ("live", J.Int l);
-         ("relaxations_per_insert", J.Float rl);
-         ("lattice_inserts_per_sec", J.Float ips_lattice);
-         ("exact_inserts_per_sec", J.Float ips_exact);
-         ("lattice_over_exact", J.Float (ns_exact /. ns_lattice));
-       ]);
-  Table.print
-    ~header:[ "path"; "relaxations/insert"; "ns/insert"; "inserts/s" ]
-    [
-      [ "int lattice"; Printf.sprintf "%.0f" rl;
-        Printf.sprintf "%.0f" ns_lattice; Printf.sprintf "%.0f" ips_lattice ];
-      [ "exact Q"; Printf.sprintf "%.0f" rx; Printf.sprintf "%.0f" ns_exact;
-        Printf.sprintf "%.0f" ips_exact ];
-    ];
-  if rl <> rx then
-    failwith "E18: the two numeric paths relaxed different cell counts";
-  Format.printf
-    "@.the lattice runs %.1fx the exact path's inserts/s on this machine;@.\
-     both relax the same cells.@."
-    (ns_exact /. ns_lattice)
-
 (* ------------------------- E19: hub capacity (loopback swarm) *)
 
 (* One hub process, K clients, one deterministic loopback fabric — the
@@ -1568,26 +1518,22 @@ let e21_monitor_overhead () =
 
 (* ------------------------------------------------ bench-guard (CI) *)
 
-(* Conservative throughput floors for `make bench-guard` / CI: four
-   floors, one per numeric path of [Agdp] on L = 128 sliding-window
-   inserts, one for frame decode and one for the hub.  The int lattice
-   measures ~11000-18000 inserts/s on a shared 2-vCPU Xeon, so 5000/s
-   absorbs heavy machine noise while failing on a regression of about
-   2.5x or worse.  The exact path (off-lattice weights, Q's enclosures
-   settling most relaxations) measures ~700-1200/s there, guarded at
-   300/s; with bigint comparisons alone it ran ~17-21/s. *)
+(* Conservative throughput floors for `make bench-guard` / CI: three
+   floors, one for [Agdp] on L = 128 sliding-window inserts, one for
+   frame decode and one for the hub.  The AGDP measures ~11000-18000
+   inserts/s on a shared 2-vCPU Xeon, so 5000/s absorbs heavy machine
+   noise while failing on a regression of about 2.5x or worse. *)
 let guard () =
-  section "guard" "throughput floors: AGDP lattice and exact path, decode, hub";
+  section "guard" "throughput floors: AGDP, decode, hub";
   let l = 128 in
-  let floor_ips = 5000. and floor_exact_ips = 300. in
-  let best weight =
+  let floor_ips = 5000. in
+  let ips =
     let run () =
-      let _, _, ns = agdp_sliding_window ~weight ~l ~inserts:100 in
+      let _, _, ns = agdp_sliding_window ~l ~inserts:100 in
       ns
     in
     1e9 /. Stdlib.min (run ()) (Stdlib.min (run ()) (run ()))
   in
-  let ips = best lattice_weight and exact_ips = best exact_weight in
   (* Decode floor for the zero-copy receive path: a 64-event frame must
      decode (frame + payload, in place) above this rate.  The slice
      decoder measures ~80k frames/s on the reference container and the
@@ -1618,10 +1564,9 @@ let guard () =
   in
   (* Hub floor (E19): a 256-client loopback swarm through one hub socket
      (cohort 1) must fully converge, and sustain a frame-handling rate
-     that only a hub whose wakeups cost the work due can reach.  With
-     arrivals on receiver ticks (sessions on the AGDP int lattice) a
+     that only a hub whose wakeups cost the work due can reach.  A
      shared 2-vCPU Xeon measures ~9100-11300 hub frames per wall
-     second, ~3200-3600 with every session on exact Q; a hub that
+     second; a hub that
      ticks, flushes and scans every session on each wakeup, or whose
      sessions carry a history frontier per spec neighbor, measured
      ~290.  3000/s leaves ~3x headroom for machine noise. *)
@@ -1636,8 +1581,6 @@ let guard () =
          ("live", J.Int l);
          ("inserts_per_sec", J.Float ips);
          ("floor_inserts_per_sec", J.Float floor_ips);
-         ("exact_inserts_per_sec", J.Float exact_ips);
-         ("floor_exact_inserts_per_sec", J.Float floor_exact_ips);
          ("decode_frames_per_sec", J.Float dec_fps);
          ("floor_decode_frames_per_sec", J.Float floor_fps);
          ("hub_clients", J.Int hub_clients);
@@ -1646,9 +1589,7 @@ let guard () =
          ("hub_frames_per_wall_s", J.Float hub_fps);
          ("floor_hub_frames_per_wall_s", J.Float floor_hub_fps);
        ]);
-  Format.printf "L=%d lattice: %.0f inserts/s (floor %.0f)@." l ips floor_ips;
-  Format.printf "L=%d exact: %.0f inserts/s (floor %.0f)@." l exact_ips
-    floor_exact_ips;
+  Format.printf "L=%d agdp: %.0f inserts/s (floor %.0f)@." l ips floor_ips;
   Format.printf "decode: %.0f frames/s at 64 events (floor %.0f)@." dec_fps
     floor_fps;
   Format.printf "hub: %d/%d converged, %.0f frames/s (floor %.0f)@."
@@ -1656,13 +1597,8 @@ let guard () =
   if ips < floor_ips then
     failwith
       (Printf.sprintf
-         "bench-guard: %.0f lattice inserts/s at L=%d is below the %.0f floor"
+         "bench-guard: %.0f agdp inserts/s at L=%d is below the %.0f floor"
          ips l floor_ips);
-  if exact_ips < floor_exact_ips then
-    failwith
-      (Printf.sprintf
-         "bench-guard: %.0f exact inserts/s at L=%d is below the %.0f floor"
-         exact_ips l floor_exact_ips);
   if dec_fps < floor_fps then
     failwith
       (Printf.sprintf
@@ -1691,7 +1627,7 @@ let smoke () =
     List.map
       (fun l ->
         let per_insert, peak, ns =
-          agdp_sliding_window ~weight:lattice_weight ~l ~inserts:50
+          agdp_sliding_window ~l ~inserts:50
         in
         (l, per_insert, peak, ns))
       [ 8; 16 ]
@@ -1730,7 +1666,6 @@ let all =
     ("E15", e15_frame_throughput);
     ("E16", e16_checkpoint_throughput);
     ("E17", e17_instrumentation_overhead);
-    ("E18", e18_numeric_paths);
     ("E19", e19_hub_capacity);
     ("E20", e20_tournament);
     ("E21", e21_monitor_overhead);

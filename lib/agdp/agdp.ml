@@ -7,27 +7,14 @@ exception Negative_cycle
    access.  [kill] swaps the victim's slot with the last one, so the
    matrix stays compact.  The matrix doubles in capacity when full.
 
-   The matrix has two numeric representations (DESIGN.md Section 11):
-
-   - the lattice: while every weight seen lies in (1/scale)·Z for a
-     scale at most [max_scale], cell [c] is the native int [c·scale],
-     "no path" is [no_path], and a relaxation is one int add and one
-     compare.  The scale is the lcm of the weight denominators seen so
-     far; a weight with a new denominator grows it and rescales the
-     cells.  The cells, and every sum the insert forms, stay within
-     ±[max_cell], so no int operation below can overflow.
-   - the exact matrix: [Q.t] cells (no path is the out-of-band
-     [Q.sentinel]); each rational's own float enclosure lets most
-     relaxations reject a candidate without building it.
-
-   The first weight off the lattice, a scale beyond [max_scale], or a
-   cell or sum beyond ±[max_cell] promotes the structure, for good, to
-   the exact matrix.  [scale = 0] marks a promoted structure; exactly one
-   of [c] and [d] is in use, the other is empty. *)
+   Every weight lies in (1/scale)·Z for the [scale] fixed at creation
+   (DESIGN.md Section 11), so cell [c] is the native int [d·scale], "no
+   path" is [no_path], and a relaxation is one int add and one compare.
+   The cells, and every sum the insert forms, stay within ±[max_cell],
+   so no int operation below can overflow. *)
 type t = {
-  mutable scale : int; (* lattice denominator; 0 once promoted *)
-  mutable c : int array; (* lattice cells, cap * cap, row-major *)
-  mutable d : Q.t array; (* exact cells, cap * cap, row-major *)
+  scale : int; (* lattice denominator D *)
+  mutable c : int array; (* cells, cap * cap, row-major *)
   mutable cap : int;
   mutable keys : int array; (* slot -> key *)
   slot_of : (int, int) Hashtbl.t; (* key -> slot *)
@@ -38,22 +25,16 @@ type t = {
 }
 
 let initial_capacity = 8
-let inf = Q.sentinel
-let is_inf = Q.is_sentinel
 let no_path = max_int
 let max_cell = (1 lsl 61) - 1
 let max_scale = 1 lsl 40
 
-(* Raised inside the lattice insert, before anything is committed, when
-   the insert cannot stay on the lattice; [insert] then promotes and
-   runs the exact insert instead. *)
-exception Off_lattice
-
-let make ~cap ~count ~relax_count ~peak ~sink =
+let make ~scale ~cap ~count ~relax_count ~peak ~sink =
+  if scale < 1 || scale > max_scale then
+    invalid_arg (Printf.sprintf "Agdp: scale %d is outside [1, 2^40]" scale);
   {
-    scale = 1;
+    scale;
     c = Array.make (cap * cap) no_path;
-    d = [||];
     cap;
     keys = Array.make cap (-1);
     slot_of = Hashtbl.create (max 16 count);
@@ -63,15 +44,14 @@ let make ~cap ~count ~relax_count ~peak ~sink =
     sink;
   }
 
-let create ?(sink = Trace.null) () =
-  make ~cap:initial_capacity ~count:0 ~relax_count:0 ~peak:0 ~sink
+let create ?(sink = Trace.null) ~scale () =
+  make ~scale ~cap:initial_capacity ~count:0 ~relax_count:0 ~peak:0 ~sink
 
 let mem t key = Hashtbl.mem t.slot_of key
 let size t = t.count
 let capacity t = t.cap
 let relaxations t = t.relax_count
 let peak_size t = t.peak
-let scale t = if t.scale > 0 then Some t.scale else None
 
 let live_keys t =
   List.init t.count (fun i -> t.keys.(i)) |> List.sort compare
@@ -82,14 +62,10 @@ let slot_exn t key =
   | None ->
     invalid_arg (Printf.sprintf "Agdp: node %d is not live" key)
 
-(* the exact value of cell [idx], whichever representation holds it *)
+(* the exact value of cell [idx] *)
 let cell t idx =
-  if t.scale > 0 then
-    let v = t.c.(idx) in
-    if v = no_path then Ext.Inf else Ext.Fin (Q.make_ints v t.scale)
-  else
-    let v = t.d.(idx) in
-    if is_inf v then Ext.Inf else Ext.Fin v
+  let v = t.c.(idx) in
+  if v = no_path then Ext.Inf else Ext.Fin (Q.make_ints v t.scale)
 
 let dist t x y =
   let sx = slot_exn t x and sy = slot_exn t y in
@@ -106,7 +82,7 @@ let restride t cap' =
     done;
     dst
   in
-  if t.scale > 0 then t.c <- move t.c no_path else t.d <- move t.d inf;
+  t.c <- move t.c no_path;
   let keys' = Array.make cap' (-1) in
   Array.blit t.keys 0 keys' 0 t.count;
   t.cap <- cap';
@@ -122,84 +98,40 @@ let claim_slot t key =
   if t.count > t.peak then t.peak <- t.count;
   k
 
-(* One-way switch to the exact matrix: every lattice cell becomes the
-   rational it stands for. *)
-let promote t =
-  t.d <- Array.make (t.cap * t.cap) inf;
-  for i = 0 to t.count - 1 do
-    for j = 0 to t.count - 1 do
-      let idx = (i * t.cap) + j in
-      let v = t.c.(idx) in
-      if v <> no_path then t.d.(idx) <- Q.make_ints v t.scale
-    done
-  done;
-  t.c <- [||];
-  t.scale <- 0
+let out_of_range what =
+  invalid_arg (what ^ ": a distance leaves the lattice's ±(2^61 − 1)/D range")
 
-let rec gcd a b = if b = 0 then a else gcd b (a mod b)
-
-(* The smallest lattice scale that is a multiple of [s] and admits the
-   denominator of [w]. *)
-let widen_scale s w =
+(* [w] in units of 1/scale *)
+let to_cell t what w =
   match Bigint.to_int_opt (Q.den w) with
-  | Some den when den <= max_scale ->
-    if s mod den = 0 then s
-    else
-      let f = den / gcd s den in
-      if s > max_scale / f then raise Off_lattice else s * f
-  | _ -> raise Off_lattice
+  | Some den when t.scale mod den = 0 -> (
+    let m = t.scale / den in
+    match Bigint.to_int_opt (Q.num w) with
+    | Some n when n <= max_cell / m && n >= -(max_cell / m) -> n * m
+    | _ -> out_of_range what)
+  | _ ->
+    invalid_arg
+      (Printf.sprintf "%s: %s is off the 1/%d lattice" what (Q.to_string w)
+         t.scale)
 
-(* Multiply every live cell by [f], checking all of them before writing
-   any, so an overflow leaves the cells as they were. *)
-let rescale t f =
-  let bound = max_cell / f in
-  for i = 0 to t.count - 1 do
-    for j = 0 to t.count - 1 do
-      let v = t.c.((i * t.cap) + j) in
-      if v <> no_path && (v > bound || v < -bound) then raise Off_lattice
-    done
-  done;
-  for i = 0 to t.count - 1 do
-    for j = 0 to t.count - 1 do
-      let idx = (i * t.cap) + j in
-      let v = t.c.(idx) in
-      if v <> no_path then t.c.(idx) <- v * f
-    done
-  done;
-  t.scale <- t.scale * f
-
-(* [w] in units of 1/[s]; [s] is a multiple of its denominator. *)
-let to_cell s w =
-  match Bigint.to_int_opt (Q.num w), Bigint.to_int_opt (Q.den w) with
-  | Some n, Some den ->
-    let m = s / den in
-    if n > max_cell / m || n < -(max_cell / m) then raise Off_lattice
-    else n * m
-  | _ -> raise Off_lattice
-
-(* [a + b] for two in-range cells, or [Off_lattice] when the sum leaves
-   the range (the add itself cannot overflow: |a|, |b| <= 2^61 - 1) *)
+(* [a + b] for two in-range cells, checked against the range (the add
+   itself cannot overflow: |a|, |b| <= 2^61 - 1) *)
 let checked_add a b =
   let s = a + b in
-  if s > max_cell || s < -max_cell then raise Off_lattice else s
+  if s > max_cell || s < -max_cell then out_of_range "Agdp.insert" else s
 
-(* The insert on the lattice: the same three phases as [insert_exact]
-   below, over native ints.  Everything before [claim_slot] is read-only
-   apart from a rescale, which keeps every distance's value; so an
-   [Off_lattice] or [Negative_cycle] raised there leaves the structure
-   as it was.  Past [claim_slot] nothing can fail: the range check ahead
-   of Phase 3 bounds every sum it forms. *)
-let insert_lattice t ~key ~in_edges ~out_edges =
-  let s =
-    List.fold_left (fun s (_, w) -> widen_scale s w) t.scale
-      (List.rev_append in_edges out_edges)
-  in
-  if s <> t.scale then rescale t (s / t.scale);
-  let in_edges = List.map (fun (a, w) -> (a, to_cell s w)) in_edges
-  and out_edges = List.map (fun (b, w) -> (b, to_cell s w)) out_edges in
+(* Three phases.  Phases 1 and 2 are read-only, so an
+   [Invalid_argument] or [Negative_cycle] raised there leaves the
+   structure as it was.  Past [claim_slot] nothing can fail: the range
+   check ahead of Phase 3 bounds every sum it forms. *)
+let insert_cells t ~key ~in_edges ~out_edges =
   let k = t.count in
   let c = t.c and cap = t.cap in
   let relaxed = ref 0 in
+  (* Phase 1: distances to/from the new node, into scratch buffers.
+     Every path i ⇝ k decomposes as i ⇝ a plus an edge (a, k), with
+     i ⇝ a entirely over old nodes whose pairwise distances are already
+     exact; symmetrically for k ⇝ i. *)
   let col = Array.make (max k 1) no_path in (* col.(i) = d(i, k) *)
   let row = Array.make (max k 1) no_path in (* row.(i) = d(k, i) *)
   for i = 0 to k - 1 do
@@ -223,7 +155,8 @@ let insert_lattice t ~key ~in_edges ~out_edges =
         end)
       out_edges
   done;
-  (* Phase 2, tracking the extremes of col and row on the way *)
+  (* Phase 2: a path through k and back is a cycle; reject negative
+     ones, tracking the extremes of col and row on the way *)
   let col_lo = ref 0 and col_hi = ref 0 and row_lo = ref 0 and row_hi = ref 0 in
   for i = 0 to k - 1 do
     incr relaxed;
@@ -241,8 +174,10 @@ let insert_lattice t ~key ~in_edges ~out_edges =
   (* every Phase-3 candidate is some col.(i) + row.(j), so the sums of
      the extremes bound them all *)
   if !col_lo + !row_lo < -max_cell || !col_hi + !row_hi > max_cell then
-    raise Off_lattice;
-  (* Phase 3: commit *)
+    out_of_range "Agdp.insert";
+  (* Phase 3: commit, then relax all pairs through the new node: O(L²).
+     The diagonal cannot go negative: Phase 2 ruled out negative cycles
+     through k, and the committed matrix had none. *)
   let k = claim_slot t key in
   let c = t.c and cap = t.cap in
   let krow = k * cap in
@@ -268,89 +203,6 @@ let insert_lattice t ~key ~in_edges ~out_edges =
   done;
   !relaxed
 
-(* Relaxation core shared by the exact Phase-1 and Phase-3 loops:
-   improve [arr.(idx)] with the candidate path [a + b] if it is shorter.
-   The operands' float enclosures (Q.Approx.add_cmp) decide without
-   building the sum, so the steady-state "candidate does not improve"
-   rejection costs a few flops and never allocates; only actual
-   improvements and inconclusive overlaps pay the exact addition. *)
-let relax arr idx a b =
-  let cur = Array.unsafe_get arr idx in
-  if is_inf cur then Array.unsafe_set arr idx (Q.add a b)
-  else
-    let c = Q.Approx.add_cmp a b cur in
-    if c < 0 then Array.unsafe_set arr idx (Q.add a b)
-    else if c = 0 then begin
-      let cand = Q.add a b in
-      if Q.compare cand cur < 0 then Array.unsafe_set arr idx cand
-    end
-
-let insert_exact t ~key ~in_edges ~out_edges =
-  let k = t.count in
-  let d = t.d and cap = t.cap in
-  let relaxed = ref 0 in
-  (* Phase 1, read-only: distances to/from the new node, into scratch
-     buffers.  Every path i ⇝ k decomposes as i ⇝ a plus an edge (a, k),
-     with i ⇝ a entirely over old nodes whose pairwise distances are
-     already exact; symmetrically for k ⇝ i. *)
-  let col = Array.make (max k 1) inf in (* col.(i) = d(i, k) *)
-  let row = Array.make (max k 1) inf in (* row.(i) = d(k, i) *)
-  for i = 0 to k - 1 do
-    let base = i * cap in
-    List.iter
-      (fun (a, w) ->
-        incr relaxed;
-        let dia = Array.unsafe_get d (base + a) in
-        if not (is_inf dia) then relax col i dia w)
-      in_edges;
-    List.iter
-      (fun (b, w) ->
-        incr relaxed;
-        let dbi = Array.unsafe_get d ((b * cap) + i) in
-        if not (is_inf dbi) then relax row i w dbi)
-      out_edges
-  done;
-  (* Phase 2, still read-only: a path through k and back would be a
-     cycle; detect negative ones against the scratch buffers.  Nothing
-     has been committed yet, so raising here leaves the structure exactly
-     as it was before the call — the exception-safety guarantee of the
-     interface. *)
-  for i = 0 to k - 1 do
-    incr relaxed;
-    let c = Array.unsafe_get col i and r = Array.unsafe_get row i in
-    if (not (is_inf c)) && not (is_inf r) then begin
-      (* sign of r + c against zero straight from the enclosures; the
-         exact sum is built only when the bounds straddle zero *)
-      let s = Q.Approx.add_cmp r c Q.zero in
-      if s < 0 || (s = 0 && Q.sign (Q.add r c) < 0) then
-        raise Negative_cycle
-    end
-  done;
-  (* Phase 3: commit; no failure can occur past this point. *)
-  let k = claim_slot t key in
-  let d = t.d and cap = t.cap in
-  let krow = k * cap in
-  for i = 0 to k - 1 do
-    d.(krow + i) <- row.(i);
-    d.((i * cap) + k) <- col.(i)
-  done;
-  d.(krow + k) <- Q.zero;
-  (* Relax all pairs through the new node: O(L²).  The diagonal cannot go
-     negative: phase 2 ruled out negative cycles through k, and the
-     committed matrix had none. *)
-  for i = 0 to k - 1 do
-    let dik = Array.unsafe_get col i in
-    if not (is_inf dik) then begin
-      let base = i * cap in
-      relaxed := !relaxed + k;
-      for j = 0 to k - 1 do
-        let dkj = Array.unsafe_get d (krow + j) in
-        if not (is_inf dkj) then relax d (base + j) dik dkj
-      done
-    end
-  done;
-  !relaxed
-
 let insert t ~key ~in_edges ~out_edges =
   if mem t key then
     invalid_arg (Printf.sprintf "Agdp.insert: duplicate key %d" key);
@@ -358,16 +210,10 @@ let insert t ~key ~in_edges ~out_edges =
     (fun (x, _) ->
       if x = key then invalid_arg "Agdp.insert: self-loop edge")
     (in_edges @ out_edges);
-  let in_edges = List.map (fun (x, w) -> (slot_exn t x, w)) in_edges
-  and out_edges = List.map (fun (y, w) -> (slot_exn t y, w)) out_edges in
+  let edge (x, w) = (slot_exn t x, to_cell t "Agdp.insert" w) in
   let relaxed =
-    if t.scale = 0 then insert_exact t ~key ~in_edges ~out_edges
-    else
-      match insert_lattice t ~key ~in_edges ~out_edges with
-      | r -> r
-      | exception Off_lattice ->
-        promote t;
-        insert_exact t ~key ~in_edges ~out_edges
+    insert_cells t ~key ~in_edges:(List.map edge in_edges)
+      ~out_edges:(List.map edge out_edges)
   in
   t.relax_count <- t.relax_count + relaxed;
   Trace.emit t.sink (Trace.Oracle_insert { key; live = t.count })
@@ -413,44 +259,28 @@ let check_snapshot s =
     done
   done
 
-let restore ?(sink = Trace.null) s =
+let restore ?(sink = Trace.null) ~scale s =
   check_snapshot s;
   let count = Array.length s.s_keys in
   let cap = max initial_capacity count in
   let t =
-    make ~cap ~count ~relax_count:s.s_relaxations ~peak:s.s_peak ~sink
+    make ~scale ~cap ~count ~relax_count:s.s_relaxations ~peak:s.s_peak
+      ~sink
   in
   Array.blit s.s_keys 0 t.keys 0 count;
   Array.iteri (fun i key -> Hashtbl.replace t.slot_of key i) s.s_keys;
   let place x = ((x / count) * cap) + (x mod count) in
-  (* learn the lattice from the distances themselves; the original
-     structure's scale may have been a multiple of it *)
-  (match
-     let sc =
-       Array.fold_left
-         (fun sc v -> match v with Ext.Fin q -> widen_scale sc q | Ext.Inf -> sc)
-         1 s.s_dist
-     in
-     ( sc,
-       Array.map
-         (function Ext.Fin q -> to_cell sc q | Ext.Inf -> no_path)
-         s.s_dist )
-   with
-  | sc, cells ->
-    t.scale <- sc;
-    Array.iteri (fun x v -> t.c.(place x) <- v) cells
-  | exception Off_lattice ->
-    promote t;
-    Array.iteri
-      (fun x v ->
-        match v with Ext.Fin q -> t.d.(place x) <- q | Ext.Inf -> ())
-      s.s_dist);
+  Array.iteri
+    (fun x v ->
+      match v with
+      | Ext.Fin q -> t.c.(place x) <- to_cell t "Agdp.restore" q
+      | Ext.Inf -> ())
+    s.s_dist;
   t
 
 (* Halve the matrix when occupancy drops to a quarter (floor at the
    initial capacity): after churn the structure tracks the live set
-   instead of pinning peak-sized cap² cells — and their boxed rationals'
-   slots — forever.  Halving at 1/4 occupancy leaves the new matrix half
+   instead of pinning peak-sized cap² cells forever.  Halving at 1/4 occupancy leaves the new matrix half
    empty, so a kill/insert flutter cannot thrash grow/shrink. *)
 let shrink t =
   let cap' = Stdlib.max initial_capacity (t.cap / 2) in
@@ -475,9 +305,7 @@ let kill t key =
   let s = slot_exn t key in
   let last = t.count - 1 in
   let cap = t.cap in
-  (* scrubbing the dead slot lets its rationals be reclaimed *)
-  if t.scale > 0 then move_last t.c ~cap ~s ~last no_path
-  else move_last t.d ~cap ~s ~last inf;
+  move_last t.c ~cap ~s ~last no_path;
   if s <> last then begin
     let moved_key = t.keys.(last) in
     t.keys.(s) <- moved_key;

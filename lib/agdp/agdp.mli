@@ -11,18 +11,12 @@
 
     Nodes are identified by client-chosen integer keys.
 
-    Distances are exact on one of two numeric paths, chosen from the
-    input (DESIGN.md Section 11).  While every weight lies in
-    [(1/D)·Z] for a learned [D] (the lcm of the weight denominators seen,
-    at most [2^40]) and every distance and candidate sum within
-    [±(2^61 − 1)/D], the matrix holds native ints [d·D] — a
-    relaxation is one int add and one compare.  The first input that
-    does not fit promotes the structure, once and for good, to exact
-    {!Q.t} cells, where each relaxation first asks the operands' float
-    enclosures ({!Q.Approx.add_cmp}) and builds the exact sum only when
-    they cannot reject it.  Both paths give identical answers,
-    relaxation counts and snapshots; {!scale} tells which one is
-    running. *)
+    Distances are exact on one numeric path (DESIGN.md Section 11):
+    the caller fixes a lattice denominator [D] at creation (for a CSA,
+    its spec's {!System_spec.lattice}), every weight must lie in
+    [(1/D)·Z], and every distance and candidate sum within
+    [±(2^61 − 1)/D].  The matrix then holds native ints [d·D], and a
+    relaxation is one int add and one compare. *)
 
 type t
 
@@ -31,10 +25,12 @@ exception Negative_cycle
     negative-weight cycle (for synchronization graphs this means the view
     admits no execution). *)
 
-val create : ?sink:Trace.sink -> unit -> t
-(** [sink] receives an [Oracle_insert] event after every committed
-    insertion and an [Oracle_gc] event after every {!kill}, each carrying
-    the resulting live count (defaults to {!Trace.null}). *)
+val create : ?sink:Trace.sink -> scale:int -> unit -> t
+(** An empty structure on the lattice [(1/scale)·Z].  [sink] receives
+    an [Oracle_insert] event after every committed insertion and an
+    [Oracle_gc] event after every {!kill}, each carrying the resulting
+    live count (defaults to {!Trace.null}).
+    @raise Invalid_argument unless [1 <= scale <= 2^40]. *)
 
 val insert :
   t ->
@@ -49,11 +45,10 @@ val insert :
     was before the call — the new node's row and column are validated
     against the committed matrix before any mutation, so after catching
     either exception [size], [live_keys], [dist], and [relaxations] are
-    all unchanged and the structure remains fully usable.  (A rejected
-    insert may still have grown {!scale} or promoted the structure; both
-    keep every distance's value.)
-    @raise Invalid_argument on duplicate keys, self-loops, or dead/unknown
-    endpoints.
+    all unchanged and the structure remains fully usable.
+    @raise Invalid_argument on duplicate keys, self-loops, dead/unknown
+    endpoints, a weight off the [(1/scale)·Z] lattice, or a distance or
+    sum beyond [±(2^61 − 1)/scale] (checked, never wrapped).
     @raise Negative_cycle when the insertion would create a
     negative-weight cycle. *)
 
@@ -90,12 +85,6 @@ val peak_size : t -> int
 (** Maximum number of live nodes ever held — the space measure for
     Theorem 3.6's [O(L²)] claim. *)
 
-val scale : t -> int option
-(** [Some d] while the distances are held as native multiples of [1/d]
-    (the lattice path), [None] once the structure has promoted to exact
-    rationals.  Read-only: promotion happens inside {!insert} and
-    {!restore}, never on request. *)
-
 (** {1 Snapshots}
 
     The full state of the structure, for crash-recovery persistence
@@ -113,13 +102,12 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
-(** Exact values on either numeric path, so a snapshot does not say
-    which path took it. *)
+(** Exact values, so a snapshot does not depend on the lattice that
+    took it. *)
 
-val restore : ?sink:Trace.sink -> snapshot -> t
-(** Relearns the lattice from the snapshot's own distances, so the
-    restored [scale] may be a divisor of the original's.
-    @raise Invalid_argument when the snapshot cannot come from any
-    insert/kill sequence: a matrix of the wrong size, a repeated key, a
-    diagonal cell other than [0], or a pair with
-    [d(i, j) + d(j, i) < 0]. *)
+val restore : ?sink:Trace.sink -> scale:int -> snapshot -> t
+(** Rebuilds the structure on the lattice [(1/scale)·Z].
+    @raise Invalid_argument when a distance is off that lattice or out
+    of its range, or when the snapshot cannot come from any insert/kill
+    sequence: a matrix of the wrong size, a repeated key, a diagonal
+    cell other than [0], or a pair with [d(i, j) + d(j, i) < 0]. *)

@@ -23,7 +23,6 @@ let peak_live_count t = t.peak_live
 let history_size t = History.h_size t.hist
 let peak_history_size t = History.peak_h_size t.hist
 let oracle_relaxations t = Agdp.relaxations t.agdp
-let oracle_scale t = Agdp.scale t.agdp
 let events_processed t = t.processed
 let events_reported t = History.events_reported t.hist
 let known_upto t w = History.known_upto t.hist w
@@ -198,8 +197,20 @@ let insert_event t (e : Event.t) =
   if l > t.peak_live then t.peak_live <- l;
   Trace.emit t.sink (Trace.Liveness { node = t.me; live = l })
 
+(* Readings are whole ticks (DESIGN.md Section 4): over them every
+   weight lies on the spec's lattice, so a reading off the tick grid is
+   refused before it touches any state. *)
+let check_tick what lt =
+  match Bigint.to_int_opt (Q.den lt) with
+  | Some d when System_spec.ticks_per_second mod d = 0 -> ()
+  | _ ->
+    invalid_arg
+      (Printf.sprintf "%s: reading %s is not a whole tick" what
+         (Q.to_string lt))
+
 let create ?(lossy = false) ?(validate = false) ?(sink = Trace.null)
     ?(prof = Prof.null) ?neighbors spec ~me ~lt0 =
+  check_tick "Csa.create" lt0;
   let t =
     {
       spec;
@@ -209,7 +220,7 @@ let create ?(lossy = false) ?(validate = false) ?(sink = Trace.null)
           ~neighbors:
             (Option.value neighbors ~default:(System_spec.neighbors spec me))
           ~lossy ();
-      agdp = Agdp.create ~sink ();
+      agdp = Agdp.create ~sink ~scale:(System_spec.lattice spec) ();
       shadow = (if validate then Some (Fw_oracle.create ()) else None);
       prof;
       sink;
@@ -230,6 +241,7 @@ let create ?(lossy = false) ?(validate = false) ?(sink = Trace.null)
 
 let fresh_own_event t ~lt kind =
   if Q.(lt < t.last_lt) then invalid_arg "Csa: local time regression";
+  check_tick "Csa" lt;
   let e =
     { Event.id = { proc = t.me; seq = t.next_seq }; lt; kind }
   in
@@ -255,6 +267,8 @@ let receive t ~msg ~lt (payload : Payload.t) =
   (match send_ev.kind with
   | Event.Send { msg = m; dst } when m = msg && dst = t.me -> ()
   | _ -> invalid_arg "Csa.receive: payload does not match message");
+  check_tick "Csa.receive" lt;
+  List.iter (fun (e : Event.t) -> check_tick "Csa.receive" e.lt) payload.events;
   let fresh = History.integrate t.hist payload in
   List.iter (insert_event t) fresh;
   let recv =
@@ -497,7 +511,7 @@ let restore_reader ?(validate = false) ?(sink = Trace.null)
   if not (Codec.at_end r) then failwith "Csa.restore: trailing bytes";
   let gs = { Agdp.s_keys; s_dist; s_relaxations; s_peak = s_peak_agdp } in
   let agdp =
-    try Agdp.restore ~sink gs
+    try Agdp.restore ~sink ~scale:(System_spec.lattice spec) gs
     with Invalid_argument m -> failwith ("Csa.restore: " ^ m)
   in
   let t =
@@ -526,7 +540,9 @@ let restore ?validate ?sink ?prof ?neighbors spec blob =
     (Codec.reader_of_string blob)
 
 (* ext_L = LT(p) − d(sp, p), ext_U = LT(p) + d(p, sp); a query at local
-   time lt >= LT(p) is a virtual event linked to p by drift edges. *)
+   time lt >= LT(p) is a virtual event linked to p by drift edges.  On a
+   charged spec the upper end covers the true instant too (DESIGN.md
+   Section 4). *)
 let estimate_at t ~lt =
   if Q.(lt < t.last_lt) then invalid_arg "Csa.estimate_at: time in the past";
   match t.last_known.(System_spec.source t.spec), t.last_known.(t.me) with
@@ -552,7 +568,7 @@ let estimate_at t ~lt =
         let slack = Q.mul (Q.sub drift.Drift.rmax Q.one) elapsed in
         Interval.B (Q.add lt (Q.add d slack))
     in
-    Interval.make lo hi
+    System_spec.cover t.spec (Interval.make lo hi)
 
 let estimate t = estimate_at t ~lt:t.last_lt
 

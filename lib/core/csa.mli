@@ -15,9 +15,15 @@
       {!Fw_oracle} shadow cross-checks every one of them);
     and answers with [ext_L = LT(p) − d(sp, p)], [ext_U = LT(p) + d(p, sp)]
     (Theorem 2.1), which is optimal: no algorithm can output a smaller
-    interval on any indistinguishable execution.
+    interval on any indistinguishable execution.  On a {!System_spec.charge}d
+    spec the upper end also adds the spec's {!System_spec.quantum}.
 
-    Local times passed to the event functions must be non-decreasing. *)
+    Local times passed to the event functions, and every timestamp a
+    received payload carries, must be non-decreasing whole ticks
+    ({!System_spec.tick}); anything else is refused with
+    [Invalid_argument] before it touches any state.  Over whole ticks
+    every synchronization-graph weight lies on the spec's
+    {!System_spec.lattice}, where {!Agdp} runs. *)
 
 type t
 
@@ -123,10 +129,6 @@ val peak_history_size : t -> int
 val oracle_relaxations : t -> int
 (** The AGDP structure's cumulative relaxation count (its
     machine-independent work measure; see {!Agdp.relaxations}). *)
-
-val oracle_scale : t -> int option
-(** The AGDP structure's lattice scale ({!Agdp.scale}): [None] once an
-    off-lattice weight has promoted it to exact rationals. *)
 
 val events_processed : t -> int
 val events_reported : t -> int

@@ -1,13 +1,8 @@
 type packet = { at : Q.t; seq : int; src : int; dst : int; bytes : string }
 
 (* one destination address: its pending packets, sorted by (at, seq), so
-   recv is a head pop instead of a scan of everyone's traffic; and the
-   receiving endpoint's clock [(offset, rate)], which places arrivals on
-   its ticks ([None] until an endpoint claims the address) *)
-type dest = {
-  mutable pending : packet list;
-  mutable clock : (Q.t * Q.t) option;
-}
+   recv is a head pop instead of a scan of everyone's traffic *)
+type dest = { mutable pending : packet list }
 
 type fabric = {
   rng : Rng.t;
@@ -51,14 +46,13 @@ let dest fab id =
   match Hashtbl.find_opt fab.queues id with
   | Some d -> d
   | None ->
-    let d = { pending = []; clock = None } in
+    let d = { pending = [] } in
     Hashtbl.replace fab.queues id d;
     d
 
 let endpoint fab ~id ?(offset = Q.zero) ?(rate = Q.one) () =
   if Q.sign rate <= 0 then
     invalid_arg "Loopback.endpoint: rate must be positive";
-  (dest fab id).clock <- Some (offset, rate);
   { fab; id; offset; rate }
 
 let vnow fab = fab.vnow
@@ -69,12 +63,12 @@ let virtual_of_local ep lt = Q.div (Q.sub lt ep.offset) ep.rate
 
 let queue_head fab dst =
   match Hashtbl.find_opt fab.queues dst with
-  | Some { pending = p :: _; _ } -> Some p
+  | Some { pending = p :: _ } -> Some p
   | _ -> None
 
 let queue_pop fab dst =
   match Hashtbl.find_opt fab.queues dst with
-  | Some ({ pending = p :: rest; _ } as d) ->
+  | Some ({ pending = p :: rest } as d) ->
     d.pending <- rest;
     Some p
   | _ -> None
@@ -92,27 +86,6 @@ let insert_sorted fab d p =
      the packets' own *)
   Heap.push fab.sched ~at:p.at (p.dst, p.seq)
 
-(* Move an arrival [at], drawn inside [vnow + lo, vnow + hi], onto a
-   whole tick of the receiver's clock: the first one at or after [at],
-   unless that overshoots [vnow + hi]; then the last one at or before
-   [at], unless that undershoots [vnow + lo]; then [at] as drawn (a
-   link narrower than one receiver tick, whose receiver reads off the
-   lattice).  The transport does the same in the simulator. *)
-let align fab d at =
-  match d.clock with
-  | None -> at
-  | Some (offset, rate) ->
-    let lt = Q.add offset (Q.mul rate at) in
-    let up = Clock.ceil_tick lt in
-    if up == lt then at
-    else
-      let vt lt = Q.div (Q.sub lt offset) rate in
-      let a = vt up in
-      if Q.(a <= add fab.vnow fab.delay_hi) then a
-      else
-        let b = vt (Clock.floor_tick lt) in
-        if Q.(b >= add fab.vnow fab.delay_lo) then b else at
-
 (* drop stale heads (consumed or discarded packets); the surviving head
    is the fabric's next delivery, as (at, dst) *)
 let sched_head fab =
@@ -128,7 +101,23 @@ module Net = struct
 
   let equal_addr = Int.equal
   let string_of_addr = string_of_int
-  let now ep = local_of_virtual ep ep.fab.vnow
+  (* the floor tick of [offset + rate·vnow], from float bounds on it
+     (each operation rounded outward by one ulp) when they settle the
+     tick, so the exact reading is built only next to a tick boundary *)
+  let now ep =
+    let v = ep.fab.vnow and r = ep.rate and o = ep.offset in
+    let v_lo = Q.Approx.lo v and r_lo = Q.Approx.lo r in
+    let bounded =
+      if v_lo >= 0. && r_lo > 0. then
+        Clock.floor_tick_within
+          (Float.pred (Q.Approx.lo o +. Float.pred (r_lo *. v_lo)))
+          (Float.succ
+             (Q.Approx.hi o +. Float.succ (Q.Approx.hi r *. Q.Approx.hi v)))
+      else None
+    in
+    match bounded with
+    | Some lt -> lt
+    | None -> Clock.floor_tick (local_of_virtual ep v)
 
   let send ep dst bytes =
     let fab = ep.fab in
@@ -139,18 +128,11 @@ module Net = struct
         if Q.(fab.delay_lo = fab.delay_hi) then fab.delay_lo
         else Rng.q_between fab.rng fab.delay_lo fab.delay_hi
       in
-      let q = dest fab dst in
       let p =
-        {
-          at = align fab q (Q.add fab.vnow d);
-          seq = fab.next_seq;
-          src = ep.id;
-          dst;
-          bytes;
-        }
+        { at = Q.add fab.vnow d; seq = fab.next_seq; src = ep.id; dst; bytes }
       in
       fab.next_seq <- fab.next_seq + 1;
-      insert_sorted fab q p
+      insert_sorted fab (dest fab dst) p
     end
 
   (* non-blocking by design: time only moves in [run] *)

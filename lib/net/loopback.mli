@@ -2,7 +2,8 @@
     {!Net_intf.NET}.
 
     A {!fabric} owns a virtual clock and a delivery queue; {!endpoint}s
-    attach with an affine local clock ([lt = offset + rate * vnow]), so
+    attach with an affine local clock ([offset + rate * vnow], read as
+    its floor tick like every runtime's, {!Clock.floor_tick}), so
     skewed and offset nodes are exercised without wall-clock time.
     Sends draw a transit delay (and optionally a loss verdict) from a
     seeded {!Rng}; receives never block and never advance time — only
@@ -19,17 +20,12 @@ val fabric :
 (** [loss] drops each datagram independently at send time.  Delays are
     drawn uniformly from [[delay_lo, delay_hi]]; [delay_lo] must be
     positive, which guarantees the {!run} driver always makes progress
-    (a zero-delay reply could be due at the very instant it was sent).
-    The drawn arrival then moves to a whole tick ({!Clock.tick}) of the
-    receiver's clock inside [[send + delay_lo, send + delay_hi]]: the
-    first at or after the draw, else the last before it, else (no tick
-    in the window) the draw itself.  Placing an arrival draws nothing,
-    so the random stream is that of an unaligned fabric. *)
+    (a zero-delay reply could be due at the very instant it was sent). *)
 
 val endpoint :
   fabric -> id:int -> ?offset:Q.t -> ?rate:Q.t -> unit -> endpoint
-(** Attach processor [id]; its address {e is} [id], and its clock is
-    the one arrivals to [id] are placed on.  [rate] must be positive. *)
+(** Attach processor [id]; its address {e is} [id].  [rate] must be
+    positive. *)
 
 val vnow : fabric -> Q.t
 val delivered : fabric -> int
@@ -37,8 +33,9 @@ val dropped : fabric -> int
 
 val local_of_virtual : endpoint -> Q.t -> Q.t
 val virtual_of_local : endpoint -> Q.t -> Q.t
-(** The endpoint's affine clock and its inverse; {!run_drivers} wants
-    deadlines in virtual time, sessions speak local time. *)
+(** The endpoint's affine clock (its true reading, before the floor)
+    and its inverse; {!run_drivers} wants deadlines in virtual time,
+    sessions speak local time. *)
 
 (** The NET instance ({!Net_intf.NET} with [addr = int]). *)
 module Net : Net_intf.NET with type t = endpoint and type addr = int

@@ -134,8 +134,8 @@ let create ?(sink = Trace.null) ?(prof = Prof.null) ?alloc_msg
     ?(preestablished = false) ?peers cfg ~now =
   let members = member_subset cfg peers in
   let csa =
-    Csa.create ~lossy:cfg.lossy ~sink ~prof ~neighbors:members cfg.spec
-      ~me:cfg.me ~lt0:now
+    Csa.create ~lossy:cfg.lossy ~sink ~prof ~neighbors:members
+      (System_spec.charge cfg.spec) ~me:cfg.me ~lt0:now
   in
   let peers = Hashtbl.create (List.length members) in
   List.iter
@@ -321,7 +321,8 @@ let restore ?(sink = Trace.null) ?(prof = Prof.null) ?alloc_msg ?peers cfg
            (ids recorded) (ids members))
     end;
     let csa =
-      Csa.restore_reader ~sink ~prof ~neighbors:members cfg.spec csa_r
+      Csa.restore_reader ~sink ~prof ~neighbors:members
+        (System_spec.charge cfg.spec) csa_r
     in
     let peers = Hashtbl.create (List.length members) in
     List.iter
@@ -494,7 +495,7 @@ let handle t ~now ~bytes (frame : Frame.t) =
                payload's dependencies was dropped and its retransmission
                has not landed yet — dropping and waiting is the
                protocol's answer, not a breach of it *)
-            note_drop t ~now ("protocol violation: " ^ m)
+            note_drop t ~now ("awaiting dependencies: " ^ m)
           | exception Invalid_argument m ->
             violation t ~now ~peer:p.id ~msg ~rule:"wire_contract" m
           | exception Agdp.Negative_cycle ->
@@ -577,7 +578,10 @@ let next_deadline t =
   let add acc d = match acc with None -> Some d | Some a -> Some (Q.min a d) in
   if t.failed then None
   else
-  Hashtbl.fold
+  (* readings are whole ticks, so a deadline is first due at its ceil
+     tick; a driver that woke any earlier would find nothing due *)
+  Option.map Clock.ceil_tick
+  @@ Hashtbl.fold
     (fun _ p acc ->
       let acc =
         if p.reachable && (not p.established) && (not p.said_bye)

@@ -123,7 +123,9 @@ val tick : t -> now:Q.t -> unit
     deadline came up. *)
 
 val next_deadline : t -> Q.t option
-(** Earliest pending timer, for the transport's select timeout. *)
+(** Earliest pending timer, for the transport's select timeout, as the
+    first whole tick ({!Clock.ceil_tick}) at or after it: readings are
+    whole ticks, so no earlier reading finds it due. *)
 
 val drain : t -> (Event.proc * string) list
 (** Remove and return queued outgoing frames, oldest first. *)

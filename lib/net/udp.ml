@@ -85,16 +85,12 @@ let port t =
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
-(* A skewed clock is quantized once, from the exact wall reading: a
-   whole tick of [offset + rate·wall] lags it by under one tick, as the
-   unskewed reading does, where [rate] times a whole-tick wall reading
-   would sit off the tick lattice. *)
+(* the floor tick of the true reading [offset + rate·wall], quantized
+   once from the exact wall reading like every runtime's *)
 let now t =
   let lt =
-    if Q.equal t.rate Q.one then Q.add t.offset (wall ())
-    else
-      Clock.floor_tick
-        (Q.add t.offset (Q.mul t.rate (Q.of_float_exact (wall_s ()))))
+    Clock.floor_tick
+      (Q.add t.offset (Q.mul t.rate (Q.of_float_exact (wall_s ()))))
   in
   let lt = Q.max lt t.last_now in
   t.last_now <- lt;

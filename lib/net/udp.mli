@@ -1,8 +1,9 @@
 (** Real-socket {!Net_intf.NET}: one bound UDP socket per endpoint.
 
     The local clock is an affine view of the wall clock,
-    [lt = offset + rate * wall], read as a whole tick ({!Clock.tick})
-    and clamped monotone — so a peer process
+    [lt = offset + rate * wall], read as its floor tick
+    ({!Clock.floor_tick}, like every runtime's reading) and clamped
+    monotone — so a peer process
     can emulate a skewed, offset clock while the reference node runs
     [offset = 0, rate = 1] and its local time {e is} the wall time.  On
     localhost all processes share the wall clock, which is what lets the

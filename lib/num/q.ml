@@ -74,8 +74,8 @@ let den q = q.d
 
 (* Out-of-band marker: denominator 0 violates the type invariant, so no
    arithmetic below ever produces it and [is_sentinel] cannot
-   false-positive on a real rational.  Agdp stores it in flat distance
-   arrays as an unboxed "+infinity". *)
+   false-positive on a real rational.  Fw_oracle stores it in flat
+   distance arrays as an unboxed "+infinity". *)
 let sentinel = mk_raw B.zero B.zero
 let is_sentinel a = B.is_zero a.d
 
@@ -127,9 +127,8 @@ let make num den =
 (* Sum of two single-limb rationals entirely in native ints: magnitudes
    are below 2^30, so the cross products stay below 2^60 and the
    numerator below 2^61 — no bigint allocation until the final reduced
-   result.  This is the backbone of the exact AGDP insert (every
-   improving relaxation builds its candidate by one such addition), so
-   the enclosure is also computed directly: below 2^53 both conversions
+   result.  Most timestamp arithmetic runs here, so the enclosure is
+   also computed directly: below 2^53 both conversions
    are exact and one division rounding means a one-ulp widening; larger
    reduced terms fall back to the relative widening. *)
 let add_small na da nb db =
@@ -215,32 +214,6 @@ let of_float_exact f =
 module Approx = struct
   let lo a = a.ap.blo
   let hi a = a.ap.bhi
-
-  (* The sum bounds use the 2Sum transformation: [s = fl(x + y)] plus
-     the exact rounding error [err] recovered from it, so when the float
-     addition is exact the bound is the sum itself — letting the fast
-     tier settle ties (candidate = current) instead of falling back.
-     Overflow and NaN degrade soundly: [err] goes NaN, the sign test
-     fails, and the bound widens by one ulp (or never concludes).  All
-     of it is written inline in one function body: without flambda,
-     float-typed calls box their arguments, and this is the hottest few
-     nanoseconds of the AGDP relaxation loop — as a single body the
-     whole computation stays in registers and allocates nothing. *)
-  let add_cmp a b c =
-    let x = a.ap.blo and y = b.ap.blo in
-    let s = x +. y in
-    let bv = s -. x in
-    let err = (x -. (s -. bv)) +. (y -. bv) in
-    let sum_lo = if err >= 0. then s else Float.pred s in
-    if sum_lo >= c.ap.bhi then 1
-    else begin
-      let x = a.ap.bhi and y = b.ap.bhi in
-      let s = x +. y in
-      let bv = s -. x in
-      let err = (x -. (s -. bv)) +. (y -. bv) in
-      let sum_hi = if err <= 0. then s else Float.succ s in
-      if sum_hi < c.ap.blo then -1 else 0
-    end
 end
 
 let to_string a =

@@ -6,10 +6,9 @@
     with no rounding slack.
 
     Every rational also carries an outward-rounded float enclosure of
-    its value ({!Approx}), fixed at construction.  {!compare} and
-    {!Approx.add_cmp} answer from it when it separates the operands and
-    fall back to exact arithmetic when it does not, so every answer is
-    exact either way. *)
+    its value ({!Approx}), fixed at construction.  {!compare} answers
+    from it when it separates the operands and falls back to exact
+    arithmetic when it does not, so every answer is exact either way. *)
 
 type t
 
@@ -52,7 +51,7 @@ val of_float_exact : float -> t
 
 val sentinel : t
 (** An out-of-band marker (its denominator is 0, which no valid rational
-    has).  No operation of this module ever returns it; {!Agdp} stores it
+    has).  No operation of this module ever returns it; {!Fw_oracle} stores it
     in flat distance arrays as an unboxed "+infinity", avoiding an
     [Ext.t] allocation per matrix cell.  Arithmetic on the sentinel
     yields garbage — test {!is_sentinel} first. *)
@@ -90,22 +89,14 @@ val compare_exact : t -> t -> int
     Fast paths: equal denominators compare numerators directly, and
     operands of different sign never multiply. *)
 
-(** The guaranteed float enclosure.  It has no off switch: it keeps the
-    exact AGDP path about 40x faster than bigint comparisons alone
-    (DESIGN.md Section 11).  The sentinel's bounds are NaN, so no
-    [Approx] query ever concludes on it. *)
+(** The guaranteed float enclosure.  The sentinel's bounds are NaN, so
+    no query that compares them ever concludes on it. *)
 module Approx : sig
   val lo : t -> float
   (** Guaranteed lower bound ([nan] on the sentinel). *)
 
   val hi : t -> float
   (** Guaranteed upper bound ([nan] on the sentinel). *)
-
-  val add_cmp : t -> t -> t -> int
-  (** [add_cmp a b c] compares [a + b] against [c] without building the
-      sum: [1] means provably [a + b >= c], [-1] provably [a + b < c],
-      [0] inconclusive.  This is the AGDP relaxation kernel: the common
-      "candidate does not improve" rejection allocates nothing. *)
 end
 
 val equal : t -> t -> bool

@@ -1,14 +1,35 @@
 type policy = [ `Fixed of Q.t | `Random | `Adversarial | `Sawtooth of int ]
 
-let ticks_per_second = 1_000_000
-let tick = Q.of_ints 1 ticks_per_second
+let ticks_per_second = System_spec.ticks_per_second
+let tick = System_spec.tick
+let tps_f = float_of_int ticks_per_second
+
+(* [k >= 0] when every reading in [[lo, hi]] lies strictly inside the
+   tick [[k·tick, (k+1)·tick)], widened by one ulp each way to cover the
+   scaling's rounding; [-1] when they may not (NaN and infinities
+   included) *)
+let tick_inside lo hi =
+  let l = Float.pred (lo *. tps_f) in
+  let k = Float.floor l in
+  if l > k && k >= 0. && k < 0x1p52 && Float.floor (Float.succ (hi *. tps_f)) = k
+  then int_of_float k
+  else -1
+
+let floor_tick_within lo hi =
+  match tick_inside lo hi with
+  | k when k >= 0 -> Some (Q.make_ints k ticks_per_second)
+  | _ -> None
 
 (* [lt] rounded to a whole tick toward -inf ([up = false]) or +inf; a
    reading that is already a whole tick comes back physically unchanged.
-   Native ints whenever the scaled numerator fits (every simulator
-   reading), [Bigint] otherwise.  Both divisions truncate toward zero,
-   so the remainder's sign says which way to step. *)
+   First from [lt]'s float enclosure, when it lies strictly inside one
+   tick.  Otherwise exactly: native ints whenever the scaled numerator
+   fits, [Bigint] beyond.  Both divisions truncate toward zero, so the
+   remainder's sign says which way to step. *)
 let round_tick ~up lt =
+  let k = tick_inside (Q.Approx.lo lt) (Q.Approx.hi lt) in
+  if k >= 0 then Q.make_ints (if up then k + 1 else k) ticks_per_second
+  else
   let step q r =
     if up then if r > 0 then q + 1 else q else if r < 0 then q - 1 else q
   in
@@ -122,8 +143,3 @@ let rt_of_lt t lt =
     | None -> invalid_arg "Clock.rt_of_lt: local time before clock start"
   in
   Q.add seg.rt0 (Q.mul (Q.sub lt seg.lt0) seg.inv_rate)
-
-let tick_at_or_after t rt =
-  let lt = lt_of_rt t rt in
-  let up = ceil_tick lt in
-  if up == lt then rt else rt_of_lt t up

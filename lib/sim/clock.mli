@@ -17,23 +17,31 @@ type policy = [ `Fixed of Q.t | `Random | `Adversarial | `Sawtooth of int ]
 
 (** {1 The tick}
 
-    Every local reading the simulator hands to an algorithm, and every
-    reading the socket runtime takes, is a whole number of ticks.  With
-    a tick of 1/[ticks_per_second] and drift bounds in ppm, every
-    synchronization-graph weight then lies in [(1/D)·Z] for a small
-    fixed [D], which is what keeps {!Agdp} on native ints. *)
+    Every reading an algorithm sees, in the simulator, on the loopback
+    fabric and on a real socket, is the floor tick of the true reading
+    (DESIGN.md Section 4).  Over whole ticks every
+    synchronization-graph weight lies on the spec's fixed
+    {!System_spec.lattice}, where {!Agdp} runs on native ints. *)
 
 val ticks_per_second : int
-(** [1_000_000]: the tick is 1 µs. *)
+(** {!System_spec.ticks_per_second}: the tick is 1 µs. *)
 
 val tick : Q.t
-(** [1/ticks_per_second] seconds. *)
+(** {!System_spec.tick}. *)
 
 val floor_tick : Q.t -> Q.t
-(** The largest whole tick at or below a reading. *)
+(** The largest whole tick at or below a reading: what an algorithm
+    reads when the true reading is the argument. *)
+
+val floor_tick_within : float -> float -> Q.t option
+(** [Some (floor_tick x)] for every reading [x] in [[lo, hi]], when they
+    all share one non-negative tick; [None] when they may not.  Lets a
+    runtime floor a reading from float bounds on it, without building
+    the exact rational. *)
 
 val ceil_tick : Q.t -> Q.t
-(** The smallest whole tick at or above a reading. *)
+(** The smallest whole tick at or above a reading: the first reading at
+    which a deadline at the argument is due. *)
 
 type t
 
@@ -57,7 +65,3 @@ val lt_of_rt : t -> Q.t -> Q.t
 val rt_of_lt : t -> Q.t -> Q.t
 (** Real time at which the clock shows a local reading [>= lt0]. *)
 
-val tick_at_or_after : t -> Q.t -> Q.t
-(** [tick_at_or_after c rt] is the real time of the first whole tick of
-    [c] at or after real time [rt] (that is [rt] itself when [c] shows a
-    whole tick there).  Less than [tick·rmax] later than [rt]. *)

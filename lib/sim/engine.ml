@@ -50,13 +50,6 @@ type sim_event =
       app : app;
       sent_at : Q.t; (* send real time, for the in-flight sever check *)
     }
-  | Send of {
-      src : Event.proc;
-      dst : Event.proc;
-      app : app;
-      msg : int;
-      verdict : Transport.decision;
-    }  (* a send waiting for [src]'s next whole tick *)
   | Lost_notify of { msg : int }
   | Link_heal of { u : Event.proc; v : Event.proc }
   | Poll of { p : Event.proc }
@@ -228,14 +221,16 @@ let partitioned st ~src ~dst =
       (fun (_, island) -> List.mem src island <> List.mem dst island)
       f.partitions
 
-(* The CSA-visible half of a send, on a whole tick of [src]'s clock:
-   the payload, the write-ahead checkpoint, the trace, and the agenda
-   entry for the transport's verdict. *)
-let emit_send st ~src ~dst ~app ~msg verdict =
-  if is_down st src then
-    (* crashed while the send waited for its tick: it never left *)
-    ()
-  else begin
+(* [src] sends now: the transport's draws, the payload, the
+   write-ahead checkpoint, the trace, and the agenda entry for the
+   transport's verdict.  [seq] is the 1-based send attempt number. *)
+let send st ~src ~dst ~app =
+  if not (is_down st src) then begin
+    let msg = st.next_msg in
+    st.next_msg <- msg + 1;
+    let verdict =
+      Transport.send st.transport ~now:st.now ~seq:(msg + 1) ~src ~dst
+    in
     let node = st.nodes.(src) in
     let lt = lt_now st node in
     let env, n_events = Node_rt.prepare_send node ~dst ~msg ~lt in
@@ -266,23 +261,6 @@ let emit_send st ~src ~dst ~app ~msg verdict =
     | Transport.Deliver_at at ->
       Heap.push st.agenda ~at
         (Deliver { msg; src; dst; env; app; sent_at = st.now })
-  end
-
-(* [src] sends at its first whole tick at or after now: at once when
-   its clock shows a whole tick, otherwise from the agenda less than a
-   tick later.  The transport's draws happen here either way, so they
-   come in the same order as without alignment; [seq] is the 1-based
-   send attempt number. *)
-let send st ~src ~dst ~app =
-  if not (is_down st src) then begin
-    let msg = st.next_msg in
-    st.next_msg <- msg + 1;
-    let at = Clock.tick_at_or_after st.nodes.(src).Node_rt.clock st.now in
-    let verdict =
-      Transport.send st.transport ~now:at ~seq:(msg + 1) ~src ~dst
-    in
-    if Q.equal at st.now then emit_send st ~src ~dst ~app ~msg verdict
-    else Heap.push st.agenda ~at (Send { src; dst; app; msg; verdict })
   end
 
 let deliver st ~msg ~src ~dst ~env ~app ~sent_at =
@@ -374,7 +352,8 @@ let restart st p =
       let csa =
         Csa.restore ~validate:st.scenario.Scenario.validate_oracle
           ~sink:st.trace ~prof:st.scenario.Scenario.prof
-          st.scenario.Scenario.spec blob
+          (System_spec.charge st.scenario.Scenario.spec)
+          blob
       in
       st.nodes.(p) <-
         Node_rt.revive st.scenario ~clock:old.Node_rt.clock
@@ -396,10 +375,7 @@ let fault_ev st (ev : Fault.Injection.event) =
   | Fault.Injection.Crash { node; _ } | Fault.Injection.Leave { node; _ } ->
     crash st node
   | Fault.Injection.Restart { node; _ } | Fault.Injection.Join { node; _ } ->
-    (* the node boots on a whole tick of its clock *)
-    let at = Clock.tick_at_or_after st.nodes.(node).Node_rt.clock st.now in
-    if Q.equal at st.now then restart st node
-    else Heap.push st.agenda ~at (Fault_ev ev)
+    restart st node
   | Fault.Injection.Partition { heal; island; _ } -> (
     match st.frt with
     | None -> ()
@@ -423,10 +399,10 @@ let link_heal st ~u ~v =
     ()
 
 let schedule_local st node ~after_lt ev =
-  (* fire when the node's clock shows (now_lt + after_lt), rounded up
-     to a whole tick *)
-  let target_lt = Clock.ceil_tick (Q.add (lt_now st node) after_lt) in
-  let rt = Clock.rt_of_lt node.Node_rt.clock target_lt in
+  (* fire when the node's clock shows now_lt + after_lt *)
+  let rt =
+    Clock.rt_of_lt node.Node_rt.clock (Q.add (lt_now st node) after_lt)
+  in
   Heap.push st.agenda ~at:(Q.max rt st.now) ev
 
 let poll st ~p =
@@ -529,9 +505,7 @@ let bootstrap st =
       (fun (node : Node_rt.t) ->
         if node.Node_rt.parents <> [] then begin
           let jitter = Rng.q_between st.rng Q.zero Q.one in
-          Heap.push st.agenda
-            ~at:(Clock.tick_at_or_after node.Node_rt.clock jitter)
-            (Poll { p = node.Node_rt.proc })
+          Heap.push st.agenda ~at:jitter (Poll { p = node.Node_rt.proc })
         end)
       st.nodes
   | Scenario.Gossip _ -> Heap.push st.agenda ~at:Q.zero Gossip_tick
@@ -544,9 +518,7 @@ let bootstrap st =
           && n > 1
         then begin
           let jitter = Rng.q_between st.rng Q.zero Q.one in
-          Heap.push st.agenda
-            ~at:(Clock.tick_at_or_after node.Node_rt.clock jitter)
-            (Burst_check { p = node.Node_rt.proc })
+          Heap.push st.agenda ~at:jitter (Burst_check { p = node.Node_rt.proc })
         end)
       st.nodes
   | Scenario.Script { sends } ->
@@ -625,9 +597,7 @@ let run_nodes (scenario : Scenario.t) =
     end
   in
   let transport =
-    Transport.create scenario.Scenario.spec
-      ~clocks:(Array.map (fun (node : Node_rt.t) -> node.Node_rt.clock) nodes)
-      ~rng ~delay:scenario.Scenario.delay
+    Transport.create scenario.Scenario.spec ~rng ~delay:scenario.Scenario.delay
       ~loss_prob:scenario.Scenario.loss_prob
       ~detect_delay:scenario.Scenario.loss_detect
   in
@@ -688,8 +658,6 @@ let run_nodes (scenario : Scenario.t) =
       match ev with
       | Deliver { msg; src; dst; env; app; sent_at } ->
         deliver st ~msg ~src ~dst ~env ~app ~sent_at
-      | Send { src; dst; app; msg; verdict } ->
-        emit_send st ~src ~dst ~app ~msg verdict
       | Lost_notify { msg } -> lost_notify st ~msg
       | Link_heal { u; v } -> link_heal st ~u ~v
       | Poll { p } -> poll st ~p

@@ -20,14 +20,16 @@ let boot (scenario : Scenario.t) ~clock ~csa ~mirror ~parents ~lt0 p =
     mirror;
     baselines =
       List.map
-        (fun b -> Baseline.create b scenario.Scenario.spec ~me:p ~lt0)
+        (fun b -> Baseline.create b (Csa.spec csa) ~me:p ~lt0)
         scenario.Scenario.baselines;
     parents;
     prof = scenario.Scenario.prof;
   }
 
+let lt_of clock rt = Clock.floor_tick (Clock.lt_of_rt clock rt)
+
 let create (scenario : Scenario.t) ~rng ~links ~sink p =
-  let spec = scenario.Scenario.spec in
+  let spec = System_spec.charge scenario.Scenario.spec in
   let n = System_spec.n spec in
   let lt0 =
     if p = System_spec.source spec then Q.zero
@@ -61,9 +63,9 @@ let create (scenario : Scenario.t) ~rng ~links ~sink p =
    validate scenarios with faults. *)
 let revive scenario ~clock ~parents ~csa ~now p =
   boot scenario ~clock ~csa ~mirror:None ~parents
-    ~lt0:(Clock.lt_of_rt clock now) p
+    ~lt0:(lt_of clock now) p
 
-let lt_at t ~rt = Clock.lt_of_rt t.clock rt
+let lt_at t ~rt = lt_of t.clock rt
 
 let prepare_send t ~dst ~msg ~lt =
   let payload = Csa.send t.csa ~dst ~msg ~lt in
@@ -90,7 +92,9 @@ let receive t ~src ~msg ~lt env =
 let estimates t ~lt =
   ("optimal", Csa.estimate_at t.csa ~lt)
   :: List.map
-       (fun b -> (Baseline.instance_name b, Baseline.estimate_at b ~lt))
+       (fun b ->
+         ( Baseline.instance_name b,
+           System_spec.cover (Csa.spec t.csa) (Baseline.estimate_at b ~lt) ))
        t.baselines
 
 let validate t =

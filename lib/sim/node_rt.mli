@@ -36,7 +36,8 @@ val create :
     drifting clock per the scenario's clock policy, and the algorithm
     stack the scenario enables.  [sink] is threaded into the CSA (liveness
     and oracle events).  Draws from [rng]; call in increasing [p] order
-    for a reproducible stream. *)
+    for a reproducible stream.  Every algorithm runs on the scenario's
+    spec {!System_spec.charge}d for floored readings. *)
 
 val revive :
   Scenario.t ->
@@ -54,7 +55,8 @@ val revive :
     aligned with its crash-free twin. *)
 
 val lt_at : t -> rt:Q.t -> Q.t
-(** The node's clock reading at real time [rt]. *)
+(** What the node's clock reads at real time [rt]: the floor tick of
+    its true reading. *)
 
 val prepare_send : t -> dst:Event.proc -> msg:int -> lt:Q.t -> envelope * int
 (** Record the send on every enabled algorithm and build the envelope;

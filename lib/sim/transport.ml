@@ -10,35 +10,11 @@ type t = {
   delay : delay_policy;
   loss_prob : float;
   detect_delay : Q.t;
-  clocks : Clock.t array; (* receivers' clocks, for tick alignment *)
   last : (int * int, Q.t) Hashtbl.t; (* directed link -> latest arrival *)
 }
 
-let create spec ~clocks ~rng ~delay ~loss_prob ~detect_delay =
-  {
-    spec;
-    rng;
-    delay;
-    loss_prob;
-    detect_delay;
-    clocks;
-    last = Hashtbl.create 32;
-  }
-
-(* Move a drawn arrival [at] onto a whole tick of the receiver's clock:
-   the first one at or after [at], unless that overshoots [now + hi];
-   then the last one before [at].  One tick lasts at most [tick·rmax]
-   of real time, so when [hi − lo] is at least that, the earlier tick
-   is still past [now + lo].  A narrower link keeps [at] as drawn. *)
-let align t tr ~now ~dst at =
-  let c = t.clocks.(dst) in
-  let tick_rt = Q.mul Clock.tick (Clock.drift c).Drift.rmax in
-  match tr.Transit.hi with
-  | Ext.Fin hi when Q.(Q.sub hi tr.Transit.lo < tick_rt) -> at
-  | hi ->
-    let up = Clock.tick_at_or_after c at in
-    if Ext.le (Ext.Fin up) (Ext.add (Ext.Fin now) hi) then up
-    else Clock.rt_of_lt c (Clock.floor_tick (Clock.lt_of_rt c at))
+let create spec ~rng ~delay ~loss_prob ~detect_delay =
+  { spec; rng; delay; loss_prob; detect_delay; last = Hashtbl.create 32 }
 
 let draw_delay t tr ~seq =
   let lo = tr.Transit.lo in
@@ -63,7 +39,7 @@ let send t ~now ~seq ~src ~dst =
     Lost { detect_at = Q.add now t.detect_delay }
   else begin
     let tr = System_spec.transit_exn t.spec src dst in
-    let at = align t tr ~now ~dst (Q.add now (draw_delay t tr ~seq)) in
+    let at = Q.add now (draw_delay t tr ~seq) in
     let at =
       match Hashtbl.find_opt t.last (src, dst) with
       | Some prev -> Q.max at prev

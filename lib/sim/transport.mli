@@ -2,19 +2,12 @@
     it — delivered at some real time, or lost (with the real time at
     which the loss oracle of Section 3.3 reports it).
 
-    Every send makes the same four steps, in this order:
+    Every send makes the same three steps, in this order:
     - a Bernoulli loss draw, made even when [loss_prob] is [0], so that
       enabling loss never shifts the random stream the delay draws see;
-    - for a survivor, a per-message delay within the link's transit
-      bounds, per the {!delay_policy};
-    - tick alignment: the arrival moves to the receiver's first whole
-      {!Clock.tick} at or after it, or, when that would overshoot the
-      link's [hi], to the receiver's last tick before it.  Either stays
-      within [[lo, hi]] when [hi − lo] is at least one tick of real
-      time ([Clock.tick·rmax] of the receiver); a narrower link keeps
-      the drawn arrival (its receivers then see off-tick readings, and
-      their {!Agdp} leaves the int lattice);
-    - a FIFO clamp per directed link: an (aligned) arrival is never earlier than
+    - for a survivor, a per-message delay within the link's declared
+      transit bounds, per the {!delay_policy};
+    - a FIFO clamp per directed link: an arrival is never earlier than
       the previous arrival on that link, so no message overtakes — the
       paper's FIFO-link assumption.  The clamp stays within the link's
       transit bounds because the earlier message's arrival respected its
@@ -40,14 +33,13 @@ type t
 
 val create :
   System_spec.t ->
-  clocks:Clock.t array ->
   rng:Rng.t ->
   delay:delay_policy ->
   loss_prob:float ->
   detect_delay:Q.t ->
   t
-(** Links of the spec; [clocks.(p)] is processor [p]'s clock, on whose
-    ticks its arrivals land.  A message is lost with probability [loss_prob];
+(** Links of the (declared, uncharged) spec.  A message is lost with
+    probability [loss_prob];
     its loss is reported [detect_delay] after the send.  The loss and
     the random delay policies draw from [rng]. *)
 

@@ -15,8 +15,9 @@ val make :
 (** Links are bidirectional: [(u, v, tr)] installs the transit bound [tr]
     in both directions.  The source's drift is forced to {!Drift.perfect}
     regardless of [drift].
-    @raise Invalid_argument on out-of-range processors, self-loops or
-    duplicate links. *)
+    @raise Invalid_argument on out-of-range processors, self-loops,
+    duplicate links, or bounds whose {!lattice} denominator would pass
+    [2^40] (the message names the drift or transit bound that does). *)
 
 val uniform :
   n:int ->
@@ -26,6 +27,45 @@ val uniform :
   links:(Event.proc * Event.proc) list ->
   t
 (** All non-source processors share [drift]; all links share [transit]. *)
+
+(** {1 Readings and the lattice}
+
+    Every reading an algorithm sees is a whole tick (DESIGN.md
+    Section 4): the runtimes floor the true reading.  Over such
+    readings every synchronization-graph weight lies in [(1/D)·Z] for
+    the spec's fixed {!lattice} [D], which {!Agdp} holds as native
+    ints. *)
+
+val ticks_per_second : int
+(** [1_000_000]: the tick is 1 µs. *)
+
+val tick : Q.t
+(** [1/ticks_per_second] seconds. *)
+
+val lattice : t -> int
+(** [D]: the lcm of the tick's denominator and those of each
+    processor's [(rmax − 1)·tick], [(1 − rmin)·tick] and each finite
+    transit bound; at most [2^40]. *)
+
+val charge : t -> t
+(** The spec an algorithm runs on when its readings are floored to
+    whole ticks.  With [q] the smallest whole number of ticks at or
+    above [tick·rmax] (largest [rmax] of any processor), each link's
+    transit bound becomes [[lo − q, hi + q]] ({!Transit.widen}), and
+    {!quantum} is [q], which every estimate adds to its upper end.  A
+    floored reading stands for the instant the clock showed it, less
+    than [tick·rmax] before the true one; DESIGN.md Section 4 derives
+    both widenings from that.  Same [n], source, drift, links and
+    {!lattice}.  Computed once per spec; charging a charged spec
+    returns it. *)
+
+val quantum : t -> Q.t
+(** [0] for a declared spec, [q] for a {!charge}d one. *)
+
+val cover : t -> Interval.t -> Interval.t
+(** An estimate of the source time at the instant a reading stands for,
+    its upper end widened by {!quantum} so that it covers the true
+    instant too: what every algorithm outputs on a charged spec. *)
 
 val n : t -> int
 val source : t -> Event.proc

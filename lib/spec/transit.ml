@@ -9,6 +9,7 @@ let make ~lo ~hi =
 let of_q lo hi = make ~lo ~hi:(Ext.Fin hi)
 let asynchronous = { lo = Q.zero; hi = Ext.Inf }
 let exact d = make ~lo:d ~hi:(Ext.Fin d)
+let widen q t = { lo = Q.sub t.lo q; hi = Ext.add t.hi (Ext.Fin q) }
 let equal a b = Q.(a.lo = b.lo) && Ext.equal a.hi b.hi
 
 let pp fmt t =

@@ -16,5 +16,11 @@ val asynchronous : t
 val exact : Q.t -> t
 (** A link with a known fixed delay. *)
 
+val widen : Q.t -> t -> t
+(** [widen q t] is [[lo − q, hi + q]]: the bound a link's transit obeys
+    between the instants its two readings stand for
+    ({!System_spec.charge}).  Its [lo] may be negative, which no
+    declared bound's is. *)
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -3,8 +3,9 @@ let source_point spec view =
   | [] -> None
   | e :: _ -> Some e.Event.id
 
-(* ext_L = LT(p) − d(sp, p); ext_U = LT(p) + d(p, sp). *)
-let interval_of_dists ~(lt : Q.t) ~(d_sp_p : Ext.t) ~(d_p_sp : Ext.t) =
+(* ext_L = LT(p) − d(sp, p); ext_U = LT(p) + d(p, sp), covering the true
+   instant on a charged spec. *)
+let interval_of_dists spec ~(lt : Q.t) ~(d_sp_p : Ext.t) ~(d_p_sp : Ext.t) =
   let lo =
     match d_sp_p with
     | Ext.Inf -> Interval.Neg_inf
@@ -15,7 +16,7 @@ let interval_of_dists ~(lt : Q.t) ~(d_sp_p : Ext.t) ~(d_p_sp : Ext.t) =
     | Ext.Inf -> Interval.Pos_inf
     | Ext.Fin d -> Interval.B (Q.add lt d)
   in
-  Interval.make lo hi
+  System_spec.cover spec (Interval.make lo hi)
 
 let estimate spec view ~at =
   match source_point spec view with
@@ -25,7 +26,7 @@ let estimate spec view ~at =
     let from_sp = Sync_graph.dist_from sg sp in
     let to_sp = Sync_graph.dist_to sg sp in
     let e = View.find_exn view at in
-    interval_of_dists ~lt:e.Event.lt ~d_sp_p:(from_sp at) ~d_p_sp:(to_sp at)
+    interval_of_dists spec ~lt:e.Event.lt ~d_sp_p:(from_sp at) ~d_p_sp:(to_sp at)
 
 let estimates_at_proc spec view p =
   match source_point spec view with
@@ -38,7 +39,7 @@ let estimates_at_proc spec view p =
     List.map
       (fun (e : Event.t) ->
         ( e.id,
-          interval_of_dists ~lt:e.lt ~d_sp_p:(from_sp e.id)
+          interval_of_dists spec ~lt:e.lt ~d_sp_p:(from_sp e.id)
             ~d_p_sp:(to_sp e.id) ))
       (View.events_of view p)
 

@@ -21,7 +21,8 @@ BIN=${CLOCKSYNC:-_build/default/bin/clocksync.exe}
 PIDS=""
 
 # On any exit, reap whatever child processes are still alive: a failed
-# assertion must not leave an orphaned hub/peer squatting on the port.
+# assertion or a killed run must not leave an orphaned hub/peer
+# squatting on the port.
 smoke_cleanup() {
   status=$?
   for pid in $PIDS; do
@@ -52,6 +53,10 @@ smoke_cleanup() {
 smoke_init() {
   DIR=$(mktemp -d)
   trap smoke_cleanup EXIT
+  # dash runs no EXIT trap when a signal kills the script (a CI timeout's
+  # TERM, a Ctrl-C), so turn each into an exit with the signal's status
+  trap 'exit 130' INT
+  trap 'exit 143' TERM
   PORT_BASE=${NET_SMOKE_PORT_BASE:-20000}
   PORT=$((PORT_BASE + ($$ + ${1:-0}) % 40000))
 }

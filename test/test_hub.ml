@@ -627,9 +627,9 @@ let swarm_trace ~clients ~cohort ~loss =
 
 let golden_swarm_traces =
   [
-    (12, 1, 0.1, 5111, "3b06b6724e72ca8eb74c47d51671c3cb");
-    (10, 4, 0.1, 7228, "eb6a71e0ad231acb4560ce7a4e229ef5");
-    (6, 6, 0., 6706, "0ee1926ae97d501bf6ae81daa0bb9c33");
+    (12, 1, 0.1, 5111, "293f366dc6b7631e69e0b05c7ffe9eb1");
+    (10, 4, 0.1, 7228, "eeb8ad34fb75e355bfb4f489d2dea00f");
+    (6, 6, 0., 6706, "f505db8b61ebfa026bb92293612a2453");
   ]
 
 let test_golden_swarm_traces () =
@@ -743,9 +743,9 @@ let prop_wakeups_agree_with_scan =
 
 (* --- loopback ticks --------------------------------------------------- *)
 
-(* The fabric puts every arrival on a whole tick of its receiver's clock,
-   inside [send + lo, send + hi], so sessions read only whole ticks and
-   their AGDP stays on the int lattice.  [Rec] is a NET that observes
+(* The fabric delivers every datagram inside [send + lo, send + hi], and
+   every session reads the floor tick of its endpoint's clock, so its
+   AGDP runs on the charged spec's lattice.  [Rec] is a NET that observes
    every datagram of a [Swarm.run_loopback]-wired fleet on its way
    through the fabric: a send the fabric kept is in flight under
    (dst, bytes); its receive pops the oldest such send and checks the
@@ -758,6 +758,7 @@ module Rec = struct
   let flights : (int * string, Q.t Queue.t) Hashtbl.t = Hashtbl.create 64
   let arrivals = ref 0
   let off_tick = ref 0
+  let uncontained = ref 0
   let bad = ref []
   let lo = ref Q.zero
   let hi = ref Q.zero
@@ -770,6 +771,7 @@ module Rec = struct
     Hashtbl.reset flights;
     arrivals := 0;
     off_tick := 0;
+    uncontained := 0;
     bad := []
 
   let on_tick lt = Q.equal (Clock.floor_tick lt) lt
@@ -872,10 +874,9 @@ let recorded_swarm ~seed ~loss ~cohort ~heartbeat ~clients ~duration
   let sample_all () =
     List.iteri
       (fun i (ep, session, _) ->
-        let est =
-          Session.sample session ~now:(Rec.now ep)
-            ~truth:(Loopback.vnow fab) ()
-        in
+        let truth = Loopback.vnow fab in
+        let est = Session.sample session ~now:(Rec.now ep) ~truth () in
+        if not (Interval.mem truth est) then incr Rec.uncontained;
         widths.(i) <-
           (match Interval.width est with
           | Ext.Fin w -> Q.to_float w
@@ -891,21 +892,20 @@ let recorded_swarm ~seed ~loss ~cohort ~heartbeat ~clients ~duration
     Loopback.delivered fab,
     Loopback.dropped fab )
 
-let check_scales ~what ~on_lattice sessions =
+(* Every session's last reading is a whole tick, and its CSA runs on the
+   charged spec (which [Csa] and its AGDP enforce on every event). *)
+let check_readings ~what sessions =
   List.iteri
     (fun i s ->
-      match (Csa.oracle_scale (Session.csa s), on_lattice) with
-      | Some _, true | None, false -> ()
-      | Some _, false ->
-        Alcotest.failf "%s: session %d stayed on the lattice" what i
-      | None, true ->
-        Alcotest.failf "%s: session %d promoted to exact Q" what i)
+      let csa = Session.csa s in
+      if not (Rec.on_tick (Csa.last_lt csa)) then
+        Alcotest.failf "%s: session %d read off a tick" what i;
+      if Q.sign (System_spec.quantum (Csa.spec csa)) <= 0 then
+        Alcotest.failf "%s: session %d runs on an uncharged spec" what i)
     sessions
 
 (* Two seeded lossy fleets: one sharded like the golden traces, one the
-   bench's fleet-32-lossy at K = 8.  The delivered and dropped counts are
-   those of the fabric before arrivals moved onto ticks: placing an
-   arrival draws nothing, so the same packets go through. *)
+   bench's fleet-32-lossy at K = 8. *)
 let test_loopback_on_ticks ~seed ~cohort ~heartbeat ~clients ~duration
     ~delivered ~dropped () =
   let what = Printf.sprintf "seed %d K=%d cohort %d" seed clients cohort in
@@ -928,12 +928,13 @@ let test_loopback_on_ticks ~seed ~cohort ~heartbeat ~clients ~duration
   Alcotest.(check int) "dropped" dropped dr;
   Alcotest.(check int) "every receive observed" dl !Rec.arrivals;
   Alcotest.(check (list string)) "delays in [lo, hi]" [] !Rec.bad;
-  check_scales ~what ~on_lattice:true sessions;
-  Alcotest.(check int) "receives off a receiver tick" 0 !Rec.off_tick
+  check_readings ~what sessions;
+  Alcotest.(check int) "receives off a receiver tick" 0 !Rec.off_tick;
+  Alcotest.(check int) "uncontained samples" 0 !Rec.uncontained
 
-(* lo = hi leaves no room to move an arrival: it stays at send + lo,
-   the skewed clients read off their ticks, and every session promotes,
-   as a narrow link does in the simulator *)
+(* lo = hi: every arrival lands at send + lo, off the skewed clients'
+   ticks, which read its floor tick like any other arrival and stay
+   sound on the charged lattice *)
 let test_loopback_fixed_delay_unaligned () =
   let sessions, widths, dl, _ =
     recorded_swarm ~seed:3 ~loss:0. ~cohort:1 ~heartbeat:(Q.of_ints 1 2)
@@ -941,11 +942,12 @@ let test_loopback_fixed_delay_unaligned () =
   in
   Alcotest.(check int) "every receive observed" dl !Rec.arrivals;
   Alcotest.(check (list string)) "delays in [lo, hi]" [] !Rec.bad;
-  if !Rec.off_tick = 0 then Alcotest.fail "every receive read a whole tick";
+  Alcotest.(check int) "receives off a receiver tick" 0 !Rec.off_tick;
   List.iter
     (fun w -> if not (Float.is_finite w) then Alcotest.fail "no estimate")
     widths;
-  check_scales ~what:"lo = hi" ~on_lattice:false sessions
+  check_readings ~what:"lo = hi" sessions;
+  Alcotest.(check int) "uncontained samples" 0 !Rec.uncontained
 
 (* --- Udp burst drain -------------------------------------------------- *)
 
@@ -987,9 +989,9 @@ let test_udp_burst_drain () =
   Udp.close b
 
 (* A hub and skewed clients over real localhost UDP, all in this
-   process: a skewed reading is one whole tick of [offset + rate·wall],
-   so every session, hub cohorts and clients alike, keeps its AGDP on
-   the int lattice after its first edges. *)
+   process: a skewed reading is the floor tick of [offset + rate·wall],
+   so every session, hub cohorts and clients alike, reads whole ticks
+   and runs on the charged spec's lattice. *)
 let test_udp_skewed_swarm_on_lattice () =
   let clients = 4 in
   let spec = Swarm.star_spec ~nodes:(clients + 1) ~drift_ppm:500 ~hi_ms:250 in
@@ -1029,7 +1031,7 @@ let test_udp_skewed_swarm_on_lattice () =
       | Ext.Fin _ -> ()
       | Ext.Inf -> Alcotest.fail "a client never converged")
     cls;
-  check_scales ~what:"udp" ~on_lattice:true
+  check_readings ~what:"udp"
     (List.init (Swarm.Uhub.cohorts hub) (Swarm.Uhub.session hub)
     @ List.map (fun (_, s, _) -> s) cls);
   List.iter (fun (net, _, _) -> Udp.close net) cls;

@@ -156,7 +156,7 @@ let test_cfg ~me ~spec ~lossy =
   }
 
 (* a 3-node star over the fabric: returns (fabric, loops, metrics) *)
-let make_star ?(loss = 0.) ?(seed = 11) ~lossy n =
+let make_star ?(loss = 0.) ?(seed = 11) ?(cfg = Fun.id) ~lossy n =
   let spec = star_spec n in
   let fab = Loopback.fabric ~seed ~loss ~delay_lo:(ms 1) ~delay_hi:(ms 5) () in
   let metrics = Metrics.create () in
@@ -174,7 +174,7 @@ let make_star ?(loss = 0.) ?(seed = 11) ~lossy n =
               ()
         in
         let session =
-          Session.create ~sink (test_cfg ~me:i ~spec ~lossy)
+          Session.create ~sink (cfg (test_cfg ~me:i ~spec ~lossy))
             ~now:(Loopback.Net.now ep)
         in
         Loopback.L.create ~net:ep ~session ())
@@ -252,6 +252,39 @@ let test_loopback_soundness_over_time () =
   in
   Loopback.run fab ~loops ~until:(Q.of_int 5) ~script ();
   Alcotest.(check int) "no unsound sample at any instant" 0 !failures
+
+(* Timers off the tick grid (heartbeat 1/3 s, re-announce from 1/7 s):
+   a session reads whole ticks, so it reports each deadline as its ceil
+   tick, and the drivers wake there instead of re-polling forever at an
+   instant whose floored reading never reaches the deadline.  The alarm
+   turns such a spin into a failure. *)
+let test_off_grid_deadlines () =
+  let fab, loops, metrics =
+    make_star ~lossy:true
+      ~cfg:(fun c ->
+        { c with Session.heartbeat = Q.of_ints 1 3; announce_base = Q.of_ints 1 7 })
+      3
+  in
+  let spun _ = failwith "a driver spun on an off-grid deadline" in
+  let prev = Sys.signal Sys.sigalrm (Sys.Signal_handle spun) in
+  ignore (Unix.alarm 20);
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.alarm 0);
+      Sys.set_signal Sys.sigalrm prev)
+    (fun () -> Loopback.run fab ~loops ~until:(Q.of_int 3) ());
+  List.iteri
+    (fun i l ->
+      (match Session.next_deadline (session_of l) with
+      | Some d ->
+        Alcotest.(check bool)
+          (Printf.sprintf "node %d: deadline on a tick" i)
+          true
+          (Q.equal d (Clock.floor_tick d))
+      | None -> ());
+      ignore (check_sound ~fab ~what:(Printf.sprintf "node %d" i) l))
+    loops;
+  Alcotest.(check bool) "heartbeats flowed" true (Metrics.sends metrics > 10)
 
 let test_loopback_lossy () =
   (* 20% loss: handshakes and data survive via backoff re-announce and
@@ -591,6 +624,8 @@ let () =
             test_loopback_soundness_over_time;
           Alcotest.test_case "20% loss: re-announce and retransmit" `Quick
             test_loopback_lossy;
+          Alcotest.test_case "off-grid deadlines never spin" `Quick
+            test_off_grid_deadlines;
           Alcotest.test_case "duplicate data deduplicated" `Quick
             test_duplicate_data_dedup;
           Alcotest.test_case "non-neighbor and bad digest rejected" `Quick

@@ -48,8 +48,8 @@ let of_fw f =
 let impls =
   [
     ( "agdp",
-      (fun () -> of_agdp (Agdp.create ())),
-      fun s -> of_agdp (Agdp.restore s) );
+      (fun () -> of_agdp (Agdp.create ~scale:1 ())),
+      fun s -> of_agdp (Agdp.restore ~scale:1 s) );
     ( "fw",
       (fun () -> of_fw (Fw_oracle.create ())),
       fun s -> of_fw (Fw_oracle.restore s) );
@@ -232,7 +232,7 @@ let run_schedule t ops =
 let prop_impls_agree =
   QCheck.Test.make ~name:"oracle: agdp and floyd-warshall agree" ~count:100
     arbitrary_schedule (fun ops ->
-      let a = of_agdp (Agdp.create ()) in
+      let a = of_agdp (Agdp.create ~scale:1 ()) in
       let b = of_fw (Fw_oracle.create ()) in
       run_schedule a ops;
       run_schedule b ops;
@@ -287,20 +287,20 @@ let test_engine_validate_oracle () =
   (* the cross-check must change nothing a run emits *)
   Alcotest.(check string) "same trace with the check off" unchecked digest;
   Alcotest.(check string)
-    "trace digest" "afbf2f5ce7a71a16472e3e191f0339a6" digest
+    "trace digest" "a44195cf3e86c68004124858cc15ee72" digest
 
-(* A multi-neighbor run on the int lattice: every node of a gossip ring
-   inserts receives from two neighbors, and the Floyd-Warshall shadow
-   re-checks all live distances after every lattice insert and kill
-   (Csa raises on the first divergence). *)
+(* A multi-neighbor run: every node of a gossip ring inserts receives
+   from two neighbors, and the Floyd-Warshall shadow re-checks all live
+   distances after every insert and kill (Csa raises on the first
+   divergence, and Agdp on any weight off its lattice). *)
 let test_gossip_ring_validate_oracle () =
   let spec =
     System_spec.uniform ~n:8 ~source:0 ~drift:(Drift.of_ppm 100)
       ~transit:(Transit.of_q (Scenario.ms 1) (Scenario.ms 10))
       ~links:(Topology.ring 8)
   in
-  let r, nodes =
-    Engine.run_nodes
+  let r =
+    Engine.run
       {
         (Scenario.default ~spec
            ~traffic:(Scenario.Gossip { mean_gap = Scenario.ms 20 }))
@@ -311,14 +311,7 @@ let test_gossip_ring_validate_oracle () =
       }
   in
   Alcotest.(check int) "sound" 0 r.Engine.soundness_failures;
-  Alcotest.(check bool) "messages flowed" true (r.Engine.messages_sent > 10);
-  Array.iter
-    (fun (node : Node_rt.t) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "node %d on the lattice" node.Node_rt.proc)
-        true
-        (Csa.oracle_scale node.Node_rt.csa <> None))
-    nodes
+  Alcotest.(check bool) "messages flowed" true (r.Engine.messages_sent > 10)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 

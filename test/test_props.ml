@@ -217,19 +217,19 @@ let prop_peer_bounds_contain_truth =
         steps;
       !ok)
 
-(* --- simulator executions stay legal on the tick lattice --------------- *)
+(* --- simulator executions read whole ticks and stay sound --------------- *)
 
 type sim_case = {
   seed : int;
   ring : bool;  (* ring of 5, else star of 5 *)
-  traffic : int;  (* poll, gossip, token, burst *)
+  traffic : int;  (* poll, gossip, token, burst, quantized script *)
   policy : Clock.policy;
   delay : Transport.delay_policy;
   loss : bool;
   chaos : bool;
 }
 
-let traffic_names = [| "poll"; "gossip"; "token"; "burst" |]
+let traffic_names = [| "poll"; "gossip"; "token"; "burst"; "quantized" |]
 
 let arbitrary_sim_case =
   let open QCheck.Gen in
@@ -237,7 +237,7 @@ let arbitrary_sim_case =
     map
       (fun (seed, ring, traffic, (policy, delay, loss, chaos)) ->
         { seed; ring; traffic; policy; delay; loss; chaos })
-      (quad (int_range 0 10_000) bool (int_range 0 3)
+      (quad (int_range 0 10_000) bool (int_range 0 4)
          (quad
             (oneofl [ `Random; `Adversarial; `Fixed Q.one ])
             (oneofl [ `Uniform; `Min; `Max; `Alternate ])
@@ -265,12 +265,50 @@ let sim_n = 5
 let sim_lo = Scenario.ms 1
 let sim_hi = Scenario.ms 10
 
-let sim_scenario ?(transit = Transit.of_q sim_lo sim_hi) c =
-  let links = if c.ring then Topology.ring sim_n else Topology.star sim_n in
+let sim_links c = if c.ring then Topology.ring sim_n else Topology.star sim_n
+
+let sim_spec c transit =
+  System_spec.uniform ~n:sim_n ~source:0 ~drift:(Drift.of_ppm 100) ~transit
+    ~links:(sim_links c)
+
+(* Adversarial quantization: every clock reads real time (rate 1, no
+   offset), the link's bounds sit ε off the tick grid, and the script
+   times each send so that one end of its message reads almost a whole
+   tick late.  An odd send attempt (slow: hi = 5 ms + ε) leaves at
+   k·tick − ε and arrives on a whole tick; an even one (fast:
+   lo = 1 ms − ε) leaves on a whole tick and arrives at one − ε.
+   Between the instants their readings stand for, slow messages take
+   almost a tick more than hi and fast ones almost a tick less than lo,
+   and every fast receiver reads almost a tick behind the truth. *)
+let eps = Q.of_ints 1 1_000_000_000
+
+let quantized_scenario c =
   let spec =
-    System_spec.uniform ~n:sim_n ~source:0 ~drift:(Drift.of_ppm 100) ~transit
-      ~links
+    sim_spec c (Transit.of_q (Q.sub sim_lo eps) (Q.add (Scenario.ms 5) eps))
   in
+  let rng = Rng.create c.seed in
+  let links = Array.of_list (sim_links c) in
+  let sends =
+    List.init 70 (fun i ->
+        let u, v = links.(Rng.int rng (Array.length links)) in
+        let src, dst = if Rng.bool rng then (u, v) else (v, u) in
+        let at = Q.mul_int Clock.tick (((i + 1) * 50_000) + Rng.int rng 1000) in
+        ((if i mod 2 = 0 then Q.sub at eps else at), src, dst))
+  in
+  {
+    (Scenario.default ~spec ~traffic:(Scenario.Script { sends })) with
+    Scenario.seed = c.seed;
+    duration = Scenario.sec 4;
+    clock_policy = `Fixed Q.one;
+    max_offset = Q.zero;
+    delay = `Alternate;
+    loss_prob = (if c.loss then 0.15 else 0.);
+  }
+
+let sim_scenario ?(transit = Transit.of_q sim_lo sim_hi) c =
+  if c.traffic = 4 then quantized_scenario c
+  else
+  let spec = sim_spec c transit in
   let traffic =
     match c.traffic with
     | 0 -> Scenario.Ntp_poll { period = Scenario.ms 300 }
@@ -295,89 +333,69 @@ let sim_scenario ?(transit = Transit.of_q sim_lo sim_hi) c =
        else []);
   }
 
-(* The trace stamps events with [Q.to_float] of their real time.  On
-   the lattice that real time is [rt_of_lt] of a whole tick of the
-   acting node's clock, and the tick nearest the traced time must map
-   back to exactly the traced float; off the lattice it cannot (two
-   whole ticks are a microsecond apart).  So this recovers the exact
-   real time of an on-tick event, and [None] means off the tick. *)
-let on_tick_rt clock t =
-  let lt = Clock.lt_of_rt clock (Q.of_float_exact t) in
-  let nearest = Clock.floor_tick (Q.add lt (Q.div_int Clock.tick 2)) in
-  let rt = Clock.rt_of_lt clock nearest in
-  if Float.equal (Q.to_float rt) t then Some rt else None
+let whole_tick lt = Q.equal lt (Clock.floor_tick lt)
 
+(* Every reading is a whole tick ([Csa] refuses any other, so the run
+   completing says as much; the nodes' last readings say it again),
+   delays stay within the declared [lo, hi] and FIFO per directed link
+   (up to the trace's float stamps), and no estimate misses the true
+   time, quantized adversarially or not. *)
 let prop_sim_on_tick =
   QCheck.Test.make
     ~name:"sim: executions land on whole ticks and stay within the spec"
     ~count:60 arbitrary_sim_case (fun c ->
-      let sends = Hashtbl.create 64 and recvs = ref [] and acts = ref [] in
+      let sends = Hashtbl.create 64 and recvs = ref [] in
       let on_event : Trace.event -> unit = function
         | Trace.Send { t; src; dst; msg; _ } ->
-          Hashtbl.replace sends msg (t, src, dst);
-          acts := (t, src) :: !acts
-        | Trace.Receive { t; dst; msg; _ } ->
-          recvs := (msg, t) :: !recvs;
-          acts := (t, dst) :: !acts
-        | Trace.Estimate { t; node; _ } | Trace.Recover { t; node } ->
-          acts := (t, node) :: !acts
+          Hashtbl.replace sends msg (t, src, dst)
+        | Trace.Receive { t; msg; _ } -> recvs := (msg, t) :: !recvs
         | _ -> ()
       in
+      let scn = sim_scenario c in
       let r, nodes =
-        Engine.run_nodes
-          { (sim_scenario c) with Scenario.trace = Trace.callback on_event }
-      in
-      let clock p = nodes.(p).Node_rt.clock in
-      let exact_rt p t =
-        match on_tick_rt (clock p) t with
-        | Some rt -> rt
-        | None ->
-          QCheck.Test.fail_reportf "node %d acted off its ticks at %h" p t
+        Engine.run_nodes { scn with Scenario.trace = Trace.callback on_event }
       in
       Array.iter
         (fun (node : Node_rt.t) ->
-          let lt0 = Clock.lt_of_rt node.Node_rt.clock Q.zero in
-          if not (Q.equal lt0 (Clock.floor_tick lt0)) then
-            QCheck.Test.fail_reportf "node %d boots off a tick"
+          if not (whole_tick (Csa.last_lt node.Node_rt.csa)) then
+            QCheck.Test.fail_reportf "node %d read off a tick"
               node.Node_rt.proc)
         nodes;
-      List.iter (fun (t, p) -> ignore (exact_rt p t)) !acts;
-      (* exact delays within [lo, hi], and FIFO per directed link *)
+      let tr = System_spec.transit_exn scn.Scenario.spec 0 1 in
+      let lo = Q.to_float tr.Transit.lo -. 1e-12
+      and hi = Q.to_float (Ext.fin_exn tr.Transit.hi) +. 1e-12 in
       let per_link = Hashtbl.create 16 in
       List.iter
         (fun (msg, t_recv) ->
           let t_send, src, dst = Hashtbl.find sends msg in
-          let rt_send = exact_rt src t_send and rt_recv = exact_rt dst t_recv in
-          let delay = Q.sub rt_recv rt_send in
-          if Q.(delay < sim_lo || delay > sim_hi) then
-            QCheck.Test.fail_reportf "msg %d: delay %s outside [lo, hi]" msg
-              (Q.to_string delay);
+          let delay = t_recv -. t_send in
+          if delay < lo || delay > hi then
+            QCheck.Test.fail_reportf "msg %d: delay %g outside [lo, hi]" msg
+              delay;
           Hashtbl.replace per_link (src, dst)
-            ((msg, rt_send, rt_recv)
+            ((msg, t_send, t_recv)
             :: Option.value ~default:[] (Hashtbl.find_opt per_link (src, dst))))
         !recvs;
       Hashtbl.iter
         (fun (src, dst) msgs ->
-          let sorted = List.sort compare msgs in
           ignore
             (List.fold_left
                (fun (ps, pr) (msg, s, r) ->
-                 if Q.(s < ps || r < pr) then
+                 if s < ps || r < pr -. 1e-12 then
                    QCheck.Test.fail_reportf "msg %d overtakes on %d->%d" msg
                      src dst;
                  (s, r))
-               (Q.zero, Q.zero) sorted))
+               (0., 0.) (List.sort compare msgs)))
         per_link;
       if r.Engine.soundness_failures <> 0 then
         QCheck.Test.fail_reportf "%d unsound estimates"
           r.Engine.soundness_failures;
-      Array.for_all
-        (fun (node : Node_rt.t) -> Csa.oracle_scale node.Node_rt.csa <> None)
-        nodes)
+      true)
 
 (* A link with lo = hi admits a single arrival instant, which is almost
-   never a whole tick of the receiver: such deliveries stay unaligned,
-   and their receivers leave the lattice for exact rationals. *)
+   never a whole tick of the receiver.  Its receivers read the floor
+   tick like everyone else, and run on the charged spec's lattice:
+   transit [5 ms − q, 5 ms + q] with q = 2 µs, D = 10^10. *)
 let test_sim_exact_link () =
   let c =
     {
@@ -405,12 +423,20 @@ let test_sim_exact_link () =
   Alcotest.(check bool) "messages flowed" true (r.Engine.messages_sent > 20);
   Alcotest.(check int) "sound" 0 r.Engine.soundness_failures;
   Alcotest.(check int) "every node received" sim_n (Hashtbl.length received);
+  let q2 = Q.mul_int Clock.tick 2 in
   Array.iter
     (fun (node : Node_rt.t) ->
-      Alcotest.(check (option int))
-        (Printf.sprintf "node %d promoted" node.Node_rt.proc)
-        None
-        (Csa.oracle_scale node.Node_rt.csa))
+      let csa = node.Node_rt.csa in
+      let spec = Csa.spec csa in
+      let what = Printf.sprintf "node %d" node.Node_rt.proc in
+      Alcotest.(check bool) (what ^ " reads whole ticks") true
+        (whole_tick (Csa.last_lt csa));
+      Alcotest.(check int) (what ^ " lattice") 10_000_000_000
+        (System_spec.lattice spec);
+      Alcotest.(check bool) (what ^ " charged transit") true
+        (Transit.equal
+           (System_spec.transit_exn spec 0 1)
+           (Transit.widen q2 (Transit.exact (Scenario.ms 5)))))
     nodes
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
@@ -425,6 +451,6 @@ let () =
       qsuite "peer-bounds" [ prop_peer_bounds_contain_truth ];
       ( "sim-ticks",
         QCheck_alcotest.to_alcotest prop_sim_on_tick
-        :: [ Alcotest.test_case "lo = hi link promotes" `Quick
+        :: [ Alcotest.test_case "lo = hi link stays on the lattice" `Quick
                test_sim_exact_link ] );
     ]

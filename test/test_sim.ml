@@ -258,8 +258,8 @@ let test_engine_ntp_poll_validated () =
     r.Engine.per_algo
 
 (* Execution-identity pin: every per-algorithm summary of one lossy run
-   with all five baselines, digested.  Re-recorded when simulator events
-   moved onto whole clock ticks; a change to the RNG streams, the transport's
+   with all five baselines, digested.  Re-recorded when readings became
+   floor ticks (same counts); a change to the RNG streams, the transport's
    draw order, estimate order or any baseline's arithmetic fails it. *)
 let per_algo_digest (r : Engine.result) =
   let b = Buffer.create 256 in
@@ -295,7 +295,7 @@ let test_engine_per_algo_pin () =
     (List.map fst r.Engine.per_algo);
   Alcotest.(check int) "messages lost" 56 r.Engine.messages_lost;
   Alcotest.(check string)
-    "per-algo digest" "319808c2638269adc9756635837bed5e" (per_algo_digest r)
+    "per-algo digest" "1d127b2efb5a0750b0bc52f2e3c91e44" (per_algo_digest r)
 
 let test_engine_deterministic () =
   let spec = small_spec (Topology.line 3) 3 in

@@ -90,6 +90,59 @@ let test_system_spec_validation () =
   Alcotest.(check bool) "disconnected" false
     (System_spec.is_connected disconnected)
 
+(* Over whole-tick readings every weight lies in (1/D)·Z: D is the lcm
+   of the tick's, (rmax − 1)·tick's, (1 − rmin)·tick's and the transit
+   bounds' denominators, refused past 2^40 with the bound that does it *)
+let test_lattice () =
+  let spec ~drift ~lo =
+    System_spec.uniform ~n:2 ~source:0 ~drift
+      ~transit:(Transit.of_q lo Q.one)
+      ~links:[ (0, 1) ]
+  in
+  Alcotest.(check int) "100 ppm, ms bounds" 10_000_000_000
+    (System_spec.lattice (spec ~drift:(Drift.of_ppm 100) ~lo:(Q.of_ints 1 1000)));
+  Alcotest.(check int) "37 ppm" 1_000_000_000_000
+    (System_spec.lattice (spec ~drift:(Drift.of_ppm 37) ~lo:Q.zero));
+  Alcotest.check_raises "a transit bound past 2^40"
+    (Invalid_argument
+       "System_spec.make: the transit bound of link 0-1 puts the lattice \
+        denominator past 2^40") (fun () ->
+      ignore (spec ~drift:(Drift.of_ppm 37) ~lo:(Q.of_ints 1 3)));
+  let fine = Q.make Bigint.one (Bigint.pow2 21) in
+  Alcotest.check_raises "a drift bound past 2^40"
+    (Invalid_argument
+       "System_spec.make: the drift bound of processor 1 puts the lattice \
+        denominator past 2^40") (fun () ->
+      ignore
+        (spec
+           ~drift:(Drift.make ~rmin:Q.one ~rmax:(Q.add Q.one fine))
+           ~lo:Q.zero))
+
+(* charging widens every transit bound by q = ceil(rmax) ticks both ways
+   and every estimate's upper end by q, keeping D *)
+let test_charge () =
+  let s = star_spec 3 in
+  let c = System_spec.charge s in
+  let q2 = Q.mul_int System_spec.tick 2 in
+  Alcotest.(check bool) "declared quantum" true
+    (Q.is_zero (System_spec.quantum s));
+  Alcotest.(check bool) "quantum: 2 ticks" true
+    (Q.equal q2 (System_spec.quantum c));
+  Alcotest.(check bool) "transit widened" true
+    (Transit.equal
+       (System_spec.transit_exn c 1 0)
+       (Transit.widen q2 (System_spec.transit_exn s 1 0)));
+  Alcotest.(check int) "same lattice" (System_spec.lattice s)
+    (System_spec.lattice c);
+  Alcotest.(check bool) "charged once" true
+    (System_spec.charge s == c && System_spec.charge c == c);
+  let i = Interval.of_q Q.one (Q.of_int 2) in
+  Alcotest.(check bool) "estimate covers" true
+    (Interval.equal (System_spec.cover c i)
+       (Interval.of_q Q.one (Q.add (Q.of_int 2) q2)));
+  Alcotest.(check bool) "declared estimate as is" true
+    (Interval.equal (System_spec.cover s i) i)
+
 let test_edge_weights () =
   let s = star_spec 2 in
   (* consecutive events at drifting p1: elapse 20 *)
@@ -217,6 +270,8 @@ let () =
         [
           Alcotest.test_case "star topology" `Quick test_system_spec;
           Alcotest.test_case "validation" `Quick test_system_spec_validation;
+          Alcotest.test_case "lattice denominator" `Quick test_lattice;
+          Alcotest.test_case "charge" `Quick test_charge;
         ] );
       ( "edges",
         [

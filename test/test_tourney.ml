@@ -80,9 +80,9 @@ let test_family_of_name () =
   | Error _ -> ()
 
 (* Execution-identity pin: the JSON of a short two-family grid with every
-   algorithm, digested.  Re-recorded when simulator events moved onto
-   whole clock ticks (same message counts, widths moved by less than a
-   tick's worth). *)
+   algorithm, digested.  Re-recorded when readings became floor ticks
+   (same message counts; widths moved by a few ticks, and payload bytes
+   by the timestamps' varint lengths). *)
 let test_json_pin () =
   let fam name =
     match Tourney.family_of_name name with
@@ -94,7 +94,7 @@ let test_json_pin () =
       { small_spec with Tourney.families = [ fam "ntp-poll"; fam "churn" ] }
   in
   Alcotest.(check string)
-    "json digest" "10cb546ee36a9e8d94b3635bdbe32601"
+    "json digest" "73b5fb76869925596cdaf7694e076c3a"
     (Digest.to_hex
        (Digest.string (Json_out.to_line (Tourney.json_of_outcome o))))
 

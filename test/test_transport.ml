@@ -11,17 +11,9 @@ let spec ?(lo = q 2) ?(hi = Ext.Fin (q 10)) () =
     ~transit:(Transit.make ~lo ~hi)
     ~links:[ (0, 1); (1, 2) ]
 
-(* rate-1 clocks reading 0 at real time 0: their ticks are the real
-   microseconds, so integer arrivals are already aligned *)
-let perfect_clocks s =
-  Array.init (System_spec.n s) (fun p ->
-      Clock.create ~drift:(System_spec.drift s p) ~policy:(`Fixed Q.one)
-        ~segment:Q.one ~lt0:Q.zero ~rng:(Rng.create 0))
-
-let transport ?(loss_prob = 0.) ?(detect_delay = q 1) ?(s = spec ()) ?clocks
-    ~rng delay =
-  let clocks = Option.value clocks ~default:(perfect_clocks s) in
-  Transport.create s ~clocks ~rng ~delay ~loss_prob ~detect_delay
+let transport ?(loss_prob = 0.) ?(detect_delay = q 1) ?(s = spec ()) ~rng
+    delay =
+  Transport.create s ~rng ~delay ~loss_prob ~detect_delay
 
 let deliver_at = function
   | Transport.Deliver_at at -> at
@@ -107,36 +99,28 @@ let test_fifo_clamps_overtaking () =
   Alcotest.check qq "reverse direction unaffected" (q 2)
     (deliver_at (Transport.send t ~now:Q.zero ~seq:6 ~src:1 ~dst:0))
 
-let test_arrivals_on_receiver_ticks () =
-  (* drifting receivers: every arrival sits on a whole tick of the
-     receiver's clock and inside [now + lo, now + hi], whatever the
-     policy drew — including the extremes, which alignment has to move
-     inward at hi *)
-  let s = spec () in
-  let clocks =
-    Array.init 3 (fun p ->
-        Clock.create ~drift:(System_spec.drift s p) ~policy:`Random
-          ~segment:(Q.of_ints 1 3) ~lt0:(Q.of_ints p 1000)
-          ~rng:(Rng.create (p + 11)))
-  in
+let test_arrivals_as_drawn () =
+  (* no arrival moves onto anyone's ticks (readings are floored where
+     they are taken, DESIGN.md Section 4): off-tick send instants keep
+     the extremes exact, and a link with lo = hi delivers at now + lo *)
   List.iter
-    (fun (delay, name) ->
-      let t = transport ~clocks ~rng:(Rng.create 9) delay in
+    (fun (delay, name, check) ->
+      let t = transport ~rng:(Rng.create 9) delay in
       for i = 1 to 100 do
-        let now = Q.of_ints i 7 in
+        let now = Q.of_ints (100 * i) 7 in
         let at = deliver_at (Transport.send t ~now ~seq:i ~src:0 ~dst:1) in
-        let lt = Clock.lt_of_rt clocks.(1) at in
-        if not (Q.equal lt (Clock.floor_tick lt)) then
-          Alcotest.failf "%s: arrival %d off the receiver's ticks" name i;
-        if Q.(at < Q.add now (q 2) || at > Q.add now (q 10)) then
-          Alcotest.failf "%s: arrival %d outside [lo, hi]" name i
+        if not (check ~now ~seq:i at) then
+          Alcotest.failf "%s: arrival %d at %s" name i (Q.to_string at)
       done)
-    [ (`Uniform, "uniform"); (`Min, "min"); (`Max, "max");
-      (`Alternate, "alternate") ];
-  (* a link narrower than one tick cannot be aligned: the drawn arrival
-     stands *)
+    [ (`Uniform, "uniform",
+       fun ~now ~seq:_ at -> Q.(at >= add now (q 2) && at <= add now (q 10)));
+      (`Min, "min", fun ~now ~seq:_ at -> Q.equal at (Q.add now (q 2)));
+      (`Max, "max", fun ~now ~seq:_ at -> Q.equal at (Q.add now (q 10)));
+      (`Alternate, "alternate",
+       fun ~now ~seq at -> Q.equal at (Q.add now (q (if seq mod 2 = 0 then 2 else 10))));
+    ];
   let exact = spec ~hi:(Ext.Fin (q 2)) () in
-  let t = transport ~s:exact ~clocks ~rng:(Rng.create 9) `Uniform in
+  let t = transport ~s:exact ~rng:(Rng.create 9) `Uniform in
   Alcotest.check qq "lo = hi keeps now + lo" (Q.add (Q.of_ints 1 7) (q 2))
     (deliver_at (Transport.send t ~now:(Q.of_ints 1 7) ~seq:1 ~src:0 ~dst:1))
 
@@ -220,8 +204,7 @@ let () =
           Alcotest.test_case "random draws within bounds" `Quick
             test_policy_bounds;
           Alcotest.test_case "capped bound" `Quick test_capped_bound;
-          Alcotest.test_case "arrivals on receiver ticks" `Quick
-            test_arrivals_on_receiver_ticks;
+          Alcotest.test_case "arrivals as drawn" `Quick test_arrivals_as_drawn;
         ] );
       (* the group keeps its name so test ids stay stable; the laws it
          holds are the clamp and the loss gate of [Transport.send] *)
