@@ -11,7 +11,6 @@ type t = {
   mutable my_last_lt : Q.t;
   mutable anchor : (Q.t * Interval.t) option;
   mutable last_recompute : Q.t option;
-  mutable cycle_fallbacks : int;
 }
 
 let name = "driftfree"
@@ -34,7 +33,6 @@ let create ~window ?recompute spec ~me ~lt0 =
       my_last_lt = lt0;
       anchor = None;
       last_recompute = None;
-      cycle_fallbacks = 0;
     }
   in
   let init = { Event.id = { proc = me; seq = 0 }; lt = lt0; kind = Event.Init } in
@@ -45,7 +43,6 @@ let create ~window ?recompute spec ~me ~lt0 =
   t
 
 let retained_events t = List.length t.retained
-let negative_cycle_fallbacks t = t.cycle_fallbacks
 
 let retain t ~arrival (ev : Event.t) =
   let p = Event.loc ev in
@@ -193,7 +190,6 @@ let window_estimate t ~lt =
         | _ -> None
       with Bellman_ford.Negative_cycle ->
         (* the drift-free pretence contradicted itself on this window *)
-        t.cycle_fallbacks <- t.cycle_fallbacks + 1;
         None
     end
   end

@@ -47,7 +47,3 @@ val on_recv : t -> msg:int -> lt:Q.t -> payload:Payload.t -> unit
 val estimate_at : t -> lt:Q.t -> Interval.t
 
 val retained_events : t -> int
-val negative_cycle_fallbacks : t -> int
-(** How often the drift-free pretence became self-contradictory on the
-    window (forcing an anchor-only estimate) — a qualitative cost of the
-    strawman the paper's optimal algorithm never pays. *)

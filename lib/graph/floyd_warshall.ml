@@ -18,14 +18,6 @@ let run d =
   done;
   d
 
-let of_matrix m =
-  let n = Array.length m in
-  let d = Array.init n (fun i -> Array.copy m.(i)) in
-  for i = 0 to n - 1 do
-    if Ext.lt Ext.zero d.(i).(i) then d.(i).(i) <- Ext.zero
-  done;
-  run d
-
 let apsp g =
   let n = Digraph.n g in
   let d = Array.make_matrix n n Ext.Inf in

@@ -9,7 +9,3 @@ exception Negative_cycle
 val apsp : Digraph.t -> Ext.t array array
 (** [apsp g] is the full distance matrix of [g].
     @raise Negative_cycle when some diagonal entry becomes negative. *)
-
-val of_matrix : Ext.t array array -> Ext.t array array
-(** Run Floyd-Warshall over an adjacency matrix (diagonal forced to 0);
-    the input is not modified. *)

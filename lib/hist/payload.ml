@@ -2,20 +2,6 @@ type t = { send_event : Event.t; events : Event.t list }
 
 let size t = List.length t.events
 
-let words_of_event (e : Event.t) =
-  let id_words = 2 in
-  let kind_words =
-    match e.kind with
-    | Event.Init | Event.Internal -> 1
-    | Event.Send _ -> 3
-    | Event.Recv _ -> 5
-  in
-  let ts_words = Bigint.num_limbs (Q.num e.lt) + Bigint.num_limbs (Q.den e.lt) in
-  id_words + kind_words + ts_words
-
-let encoded_words t =
-  List.fold_left (fun acc e -> acc + words_of_event e) 0 t.events
-
 let pp fmt t =
   Format.fprintf fmt "@[<v>payload (%d events):" (size t);
   List.iter (fun e -> Format.fprintf fmt "@,  %a" Event.pp e) t.events;

@@ -11,8 +11,4 @@ val size : t -> int
 (** Number of reported events — the per-message size measure of
     Theorem 3.6. *)
 
-val encoded_words : t -> int
-(** Approximate wire size in machine words (ids, kinds and timestamp
-    limbs), used by the benchmark harness to report message overhead. *)
-
 val pp : Format.formatter -> t -> unit

@@ -31,10 +31,9 @@ val vnow : fabric -> Q.t
 val delivered : fabric -> int
 val dropped : fabric -> int
 
-val local_of_virtual : endpoint -> Q.t -> Q.t
 val virtual_of_local : endpoint -> Q.t -> Q.t
-(** The endpoint's affine clock (its true reading, before the floor)
-    and its inverse; {!run_drivers} wants deadlines in virtual time,
+(** The inverse of the endpoint's affine clock (its true reading,
+    before the floor); {!run_drivers} wants deadlines in virtual time,
     sessions speak local time. *)
 
 (** The NET instance ({!Net_intf.NET} with [addr = int]). *)

@@ -19,16 +19,15 @@ let q_of_wall f =
    rebased to a per-process epoch fixed at the first reading.  Epochs
    carry no information — clock offsets between processors are
    arbitrary and estimated by the protocol, never assumed — but the
-   magnitude matters enormously for the arithmetic: at Unix-epoch scale
-   (~1.8e9 s) the float enclosures that Q's two-tier comparisons rely
-   on cannot separate values closer than ~1e-4 s relative to each
-   other, so every distance comparison in the AGDP hot loop falls back
-   to exact multi-limb cross-multiplication.  Rebased to seconds since
-   start, the same microsecond differences sit far above the enclosure
-   width and the float tier answers almost always — the difference
-   between a session that drains its socket promptly and one that
-   falls whole seconds behind a 50-client burst (which the AGDP then
-   correctly rejects as a transit-bound violation).
+   magnitude matters for the arithmetic.  The AGDP works on native ints
+   and does not care; [Q.compare] and [Clock.floor_tick] do.  Both
+   answer from Q's float enclosures when those settle the question, and
+   at Unix-epoch scale (~1.8e9 s) the enclosures cannot separate
+   readings closer than ~1e-4 s, so every deadline comparison and every
+   floor of a reading would fall back to exact multi-limb arithmetic.
+   Rebased to seconds since start, microsecond differences sit far
+   above the enclosure width and the float tier answers almost always
+   (DESIGN §11 measures what that tier is worth).
 
    Crash recovery pins the epoch instead: a restored session's local
    clock must continue past its snapshot, so a runtime that checkpoints

@@ -17,10 +17,6 @@ let add a b =
   | Fin x, Fin y -> Fin (Q.add x y)
   | _ -> Inf
 
-let neg_fin = function
-  | Fin x -> Fin (Q.neg x)
-  | Inf -> Inf
-
 let compare a b =
   match a, b with
   | Fin x, Fin y -> Q.compare x y

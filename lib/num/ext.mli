@@ -20,10 +20,6 @@ val fin_exn : t -> Q.t
 val add : t -> t -> t
 (** [Inf] absorbs. *)
 
-val neg_fin : t -> t
-(** Negates a finite value; [Inf] maps to [Inf] (used when reversing
-    reachability, where "no path" stays "no path"). *)
-
 val compare : t -> t -> int
 (** Total order with [Inf] greatest. *)
 

@@ -42,7 +42,3 @@ let q_between t lo hi =
 let pick t = function
   | [] -> invalid_arg "Rng.pick: empty list"
   | l -> List.nth l (int t (List.length l))
-
-let shuffle t l =
-  let tagged = List.map (fun x -> (next_nonneg t, x)) l in
-  List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) tagged)

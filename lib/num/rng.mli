@@ -28,5 +28,3 @@ val q_between : t -> Q.t -> Q.t -> Q.t
 
 val pick : t -> 'a list -> 'a
 (** @raise Invalid_argument on the empty list. *)
-
-val shuffle : t -> 'a list -> 'a list

@@ -208,18 +208,25 @@ let render_timeline buf t =
     Buffer.add_char buf '\n'
   end
 
+(* The width percentiles leave out processor 0.  It is the source in
+   every runtime (the simulator's specs and the hub alike), so its widths
+   are the reading quantum alone, and they would set every algorithm's
+   median.  The sample columns stay the trailer's totals. *)
 let render_accuracy buf t =
   let algos = Metrics.algo_names t.metrics in
   if algos <> [] then begin
-    let pts = estimate_points t in
     let rows =
       List.map
         (fun algo ->
           let s = Metrics.algo_stats t.metrics algo in
           let widths = Summary.create () in
           List.iter
-            (fun (_, a, w, _) -> if a = algo then Summary.add widths w)
-            pts;
+            (function
+              | Trace.Estimate { t = ts; node; algo = a; width; _ }
+                when a = algo && node <> 0 && Float.is_finite ts ->
+                Summary.add widths width
+              | _ -> ())
+            t.events;
           let pct p =
             if Summary.n widths = 0 then "-" else Table.fq (Summary.percentile widths p)
           in
@@ -239,7 +246,9 @@ let render_accuracy buf t =
           ])
         algos
     in
-    Buffer.add_string buf "estimate accuracy (widths in seconds):\n";
+    Buffer.add_string buf
+      "estimate accuracy (widths in seconds; p50/p90/p99 over nodes other \
+       than the source, node 0):\n";
     Buffer.add_string buf
       (Table.render
          ~header:

@@ -51,7 +51,6 @@ let create ?(lo = default_lo) ?(growth = default_growth)
   }
 
 let copy t = { t with counts = Array.copy t.counts }
-let num_buckets t = Array.length t.counts
 
 let index t v =
   if not (v > t.lo) (* catches nan too *) then 0

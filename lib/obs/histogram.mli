@@ -49,5 +49,3 @@ val cumulative : t -> (float * int) list
 (** Non-empty buckets as [(upper_bound, samples <= upper_bound)] in
     increasing bound order — the Prometheus [le] series minus the
     [+Inf] bucket (which is always [count t]). *)
-
-val num_buckets : t -> int

@@ -729,14 +729,3 @@ let run_nodes (scenario : Scenario.t) =
     st.nodes )
 
 let run scenario = fst (run_nodes scenario)
-
-let pp_result fmt r =
-  Format.fprintf fmt "@[<v>rt_end=%s messages=%d lost=%d events=%d@,"
-    (Q.to_string r.rt_end) r.messages_sent r.messages_lost r.events_total;
-  List.iter
-    (fun (name, a) ->
-      Format.fprintf fmt
-        "%-10s samples=%d contained=%d finite=%d mean_width=%.6f max_width=%.6f@,"
-        name a.samples a.contained a.finite a.mean_width a.max_width)
-    r.per_algo;
-  Format.fprintf fmt "@]"

@@ -66,5 +66,3 @@ val run_nodes : Scenario.t -> result * Node_rt.t array
 (** Like {!run}, additionally exposing the per-processor runtime stacks
     at the horizon — the net-layer equivalence tests compare the final
     {!Csa} states against sessions driven over the loopback fabric. *)
-
-val pp_result : Format.formatter -> result -> unit

@@ -196,6 +196,38 @@ let test_missing_file () =
   | Ok _ -> Alcotest.fail "read of missing file succeeded"
   | Error _ -> ()
 
+(* The source (node 0) answers every request with a width that is only
+   the reading quantum; the accuracy percentiles must describe the other
+   nodes, while the sample columns keep the trailer's totals. *)
+let test_accuracy_leaves_out_source () =
+  let est node width =
+    Trace.Estimate
+      { t = 1. +. float_of_int node; node; algo = "optimal"; width;
+        contained = true }
+  in
+  let events =
+    List.init 5 (fun _ -> est 0 2e-6) @ List.init 3 (fun _ -> est 1 1e-3)
+  in
+  let raw =
+    String.concat "\n"
+      (List.map (fun e -> Json_out.to_line (Trace.json_of_event e)) events)
+    ^ "\n"
+  in
+  let report = Analysis.render (Analysis.of_string raw) in
+  let row =
+    List.find
+      (fun line -> String.starts_with ~prefix:"optimal " line)
+      (String.split_on_char '\n' report)
+  in
+  match List.filter (( <> ) "") (String.split_on_char ' ' row) with
+  | [ _; samples; _; _; p50; p90; p99; _ ] ->
+    Alcotest.(check string) "samples count node 0 too" "8" samples;
+    List.iter
+      (fun (name, cell) ->
+        Alcotest.(check string) name (Table.fq 1e-3) cell)
+      [ ("p50", p50); ("p90", p90); ("p99", p99) ]
+  | _ -> Alcotest.failf "unexpected accuracy row: %s" row
+
 let test_expo_render () =
   let m = Metrics.create () in
   List.iter (Metrics.on_event m)
@@ -269,6 +301,8 @@ let () =
             test_trailerless_crash_trace;
           Alcotest.test_case "missing file is an Error" `Quick
             test_missing_file;
+          Alcotest.test_case "accuracy percentiles leave out the source"
+            `Quick test_accuracy_leaves_out_source;
         ] );
       ( "expo",
         [
