@@ -17,9 +17,10 @@ test:
 bench-smoke:
 	$(DUNE) exec bench/main.exe -- smoke --json _build/bench_smoke.json
 
-# three throughput floors, each on a median: the guard fails (exit 1)
-# when L=128 sliding-window AGDP inserts drop below 5000/s or in-place
-# decode of a 64-event frame below 30k frames/s (5 rotated rounds
+# four throughput floors, each on a median: the guard fails (exit 1)
+# when L=128 sliding-window AGDP inserts drop below 5000/s, in-place
+# decode of a 64-event frame below 30k frames/s, or CSA snapshots of
+# the sim-ntp-chaos star state (L=14) below 25k/s (5 rotated rounds
 # each), or when the benchmark suite's fleet at 256 clients measures
 # incorrect or its fabric deliveries drop below 6000 msgs/s (its rounds
 # over 2 s); the JSON, with each median's quartiles, lands in _build

@@ -1094,14 +1094,40 @@ let e15_frame_throughput () =
 
 (* ---------------------------------------- E16: checkpoint throughput *)
 
+(* The checkpoint state of the benchmark's sim-ntp-chaos workload: 8
+   processors on a star, polling every 500 ms, here run fault-free for
+   10 virtual seconds.  The node with the most live points is kept
+   (L = 14, the workload's peak), with the charged spec it restores on. *)
+let ntp_star_state () =
+  let _, nodes =
+    Engine.run_nodes
+      { (Suite.ntp_chaos ~seed:7 ~duration:10) with Scenario.faults = [] }
+  in
+  Array.fold_left
+    (fun best (n : Node_rt.t) ->
+      if Csa.live_count n.Node_rt.csa > Csa.live_count best then n.Node_rt.csa
+      else best)
+    nodes.(0).Node_rt.csa nodes
+
+let snapshots_per_s csa = calls_per_s 2_000 (fun () -> ignore (Csa.snapshot csa))
+
+let minor_words_per_snapshot csa =
+  let reps = 200 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    ignore (Sys.opaque_identity (Csa.snapshot csa))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int reps
+
 let e16_checkpoint_throughput () =
   section "E16"
     "checkpoint path throughput (snapshot/restore + durable store)";
   (* The write-ahead discipline (DESIGN.md Section 9) checkpoints before
      every send, so the snapshot codec and the store sit on the hot path
      of every fault-tolerant deployment.  State size is bounded by
-     Theorem 3.6 regardless of execution length, so one mid-size state
-     per live-set size characterizes the cost. *)
+     Theorem 3.6 regardless of execution length, so one state per
+     live-set size characterizes the cost: a two-node ping-pong at two
+     lengths, and the sim-ntp-chaos workload's star. *)
   let spec = base_spec 2 [ (0, 1) ] in
   let mk_state rounds =
     let a = Csa.create spec ~me:0 ~lt0:Q.zero in
@@ -1124,21 +1150,23 @@ let e16_checkpoint_throughput () =
       (Printf.sprintf "clocksync_bench_e16_%d" (Unix.getpid ()))
   in
   let names =
-    [ "snapshot_per_s"; "restore_per_s"; "store_save_per_s"; "store_load_per_s" ]
+    [ "minor_words_per_snapshot"; "snapshot_per_s"; "restore_per_s";
+      "store_save_per_s"; "store_load_per_s" ]
   in
   let rows =
     List.map
-      (fun round_trips ->
-        let csa = mk_state round_trips in
+      (fun (state, csa) ->
         let blob = Csa.snapshot csa in
         let store = Fault.Store.create ~dir ~node:1 in
         Fault.Store.save store blob;
         let s =
           rounds
             [
-              (fun () -> calls_per_s 2_000 (fun () -> ignore (Csa.snapshot csa)));
+              (fun () -> minor_words_per_snapshot csa);
+              (fun () -> snapshots_per_s csa);
               (fun () ->
-                calls_per_s 2_000 (fun () -> ignore (Csa.restore spec blob)));
+                calls_per_s 2_000 (fun () ->
+                    ignore (Csa.restore (Csa.spec csa) blob)));
               (fun () -> calls_per_s 500 (fun () -> Fault.Store.save store blob));
               (fun () ->
                 calls_per_s 500 (fun () ->
@@ -1149,25 +1177,28 @@ let e16_checkpoint_throughput () =
         in
         Fault.Store.wipe store;
         let s = Array.to_list s and bytes = String.length blob in
+        let live = Csa.live_count csa in
         ( J.Obj
-            (("round_trips", J.Int round_trips) :: ("blob_bytes", J.Int bytes)
+            (("state", J.Str state) :: ("live", J.Int live)
+            :: ("blob_bytes", J.Int bytes)
             :: List.map2 (fun n x -> (n, spread_json x)) names s),
-          string_of_int round_trips :: string_of_int bytes
+          state :: string_of_int live :: string_of_int bytes
           :: List.map spread_cell s ))
-      [ 50; 200 ]
+      [ ("ping-pong 50", mk_state 50); ("ping-pong 200", mk_state 200);
+        ("ntp star 8", ntp_star_state ()) ]
   in
   (try Unix.rmdir dir with Unix.Unix_error _ -> ());
   metric "checkpoint" (J.List (List.map fst rows));
   Table.print
     ~header:
-      [ "round trips"; "blob bytes"; "snapshot/s"; "restore/s"; "save/s";
-        "load/s" ]
+      [ "state"; "L"; "blob bytes"; "minor words/snapshot"; "snapshot/s";
+        "restore/s"; "save/s"; "load/s" ]
     (List.map snd rows);
   Format.printf
     "@.medians [q1, q3] over %d rotated rounds.  The blob does not grow@.\
      with the round count (Theorem 3.6's bound), so checkpointing before@.\
-     every send is a fixed, small cost — the durable store adds one tmp@.\
-     write + rename on top of the encode.@."
+     every send is a fixed cost: O(L²) cells, one varint each, plus the@.\
+     history.  The durable store adds one tmp write + rename on top.@."
     min_rounds
 
 (* ------------------------------------ E17: instrumentation overhead *)
@@ -1520,15 +1551,21 @@ let e21_monitor_overhead () =
      The 6000/s floor is 3.5x below their median, and a hub that ticks,
      flushes and scans every session on each wakeup, or whose sessions
      carry a history frontier per spec neighbor, handled ~290 hub
-     frames/s (~600 deliveries/s). *)
+     frames/s (~600 deliveries/s);
+   - [Csa.snapshot] of the sim-ntp-chaos star state (L = 14, E16's last
+     row): 38100-54800 snapshots/s against a 25k floor.  Snapshots that
+     turned every cell back into a reduced rational and wrote it as two
+     bigints ran 11300-16200/s and fail it. *)
 let guard_floor_ips = 5000.
 let guard_floor_decode = 30_000.
 let guard_floor_hub = 6000.
+let guard_floor_snapshot = 25_000.
 
 let guard () =
-  section "guard" "throughput floors: AGDP, decode, hub";
+  section "guard" "throughput floors: AGDP, decode, checkpoint, hub";
   let l = 128 in
   let _, rbuf, len = e15_frame ~events:64 in
+  let star = ntp_star_state () in
   let s =
     rounds
       [
@@ -1538,9 +1575,10 @@ let guard () =
         (fun () ->
           Gc.compact ();
           calls_per_s 2_000 (fun () -> e15_decode_once rbuf ~len));
+        (fun () -> snapshots_per_s star);
       ]
   in
-  let ips = s.(0) and dec_fps = s.(1) in
+  let ips = s.(0) and dec_fps = s.(1) and snap = s.(2) in
   let hub_clients = 256 in
   let hub = fleet_at ~clients:hub_clients ~traced:false in
   let hub_msgs = msgs_per_s hub in
@@ -1552,6 +1590,9 @@ let guard () =
          ("floor_inserts_per_sec", J.Float guard_floor_ips);
          ("decode_frames_per_sec", spread_json dec_fps);
          ("floor_decode_frames_per_sec", J.Float guard_floor_decode);
+         ("snapshot_live", J.Int (Csa.live_count star));
+         ("snapshots_per_sec", spread_json snap);
+         ("floor_snapshots_per_sec", J.Float guard_floor_snapshot);
          ("hub_clients", J.Int hub_clients);
          ("hub_correct", J.Bool (Suite.correct hub));
          ("hub_msgs_per_s", spread_json hub_msgs);
@@ -1561,6 +1602,8 @@ let guard () =
     guard_floor_ips;
   Format.printf "decode: %s frames/s at 64 events (floor %.0f)@."
     (spread_cell dec_fps) guard_floor_decode;
+  Format.printf "checkpoint: %s snapshots/s at L=%d (floor %.0f)@."
+    (spread_cell snap) (Csa.live_count star) guard_floor_snapshot;
   Format.printf "hub: K=%d %s, %s msgs/s (floor %.0f)@." hub_clients
     (if Suite.correct hub then "correct" else "INCORRECT")
     (spread_cell hub_msgs) guard_floor_hub;
@@ -1576,6 +1619,11 @@ let guard () =
       (Printf.sprintf
          "bench-guard: %.0f decoded frames/s is below the %.0f floor"
          dec_fps.median guard_floor_decode);
+  if snap.median < guard_floor_snapshot then
+    failwith
+      (Printf.sprintf
+         "bench-guard: %.0f snapshots/s at L=%d is below the %.0f floor"
+         snap.median (Csa.live_count star) guard_floor_snapshot);
   if not (Suite.correct hub) then
     failwith
       (Printf.sprintf "bench-guard: hub at K=%d failed %d of %d samples; checks: %s"

@@ -219,26 +219,33 @@ let insert t ~key ~in_edges ~out_edges =
   Trace.emit t.sink (Trace.Oracle_insert { key; live = t.count })
 
 type snapshot = {
+  s_scale : int;
   s_keys : int array;
-  s_dist : Ext.t array;
+  s_cells : int array;
   s_relaxations : int;
   s_peak : int;
 }
 
 let snapshot t =
   let n = t.count in
+  let cells = Array.make (n * n) no_path in
+  for i = 0 to n - 1 do
+    Array.blit t.c (i * t.cap) cells (i * n) n
+  done;
   {
+    s_scale = t.scale;
     s_keys = Array.sub t.keys 0 n;
-    s_dist = Array.init (n * n) (fun x -> cell t (((x / n) * t.cap) + (x mod n)));
+    s_cells = cells;
     s_relaxations = t.relax_count;
     s_peak = t.peak;
   }
 
 (* Rejects a snapshot no insert/kill sequence can produce: repeated
-   keys, a diagonal other than 0, or a negative 2-cycle. *)
+   keys, a cell out of range, a diagonal other than 0, or a negative
+   2-cycle. *)
 let check_snapshot s =
-  let n = Array.length s.s_keys in
-  if Array.length s.s_dist <> n * n then
+  let n = Array.length s.s_keys and c = s.s_cells in
+  if Array.length c <> n * n then
     invalid_arg "Agdp.restore: distance matrix size mismatch";
   let seen = Hashtbl.create (max 16 n) in
   Array.iter
@@ -247,35 +254,34 @@ let check_snapshot s =
         invalid_arg (Printf.sprintf "Agdp.restore: duplicate key %d" key);
       Hashtbl.replace seen key ())
     s.s_keys;
+  Array.iter
+    (fun v ->
+      if v <> no_path && (v > max_cell || v < -max_cell) then
+        out_of_range "Agdp.restore")
+    c;
   for i = 0 to n - 1 do
-    (match s.s_dist.((i * n) + i) with
-    | Ext.Fin q when Q.is_zero q -> ()
-    | _ -> invalid_arg "Agdp.restore: non-zero diagonal");
+    if c.((i * n) + i) <> 0 then
+      invalid_arg "Agdp.restore: non-zero diagonal";
     for j = i + 1 to n - 1 do
-      match s.s_dist.((i * n) + j), s.s_dist.((j * n) + i) with
-      | Ext.Fin a, Ext.Fin b when Q.sign (Q.add a b) < 0 ->
+      let a = c.((i * n) + j) and b = c.((j * n) + i) in
+      if a <> no_path && b <> no_path && a + b < 0 then
         invalid_arg "Agdp.restore: negative cycle"
-      | _ -> ()
     done
   done
 
-let restore ?(sink = Trace.null) ~scale s =
+let restore ?(sink = Trace.null) s =
   check_snapshot s;
   let count = Array.length s.s_keys in
   let cap = max initial_capacity count in
   let t =
-    make ~scale ~cap ~count ~relax_count:s.s_relaxations ~peak:s.s_peak
-      ~sink
+    make ~scale:s.s_scale ~cap ~count ~relax_count:s.s_relaxations
+      ~peak:s.s_peak ~sink
   in
   Array.blit s.s_keys 0 t.keys 0 count;
   Array.iteri (fun i key -> Hashtbl.replace t.slot_of key i) s.s_keys;
-  let place x = ((x / count) * cap) + (x mod count) in
-  Array.iteri
-    (fun x v ->
-      match v with
-      | Ext.Fin q -> t.c.(place x) <- to_cell t "Agdp.restore" q
-      | Ext.Inf -> ())
-    s.s_dist;
+  for i = 0 to count - 1 do
+    Array.blit s.s_cells (i * count) t.c (i * cap) count
+  done;
   t
 
 (* Halve the matrix when occupancy drops to a quarter (floor at the

@@ -92,22 +92,23 @@ val peak_size : t -> int
     [t]. *)
 
 type snapshot = {
+  s_scale : int;  (** the lattice denominator [D] *)
   s_keys : int array;  (** live keys in slot order *)
-  s_dist : Ext.t array;
+  s_cells : int array;
       (** distance matrix over those slots, row-major [count × count]:
-          [d(i, j)] is at index [i * count + j] (the same flat layout the
-          live structure uses internally, re-strided to [count]) *)
+          [d(i, j)·D] is at index [i * count + j], and [max_int] stands
+          for "no path" (the live structure's own cells, re-strided to
+          [count]) *)
   s_relaxations : int;
   s_peak : int;
 }
 
 val snapshot : t -> snapshot
-(** Exact values, so a snapshot does not depend on the lattice that
-    took it. *)
 
-val restore : ?sink:Trace.sink -> scale:int -> snapshot -> t
-(** Rebuilds the structure on the lattice [(1/scale)·Z].
-    @raise Invalid_argument when a distance is off that lattice or out
-    of its range, or when the snapshot cannot come from any insert/kill
-    sequence: a matrix of the wrong size, a repeated key, a diagonal
-    cell other than [0], or a pair with [d(i, j) + d(j, i) < 0]. *)
+val restore : ?sink:Trace.sink -> snapshot -> t
+(** Rebuilds the structure on the snapshot's lattice.
+    @raise Invalid_argument unless [1 <= D <= 2^40], when a cell other
+    than [max_int] lies outside [±(2^61 − 1)], or when the snapshot
+    cannot come from any insert/kill sequence: a matrix of the wrong
+    size, a repeated key, a diagonal cell other than [0], or a pair with
+    [d(i, j) + d(j, i) < 0]. *)

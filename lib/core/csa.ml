@@ -301,21 +301,11 @@ let on_msg_lost t ~msg =
 (* Serialization layout (Codec primitives): format version; me; lossy;
    next_seq; last_lt; peak_live; processed; last_known (per processor, an
    optional event); pending messages (count, then msg id + send event
-   each); lost message ids; history snapshot; agdp snapshot. *)
+   each); lost message ids; history snapshot; AGDP: the lattice
+   denominator D, the live keys, the count × count cells row-major (0 for
+   no path, else zigzag (d·D) + 1), relaxations, peak. *)
 
-let snapshot_version = 1
-
-let add_ext buf = function
-  | Ext.Inf -> Codec.add_varint buf 0
-  | Ext.Fin q ->
-    Codec.add_varint buf 1;
-    Codec.add_q buf q
-
-let read_ext r =
-  match Codec.read_varint r with
-  | 0 -> Ext.Inf
-  | 1 -> Ext.Fin (Codec.read_q r)
-  | _ -> failwith "Csa.restore: bad extended value tag"
+let snapshot_version = 2
 
 let add_int_array buf a =
   Codec.add_varint buf (Array.length a);
@@ -402,11 +392,14 @@ let snapshot t =
     hs.History.s_inflight;
   Codec.add_varint buf hs.History.s_peak;
   Codec.add_varint buf hs.History.s_reported;
-  (* AGDP: the snapshot matrix is already flat row-major, count × count *)
   let gs = Agdp.snapshot t.agdp in
+  Codec.add_varint buf gs.Agdp.s_scale;
   Codec.add_varint buf (Array.length gs.Agdp.s_keys);
   Array.iter (Codec.add_varint buf) gs.Agdp.s_keys;
-  Array.iter (add_ext buf) gs.Agdp.s_dist;
+  Array.iter
+    (fun v ->
+      Codec.add_varint buf (if v = max_int then 0 else Wire.zigzag v + 1))
+    gs.Agdp.s_cells;
   Codec.add_varint buf gs.Agdp.s_relaxations;
   Codec.add_varint buf gs.Agdp.s_peak;
   Buffer.contents buf
@@ -491,27 +484,30 @@ let restore_reader ?(validate = false) ?(sink = Trace.null)
         s_reported;
       }
   in
+  let s_scale = Codec.read_varint r in
+  if s_scale <> System_spec.lattice spec then
+    failwith
+      (Printf.sprintf
+         "Csa.restore: lattice denominator %d differs from the spec's %d"
+         s_scale (System_spec.lattice spec));
   let n_keys = read_length r "AGDP key set" in
-  let s_keys = Array.make (max n_keys 1) 0 in
-  for i = 0 to n_keys - 1 do
-    s_keys.(i) <- Codec.read_varint r
-  done;
-  let s_keys = Array.sub s_keys 0 n_keys in
+  let s_keys = Array.init n_keys (fun _ -> Codec.read_varint r) in
   (* the flat matrix holds n_keys² cells of ≥ 1 byte each; the bound on
      n_keys above does not imply one on its square *)
   if n_keys * n_keys > Codec.remaining r then
     failwith "Csa.restore: bad AGDP matrix length";
-  let s_dist = Array.make (max (n_keys * n_keys) 1) Ext.Inf in
-  for i = 0 to (n_keys * n_keys) - 1 do
-    s_dist.(i) <- read_ext r
-  done;
-  let s_dist = Array.sub s_dist 0 (n_keys * n_keys) in
+  let s_cells =
+    Array.init (n_keys * n_keys) (fun _ ->
+        match Codec.read_varint r with
+        | 0 -> max_int
+        | u -> Wire.unzigzag (u - 1))
+  in
   let s_relaxations = Codec.read_varint r in
-  let s_peak_agdp = Codec.read_varint r in
+  let s_peak = Codec.read_varint r in
   if not (Codec.at_end r) then failwith "Csa.restore: trailing bytes";
-  let gs = { Agdp.s_keys; s_dist; s_relaxations; s_peak = s_peak_agdp } in
+  let gs = { Agdp.s_scale; s_keys; s_cells; s_relaxations; s_peak } in
   let agdp =
-    try Agdp.restore ~sink ~scale:(System_spec.lattice spec) gs
+    try Agdp.restore ~sink gs
     with Invalid_argument m -> failwith ("Csa.restore: " ^ m)
   in
   let t =

@@ -164,7 +164,9 @@ val restore :
     state); a snapshot taken with or without [validate] restores either
     way.  A saved frontier for a spec neighbor outside
     [neighbors] is dropped: such a neighbor was never sent anything.
-    @raise Failure on malformed input. *)
+    @raise Failure on malformed input, on a distance matrix no execution
+    can produce, or when the blob's lattice denominator is not
+    [System_spec.lattice spec] (the cells are stored as [d·D]). *)
 
 val restore_reader :
   ?validate:bool ->

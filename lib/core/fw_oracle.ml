@@ -177,30 +177,9 @@ let kill t key =
   t.live.(i) <- false;
   t.live_count <- t.live_count - 1
 
-let snapshot t =
-  let d = matrix t in
-  let idxs =
-    Array.of_list
-      (List.filter (fun i -> t.live.(i)) (List.init t.n (fun i -> i)))
-  in
-  let count = Array.length idxs in
-  let dist = Array.make (count * count) Ext.Inf in
-  for i = 0 to count - 1 do
-    for j = 0 to count - 1 do
-      let v = d.((idxs.(i) * t.n) + idxs.(j)) in
-      if not (is_inf v) then dist.((i * count) + j) <- Ext.Fin v
-    done
-  done;
-  {
-    Agdp.s_keys = Array.map (fun i -> t.key_of.(i)) idxs;
-    s_dist = dist;
-    s_relaxations = t.relax_count;
-    s_peak = t.peak;
-  }
-
 let restore (s : Agdp.snapshot) =
   let count = Array.length s.s_keys in
-  if Array.length s.s_dist <> count * count then
+  if Array.length s.s_cells <> count * count then
     invalid_arg "Fw_oracle.restore: distance matrix size mismatch";
   let cap = max initial_capacity count in
   let t =
@@ -226,9 +205,8 @@ let restore (s : Agdp.snapshot) =
     let edges = ref [] in
     for j = count - 1 downto 0 do
       if j <> i then
-        match s.s_dist.((i * count) + j) with
-        | Ext.Inf -> ()
-        | Ext.Fin q -> edges := (j, q) :: !edges
+        let v = s.s_cells.((i * count) + j) in
+        if v <> max_int then edges := (j, Q.make_ints v s.s_scale) :: !edges
     done;
     t.adj.(i) <- !edges
   done;

@@ -45,12 +45,8 @@ val peak_size : t -> int
 (** Peak {e live} count, to match {!Agdp.peak_size} (the dead nodes this
     implementation additionally retains are its private inefficiency). *)
 
-val snapshot : t -> Agdp.snapshot
-(** Live-pair distances only, in the common checkpoint format.  The
-    history of dead nodes is not serialized: by Lemma 3.4 the live-pair
-    matrix already determines every future answer. *)
-
 val restore : Agdp.snapshot -> t
 (** Rebuilds a complete digraph over the snapshot's live nodes whose edge
-    weights are the snapshot distances; since the matrix is
-    triangle-closed, distances are reproduced exactly. *)
+    weights are the snapshot's lattice cells read back as exact values
+    [d = cell/D]; since the matrix is triangle-closed, distances are
+    reproduced exactly. *)

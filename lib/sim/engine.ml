@@ -74,8 +74,10 @@ type fault_rt = {
      withheld until a checkpoint makes the receive durable (write-ahead;
      an acked message may be garbage-collected by its sender) *)
   unacked : (int * Event.proc) list array; (* msg, sender *)
-  (* verdicts whose target was down when they fired, replayed on revive *)
-  queued : verdict list array;
+  (* verdicts the node's last checkpoint does not cover: applied since
+     it, or fired while the node was down.  A restored node predates
+     them all, so revive replays them (the loss oracle rules once) *)
+  uncovered : verdict list array;
   mutable partitions : (Q.t * int list) list; (* heal time, island *)
 }
 
@@ -169,11 +171,20 @@ let declare_lost ?detect_at st msg =
   Trace.emit st.trace (Trace.Lost { t = now_f st; msg });
   Heap.push st.agenda ~at (Lost_notify { msg })
 
+let apply_verdict csa = function
+  | Acked msg -> Csa.on_msg_delivered csa ~msg
+  | Lost_v msg -> Csa.on_msg_lost csa ~msg
+
+(* [v] reaches node [p]: applied now if [p] is up, and kept for replay
+   until [p]'s next checkpoint covers it *)
+let give_verdict f st p v =
+  f.uncovered.(p) <- v :: f.uncovered.(p);
+  if not f.down.(p) then apply_verdict st.nodes.(p).Node_rt.csa v
+
 (* Write-ahead checkpoint of node [p]: persist its CSA, then release the
    acknowledgements withheld since the last checkpoint — only now are
    the corresponding receives durable, so only now may their senders
-   garbage-collect against them.  Acks whose sender is down are queued
-   and replayed when it revives. *)
+   garbage-collect against them. *)
 let checkpoint st p =
   match st.frt with
   | None -> ()
@@ -183,18 +194,14 @@ let checkpoint st p =
     let blob = Csa.snapshot st.nodes.(p).Node_rt.csa in
     f.stores.(p).save blob;
     Prof.stop prof "checkpoint_write" t0;
+    f.uncovered.(p) <- [];
     Trace.emit st.trace
       (Trace.Checkpoint
          { t = now_f st; node = p; bytes = String.length blob });
     Fault.Policy.flushed f.policies.(p);
     let acks = List.rev f.unacked.(p) in
     f.unacked.(p) <- [];
-    List.iter
-      (fun (msg, sender) ->
-        if f.down.(sender) then
-          f.queued.(sender) <- Acked msg :: f.queued.(sender)
-        else Csa.on_msg_delivered st.nodes.(sender).Node_rt.csa ~msg)
-      acks
+    List.iter (fun (msg, sender) -> give_verdict f st sender (Acked msg)) acks
 
 let link_key u v = if u <= v then (u, v) else (v, u)
 
@@ -313,10 +320,9 @@ let deliver st ~msg ~src ~dst ~env ~app ~sent_at =
 let lost_notify st ~msg =
   Array.iter
     (fun (node : Node_rt.t) ->
-      let p = node.Node_rt.proc in
       match st.frt with
-      | Some f when f.down.(p) -> f.queued.(p) <- Lost_v msg :: f.queued.(p)
-      | _ -> Csa.on_msg_lost node.Node_rt.csa ~msg)
+      | Some f -> give_verdict f st node.Node_rt.proc (Lost_v msg)
+      | None -> Csa.on_msg_lost node.Node_rt.csa ~msg)
     st.nodes
 
 let crash st p =
@@ -360,14 +366,9 @@ let restart st p =
           ~parents:old.Node_rt.parents ~csa ~now:st.now p;
       f.down.(p) <- false;
       Trace.emit st.trace (Trace.Recover { t = now_f st; node = p });
-      (* verdicts that fired while the node was down *)
-      let q = List.rev f.queued.(p) in
-      f.queued.(p) <- [];
-      List.iter
-        (function
-          | Acked msg -> Csa.on_msg_delivered csa ~msg
-          | Lost_v msg -> Csa.on_msg_lost csa ~msg)
-        q
+      (* kept until a checkpoint covers them: a second crash before
+         one replays them again *)
+      List.iter (apply_verdict csa) (List.rev f.uncovered.(p))
     end
 
 let fault_ev st (ev : Fault.Injection.event) =
@@ -591,7 +592,7 @@ let run_nodes (scenario : Scenario.t) =
             Array.init n (fun _ ->
                 Fault.Policy.make scenario.Scenario.checkpoint);
           unacked = Array.make n [];
-          queued = Array.make n [];
+          uncovered = Array.make n [];
           partitions = [];
         }
     end

@@ -26,16 +26,18 @@ let read_bytes r len =
 
 (* --- LEB128 varints ----------------------------------------------------- *)
 
+(* top level, not a local closure over [buf]: without flambda a local
+   [go] would allocate on every call *)
+let rec add_varint_bytes buf n =
+  if n < 0x80 then Buffer.add_char buf (Char.unsafe_chr n)
+  else begin
+    Buffer.add_char buf (Char.unsafe_chr (0x80 lor (n land 0x7f)));
+    add_varint_bytes buf (n lsr 7)
+  end
+
 let add_varint buf n =
   if n < 0 then invalid_arg "Wire.add_varint: negative";
-  let rec go n =
-    if n < 0x80 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
+  add_varint_bytes buf n
 
 let read_varint r =
   let rec go shift acc =

@@ -181,7 +181,7 @@ let test_kill_shrinks_capacity () =
   Alcotest.(check ext) "distances survive shrinking" (fin 2)
     (Agdp.dist t 97 99);
   Alcotest.(check ext) "and backwards" (fin 2) (Agdp.dist t 99 97);
-  let t' = Agdp.restore ~scale:1 (Agdp.snapshot t) in
+  let t' = Agdp.restore (Agdp.snapshot t) in
   Alcotest.(check ext) "snapshot round-trips a shrunk matrix" (fin 2)
     (Agdp.dist t' 97 99);
   List.iter (Agdp.kill t) [ 97; 98; 99 ];
@@ -192,26 +192,34 @@ let test_kill_shrinks_capacity () =
     (Agdp.dist t 1000 1000)
 
 let test_restore_rejects_inconsistent () =
-  (* three matrices no insert/kill sequence can produce: restore must
-     refuse each before building anything (a duplicate key used to
-     leave a phantom live node behind after one kill) *)
-  let v k = Ext.Fin (Q.of_int k) in
-  let snap keys dist =
-    { Agdp.s_keys = keys; s_dist = dist; s_relaxations = 0; s_peak = 2 }
+  (* matrices no insert/kill sequence can produce: restore must refuse
+     each before building anything (a duplicate key used to leave a
+     phantom live node behind after one kill) *)
+  let snap ?(scale = 1) keys cells =
+    {
+      Agdp.s_scale = scale;
+      s_keys = keys;
+      s_cells = cells;
+      s_relaxations = 0;
+      s_peak = 2;
+    }
   in
   let rejects name s =
-    match Agdp.restore ~scale:1 s with
+    match Agdp.restore s with
     | _ -> Alcotest.failf "%s: accepted" name
     | exception Invalid_argument _ -> ()
   in
-  rejects "duplicate keys" (snap [| 5; 5 |] [| v 0; v 1; v 1; v 0 |]);
-  rejects "negative 2-cycle" (snap [| 1; 2 |] [| v 0; v (-3); v 1; v 0 |]);
-  rejects "non-zero diagonal" (snap [| 1; 2 |] [| v 7; v 1; v 1; v 0 |]);
-  rejects "distance off the lattice"
-    (snap [| 1; 2 |] [| v 0; Ext.Fin (Q.of_ints 1 2); v 1; v 0 |]);
-  (* the consistent matrix of the same shape restores *)
-  let t = Agdp.restore ~scale:1 (snap [| 1; 2 |] [| v 0; v 3; v 1; v 0 |]) in
-  Alcotest.(check ext) "distance" (v 3) (Agdp.dist t 1 2)
+  rejects "duplicate keys" (snap [| 5; 5 |] [| 0; 1; 1; 0 |]);
+  rejects "negative 2-cycle" (snap [| 1; 2 |] [| 0; -3; 1; 0 |]);
+  rejects "non-zero diagonal" (snap [| 1; 2 |] [| 7; 1; 1; 0 |]);
+  rejects "matrix size" (snap [| 1; 2 |] [| 0; 1; 1 |]);
+  rejects "cell out of range" (snap [| 1; 2 |] [| 0; 1 lsl 61; 1; 0 |]);
+  rejects "scale out of range" (snap ~scale:0 [| 1; 2 |] [| 0; 1; 1; 0 |]);
+  (* the consistent matrix of the same shape restores, "no path"
+     included *)
+  let t = Agdp.restore (snap ~scale:2 [| 1; 2 |] [| 0; 3; max_int; 0 |]) in
+  Alcotest.(check ext) "distance" (Ext.Fin (Q.of_ints 3 2)) (Agdp.dist t 1 2);
+  Alcotest.(check ext) "no path" Ext.Inf (Agdp.dist t 2 1)
 
 (* Property: drive AGDP with a random insert/kill schedule and compare
    every pairwise distance against Floyd-Warshall on the full accumulated
@@ -306,7 +314,6 @@ let arbitrary_wgen_schedule =
        Gen.(frequency [ (3, return Small); (1, return Huge) ]))
     arbitrary_schedule
 
-let ext_list = Alcotest.list ext
 let scale = 60
 
 let prop_fractional_matches_full_graph =
@@ -370,17 +377,9 @@ let prop_fractional_matches_full_graph =
       (* a snapshot restores with the same keys and distances and
          snapshots again to itself *)
       let s = Agdp.snapshot t in
-      let t' = Agdp.restore ~scale s in
-      let s' = Agdp.snapshot t' in
-      if
-        Agdp.live_keys t' <> Agdp.live_keys t
-        || s'.Agdp.s_keys <> s.Agdp.s_keys
-        || s'.Agdp.s_relaxations <> s.Agdp.s_relaxations
-        || s'.Agdp.s_peak <> s.Agdp.s_peak
-        || not
-             (Alcotest.equal ext_list (Array.to_list s'.Agdp.s_dist)
-                (Array.to_list s.Agdp.s_dist))
-      then ok := false;
+      let t' = Agdp.restore s in
+      if Agdp.live_keys t' <> Agdp.live_keys t || Agdp.snapshot t' <> s then
+        ok := false;
       !ok)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)

@@ -313,6 +313,72 @@ let test_snapshot_restore () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected restore failure on truncation"
 
+(* A fresh node's AGDP holds its init event alone (key = its id, cell 0,
+   no relaxation yet, peak 1), and that section closes the blob: D, the
+   key count, the keys, the cells (0 = no path, else zigzag (d·D) + 1),
+   relaxations, peak.  Rewriting that tail gives hand-built version-2
+   blobs, each of which restore must refuse with a [Failure]. *)
+let test_snapshot_refusals () =
+  let a = Csa.create spec2 ~me:1 ~lt0:(q 0) in
+  let blob = Csa.snapshot a in
+  let d = System_spec.lattice spec2 in
+  let enc v = if v = max_int then 0 else Wire.zigzag v + 1 in
+  let tail ?(scale = d) ?cells_raw keys cells =
+    let buf = Buffer.create 32 in
+    let add = Codec.add_varint buf in
+    add scale;
+    add (List.length keys);
+    List.iter add keys;
+    (match cells_raw with
+    | Some raw -> Buffer.add_string buf raw
+    | None -> List.iter (fun v -> add (enc v)) cells);
+    add 0;
+    add (List.length keys);
+    Buffer.contents buf
+  in
+  let own = tail [ 1 ] [ 0 ] in
+  let cut = String.length blob - String.length own in
+  Alcotest.(check string) "the blob ends in the AGDP section" own
+    (String.sub blob cut (String.length own));
+  Alcotest.(check int) "version 2 leads" 2 (Char.code blob.[0]);
+  let prefix = String.sub blob 0 cut in
+  let refuses name ~msg tl =
+    match Csa.restore spec2 (prefix ^ tl) with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Failure m ->
+      let n = String.length msg in
+      let rec has i =
+        i + n <= String.length m && (String.sub m i n = msg || has (i + 1))
+      in
+      if not (has 0) then
+        Alcotest.failf "%s: refused with %S, wanted %S" name m msg
+  in
+  refuses "D mismatch" ~msg:"lattice denominator"
+    (tail ~scale:(2 * d) [ 1 ] [ 0 ]);
+  (* d·D = 2^61 would be written as zigzag + 1 = 2^62 + 1, past every
+     int a varint may carry *)
+  let varint v =
+    let b = Buffer.create 2 in
+    Codec.add_varint b v;
+    Buffer.contents b
+  in
+  refuses "out-of-range cell" ~msg:"varint overflow"
+    (tail [ 1; 3 ] []
+       ~cells_raw:
+         (varint (enc 0) ^ "\x81\x80\x80\x80\x80\x80\x80\x80\x40"
+         ^ varint (enc 1) ^ varint (enc 0)));
+  refuses "negative 2-cycle" ~msg:"negative cycle"
+    (tail [ 1; 3 ] [ 0; -3; 1; 0 ]);
+  refuses "duplicate key" ~msg:"duplicate key"
+    (tail [ 1; 1 ] [ 0; 1; 1; 0 ]);
+  (* the same surgery with consistent cells restores *)
+  ignore (Csa.restore spec2 (prefix ^ tail [ 1; 3 ] [ 0; 3; max_int; 0 ]));
+  let v1 = Bytes.of_string blob in
+  Bytes.set v1 0 '\001';
+  Alcotest.check_raises "a version-1 blob"
+    (Failure "Csa.restore: unsupported snapshot version") (fun () ->
+      ignore (Csa.restore spec2 (Bytes.to_string v1)))
+
 let test_snapshot_lossy_mode () =
   let a = Csa.create ~lossy:true spec2 ~me:0 ~lt0:(q 0) in
   let _m1 = Csa.send a ~dst:1 ~msg:1 ~lt:(q 5) in
@@ -471,6 +537,7 @@ let () =
           Alcotest.test_case "peer clock bounds (internal-sync style)" `Quick
             test_peer_clock_bounds;
           Alcotest.test_case "snapshot and restore" `Quick test_snapshot_restore;
+          Alcotest.test_case "snapshot refusals" `Quick test_snapshot_refusals;
           Alcotest.test_case "snapshot in lossy mode" `Quick
             test_snapshot_lossy_mode;
         ] );

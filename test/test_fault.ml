@@ -435,6 +435,38 @@ let test_chaos_run_sound () =
   Alcotest.(check bool) "checkpoint bytes counted" true
     (Metrics.checkpoint_bytes m > 0)
 
+let test_crash_keeps_verdicts () =
+  (* In this schedule node 7 sends msg 38 at t = 1.641 s, gets its ack
+     at 1.647 s and crashes at 1.654 s, before its next checkpoint.  The
+     restored node predates the ack; unless revive replays the verdicts
+     the crash lost, msg 38 stays inflight forever, [acked_coverage]
+     pins the history and it grows without bound (|H| reached 474 by
+     10 s, against ~100 on every other node and seed). *)
+  let d = sec 10 in
+  let spec =
+    System_spec.uniform ~n:8 ~source:0 ~drift:(Drift.of_ppm 100)
+      ~transit:(Transit.of_q (ms 1) (ms 10))
+      ~links:(Topology.star 8)
+  in
+  let r =
+    Engine.run
+      {
+        (Scenario.default ~spec
+           ~traffic:(Scenario.Ntp_poll { period = ms 500 }))
+        with
+        Scenario.seed = 7000070;
+        duration = d;
+        faults =
+          Fault.Chaos.schedule ~seed:7000070 ~nodes:8 ~duration:d ~cycles:1 ();
+      }
+  in
+  Alcotest.(check int) "no soundness failures" 0 r.Engine.soundness_failures;
+  Array.iteri
+    (fun p (s : Engine.node_summary) ->
+      if s.Engine.peak_history > 150 then
+        Alcotest.failf "node %d: peak |H| = %d > 150" p s.Engine.peak_history)
+    r.Engine.per_node
+
 let test_churn_join_leave () =
   (* node 3 is absent at time 0 and joins mid-run; node 2 leaves and
      comes back — deliveries to absent nodes become Section 3.3 losses,
@@ -732,6 +764,8 @@ let () =
           Alcotest.test_case "on-disk checkpoints match in-memory" `Quick
             test_engine_on_disk_checkpoints;
           Alcotest.test_case "chaos run stays sound" `Quick test_chaos_run_sound;
+          Alcotest.test_case "a crash keeps its verdicts" `Quick
+            test_crash_keeps_verdicts;
           Alcotest.test_case "join/leave churn stays sound" `Quick
             test_churn_join_leave;
           Alcotest.test_case "partition stays sound" `Quick test_partition_sound;

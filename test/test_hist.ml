@@ -697,6 +697,21 @@ let prop_codec_differential =
       check_differential "random payload" wire;
       true)
 
+(* Every checkpoint and frame encodes its ints through [Wire.add_varint]:
+   into a buffer with room to spare it must not allocate at all (a local
+   closure over the buffer once cost a few words per call). *)
+let test_varint_allocates_nothing () =
+  let buf = Buffer.create 16_384 in
+  let values = [| 0; 1; 127; 128; 300; 1 lsl 20; max_int |] in
+  let k = Array.length values in
+  let before = Gc.minor_words () in
+  for i = 0 to 999 do
+    Wire.add_varint buf (Array.unsafe_get values (i mod k))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words for 1000 calls" 0. words;
+  Alcotest.(check bool) "bytes written" true (Buffer.length buf > 1000)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -749,6 +764,8 @@ let () =
             test_codec_differential_truncations;
           Alcotest.test_case "differential: every bit flip" `Quick
             test_codec_differential_bitflips;
+          Alcotest.test_case "varint encoding allocates nothing" `Quick
+            test_varint_allocates_nothing;
         ] );
       qsuite "props"
         [

@@ -33,6 +33,25 @@ let of_agdp a =
     snapshot = (fun () -> Agdp.snapshot a);
   }
 
+(* [Fw_oracle] keeps exact values on no lattice; its side of the
+   portability check reads its live-pair distances onto the D = 1
+   lattice the cases below use (every weight there is an integer) *)
+let fw_snapshot f =
+  let keys = Array.of_list (Fw_oracle.live_keys f) in
+  let n = Array.length keys in
+  let cell x =
+    match Fw_oracle.dist f keys.(x / n) keys.(x mod n) with
+    | Ext.Inf -> max_int
+    | Ext.Fin d -> Option.get (Bigint.to_int_opt (Q.num d))
+  in
+  {
+    Agdp.s_scale = 1;
+    s_keys = keys;
+    s_cells = Array.init (n * n) cell;
+    s_relaxations = Fw_oracle.relaxations f;
+    s_peak = Fw_oracle.peak_size f;
+  }
+
 let of_fw f =
   {
     insert = Fw_oracle.insert f;
@@ -41,7 +60,7 @@ let of_fw f =
     dist = Fw_oracle.dist f;
     size = (fun () -> Fw_oracle.size f);
     live_keys = (fun () -> Fw_oracle.live_keys f);
-    snapshot = (fun () -> Fw_oracle.snapshot f);
+    snapshot = (fun () -> fw_snapshot f);
   }
 
 (* name, create, restore *)
@@ -49,7 +68,7 @@ let impls =
   [
     ( "agdp",
       (fun () -> of_agdp (Agdp.create ~scale:1 ())),
-      fun s -> of_agdp (Agdp.restore ~scale:1 s) );
+      fun s -> of_agdp (Agdp.restore s) );
     ( "fw",
       (fun () -> of_fw (Fw_oracle.create ())),
       fun s -> of_fw (Fw_oracle.restore s) );
