@@ -4,7 +4,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test bench-smoke bench-guard analyze-smoke net-smoke crash-smoke hub-smoke hub-crash-smoke tournament-smoke check fmt fmt-check clean
+.PHONY: all build test bench-smoke bench-guard analyze-smoke net-smoke crash-smoke hub-smoke hub-crash-smoke tournament-smoke lossy-fleet-check check fmt fmt-check clean
 
 all: build
 
@@ -75,6 +75,20 @@ hub-crash-smoke: build
 # trace must re-analyze clean (see scripts/tournament_smoke.sh)
 tournament-smoke: build
 	sh scripts/tournament_smoke.sh
+
+# the benchmark's lossy fleet (32 loopback clients, 10% loss, every
+# payload through the codec) measured on seeds 1-5, 3 s each: `measure`
+# exits nonzero on any failed correctness check (an uncontained sample,
+# an infinite width late in the run, or a client not established or not
+# converged at the end), and so does this target
+lossy-fleet-check: build
+	@for s in 1 2 3 4 5; do \
+	  out=$$($(DUNE) exec bench/suite/main.exe -- measure \
+	    --workload fleet-32-lossy --seconds 3 --seed $$s) || \
+	    { echo "$$out" | grep -v '^{'; \
+	      echo "lossy-fleet-check: seed $$s failed"; exit 1; }; \
+	done
+	@echo "lossy-fleet-check: OK (seeds 1-5)"
 
 check: build test bench-smoke bench-guard analyze-smoke tournament-smoke hub-smoke
 	@echo "check: OK"

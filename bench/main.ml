@@ -27,6 +27,10 @@
 module J = Json_out
 
 let q = Q.of_int
+
+(* local readings in ticks: [n] seconds, [n] milliseconds *)
+let secs n = n * System_spec.ticks_per_second
+let ms_ticks n = n * (System_spec.ticks_per_second / 1000)
 let section id title = Format.printf "@.=== %s: %s ===@.@." id title
 
 (* metrics for the current experiment, pushed in display order *)
@@ -332,8 +336,8 @@ let e4_report_once () =
    weigh 1 s, on a simulator spec's lattice (1/10^10: ppm drift, µs
    ticks); measure relaxations and wall clock per insert *)
 let agdp_sliding_window ~l ~inserts =
-  let weight = q 1 in
-  let t = Agdp.create ~scale:10_000_000_000 () in
+  let weight = 10_000_000_000 in
+  let t = Agdp.create ~scale:weight () in
   Agdp.insert t ~key:0 ~in_edges:[] ~out_edges:[];
   for k = 1 to l - 1 do
     Agdp.insert t ~key:k ~in_edges:[ (k - 1, weight) ]
@@ -627,25 +631,25 @@ let e10_ablation () =
       ~transit:(Transit.of_q (q 1) (q 5))
       ~links:[ (0, 1) ]
   in
-  let a = Csa.create spec ~me:0 ~lt0:Q.zero in
-  let b = Csa.create spec ~me:1 ~lt0:Q.zero in
-  let mirror = Mirror.create spec ~me:1 ~lt0:Q.zero in
-  let mirror_a = Mirror.create spec ~me:0 ~lt0:Q.zero in
+  let a = Csa.create spec ~me:0 ~lt0:0 in
+  let b = Csa.create spec ~me:1 ~lt0:0 in
+  let mirror = Mirror.create spec ~me:1 ~lt0:0 in
+  let mirror_a = Mirror.create spec ~me:0 ~lt0:0 in
   let msg = ref 0 in
   let rows = ref [] in
   let checkpoints = [ 50; 100; 200; 400; 800 ] in
   let round i =
-    let lt0 = Q.of_int (20 * i) in
+    let lt0 = secs (20 * i) in
     incr msg;
     let m1 = Csa.send a ~dst:1 ~msg:!msg ~lt:lt0 in
     Mirror.send mirror_a ~payload:m1;
-    Csa.receive b ~msg:!msg ~lt:(Q.add lt0 (q 3)) m1;
-    Mirror.receive mirror ~msg:!msg ~lt:(Q.add lt0 (q 3)) ~payload:m1;
+    Csa.receive b ~msg:!msg ~lt:(lt0 + secs 3) m1;
+    Mirror.receive mirror ~msg:!msg ~lt:(lt0 + secs 3) ~payload:m1;
     incr msg;
-    let m2 = Csa.send b ~dst:0 ~msg:!msg ~lt:(Q.add lt0 (q 4)) in
+    let m2 = Csa.send b ~dst:0 ~msg:!msg ~lt:(lt0 + secs 4) in
     Mirror.send mirror ~payload:m2;
-    Csa.receive a ~msg:!msg ~lt:(Q.add lt0 (q 8)) m2;
-    Mirror.receive mirror_a ~msg:!msg ~lt:(Q.add lt0 (q 8)) ~payload:m2
+    Csa.receive a ~msg:!msg ~lt:(lt0 + secs 8) m2;
+    Mirror.receive mirror_a ~msg:!msg ~lt:(lt0 + secs 8) ~payload:m2
   in
   let time f =
     let t0 = Unix.gettimeofday () in
@@ -699,10 +703,10 @@ let e11_message_size () =
       ~transit:(Transit.of_q (q 1) (q 5))
       ~links:[ (0, 1) ]
   in
-  let a = Csa.create spec ~me:0 ~lt0:Q.zero in
-  let b = Csa.create spec ~me:1 ~lt0:Q.zero in
-  let na = Naive.create spec ~me:0 ~lt0:Q.zero in
-  let nb = Naive.create spec ~me:1 ~lt0:Q.zero in
+  let a = Csa.create spec ~me:0 ~lt0:0 in
+  let b = Csa.create spec ~me:1 ~lt0:0 in
+  let na = Naive.create spec ~me:0 ~lt0:0 in
+  let nb = Naive.create spec ~me:1 ~lt0:0 in
   let msg = ref 0 in
   let rows = ref [] in
   let last = ref 0 in
@@ -711,17 +715,17 @@ let e11_message_size () =
   List.iter
     (fun upto ->
       for i = !last + 1 to upto do
-        let t0 = Q.of_int (20 * i) in
+        let t0 = secs (20 * i) in
         incr msg;
         let m1 = Csa.send a ~dst:1 ~msg:!msg ~lt:t0 in
         let m1n = Naive.send na ~dst:1 ~msg:!msg ~lt:t0 in
-        Csa.receive b ~msg:!msg ~lt:(Q.add t0 (q 3)) m1;
-        Naive.receive nb ~msg:!msg ~lt:(Q.add t0 (q 3)) m1n;
+        Csa.receive b ~msg:!msg ~lt:(t0 + secs 3) m1;
+        Naive.receive nb ~msg:!msg ~lt:(t0 + secs 3) m1n;
         incr msg;
-        let m2 = Csa.send b ~dst:0 ~msg:!msg ~lt:(Q.add t0 (q 4)) in
-        let m2n = Naive.send nb ~dst:0 ~msg:!msg ~lt:(Q.add t0 (q 4)) in
-        Csa.receive a ~msg:!msg ~lt:(Q.add t0 (q 8)) m2;
-        Naive.receive na ~msg:!msg ~lt:(Q.add t0 (q 8)) m2n;
+        let m2 = Csa.send b ~dst:0 ~msg:!msg ~lt:(t0 + secs 4) in
+        let m2n = Naive.send nb ~dst:0 ~msg:!msg ~lt:(t0 + secs 4) in
+        Csa.receive a ~msg:!msg ~lt:(t0 + secs 8) m2;
+        Naive.receive na ~msg:!msg ~lt:(t0 + secs 8) m2n;
         last_eff_bytes := Codec.size m2;
         last_naive_bytes := Codec.size m2n;
         last_eff_events := Payload.size m2;
@@ -918,15 +922,15 @@ let microbenches () =
          (let t = Agdp.create ~scale:1 () in
           Agdp.insert t ~key:0 ~in_edges:[] ~out_edges:[];
           for k = 1 to l - 1 do
-            Agdp.insert t ~key:k ~in_edges:[ (k - 1, q 1) ]
-              ~out_edges:[ (k - 1, q 1) ]
+            Agdp.insert t ~key:k ~in_edges:[ (k - 1, 1) ]
+              ~out_edges:[ (k - 1, 1) ]
           done;
           let next = ref l in
           fun () ->
             let k = !next in
             incr next;
-            Agdp.insert t ~key:k ~in_edges:[ (k - 1, q 1) ]
-              ~out_edges:[ (k - 1, q 1) ];
+            Agdp.insert t ~key:k ~in_edges:[ (k - 1, 1) ]
+              ~out_edges:[ (k - 1, 1) ];
             Agdp.kill t (k - l)))
   in
   let bench_csa_round_trip =
@@ -934,14 +938,14 @@ let microbenches () =
       (Staged.stage
          (let spec = base_spec 2 [ (0, 1) ] in
           (* transit in [1, 10] ms: keep the driven timeline feasible *)
-          let a = Csa.create spec ~me:0 ~lt0:Q.zero in
-          let b = Csa.create spec ~me:1 ~lt0:Q.zero in
+          let a = Csa.create spec ~me:0 ~lt0:0 in
+          let b = Csa.create spec ~me:1 ~lt0:0 in
           let msg = ref 0 in
           let iter = ref 0 in
           fun () ->
             incr iter;
-            let base = Q.mul_int (Scenario.ms 20) !iter in
-            let at k = Q.add base (Scenario.ms k) in
+            let base = ms_ticks 20 * !iter in
+            let at k = base + ms_ticks k in
             incr msg;
             let m1 = Csa.send a ~dst:1 ~msg:(2 * !msg) ~lt:(at 0) in
             Csa.receive b ~msg:(2 * !msg) ~lt:(at 5) m1;
@@ -1013,7 +1017,7 @@ let synthetic_payload ~events:l =
         in
         {
           Event.id = { Event.proc = 0; seq = i };
-          lt = Q.of_ints ((i * 17) + 1) 1000;
+          lt = ((i * 17) + 1) * 1000;
           kind;
         })
   in
@@ -1130,12 +1134,12 @@ let e16_checkpoint_throughput () =
      lengths, and the sim-ntp-chaos workload's star. *)
   let spec = base_spec 2 [ (0, 1) ] in
   let mk_state rounds =
-    let a = Csa.create spec ~me:0 ~lt0:Q.zero in
-    let b = Csa.create spec ~me:1 ~lt0:Q.zero in
+    let a = Csa.create spec ~me:0 ~lt0:0 in
+    let b = Csa.create spec ~me:1 ~lt0:0 in
     let msg = ref 0 in
     for i = 1 to rounds do
-      let base = Q.mul_int (Scenario.ms 20) i in
-      let at k = Q.add base (Scenario.ms k) in
+      let base = ms_ticks 20 * i in
+      let at k = base + ms_ticks k in
       incr msg;
       let m1 = Csa.send a ~dst:1 ~msg:(2 * !msg) ~lt:(at 0) in
       Csa.receive b ~msg:(2 * !msg) ~lt:(at 5) m1;

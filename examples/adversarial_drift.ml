@@ -51,13 +51,19 @@ let () =
       ~links:[ (0, 1) ]
   in
   let view = View.create ~n_procs:2 in
-  let add proc seq lt kind = View.add view { Event.id = { proc; seq }; lt; kind } in
-  add 0 0 (q 0) Event.Init;
-  add 0 1 (q 10) (Event.Send { msg = 1; dst = 1 });
-  add 1 0 (q 0) Event.Init;
-  add 1 1 (q 8) (Event.Recv { msg = 1; src = 0; send = { proc = 0; seq = 1 } });
-  add 1 2 (q 10) (Event.Send { msg = 2; dst = 0 });
-  add 0 2 (q 17) (Event.Recv { msg = 2; src = 1; send = { proc = 1; seq = 2 } });
+  (* readings in whole seconds, as ticks *)
+  let add proc seq secs kind =
+    View.add view
+      { Event.id = { proc; seq };
+        lt = secs * System_spec.ticks_per_second;
+        kind }
+  in
+  add 0 0 0 Event.Init;
+  add 0 1 10 (Event.Send { msg = 1; dst = 1 });
+  add 1 0 0 Event.Init;
+  add 1 1 8 (Event.Recv { msg = 1; src = 0; send = { proc = 0; seq = 1 } });
+  add 1 2 10 (Event.Send { msg = 2; dst = 0 });
+  add 0 2 17 (Event.Recv { msg = 2; src = 1; send = { proc = 1; seq = 2 } });
   let at = { Event.proc = 1; seq = 2 } in
   let interval = Reference.estimate spec2 view ~at in
   Format.printf "  optimal interval at p1's send: %s = %s@."

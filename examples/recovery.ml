@@ -16,6 +16,9 @@
 
 let q = Q.of_int
 
+(* a local reading of [n] seconds, in ticks *)
+let secs n = n * System_spec.ticks_per_second
+
 let spec =
   System_spec.uniform ~n:2 ~source:0
     ~drift:(Drift.of_ppm 100)
@@ -24,19 +27,19 @@ let spec =
 
 let part1_durable_store () =
   Format.printf "== 1. durable recovery through Fault.Store ==@.@.";
-  let server = Csa.create spec ~me:0 ~lt0:(q 0) in
-  let client = Csa.create spec ~me:1 ~lt0:(q 0) in
+  let server = Csa.create spec ~me:0 ~lt0:0 in
+  let client = Csa.create spec ~me:1 ~lt0:0 in
 
   (* a few round trips to build up interesting state *)
   let msg = ref 0 in
   for i = 1 to 5 do
     let t0 = 20 * i in
     incr msg;
-    let m1 = Csa.send server ~dst:1 ~msg:!msg ~lt:(q t0) in
-    Csa.receive client ~msg:!msg ~lt:(q (t0 + 3)) m1;
+    let m1 = Csa.send server ~dst:1 ~msg:!msg ~lt:(secs t0) in
+    Csa.receive client ~msg:!msg ~lt:(secs (t0 + 3)) m1;
     incr msg;
-    let m2 = Csa.send client ~dst:0 ~msg:!msg ~lt:(q (t0 + 4)) in
-    Csa.receive server ~msg:!msg ~lt:(q (t0 + 8)) m2
+    let m2 = Csa.send client ~dst:0 ~msg:!msg ~lt:(secs (t0 + 4)) in
+    Csa.receive server ~msg:!msg ~lt:(secs (t0 + 8)) m2
   done;
   Format.printf "after 5 round trips, client estimate: %s@."
     (Interval.to_string_approx (Csa.estimate client));
@@ -65,8 +68,8 @@ let part1_durable_store () =
 
   (* the restored node keeps synchronizing seamlessly *)
   incr msg;
-  let m = Csa.send server ~dst:1 ~msg:!msg ~lt:(q 200) in
-  Csa.receive restored ~msg:!msg ~lt:(q 202) m;
+  let m = Csa.send server ~dst:1 ~msg:!msg ~lt:(secs 200) in
+  Csa.receive restored ~msg:!msg ~lt:(secs 202) m;
   Format.printf "after one more message, restored client: %s@."
     (Interval.to_string_approx (Csa.estimate restored));
   Format.printf "live points: %d, history entries: %d — still bounded.@.@."

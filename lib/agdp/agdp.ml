@@ -17,6 +17,8 @@ type t = {
   mutable c : int array; (* cells, cap * cap, row-major *)
   mutable cap : int;
   mutable keys : int array; (* slot -> key *)
+  mutable col : int array; (* insert scratch: col.(i) = d(i, new) *)
+  mutable row : int array; (* insert scratch: row.(i) = d(new, i) *)
   slot_of : (int, int) Hashtbl.t; (* key -> slot *)
   mutable count : int;
   mutable relax_count : int;
@@ -37,6 +39,8 @@ let make ~scale ~cap ~count ~relax_count ~peak ~sink =
     c = Array.make (cap * cap) no_path;
     cap;
     keys = Array.make cap (-1);
+    col = [||];
+    row = [||];
     slot_of = Hashtbl.create (max 16 count);
     count;
     relax_count;
@@ -62,14 +66,13 @@ let slot_exn t key =
   | None ->
     invalid_arg (Printf.sprintf "Agdp: node %d is not live" key)
 
-(* the exact value of cell [idx] *)
-let cell t idx =
-  let v = t.c.(idx) in
-  if v = no_path then Ext.Inf else Ext.Fin (Q.make_ints v t.scale)
+let dist_cells t x y =
+  let sx = slot_exn t x and sy = slot_exn t y in
+  t.c.((sx * t.cap) + sy)
 
 let dist t x y =
-  let sx = slot_exn t x and sy = slot_exn t y in
-  cell t ((sx * t.cap) + sy)
+  let v = dist_cells t x y in
+  if v = no_path then Ext.Inf else Ext.Fin (Q.make_ints v t.scale)
 
 (* Re-stride the matrix into a fresh cap'-wide array (shared by grow
    and shrink). *)
@@ -101,19 +104,6 @@ let claim_slot t key =
 let out_of_range what =
   invalid_arg (what ^ ": a distance leaves the lattice's ±(2^61 − 1)/D range")
 
-(* [w] in units of 1/scale *)
-let to_cell t what w =
-  match Bigint.to_int_opt (Q.den w) with
-  | Some den when t.scale mod den = 0 -> (
-    let m = t.scale / den in
-    match Bigint.to_int_opt (Q.num w) with
-    | Some n when n <= max_cell / m && n >= -(max_cell / m) -> n * m
-    | _ -> out_of_range what)
-  | _ ->
-    invalid_arg
-      (Printf.sprintf "%s: %s is off the 1/%d lattice" what (Q.to_string w)
-         t.scale)
-
 (* [a + b] for two in-range cells, checked against the range (the add
    itself cannot overflow: |a|, |b| <= 2^61 - 1) *)
 let checked_add a b =
@@ -127,34 +117,41 @@ let checked_add a b =
 let insert_cells t ~key ~in_edges ~out_edges =
   let k = t.count in
   let c = t.c and cap = t.cap in
-  let relaxed = ref 0 in
   (* Phase 1: distances to/from the new node, into scratch buffers.
      Every path i ⇝ k decomposes as i ⇝ a plus an edge (a, k), with
      i ⇝ a entirely over old nodes whose pairwise distances are already
      exact; symmetrically for k ⇝ i. *)
-  let col = Array.make (max k 1) no_path in (* col.(i) = d(i, k) *)
-  let row = Array.make (max k 1) no_path in (* row.(i) = d(k, i) *)
-  for i = 0 to k - 1 do
-    let base = i * cap in
-    List.iter
-      (fun (a, w) ->
-        incr relaxed;
-        let dia = Array.unsafe_get c (base + a) in
+  if Array.length t.col < k then begin
+    t.col <- Array.make t.cap no_path;
+    t.row <- Array.make t.cap no_path
+  end;
+  let col = t.col and row = t.row in
+  Array.fill col 0 k no_path;
+  Array.fill row 0 k no_path;
+  (* one pass over the rows per edge: the closure is built once per
+     edge, never once per row *)
+  List.iter
+    (fun (a, w) ->
+      for i = 0 to k - 1 do
+        let dia = Array.unsafe_get c ((i * cap) + a) in
         if dia <> no_path then begin
           let v = checked_add dia w in
           if v < col.(i) then col.(i) <- v
-        end)
-      in_edges;
-    List.iter
-      (fun (b, w) ->
-        incr relaxed;
-        let dbi = Array.unsafe_get c ((b * cap) + i) in
+        end
+      done)
+    in_edges;
+  List.iter
+    (fun (b, w) ->
+      let base = b * cap in
+      for i = 0 to k - 1 do
+        let dbi = Array.unsafe_get c (base + i) in
         if dbi <> no_path then begin
           let v = checked_add w dbi in
           if v < row.(i) then row.(i) <- v
-        end)
-      out_edges
-  done;
+        end
+      done)
+    out_edges;
+  let relaxed = ref (k * (List.length in_edges + List.length out_edges)) in
   (* Phase 2: a path through k and back is a cycle; reject negative
      ones, tracking the extremes of col and row on the way *)
   let col_lo = ref 0 and col_hi = ref 0 and row_lo = ref 0 and row_hi = ref 0 in
@@ -210,7 +207,10 @@ let insert t ~key ~in_edges ~out_edges =
     (fun (x, _) ->
       if x = key then invalid_arg "Agdp.insert: self-loop edge")
     (in_edges @ out_edges);
-  let edge (x, w) = (slot_exn t x, to_cell t "Agdp.insert" w) in
+  let edge (x, w) =
+    if w > max_cell || w < -max_cell then out_of_range "Agdp.insert";
+    (slot_exn t x, w)
+  in
   let relaxed =
     insert_cells t ~key ~in_edges:(List.map edge in_edges)
       ~out_edges:(List.map edge out_edges)

@@ -13,10 +13,11 @@
 
     Distances are exact on one numeric path (DESIGN.md Section 11):
     the caller fixes a lattice denominator [D] at creation (for a CSA,
-    its spec's {!System_spec.lattice}), every weight must lie in
-    [(1/D)·Z], and every distance and candidate sum within
-    [±(2^61 − 1)/D].  The matrix then holds native ints [d·D], and a
-    relaxation is one int add and one compare. *)
+    its spec's {!System_spec.lattice}) and hands every weight [w] as
+    the native int [w·D] (a cell, as {!Edges} builds it); every
+    distance and candidate sum stays within [±(2^61 − 1)/D].  The
+    matrix holds cells [d·D], and a relaxation is one int add and one
+    compare. *)
 
 type t
 
@@ -35,11 +36,12 @@ val create : ?sink:Trace.sink -> scale:int -> unit -> t
 val insert :
   t ->
   key:int ->
-  in_edges:(int * Q.t) list ->
-  out_edges:(int * Q.t) list ->
+  in_edges:(int * int) list ->
+  out_edges:(int * int) list ->
   unit
-(** Add a node.  [in_edges] are [(x, w)] edges [x → key]; [out_edges] are
-    [(y, w)] edges [key → y]; every endpoint must be a live node.
+(** Add a node.  [in_edges] are [(x, w·D)] edges [x → key]; [out_edges]
+    are [(y, w·D)] edges [key → y]; every endpoint must be a live node.
+    Its scratch is kept with the matrix: nothing allocated grows with [L].
 
     Exception safety: a failed insert leaves the structure exactly as it
     was before the call — the new node's row and column are validated
@@ -47,8 +49,8 @@ val insert :
     either exception [size], [live_keys], [dist], and [relaxations] are
     all unchanged and the structure remains fully usable.
     @raise Invalid_argument on duplicate keys, self-loops, dead/unknown
-    endpoints, a weight off the [(1/scale)·Z] lattice, or a distance or
-    sum beyond [±(2^61 − 1)/scale] (checked, never wrapped).
+    endpoints, or a weight, distance or sum beyond [±(2^61 − 1)/scale]
+    (checked, never wrapped).
     @raise Negative_cycle when the insertion would create a
     negative-weight cycle. *)
 
@@ -66,6 +68,9 @@ val mem : t -> int -> bool
 val dist : t -> int -> int -> Ext.t
 (** Exact distance in the accumulated graph between two live nodes.
     @raise Invalid_argument when either key is not live. *)
+
+val dist_cells : t -> int -> int -> int
+(** {!dist} as the cell [d·D], or [max_int] when there is no path. *)
 
 val size : t -> int
 (** Number of live nodes [L]. *)

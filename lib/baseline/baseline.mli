@@ -51,8 +51,10 @@ type wire =
   | Ftsp_w of Ftsp.wire
   | Marzullo_w of Marzullo.wire
 
-val create : t -> System_spec.t -> me:Event.proc -> lt0:Q.t -> instance
-(** Start baseline [t] at processor [me], whose clock reads [lt0]. *)
+val create : t -> System_spec.t -> me:Event.proc -> lt0:int -> instance
+(** Start baseline [t] at processor [me], whose clock reads [lt0]
+    ticks.  Each entry point takes readings in ticks, as the CSA does,
+    and converts them to rationals for the baseline's own arithmetic. *)
 
 val instance_name : instance -> string
 (** [name] of the baseline the instance runs. *)
@@ -61,7 +63,7 @@ val on_send :
   instance ->
   dst:Event.proc ->
   msg:int ->
-  lt:Q.t ->
+  lt:int ->
   payload:Payload.t ->
   wire
 (** Record a send at local time [lt]; [payload] is the CSA payload the
@@ -72,12 +74,12 @@ val on_recv :
   instance ->
   src:Event.proc ->
   msg:int ->
-  lt:Q.t ->
+  lt:int ->
   payload:Payload.t ->
   wire ->
   unit
 (** Record a delivery.
     @raise Invalid_argument when [wire] was built by another baseline. *)
 
-val estimate_at : instance -> lt:Q.t -> Interval.t
+val estimate_at : instance -> lt:int -> Interval.t
 (** Source-time interval at local time [lt]. *)

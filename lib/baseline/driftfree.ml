@@ -8,12 +8,14 @@ type t = {
   mutable retained : retained list; (* newest first *)
   known : int array; (* per processor: highest seq retained-or-seen *)
   mutable my_seq : int; (* fabricated ids for my own timeline *)
-  mutable my_last_lt : Q.t;
   mutable anchor : (Q.t * Interval.t) option;
   mutable last_recompute : Q.t option;
 }
 
 let name = "driftfree"
+
+(* events carry readings in ticks; the window arithmetic is rational *)
+let q = System_spec.q_of_ticks
 
 let create ~window ?recompute spec ~me ~lt0 =
   if Q.(window <= zero) then invalid_arg "Driftfree.create: window <= 0";
@@ -30,12 +32,12 @@ let create ~window ?recompute spec ~me ~lt0 =
       retained = [];
       known = Array.make (System_spec.n spec) (-1);
       my_seq = 0;
-      my_last_lt = lt0;
       anchor = None;
       last_recompute = None;
     }
   in
   let init = { Event.id = { proc = me; seq = 0 }; lt = lt0; kind = Event.Init } in
+  let lt0 = q lt0 in
   t.retained <- [ { ev = init; arrival = lt0 } ];
   t.known.(me) <- 0;
   t.my_seq <- 1;
@@ -58,7 +60,6 @@ let prune t ~now =
 let fresh_own t ~lt kind =
   let e = { Event.id = { proc = t.me; seq = t.my_seq }; lt; kind } in
   t.my_seq <- t.my_seq + 1;
-  t.my_last_lt <- lt;
   e
 
 let on_send t ~(payload : Payload.t) =
@@ -67,8 +68,9 @@ let on_send t ~(payload : Payload.t) =
   let dst = match s.kind with Event.Send { dst; _ } -> dst | _ -> t.me in
   let msg = match s.kind with Event.Send { msg; _ } -> msg | _ -> -1 in
   let e = fresh_own t ~lt:s.lt (Event.Send { msg; dst }) in
-  retain t ~arrival:s.lt e;
-  prune t ~now:s.lt
+  let now = q s.lt in
+  retain t ~arrival:now e;
+  prune t ~now
 
 let deviation_of t p = Drift.max_deviation (System_spec.drift t.spec p)
 
@@ -135,7 +137,7 @@ let window_estimate t ~lt =
           | None -> ()
           | Some s ->
             let tr = System_spec.transit_exn t.spec src (Event.loc e) in
-            let vd = Q.sub e.lt s.lt in
+            let vd = q (e.lt - s.lt) in
             let is = Event.Id_tbl.find index s.id
             and ie = Event.Id_tbl.find index e.id in
             Digraph.add_edge g is ie (Q.sub vd tr.Transit.lo);
@@ -176,17 +178,18 @@ let window_estimate t ~lt =
                   match lts with
                   | [] -> Q.zero
                   | x :: rest ->
-                    let mn = List.fold_left Q.min x rest
-                    and mx = List.fold_left Q.max x rest in
-                    Q.sub mx mn
+                    let mn = List.fold_left min x rest
+                    and mx = List.fold_left max x rest in
+                    q (mx - mn)
                 in
                 Q.add acc (Q.mul (deviation_of t proc) span))
               by_proc Q.zero
           in
-          let lo = Q.sub p.lt (Q.add d_sp_p fudge) in
-          let hi = Q.add p.lt (Q.add d_p_sp fudge) in
+          let p_lt = q p.lt in
+          let lo = Q.sub p_lt (Q.add d_sp_p fudge) in
+          let hi = Q.add p_lt (Q.add d_p_sp fudge) in
           (* propagate from my last retained point to the query time *)
-          Some (propagate t (Interval.of_q lo hi) (Q.sub lt p.lt))
+          Some (propagate t (Interval.of_q lo hi) (Q.sub lt p_lt))
         | _ -> None
       with Bellman_ford.Negative_cycle ->
         (* the drift-free pretence contradicted itself on this window *)
@@ -220,14 +223,15 @@ let resolve_window t ~lt =
   | Some i -> t.anchor <- Some (lt, i)
   | None -> ()
 
-let on_recv t ~msg ~lt ~(payload : Payload.t) =
+let on_recv t ~msg ~lt:ticks ~(payload : Payload.t) =
+  let lt = q ticks in
   (* my own events are tracked on a private numbering; a peer re-reporting
      them must not introduce a second copy of my timeline *)
   List.iter
     (fun (e : Event.t) -> if Event.loc e <> t.me then retain t ~arrival:lt e)
     payload.events;
   let recv =
-    fresh_own t ~lt
+    fresh_own t ~lt:ticks
       (Event.Recv
          { msg; src = Event.loc payload.send_event; send = payload.send_event.id })
   in

@@ -26,14 +26,15 @@ val create :
   ?recompute:Q.t ->
   System_spec.t ->
   me:Event.proc ->
-  lt0:Q.t ->
+  lt0:int ->
   t
 (** [window] is the local-time span of events retained for the graph
     computation; larger windows tighten the graph part but pay a larger
     fudge.  [recompute] (default [window / 8]) is how often — in local
     time — the window graph is re-solved, matching the paper's "run a new
     version of the algorithm every short while"; between recomputations
-    the last result is propagated under the drift bound. *)
+    the last result is propagated under the drift bound.  [lt0] is in
+    ticks. *)
 
 val name : string
 
@@ -41,8 +42,9 @@ val on_send : t -> payload:Payload.t -> unit
 (** Observe my own outgoing message ([payload] as returned by [Csa.send];
     only its send event is used). *)
 
-val on_recv : t -> msg:int -> lt:Q.t -> payload:Payload.t -> unit
-(** Observe an incoming message and recompute the window estimate. *)
+val on_recv : t -> msg:int -> lt:int -> payload:Payload.t -> unit
+(** Observe an incoming message, received at [lt] ticks, and recompute
+    the window estimate. *)
 
 val estimate_at : t -> lt:Q.t -> Interval.t
 

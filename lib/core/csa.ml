@@ -10,7 +10,7 @@ type t = {
   pending : (int, Event.t) Hashtbl.t; (* msg id -> live send event *)
   known_lost : (int, unit) Hashtbl.t; (* messages flagged lost (Sec 3.3) *)
   mutable next_seq : int; (* my next event sequence number *)
-  mutable last_lt : Q.t;
+  mutable last_lt : int; (* ticks *)
   mutable peak_live : int;
   mutable processed : int;
 }
@@ -25,7 +25,6 @@ let peak_history_size t = History.peak_h_size t.hist
 let oracle_relaxations t = Agdp.relaxations t.agdp
 let events_processed t = t.processed
 let events_reported t = History.events_reported t.hist
-let known_upto t w = History.known_upto t.hist w
 
 (* --- the distance structure -------------------------------------------
 
@@ -42,23 +41,29 @@ let diverged fmt =
     (fun msg -> failwith ("Csa.validate: agdp vs floyd-warshall: " ^ msg))
     fmt
 
-let dist t x y =
-  let d = Agdp.dist t.agdp x y in
+(* d(x, y) as a cell [d·D], [max_int] for no path *)
+let cells t x y =
+  let c = Agdp.dist_cells t.agdp x y in
   (match t.shadow with
   | Some fw ->
-    let d' = Fw_oracle.dist fw x y in
+    let d = Agdp.dist t.agdp x y and d' = Fw_oracle.dist fw x y in
     if not (Ext.equal d d') then
       diverged "dist %d -> %d: %s vs %s" x y (Ext.to_string d)
         (Ext.to_string d')
   | None -> ());
-  d
+  c
+
+let dist t x y =
+  let c = cells t x y in
+  if c = max_int then Ext.Inf
+  else Ext.Fin (Q.make_ints c (System_spec.lattice t.spec))
 
 let verify t fw =
   let keys = Agdp.live_keys t.agdp and fkeys = Fw_oracle.live_keys fw in
   if keys <> fkeys then
     diverged "live sets differ (%d vs %d keys)" (List.length keys)
       (List.length fkeys);
-  List.iter (fun x -> List.iter (fun y -> ignore (dist t x y)) keys) keys
+  List.iter (fun x -> List.iter (fun y -> ignore (cells t x y)) keys) keys
 
 (* [f x] timed as the profiler span [name], closed even when [f] raises *)
 let timed prof name f x =
@@ -120,9 +125,9 @@ let is_pending_send t (e : Event.t) =
   | Event.Send { msg; _ } -> Hashtbl.mem t.pending msg
   | _ -> false
 
-(* Insert one event of the local view into the AGDP structure, in causal
-   order, and update liveness per Definition 3.1. *)
-let insert_event t (e : Event.t) =
+(* The AGDP edges of one event of the local view, as (key, cell) lists
+   into and out of it: read-only, so a refusal leaves no trace. *)
+let edges_of t (e : Event.t) =
   let prev = t.last_known.(Event.loc e) in
   (match prev, Event.prev_id e with
   | None, None -> ()
@@ -161,14 +166,17 @@ let insert_event t (e : Event.t) =
     in
     proc_part @ msg_part
   in
-  let in_edges, out_edges =
-    List.fold_left
-      (fun (ins, outs) { Edges.src; dst; w } ->
-        if Event.id_equal dst e.id then ((key_of t src, w) :: ins, outs)
-        else if Event.id_equal src e.id then (ins, (key_of t dst, w) :: outs)
-        else (ins, outs))
-      ([], []) edges
-  in
+  List.fold_left
+    (fun (ins, outs) { Edges.src; dst; w } ->
+      if Event.id_equal dst e.id then ((key_of t src, w) :: ins, outs)
+      else if Event.id_equal src e.id then (ins, (key_of t dst, w) :: outs)
+      else (ins, outs))
+    ([], []) edges
+
+(* Insert one event of the local view into the AGDP structure, in causal
+   order, and update liveness per Definition 3.1. *)
+let insert_edges t (e : Event.t) (in_edges, out_edges) =
+  let prev = t.last_known.(Event.loc e) in
   insert_key t ~key:(key_of t e.id) ~in_edges ~out_edges;
   t.processed <- t.processed + 1;
   (* Liveness updates (Definition 3.1): *)
@@ -197,20 +205,10 @@ let insert_event t (e : Event.t) =
   if l > t.peak_live then t.peak_live <- l;
   Trace.emit t.sink (Trace.Liveness { node = t.me; live = l })
 
-(* Readings are whole ticks (DESIGN.md Section 4): over them every
-   weight lies on the spec's lattice, so a reading off the tick grid is
-   refused before it touches any state. *)
-let check_tick what lt =
-  match Bigint.to_int_opt (Q.den lt) with
-  | Some d when System_spec.ticks_per_second mod d = 0 -> ()
-  | _ ->
-    invalid_arg
-      (Printf.sprintf "%s: reading %s is not a whole tick" what
-         (Q.to_string lt))
+let insert_event t e = insert_edges t e (edges_of t e)
 
 let create ?(lossy = false) ?(validate = false) ?(sink = Trace.null)
     ?(prof = Prof.null) ?neighbors spec ~me ~lt0 =
-  check_tick "Csa.create" lt0;
   let t =
     {
       spec;
@@ -221,7 +219,10 @@ let create ?(lossy = false) ?(validate = false) ?(sink = Trace.null)
             (Option.value neighbors ~default:(System_spec.neighbors spec me))
           ~lossy ();
       agdp = Agdp.create ~sink ~scale:(System_spec.lattice spec) ();
-      shadow = (if validate then Some (Fw_oracle.create ()) else None);
+      shadow =
+        (if validate then
+           Some (Fw_oracle.create ~scale:(System_spec.lattice spec) ())
+         else None);
       prof;
       sink;
       last_known = Array.make (System_spec.n spec) None;
@@ -239,44 +240,39 @@ let create ?(lossy = false) ?(validate = false) ?(sink = Trace.null)
   insert_event t init;
   t
 
-let fresh_own_event t ~lt kind =
-  if Q.(lt < t.last_lt) then invalid_arg "Csa: local time regression";
-  check_tick "Csa" lt;
-  let e =
-    { Event.id = { proc = t.me; seq = t.next_seq }; lt; kind }
-  in
+(* A new event of mine, committed (numbered, [record]ed in the history,
+   inserted) only once its edges are built: a reading refused for a
+   regression, or for an elapse whose weight leaves the cell range,
+   leaves every structure as it was. *)
+let own_event t ~lt kind ~record =
+  if lt < t.last_lt then invalid_arg "Csa: local time regression";
+  let e = { Event.id = { proc = t.me; seq = t.next_seq }; lt; kind } in
+  let edges = edges_of t e in
   t.next_seq <- t.next_seq + 1;
   t.last_lt <- lt;
-  e
+  let r = record e in
+  insert_edges t e edges;
+  r
 
 let local_event t ~lt =
-  let e = fresh_own_event t ~lt Event.Internal in
-  History.learn_own t.hist e;
-  insert_event t e
+  own_event t ~lt Event.Internal ~record:(History.learn_own t.hist)
 
 let send t ~dst ~msg ~lt =
   if System_spec.transit t.spec t.me dst = None then
     invalid_arg (Printf.sprintf "Csa.send: no link %d-%d" t.me dst);
-  let e = fresh_own_event t ~lt (Event.Send { msg; dst }) in
-  let payload = History.prepare_send t.hist e in
-  insert_event t e;
-  payload
+  own_event t ~lt (Event.Send { msg; dst })
+    ~record:(History.prepare_send t.hist)
 
 let receive t ~msg ~lt (payload : Payload.t) =
   let send_ev = payload.send_event in
   (match send_ev.kind with
   | Event.Send { msg = m; dst } when m = msg && dst = t.me -> ()
   | _ -> invalid_arg "Csa.receive: payload does not match message");
-  check_tick "Csa.receive" lt;
-  List.iter (fun (e : Event.t) -> check_tick "Csa.receive" e.lt) payload.events;
   let fresh = History.integrate t.hist payload in
   List.iter (insert_event t) fresh;
-  let recv =
-    fresh_own_event t ~lt
-      (Event.Recv { msg; src = Event.loc send_ev; send = send_ev.id })
-  in
-  History.learn_own t.hist recv;
-  insert_event t recv
+  own_event t ~lt
+    (Event.Recv { msg; src = Event.loc send_ev; send = send_ev.id })
+    ~record:(History.learn_own t.hist)
 
 let on_msg_delivered t ~msg = History.on_delivered t.hist ~msg
 let inflight t = History.inflight_msgs t.hist
@@ -299,13 +295,13 @@ let on_msg_lost t ~msg =
 (* --- persistence ---------------------------------------------------- *)
 
 (* Serialization layout (Codec primitives): format version; me; lossy;
-   next_seq; last_lt; peak_live; processed; last_known (per processor, an
-   optional event); pending messages (count, then msg id + send event
-   each); lost message ids; history snapshot; AGDP: the lattice
+   next_seq; last_lt (zigzag); peak_live; processed; last_known (per
+   processor, an optional event); pending messages (count, then msg id
+   + send event each); lost message ids; history snapshot; AGDP: the lattice
    denominator D, the live keys, the count × count cells row-major (0 for
    no path, else zigzag (d·D) + 1), relaxations, peak. *)
 
-let snapshot_version = 2
+let snapshot_version = 3
 
 let add_int_array buf a =
   Codec.add_varint buf (Array.length a);
@@ -349,7 +345,7 @@ let snapshot t =
   Codec.add_varint buf t.me;
   Codec.add_varint buf (if History.is_lossy t.hist then 1 else 0);
   Codec.add_varint buf t.next_seq;
-  Codec.add_q buf t.last_lt;
+  Codec.add_varint buf (Wire.zigzag t.last_lt);
   Codec.add_varint buf t.peak_live;
   Codec.add_varint buf t.processed;
   Array.iter
@@ -361,9 +357,6 @@ let snapshot t =
     t.last_known;
   let pending = Hashtbl.fold (fun m e acc -> (m, e) :: acc) t.pending [] in
   Codec.add_varint buf (List.length pending);
-  (* sort by message id only: polymorphic compare would descend into the
-     event payloads (bigint timestamps), where physical structure rather
-     than value could decide the order *)
   List.iter
     (fun (m, e) ->
       Codec.add_varint buf m;
@@ -412,7 +405,7 @@ let restore_reader ?(validate = false) ?(sink = Trace.null)
   if me < 0 || me >= System_spec.n spec then failwith "Csa.restore: bad me";
   let lossy = Codec.read_varint r = 1 in
   let next_seq = Codec.read_varint r in
-  let last_lt = Codec.read_q r in
+  let last_lt = Wire.unzigzag (Codec.read_varint r) in
   let peak_live = Codec.read_varint r in
   let processed = Codec.read_varint r in
   let n = System_spec.n spec in
@@ -536,35 +529,34 @@ let restore ?validate ?sink ?prof ?neighbors spec blob =
     (Codec.reader_of_string blob)
 
 (* ext_L = LT(p) − d(sp, p), ext_U = LT(p) + d(p, sp); a query at local
-   time lt >= LT(p) is a virtual event linked to p by drift edges.  On a
+   time lt >= LT(p) is a virtual event linked to p by drift edges.  Both
+   ends are cells on the lattice, each built as a rational once.  On a
    charged spec the upper end covers the true instant too (DESIGN.md
    Section 4). *)
 let estimate_at t ~lt =
-  if Q.(lt < t.last_lt) then invalid_arg "Csa.estimate_at: time in the past";
+  if lt < t.last_lt then invalid_arg "Csa.estimate_at: time in the past";
   match t.last_known.(System_spec.source t.spec), t.last_known.(t.me) with
   | None, _ | _, None -> Interval.full
   | Some sp, Some p ->
-    let d_p_sp = dist t (key_of t p.id) (key_of t sp.id) in
-    let d_sp_p = dist t (key_of t sp.id) (key_of t p.id) in
-    let drift = System_spec.drift t.spec t.me in
-    let elapsed = Q.sub lt p.lt in
+    let what = "Csa.estimate_at" and spec = t.spec in
+    let at = Edges.cell_mul what lt (System_spec.cells_per_tick spec) in
+    (* LT(x) ± (d + slack·ℓ): d(sp, x) = d(sp, p) + (1 − rmin)·ℓ below,
+       d(x, sp) = d(p, sp) + (rmax − 1)·ℓ above *)
+    let bound sign d slack =
+      let off = Edges.cell_mul what (lt - p.lt) (slack spec t.me) in
+      let c = Edges.cell_add what at (sign * Edges.cell_add what d off) in
+      Interval.B (Q.make_ints c (System_spec.lattice spec))
+    in
+    let d_sp_p = cells t (key_of t sp.id) (key_of t p.id) in
+    let d_p_sp = cells t (key_of t p.id) (key_of t sp.id) in
     let lo =
-      match d_sp_p with
-      | Ext.Inf -> Interval.Neg_inf
-      | Ext.Fin d ->
-        (* d(sp, x) = d(sp, p) + (1 − rmin)·ℓ *)
-        let slack = Q.mul (Q.sub Q.one drift.Drift.rmin) elapsed in
-        Interval.B (Q.sub lt (Q.add d slack))
+      if d_sp_p = max_int then Interval.Neg_inf
+      else bound (-1) d_sp_p System_spec.down_cells
+    and hi =
+      if d_p_sp = max_int then Interval.Pos_inf
+      else bound 1 d_p_sp System_spec.up_cells
     in
-    let hi =
-      match d_p_sp with
-      | Ext.Inf -> Interval.Pos_inf
-      | Ext.Fin d ->
-        (* d(x, sp) = (rmax − 1)·ℓ + d(p, sp) *)
-        let slack = Q.mul (Q.sub drift.Drift.rmax Q.one) elapsed in
-        Interval.B (Q.add lt (Q.add d slack))
-    in
-    System_spec.cover t.spec (Interval.make lo hi)
+    System_spec.cover spec (Interval.make lo hi)
 
 let estimate t = estimate_at t ~lt:t.last_lt
 
@@ -573,7 +565,7 @@ let estimate t = estimate_at t ~lt:t.last_lt
    rate ∈ [rmin_w, rmax_w], so its current reading is in
    [LT(q) + Δmin/rmax, LT(q) + Δmax/rmin]. *)
 let peer_clock_bounds t w =
-  if w = t.me then Interval.point t.last_lt
+  if w = t.me then Interval.point (System_spec.q_of_ticks t.last_lt)
   else
     match t.last_known.(w), t.last_known.(t.me) with
     | None, _ | _, None -> Interval.full
@@ -584,20 +576,21 @@ let peer_clock_bounds t w =
       let d_qp =
         dist t (key_of t q_ev.id) (key_of t p_ev.id)
       in
-      let vd = Q.sub p_ev.lt q_ev.lt in
+      let vd = System_spec.q_of_ticks (p_ev.lt - q_ev.lt) in
+      let q_lt = System_spec.q_of_ticks q_ev.lt in
       let drift_w = System_spec.drift t.spec w in
       let lo =
         match d_qp with
-        | Ext.Inf -> Interval.B q_ev.lt (* only Δ >= 0 is known *)
+        | Ext.Inf -> Interval.B q_lt (* only Δ >= 0 is known *)
         | Ext.Fin d ->
           let delta_min = Q.max Q.zero (Q.sub vd d) in
-          Interval.B (Q.add q_ev.lt (Q.div delta_min drift_w.Drift.rmax))
+          Interval.B (Q.add q_lt (Q.div delta_min drift_w.Drift.rmax))
       in
       let hi =
         match d_pq with
         | Ext.Inf -> Interval.Pos_inf
         | Ext.Fin d ->
           let delta_max = Q.add vd d in
-          Interval.B (Q.add q_ev.lt (Q.div delta_max drift_w.Drift.rmin))
+          Interval.B (Q.add q_lt (Q.div delta_max drift_w.Drift.rmin))
       in
       Interval.make lo hi

@@ -19,11 +19,11 @@
     spec the upper end also adds the spec's {!System_spec.quantum}.
 
     Local times passed to the event functions, and every timestamp a
-    received payload carries, must be non-decreasing whole ticks
-    ({!System_spec.tick}); anything else is refused with
-    [Invalid_argument] before it touches any state.  Over whole ticks
-    every synchronization-graph weight lies on the spec's
-    {!System_spec.lattice}, where {!Agdp} runs. *)
+    received payload carries, are non-decreasing int counts of ticks
+    ({!System_spec.tick}).  Over them every synchronization-graph
+    weight lies on the spec's {!System_spec.lattice}: {!Edges} builds
+    each as an int cell, {!Agdp} runs on cells, and only the reported
+    intervals are rationals. *)
 
 type t
 
@@ -35,9 +35,10 @@ val create :
   ?neighbors:Event.proc list ->
   System_spec.t ->
   me:Event.proc ->
-  lt0:Q.t ->
+  lt0:int ->
   t
-(** Boot the processor: records its [Init] event at local time [lt0].
+(** Boot the processor: records its [Init] event at local time [lt0]
+    (ticks).
     [lossy] enables the retransmission bookkeeping of Section 3.3 (the
     loss-detection hooks then require that every message is eventually
     reported delivered or lost).
@@ -64,16 +65,16 @@ val create :
 val me : t -> Event.proc
 val spec : t -> System_spec.t
 
-val local_event : t -> lt:Q.t -> unit
+val local_event : t -> lt:int -> unit
 (** Record an internal event (useful to anchor an estimate at a local
     time, though {!estimate_at} subsumes it). *)
 
-val send : t -> dst:Event.proc -> msg:int -> lt:Q.t -> Payload.t
+val send : t -> dst:Event.proc -> msg:int -> lt:int -> Payload.t
 (** The application sends message [msg] to neighbor [dst] at local time
     [lt]; the returned payload must travel with the message.  Message ids
     must be globally unique. *)
 
-val receive : t -> msg:int -> lt:Q.t -> Payload.t -> unit
+val receive : t -> msg:int -> lt:int -> Payload.t -> unit
 (** The application received message [msg] carrying [payload] at local
     time [lt]. *)
 
@@ -100,13 +101,14 @@ val inflight : t -> (int * Event.proc) list
 val estimate : t -> Interval.t
 (** Optimal bounds on the source time at this processor's last event. *)
 
-val estimate_at : t -> lt:Q.t -> Interval.t
+val estimate_at : t -> lt:int -> Interval.t
 (** Optimal bounds on the source time when the local clock shows [lt]
     (at or after the last event): the last-event bounds widened by the
     worst-case drift over the local elapse, which is exactly the optimal
-    estimate for a virtual event at [lt]. *)
+    estimate for a virtual event at [lt], each end formed as a cell. *)
 
-val last_lt : t -> Q.t
+val last_lt : t -> int
+(** The reading of this processor's last event, in ticks. *)
 
 val peer_clock_bounds : t -> Event.proc -> Interval.t
 (** [peer_clock_bounds t w] bounds what processor [w]'s clock shows {e right
@@ -133,7 +135,6 @@ val oracle_relaxations : t -> int
 val events_processed : t -> int
 val events_reported : t -> int
 val live_event_ids : t -> Event.id list
-val known_upto : t -> Event.proc -> int
 
 val dist_between : t -> Event.id -> Event.id -> Ext.t
 (** Distance between two live points in this processor's AGDP graph

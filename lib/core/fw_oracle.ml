@@ -8,6 +8,7 @@ let is_inf = Q.is_sentinel
    [cache] holds the flat row-major n×n distance matrix of the last
    Floyd–Warshall run, invalidated by [insert]. *)
 type t = {
+  scale : int; (* the lattice denominator D of the cells it is handed *)
   idx_of : (int, int) Hashtbl.t; (* key -> index, live or dead *)
   mutable key_of : int array; (* index -> key *)
   mutable live : bool array;
@@ -21,8 +22,9 @@ type t = {
 
 let initial_capacity = 8
 
-let create () =
+let create ~scale () =
   {
+    scale;
     idx_of = Hashtbl.create 16;
     key_of = Array.make initial_capacity (-1);
     live = Array.make initial_capacity false;
@@ -134,8 +136,10 @@ let insert t ~key ~in_edges ~out_edges =
     (fun (x, _) ->
       if x = key then invalid_arg "Fw_oracle.insert: self-loop edge")
     (in_edges @ out_edges);
-  let in_edges = List.map (fun (x, w) -> (live_idx_exn t x, w)) in_edges
-  and out_edges = List.map (fun (y, w) -> (live_idx_exn t y, w)) out_edges in
+  (* the exact weight of each cell, rebuilt in [Q] *)
+  let edge (x, w) = (live_idx_exn t x, Q.make_ints w t.scale) in
+  let in_edges = List.map edge in_edges
+  and out_edges = List.map edge out_edges in
   ensure_capacity t;
   let k = t.n in
   (* Tentatively commit the node, recompute, and roll everything back if
@@ -184,6 +188,7 @@ let restore (s : Agdp.snapshot) =
   let cap = max initial_capacity count in
   let t =
     {
+      scale = s.s_scale;
       idx_of = Hashtbl.create (max 16 count);
       key_of = Array.make cap (-1);
       live = Array.make cap false;

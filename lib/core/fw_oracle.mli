@@ -21,13 +21,16 @@ exception Negative_cycle
 (** The same exception as {!Agdp.Negative_cycle}, so callers (and
     {!Csa}'s [validate] cross-check) see one failure mode. *)
 
-val create : unit -> t
+val create : scale:int -> unit -> t
+(** An empty structure whose edges arrive as cells on [(1/scale)·Z]. *)
 
 val insert :
-  t -> key:int -> in_edges:(int * Q.t) list -> out_edges:(int * Q.t) list ->
+  t -> key:int -> in_edges:(int * int) list -> out_edges:(int * int) list ->
   unit
 (** Same contract as {!Agdp.insert}, including exception safety: a raise
-    leaves the structure unchanged. *)
+    leaves the structure unchanged.  Each weight [w·D] is read back as
+    the exact [Q] value [w], so the shortest paths run in exact
+    arithmetic, independent of the AGDP's int sums. *)
 
 val kill : t -> int -> unit
 val mem : t -> int -> bool

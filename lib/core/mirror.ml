@@ -6,7 +6,6 @@ let create spec ~me ~lt0 =
   { view; me; next_seq = 1 }
 
 let view t = t.view
-let me t = t.me
 let last_id t = { Event.proc = t.me; seq = t.next_seq - 1 }
 
 let local_event t ~lt =

@@ -9,16 +9,15 @@
 
 type t
 
-val create : System_spec.t -> me:Event.proc -> lt0:Q.t -> t
+val create : System_spec.t -> me:Event.proc -> lt0:int -> t
 val view : t -> View.t
-val me : t -> Event.proc
 
 val last_id : t -> Event.id
 (** The id of this processor's latest event. *)
 
-val local_event : t -> lt:Q.t -> unit
+val local_event : t -> lt:int -> unit
 
 val send : t -> payload:Payload.t -> unit
 (** Mirror a send: the payload returned by [Csa.send]. *)
 
-val receive : t -> msg:int -> lt:Q.t -> payload:Payload.t -> unit
+val receive : t -> msg:int -> lt:int -> payload:Payload.t -> unit

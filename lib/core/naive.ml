@@ -3,7 +3,7 @@ type t = {
   me : Event.proc;
   view : View.t;
   mutable next_seq : int;
-  mutable last_lt : Q.t;
+  mutable last_lt : int;
   mutable last_message_size : int;
 }
 
@@ -12,18 +12,16 @@ let create spec ~me ~lt0 =
   View.add view { Event.id = { proc = me; seq = 0 }; lt = lt0; kind = Event.Init };
   { spec; me; view; next_seq = 1; last_lt = lt0; last_message_size = 0 }
 
-let me t = t.me
 let state_size t = View.size t.view
 let last_message_size t = t.last_message_size
 
 let fresh t ~lt kind =
-  if Q.(lt < t.last_lt) then invalid_arg "Naive: local time regression";
+  if lt < t.last_lt then invalid_arg "Naive: local time regression";
   let e = { Event.id = { proc = t.me; seq = t.next_seq }; lt; kind } in
   t.next_seq <- t.next_seq + 1;
   t.last_lt <- lt;
   e
 
-let local_event t ~lt = View.add t.view (fresh t ~lt Event.Internal)
 
 let send t ~dst ~msg ~lt =
   if System_spec.transit t.spec t.me dst = None then

@@ -11,16 +11,13 @@
 
 type t
 
-val create : System_spec.t -> me:Event.proc -> lt0:Q.t -> t
-val me : t -> Event.proc
+val create : System_spec.t -> me:Event.proc -> lt0:int -> t
 
-val send : t -> dst:Event.proc -> msg:int -> lt:Q.t -> Payload.t
+val send : t -> dst:Event.proc -> msg:int -> lt:int -> Payload.t
 (** The payload's [events] is the complete local view (the send event
     included). *)
 
-val receive : t -> msg:int -> lt:Q.t -> Payload.t -> unit
-
-val local_event : t -> lt:Q.t -> unit
+val receive : t -> msg:int -> lt:int -> Payload.t -> unit
 
 val estimate : t -> Interval.t
 (** Optimal bounds at the last event — Theorem 2.1 computed on the full

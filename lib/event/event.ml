@@ -8,7 +8,7 @@ type kind =
   | Send of { msg : int; dst : proc }
   | Recv of { msg : int; src : proc; send : id }
 
-type t = { id : id; lt : Q.t; kind : kind }
+type t = { id : id; lt : int; kind : kind }
 
 let id_compare a b =
   let c = compare a.proc b.proc in
@@ -32,7 +32,7 @@ let pp fmt e =
     | Recv { msg; src; send } ->
       Printf.sprintf "recv(m%d<-p%d#%d)" msg src send.seq
   in
-  Format.fprintf fmt "%a@%s %s" pp_id e.id (Q.to_string e.lt) kind_str
+  Format.fprintf fmt "%a@%d %s" pp_id e.id e.lt kind_str
 
 module Id_key = struct
   type t = id

@@ -2,11 +2,12 @@
 
     An event is identified by the processor it occurs at and a per-processor
     sequence number; it carries the local clock reading at its occurrence
-    and its kind.  Receive events reference their matching send event — this
-    is how the execution graph's message edges are reconstructed from a
-    view.  Real times of occurrence are deliberately {e absent}: a view
-    contains only attributes available inside the system (Section 2 of the
-    paper). *)
+    (an int count of ticks, {!System_spec.tick}, floored once where it
+    enters the algorithm) and its kind.  Receive events reference their
+    matching send event — this is how the execution graph's message
+    edges are reconstructed from a view.  Real times of occurrence are
+    deliberately {e absent}: a view contains only attributes available
+    inside the system (Section 2 of the paper). *)
 
 type proc = int
 (** Processor identifier, a dense index [0 .. n-1]. *)
@@ -21,7 +22,7 @@ type kind =
   | Recv of { msg : int; src : proc; send : id }
       (** [send] is the id of the matching send event. *)
 
-type t = { id : id; lt : Q.t; kind : kind }
+type t = { id : id; lt : int; kind : kind }
 
 val id_compare : id -> id -> int
 val id_equal : id -> id -> bool

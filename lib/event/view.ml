@@ -55,7 +55,7 @@ let add t (e : Event.t) =
     if e.id.seq <> prev.id.seq + 1 then
       invalid_arg
         (Format.asprintf "View.add: out-of-order insert of %a" Event.pp_id e.id);
-    if Q.(e.lt < prev.lt) then
+    if e.lt < prev.lt then
       invalid_arg
         (Format.asprintf "View.add: local time regression at %a" Event.pp_id e.id));
   (match e.kind with

@@ -1,9 +1,6 @@
 
 exception Negative_cycle
 
-let relax_count = ref 0
-let relaxations () = !relax_count
-
 (* Queue-based Bellman-Ford (SPFA) with a relaxation-count cutoff for
    negative-cycle detection.  Exact rational weights. *)
 let sssp g src =
@@ -21,7 +18,6 @@ let sssp g src =
     let du = dist.(u) in
     List.iter
       (fun (v, w) ->
-        incr relax_count;
         let cand = Ext.add du (Ext.Fin w) in
         if Ext.lt cand dist.(v) then begin
           dist.(v) <- cand;

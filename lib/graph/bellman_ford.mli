@@ -13,7 +13,3 @@ exception Negative_cycle
 val sssp : Digraph.t -> int -> Ext.t array
 (** [sssp g src] is the distance array from [src]; unreachable nodes map
     to [Inf].  @raise Negative_cycle as described above. *)
-
-val relaxations : unit -> int
-(** Number of edge relaxations performed since program start (a
-    machine-independent cost counter for the benchmark harness). *)

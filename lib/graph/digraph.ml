@@ -32,10 +32,3 @@ let reverse g =
     Hashtbl.iter (fun v w -> add_edge r v u w) g.adj.(u)
   done;
   r
-
-let pp fmt g =
-  Format.fprintf fmt "@[<v>digraph (%d nodes):" g.size;
-  List.iter
-    (fun (u, v, w) -> Format.fprintf fmt "@,  %d -> %d  [%a]" u v Q.pp w)
-    (edges g);
-  Format.fprintf fmt "@]"

@@ -22,4 +22,3 @@ val succ : t -> int -> (int * Q.t) list
 val edges : t -> (int * int * Q.t) list
 val edge_count : t -> int
 val reverse : t -> t
-val pp : Format.formatter -> t -> unit

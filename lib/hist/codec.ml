@@ -1,9 +1,7 @@
-(* LEB128 varints; bigints as sign byte plus base-256 little-endian
-   magnitude.  Readers parse in place over a caller-owned byte slice —
-   the receive path hands the socket buffer straight to [decode] with no
-   intermediate string per frame or per event; magnitudes go through
-   Bigint's byte-slice primitives (no per-byte bigint arithmetic) and
-   small timestamps through [Q.make_ints] (no bigint gcd). *)
+(* LEB128 varints; a timestamp (an int count of ticks) is one zigzag
+   varint.  Readers parse in place over a caller-owned byte slice — the
+   receive path hands the socket buffer straight to [decode] with no
+   intermediate string per frame or per event. *)
 
 (* --- slices ----------------------------------------------------------- *)
 
@@ -20,19 +18,10 @@ let string_of_slice { bytes; pos; len } = Bytes.sub_string bytes pos len
 
 let add_varint = Wire.add_varint
 
-let add_bigint buf b =
-  Buffer.add_char buf (Char.chr (Bigint.sign b + 1));
-  add_varint buf (Bigint.num_bytes b);
-  Bigint.add_bytes_le buf b
-
-let add_q buf q =
-  add_bigint buf (Q.num q);
-  add_bigint buf (Q.den q)
-
 let add_event buf (e : Event.t) =
   add_varint buf e.id.proc;
   add_varint buf e.id.seq;
-  add_q buf e.lt;
+  add_varint buf (Wire.zigzag e.lt);
   match e.kind with
   | Event.Init -> add_varint buf 0
   | Event.Internal -> add_varint buf 1
@@ -66,14 +55,8 @@ let encode (p : Payload.t) =
 
 let varint_size = Wire.varint_size
 
-let bigint_size b =
-  let len = Bigint.num_bytes b in
-  1 + varint_size len + len
-
-let q_size q = bigint_size (Q.num q) + bigint_size (Q.den q)
-
 let event_size (e : Event.t) =
-  varint_size e.id.proc + varint_size e.id.seq + q_size e.lt
+  varint_size e.id.proc + varint_size e.id.seq + varint_size (Wire.zigzag e.lt)
   + match e.kind with
     | Event.Init | Event.Internal -> 1
     | Event.Send { msg; dst } -> 1 + varint_size msg + varint_size dst
@@ -102,59 +85,10 @@ let remaining = Wire.remaining
 let read_byte = Wire.read_byte
 let read_varint = Wire.read_varint
 
-(* A signed magnitude straight off the wire.  Up to 7 bytes fits a
-   native int (< 2^56): that covers every realistic timestamp, so the
-   hot path builds no bigint at all and [read_q] can normalize with
-   native gcd. *)
-type signed_mag = Small of int | Big of Bigint.t
-
-let read_signed (r : reader) =
-  let sign = read_byte r - 1 in
-  if sign < -1 || sign > 1 then failwith "Codec.decode: bad sign";
-  let len = read_varint r in
-  (* reject length bombs before allocating *)
-  if len > remaining r then failwith "Codec.decode: truncated";
-  if len <= 7 then begin
-    let buf = r.buf and pos = r.pos in
-    let rec acc i v =
-      if i >= len then v
-      else acc (i + 1) (v lor (Char.code (Bytes.unsafe_get buf (pos + i)) lsl (8 * i)))
-    in
-    let v = acc 0 0 in
-    r.pos <- pos + len;
-    if (v = 0 && sign <> 0) || (v <> 0 && sign = 0) then
-      failwith "Codec.decode: sign mismatch";
-    Small (if sign < 0 then -v else v)
-  end
-  else begin
-    let m = Bigint.of_bytes_le r.buf ~pos:r.pos ~len in
-    r.pos <- r.pos + len;
-    let v = if sign < 0 then Bigint.neg m else m in
-    if Bigint.sign v <> sign && not (Bigint.is_zero v && sign = 0) then
-      failwith "Codec.decode: sign mismatch";
-    Big v
-  end
-
-let read_bigint r =
-  match read_signed r with Small v -> Bigint.of_int v | Big b -> b
-
-let read_q r =
-  let num = read_signed r in
-  let den = read_signed r in
-  match (num, den) with
-  | Small n, Small d ->
-    if d <= 0 then failwith "Codec.decode: bad denominator";
-    Q.make_ints n d
-  | _ ->
-    let to_big = function Small v -> Bigint.of_int v | Big b -> b in
-    let den = to_big den in
-    if Bigint.sign den <= 0 then failwith "Codec.decode: bad denominator";
-    Q.make (to_big num) den
-
 let read_event r =
   let proc = read_varint r in
   let seq = read_varint r in
-  let lt = read_q r in
+  let lt = Wire.unzigzag (read_varint r) in
   let kind =
     match read_varint r with
     | 0 -> Event.Init

@@ -1,17 +1,18 @@
 (** Binary wire format for piggybacked payloads.
 
     The paper measures message size in events and words; this codec makes
-    the measurement concrete: varint-encoded event records with exact
-    rational timestamps (sign, magnitude bytes of numerator and
-    denominator).  Round-tripping is property-tested.
+    the measurement concrete: varint-encoded event records whose
+    timestamp, an int count of ticks, is one zigzag varint
+    ({!Wire.zigzag}).  Round-tripping is property-tested.
 
     Format (all integers LEB128 varints):
-    - event count, then each event (proc, seq, lt, kind tag + fields),
+    - event count, then each event (proc, seq, zigzag lt, kind tag +
+      fields),
     - the index of the carrying send event within the list.
 
     Decoding is {e in place}: a {!reader} walks a caller-owned byte
-    slice, parsing varints, magnitudes and timestamps directly out of
-    the buffer with no intermediate string or bytes per element.  The
+    slice, parsing varints directly out of the buffer with no
+    intermediate string or bytes per element.  The
     receive path (socket buffer → {!Frame} → payload → frontier merge)
     allocates only the decoded values themselves. *)
 
@@ -96,12 +97,6 @@ val reader_of_sub : reader -> int -> reader
     [at_end] checks the embedded blob was fully consumed.
     @raise Failure when fewer than [len] bytes remain. *)
 
-val add_bigint : Buffer.t -> Bigint.t -> unit
-val read_bigint : reader -> Bigint.t
-val add_q : Buffer.t -> Q.t -> unit
-val read_q : reader -> Q.t
 val add_event : Buffer.t -> Event.t -> unit
 val read_event : reader -> Event.t
 
-val varint_size : int -> int
-(** Encoded byte count of a varint; the building block of {!size}. *)

@@ -1,4 +1,4 @@
-let version = 1
+let version = 2
 let max_frame = 65507
 
 type body =

@@ -9,8 +9,9 @@
     +---------+------+--------+----------+------...---+-------------+
     v}
 
-    - [version]: one byte, currently {!version}; frames from other
-      versions are rejected.
+    - [version]: one byte, currently {!version} (2: payload timestamps
+      are zigzag varints of ticks); frames from other versions are
+      rejected as "unsupported version N".
     - [kind]: one byte — 0 hello, 1 hello_ack, 2 data, 3 ack, 4 bye.
     - [sender]: the sending processor's id.
     - [body_len]: byte length of the body that follows (validated

@@ -133,9 +133,11 @@ let member_subset cfg = function
 let create ?(sink = Trace.null) ?(prof = Prof.null) ?alloc_msg
     ?(preestablished = false) ?peers cfg ~now =
   let members = member_subset cfg peers in
+  (* [now] is the NET seam's rational reading, a whole tick; every Csa
+     call takes it as the int count of ticks *)
   let csa =
     Csa.create ~lossy:cfg.lossy ~sink ~prof ~neighbors:members
-      (System_spec.charge cfg.spec) ~me:cfg.me ~lt0:now
+      (System_spec.charge cfg.spec) ~me:cfg.me ~lt0:(Clock.floor_ticks now)
   in
   let peers = Hashtbl.create (List.length members) in
   List.iter
@@ -368,7 +370,7 @@ let restore ?(sink = Trace.null) ?(prof = Prof.null) ?alloc_msg ?peers cfg
 let send_data t ~now ~dst =
   let p = Hashtbl.find t.peers dst in
   let msg = alloc_msg t in
-  let payload = Csa.send t.csa ~dst ~msg ~lt:now in
+  let payload = Csa.send t.csa ~dst ~msg ~lt:(Clock.floor_ticks now) in
   let t0 = Prof.start t.prof in
   let wire = Codec.encode payload in
   Prof.stop t.prof "codec_encode" t0;
@@ -476,7 +478,7 @@ let handle t ~now ~bytes (frame : Frame.t) =
         match decoded with
         | Error e -> note_drop t ~now ("payload: " ^ e)
         | Ok pl -> (
-          match Csa.receive t.csa ~msg ~lt:now pl with
+          match Csa.receive t.csa ~msg ~lt:(Clock.floor_ticks now) pl with
           | () ->
             p.last_seen_msg <- msg;
             Trace.emit t.sink
@@ -606,7 +608,7 @@ let float_width i =
   | Ext.Inf -> infinity
 
 let sample t ~now ?truth () =
-  let est = Csa.estimate_at t.csa ~lt:now in
+  let est = Csa.estimate_at t.csa ~lt:(Clock.floor_ticks now) in
   let contained =
     match truth with Some tr -> Interval.mem tr est | None -> true
   in

@@ -94,22 +94,6 @@ let mul_mag a b =
     res
   end
 
-let mul_mag_int a m =
-  (* m in [0, base) *)
-  if m = 0 || Array.length a = 0 then [||]
-  else begin
-    let la = Array.length a in
-    let res = Array.make (la + 1) 0 in
-    let carry = ref 0 in
-    for i = 0 to la - 1 do
-      let cur = (a.(i) * m) + !carry in
-      res.(i) <- cur land limb_mask;
-      carry := cur lsr base_bits
-    done;
-    res.(la) <- !carry;
-    res
-  end
-
 (* Short division of a magnitude by a single limb; returns (quotient, rem). *)
 let divmod_mag_int a m =
   let la = Array.length a in
@@ -301,9 +285,6 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let hash x =
-  Array.fold_left (fun acc limb -> (acc * 31) + limb) (x.sign + 7) x.mag
-
 let add a b =
   if a.sign = 0 then b
   else if b.sign = 0 then a
@@ -450,62 +431,3 @@ let float_div n d =
 let pp fmt x = Format.pp_print_string fmt (to_string x)
 
 let num_limbs x = Array.length x.mag
-
-(* --- base-256 little-endian magnitude (the wire codec's view) --------- *)
-
-let bits x =
-  let n = Array.length x.mag in
-  if n = 0 then 0 else ((n - 1) * base_bits) + bits_of_limb x.mag.(n - 1)
-
-let num_bytes x = (bits x + 7) / 8
-
-(* Builds limbs straight from the byte slice with a shift accumulator:
-   one array allocation total, no intermediate bigints.  Mirrors the
-   semantics of folding [v*256 + byte] most-significant-first, including
-   acceptance of non-canonical encodings with high zero bytes (the
-   normalizing [make] trims them). *)
-let of_bytes_le b ~pos ~len =
-  if len < 0 || pos < 0 || pos + len > Bytes.length b then
-    invalid_arg "Bigint.of_bytes_le";
-  if len = 0 then zero
-  else begin
-    let n_limbs = ((len * 8) + base_bits - 1) / base_bits in
-    let mag = Array.make n_limbs 0 in
-    let acc = ref 0 and nbits = ref 0 and limb = ref 0 in
-    for i = 0 to len - 1 do
-      acc := !acc lor (Char.code (Bytes.unsafe_get b (pos + i)) lsl !nbits);
-      nbits := !nbits + 8;
-      if !nbits >= base_bits then begin
-        mag.(!limb) <- !acc land limb_mask;
-        incr limb;
-        acc := !acc lsr base_bits;
-        nbits := !nbits - base_bits
-      end
-    done;
-    if !nbits > 0 then mag.(!limb) <- !acc;
-    make 1 mag
-  end
-
-(* Appends exactly [num_bytes x] bytes — the canonical (no high zero
-   byte) little-endian magnitude — by draining limbs through the same
-   shift accumulator in the other direction. *)
-let add_bytes_le buf x =
-  let total = num_bytes x in
-  let emitted = ref 0 in
-  let acc = ref 0 and nbits = ref 0 in
-  let mag = x.mag in
-  for i = 0 to Array.length mag - 1 do
-    acc := !acc lor (mag.(i) lsl !nbits);
-    nbits := !nbits + base_bits;
-    while !nbits >= 8 && !emitted < total do
-      Buffer.add_char buf (Char.unsafe_chr (!acc land 0xff));
-      incr emitted;
-      acc := !acc lsr 8;
-      nbits := !nbits - 8
-    done
-  done;
-  if !emitted < total then Buffer.add_char buf (Char.unsafe_chr !acc)
-
-(* keep mul_mag_int referenced; used by tests of internal consistency via
-   [mul_int] path below when the factor fits in a limb *)
-let _ = mul_mag_int

@@ -33,7 +33,6 @@ val to_float : t -> float
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 
 val sign : t -> int
 (** [-1], [0] or [1]. *)
@@ -80,18 +79,3 @@ val pp : Format.formatter -> t -> unit
 val num_limbs : t -> int
 (** Number of base-2^30 limbs in the magnitude (0 for zero); used by space
     accounting in the benchmarks. *)
-
-val num_bytes : t -> int
-(** Length of the canonical base-256 little-endian magnitude (0 for
-    zero) — the byte count {!add_bytes_le} appends and the wire codec's
-    length prefix. *)
-
-val of_bytes_le : Bytes.t -> pos:int -> len:int -> t
-(** Non-negative value of [len] base-256 little-endian magnitude bytes
-    read in place from [b.(pos..pos+len-1)] — no per-byte intermediate
-    allocation.  Accepts non-canonical encodings (high zero bytes).
-    @raise Invalid_argument when the slice is out of bounds. *)
-
-val add_bytes_le : Buffer.t -> t -> unit
-(** Appends the canonical base-256 little-endian magnitude of [|x|]
-    (exactly {!num_bytes} bytes) to the buffer. *)

@@ -3,7 +3,6 @@ type t =
   | Inf
 
 let zero = Fin Q.zero
-let of_q q = Fin q
 let of_int n = Fin (Q.of_int n)
 
 let is_fin = function Fin _ -> true | Inf -> false

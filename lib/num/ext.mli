@@ -9,7 +9,6 @@ type t =
   | Inf
 
 val zero : t
-val of_q : Q.t -> t
 val of_int : int -> t
 
 val is_fin : t -> bool

@@ -66,7 +66,6 @@ let make_big num den =
 
 let zero = mk_raw B.zero B.one
 let one = mk_raw B.one B.one
-let minus_one = mk_raw B.minus_one B.one
 let of_bigint n = mk_raw n B.one
 let of_int n = of_bigint (B.of_int n)
 let num q = q.n
@@ -115,6 +114,23 @@ let make_ints n d =
   end
 
 let of_ints n d = make_ints n d
+
+(* [n / 10^k] with no gcd: 10^k = 2^k·5^k, so stripping the common
+   factors of 2 and of 5 leaves the terms coprime *)
+let pow10 = Array.init 19 (fun k -> int_of_float (10. ** float_of_int k))
+
+(* [g·p^j], the largest [j <= i] with [g·p^j] dividing [n] *)
+let rec common_factor n p i g =
+  if i > 0 && n / g mod p = 0 then common_factor n p (i - 1) (g * p) else g
+
+let div_pow10 n k =
+  if k < 0 || k > 18 then invalid_arg "Q.div_pow10: exponent outside [0, 18]";
+  if n = 0 then zero
+  else if n = Stdlib.min_int then make_ints n pow10.(k)
+  else begin
+    let g = common_factor n 5 k (common_factor n 2 k 1) in
+    mk_ints_reduced (n / g) (pow10.(k) / g)
+  end
 
 (* Terms that fit native ints reduce by the native gcd: a bigint gcd
    runs Euclid on limb arrays, an allocating division per step, and
@@ -169,7 +185,6 @@ let inv a =
   else mk_raw a.d a.n
 
 let div a b = mul a (inv b)
-let abs a = if B.sign a.n < 0 then neg a else a
 let mul_int a k = make (B.mul_int a.n k) a.d
 let div_int a k = make a.n (B.mul_int a.d k)
 
@@ -190,7 +205,6 @@ let compare a b =
   else if b.ap.bhi < a.ap.blo then 1
   else compare_exact a b
 let equal a b = B.equal a.n b.n && B.equal a.d b.d
-let hash a = (B.hash a.n * 31) + B.hash a.d
 let sign a = B.sign a.n
 let is_zero a = B.is_zero a.n
 let min a b = if compare a b <= 0 then a else b

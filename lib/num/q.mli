@@ -14,7 +14,6 @@ type t
 
 val zero : t
 val one : t
-val minus_one : t
 
 val make : Bigint.t -> Bigint.t -> t
 (** [make num den] is the normalized rational [num/den]; terms that fit
@@ -33,6 +32,12 @@ val make_ints : int -> int -> t
     identical to [make (Bigint.of_int n) (Bigint.of_int d)]; it is the
     wire decoder's constructor for timestamps whose magnitudes fit a
     native int.  @raise Division_by_zero when [d = 0]. *)
+
+val div_pow10 : int -> int -> t
+(** [div_pow10 n k] is [n/10^k], for [0 <= k <= 18], reduced by
+    stripping common factors of 2 and 5 instead of a gcd: how a count
+    of decimal ticks becomes a rational.
+    @raise Invalid_argument when [k] is outside [[0, 18]]. *)
 
 val num : t -> Bigint.t
 val den : t -> Bigint.t
@@ -70,7 +75,6 @@ val div : t -> t -> t
 (** @raise Division_by_zero when the divisor is zero. *)
 
 val neg : t -> t
-val abs : t -> t
 
 val inv : t -> t
 (** @raise Division_by_zero on zero. *)
@@ -100,7 +104,6 @@ module Approx : sig
 end
 
 val equal : t -> t -> bool
-val hash : t -> int
 val sign : t -> int
 val is_zero : t -> bool
 val min : t -> t -> t

@@ -15,41 +15,54 @@ let tick_inside lo hi =
   then int_of_float k
   else -1
 
-let floor_tick_within lo hi =
-  match tick_inside lo hi with
-  | k when k >= 0 -> Some (Q.make_ints k ticks_per_second)
-  | _ -> None
+let step ~up q r =
+  if up then if r > 0 then q + 1 else q else if r < 0 then q - 1 else q
 
-(* [lt] rounded to a whole tick toward -inf ([up = false]) or +inf; a
-   reading that is already a whole tick comes back physically unchanged.
+let big_ticks ~up lt =
+  let q, r =
+    Bigint.divmod (Bigint.mul_int (Q.num lt) ticks_per_second) (Q.den lt)
+  in
+  Bigint.add_int q (step ~up 0 (Bigint.sign r))
+
+(* [lt] in whole ticks, rounded toward -inf ([up = false]) or +inf.
    First from [lt]'s float enclosure, when it lies strictly inside one
    tick.  Otherwise exactly: native ints whenever the scaled numerator
    fits, [Bigint] beyond.  Both divisions truncate toward zero, so the
    remainder's sign says which way to step. *)
-let round_tick ~up lt =
+let round_ticks ~up lt =
   let k = tick_inside (Q.Approx.lo lt) (Q.Approx.hi lt) in
-  if k >= 0 then Q.make_ints (if up then k + 1 else k) ticks_per_second
+  if k >= 0 then if up then k + 1 else k
   else
-  let step q r =
-    if up then if r > 0 then q + 1 else q else if r < 0 then q - 1 else q
-  in
-  let num = Q.num lt and den = Q.den lt in
-  match Bigint.to_int_opt num, Bigint.to_int_opt den with
-  | Some n, Some d when abs n <= max_int / ticks_per_second ->
-    let m = n * ticks_per_second in
-    let r = m mod d in
-    if r = 0 then lt else Q.make_ints (step (m / d) r) ticks_per_second
-  | _ ->
-    let q, r = Bigint.divmod (Bigint.mul_int num ticks_per_second) den in
-    let s = Bigint.sign r in
-    if s = 0 then lt
-    else
-      Q.make
-        (Bigint.add_int q (step 0 s))
-        (Bigint.of_int ticks_per_second)
+    match Bigint.to_int_opt (Q.num lt), Bigint.to_int_opt (Q.den lt) with
+    | Some n, Some d when abs n <= max_int / ticks_per_second ->
+      let m = n * ticks_per_second in
+      step ~up (m / d) (m mod d)
+    | _ -> (
+      match Bigint.to_int_opt (big_ticks ~up lt) with
+      | Some k -> k
+      | None -> invalid_arg "Clock.floor_ticks: reading past the int range")
+
+let floor_ticks = round_ticks ~up:false
+
+(* the rational seam: a whole tick comes back physically unchanged (no
+   rational built), and a reading past the int range of ticks rounds in
+   [Bigint] *)
+let round_tick ~up lt =
+  match Bigint.to_int_opt (Q.den lt) with
+  | Some d when ticks_per_second mod d = 0 -> lt
+  | _ -> (
+    match round_ticks ~up lt with
+    | k -> System_spec.q_of_ticks k
+    | exception Invalid_argument _ ->
+      Q.make (big_ticks ~up lt) (Bigint.of_int ticks_per_second))
 
 let floor_tick = round_tick ~up:false
 let ceil_tick = round_tick ~up:true
+
+let floor_tick_within lo hi =
+  match tick_inside lo hi with
+  | k when k >= 0 -> Some (System_spec.q_of_ticks k)
+  | _ -> None
 
 (* Segments are delimited by LOCAL duration, not real duration: the local
    boundary readings form an exact arithmetic progression (tiny rational

@@ -29,9 +29,17 @@ val ticks_per_second : int
 val tick : Q.t
 (** {!System_spec.tick}. *)
 
+val floor_ticks : Q.t -> int
+(** The number of whole ticks at or below a reading: what an algorithm
+    reads when the true reading is the argument.  No gcd: the float
+    enclosure settles most readings, native ints the rest.  The one
+    conversion from a rational reading into ticks.
+    @raise Invalid_argument past the int range. *)
+
 val floor_tick : Q.t -> Q.t
-(** The largest whole tick at or below a reading: what an algorithm
-    reads when the true reading is the argument. *)
+(** {!floor_ticks} as a rational, built with no gcd
+    ({!System_spec.q_of_ticks}): the floored reading on the runtimes'
+    [NET.now] seam, whose timers stay rational. *)
 
 val floor_tick_within : float -> float -> Q.t option
 (** [Some (floor_tick x)] for every reading [x] in [[lo, hi]], when they

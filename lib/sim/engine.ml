@@ -402,7 +402,8 @@ let link_heal st ~u ~v =
 let schedule_local st node ~after_lt ev =
   (* fire when the node's clock shows now_lt + after_lt *)
   let rt =
-    Clock.rt_of_lt node.Node_rt.clock (Q.add (lt_now st node) after_lt)
+    Clock.rt_of_lt node.Node_rt.clock
+      (Q.add (System_spec.q_of_ticks (lt_now st node)) after_lt)
   in
   Heap.push st.agenda ~at:(Q.max rt st.now) ev
 
@@ -462,11 +463,11 @@ let burst_check st ~p =
     let width =
       Interval.width
         (match
-           List.find_map
-             (function Baseline.Cristian_st a -> Some a | _ -> None)
+           List.find_opt
+             (function Baseline.Cristian_st _ -> true | _ -> false)
              node.Node_rt.baselines
          with
-        | Some a -> Cristian.estimate_at a ~lt
+        | Some b -> Baseline.estimate_at b ~lt
         | None -> Csa.estimate_at node.Node_rt.csa ~lt)
     in
     let loose = Ext.lt (Ext.Fin width_target) width in

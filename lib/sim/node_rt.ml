@@ -26,19 +26,21 @@ let boot (scenario : Scenario.t) ~clock ~csa ~mirror ~parents ~lt0 p =
     prof = scenario.Scenario.prof;
   }
 
-let lt_of clock rt = Clock.floor_tick (Clock.lt_of_rt clock rt)
+let lt_of clock rt = Clock.floor_ticks (Clock.lt_of_rt clock rt)
 
 let create (scenario : Scenario.t) ~rng ~links ~sink p =
   let spec = System_spec.charge scenario.Scenario.spec in
   let n = System_spec.n spec in
   let lt0 =
-    if p = System_spec.source spec then Q.zero
-    else Clock.floor_tick (Rng.q_between rng Q.zero scenario.Scenario.max_offset)
+    if p = System_spec.source spec then 0
+    else
+      Clock.floor_ticks (Rng.q_between rng Q.zero scenario.Scenario.max_offset)
   in
   let clock =
     Clock.create ~drift:(System_spec.drift spec p)
       ~policy:scenario.Scenario.clock_policy
-      ~segment:scenario.Scenario.clock_segment ~lt0 ~rng:(Rng.split rng)
+      ~segment:scenario.Scenario.clock_segment
+      ~lt0:(System_spec.q_of_ticks lt0) ~rng:(Rng.split rng)
   in
   let csa =
     Csa.create

@@ -54,20 +54,21 @@ val revive :
     nothing from any rng, so reviving keeps a run's random streams
     aligned with its crash-free twin. *)
 
-val lt_at : t -> rt:Q.t -> Q.t
-(** What the node's clock reads at real time [rt]: the floor tick of
-    its true reading. *)
+val lt_at : t -> rt:Q.t -> int
+(** What the node's clock reads at real time [rt]: its true reading
+    floored to whole ticks ({!Clock.floor_ticks}), the int every
+    algorithm takes. *)
 
-val prepare_send : t -> dst:Event.proc -> msg:int -> lt:Q.t -> envelope * int
+val prepare_send : t -> dst:Event.proc -> msg:int -> lt:int -> envelope * int
 (** Record the send on every enabled algorithm and build the envelope;
     also returns the number of piggybacked history events (the
     communication-overhead measure of Lemma 3.2). *)
 
-val receive : t -> src:Event.proc -> msg:int -> lt:Q.t -> envelope -> unit
+val receive : t -> src:Event.proc -> msg:int -> lt:int -> envelope -> unit
 (** Record the delivery on every enabled algorithm (decodes the wire
     payload exactly once). *)
 
-val estimates : t -> lt:Q.t -> (string * Interval.t) list
+val estimates : t -> lt:int -> (string * Interval.t) list
 (** Per-algorithm source-time estimates at local time [lt], the optimal
     CSA first, then the baselines in the scenario's order. *)
 

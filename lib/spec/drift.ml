@@ -20,8 +20,3 @@ let max_deviation d =
 let rt_bounds d elapsed_lt =
   if Q.sign elapsed_lt < 0 then invalid_arg "Drift.rt_bounds: negative elapse";
   (Q.mul d.rmin elapsed_lt, Q.mul d.rmax elapsed_lt)
-
-let equal a b = Q.(a.rmin = b.rmin) && Q.(a.rmax = b.rmax)
-
-let pp fmt d =
-  Format.fprintf fmt "[%s, %s]" (Q.to_string d.rmin) (Q.to_string d.rmax)

@@ -29,5 +29,3 @@ val rt_bounds : t -> Q.t -> Q.t * Q.t
 (** [rt_bounds d elapsed_lt] is the [(lo, hi)] range of real time that may
     pass while the clock advances by [elapsed_lt >= 0]. *)
 
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -1,25 +1,47 @@
+type edge = { src : Event.id; dst : Event.id; w : int }
 
-type edge = { src : Event.id; dst : Event.id; w : Q.t }
+let max_cell = System_spec.max_cell
+
+let out_of_range what =
+  invalid_arg (what ^ ": a weight leaves the lattice's ±(2^61 − 1)/D range")
+
+let checked what v =
+  if v > max_cell || v < -max_cell then out_of_range what else v
+
+(* [a ± b] and [a·b] of two in-range ints: a sum or difference cannot
+   wrap (its magnitude is at most 2^62 − 2), and a product is refused
+   before it could *)
+let cell_add what a b = checked what (a + b)
+let cell_sub what a b = checked what (a - b)
+
+let cell_mul what a b =
+  if a <> 0 && abs b > max_cell / abs a then out_of_range what;
+  a * b
+
+(* [b − a] for two readings, each checked first *)
+let ticks_between what a b = cell_sub what (checked what b) (checked what a)
 
 let proc_edges spec ~(prev : Event.t) ~(next : Event.t) =
-  if Event.loc prev <> Event.loc next then
+  let what = "Edges.proc_edges" in
+  let p = Event.loc prev in
+  if p <> Event.loc next then
     invalid_arg "Edges.proc_edges: different processors";
   (match Event.prev_id next with
-  | Some p when Event.id_equal p prev.id -> ()
+  | Some id when Event.id_equal id prev.id -> ()
   | _ -> invalid_arg "Edges.proc_edges: events not consecutive");
-  let d = System_spec.drift spec (Event.loc prev) in
-  let elapsed = Q.sub next.lt prev.lt in
-  if Q.sign elapsed < 0 then
-    invalid_arg "Edges.proc_edges: local time regression";
+  let elapsed = ticks_between what prev.lt next.lt in
+  if elapsed < 0 then invalid_arg "Edges.proc_edges: local time regression";
   (* B(next,prev) = rmax·ℓ  ⇒ w(next,prev) = (rmax − 1)·ℓ
      B(prev,next) = −rmin·ℓ ⇒ w(prev,next) = (1 − rmin)·ℓ *)
-  let open Drift in
   [
-    { src = next.id; dst = prev.id; w = Q.mul (Q.sub d.rmax Q.one) elapsed };
-    { src = prev.id; dst = next.id; w = Q.mul (Q.sub Q.one d.rmin) elapsed };
+    { src = next.id; dst = prev.id;
+      w = cell_mul what elapsed (System_spec.up_cells spec p) };
+    { src = prev.id; dst = next.id;
+      w = cell_mul what elapsed (System_spec.down_cells spec p) };
   ]
 
 let msg_edges spec ~(send : Event.t) ~(recv : Event.t) =
+  let what = "Edges.msg_edges" in
   let msg_send, msg_recv, src_proc =
     match send.kind, recv.kind with
     | Event.Send { msg = ms; _ }, Event.Recv { msg = mr; send = sid; src } ->
@@ -31,35 +53,21 @@ let msg_edges spec ~(send : Event.t) ~(recv : Event.t) =
   if msg_send <> msg_recv then invalid_arg "Edges.msg_edges: message mismatch";
   if src_proc <> Event.loc send then
     invalid_arg "Edges.msg_edges: sender mismatch";
-  let tr = System_spec.transit_exn spec (Event.loc send) (Event.loc recv) in
-  let vd = Q.sub recv.lt send.lt in
-  (* virt_del(recv, send) *)
-  (* B(send,recv) = −lo ⇒ w(send,recv) = −lo − (LT(send) − LT(recv)) = vd − lo
+  let { System_spec.lo_cells; hi_cells } =
+    System_spec.link_cells_exn spec (Event.loc send) (Event.loc recv)
+  in
+  (* virt_del(recv, send), in cells *)
+  let vd =
+    cell_mul what (ticks_between what send.lt recv.lt)
+      (System_spec.cells_per_tick spec)
+  in
+  (* B(send,recv) = −lo ⇒ w(send,recv) = −lo − (LT(send) − LT(recv))
+                                           = vd − lo
      B(recv,send) = hi  ⇒ w(recv,send) = hi − vd (only when hi finite) *)
-  let open Transit in
-  let forward = { src = send.id; dst = recv.id; w = Q.sub vd tr.lo } in
-  match tr.hi with
-  | Ext.Inf -> [ forward ]
-  | Ext.Fin hi -> [ forward; { src = recv.id; dst = send.id; w = Q.sub hi vd } ]
-
-let incident_on_insert spec view (e : Event.t) =
-  let proc_part =
-    match Event.prev_id e with
-    | None -> []
-    | Some pid ->
-      let prev = View.find_exn view pid in
-      proc_edges spec ~prev ~next:e
+  let forward =
+    { src = send.id; dst = recv.id; w = cell_sub what vd lo_cells }
   in
-  let msg_part =
-    match e.kind with
-    | Event.Recv { send; _ } ->
-      let send_ev = View.find_exn view send in
-      msg_edges spec ~send:send_ev ~recv:e
-    | Event.Init | Event.Internal | Event.Send _ -> []
-  in
-  proc_part @ msg_part
-
-let of_view spec view =
-  View.fold view ~init:[] ~f:(fun acc e ->
-      List.rev_append (incident_on_insert spec view e) acc)
-  |> List.rev
+  match hi_cells with
+  | None -> [ forward ]
+  | Some hi ->
+    [ forward; { src = recv.id; dst = send.id; w = cell_sub what hi vd } ]

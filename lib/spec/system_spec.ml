@@ -1,18 +1,26 @@
+type link_cells = { lo_cells : int; hi_cells : int option }
+
 type t = {
   n : int;
   source : Event.proc;
   drift : Drift.t array;
-  transit : (int, Transit.t) Hashtbl.t; (* key: u * n + v *)
+  (* key: u * n + v; a link's bound and its cells *)
+  transit : (int, Transit.t * link_cells) Hashtbl.t;
   neighbors : Event.proc list array;
   n_links : int;
   lattice : int; (* D: every weight over whole-tick readings is in (1/D)·Z *)
   quantum : Q.t; (* 0 as declared; q once charged *)
+  cells_per_tick : int; (* D / ticks_per_second *)
+  up_cells : int array; (* per processor: (rmax − 1)·D / ticks_per_s. *)
+  down_cells : int array; (* per processor: (1 − rmin)·D / ticks_per_s. *)
   mutable charged : t option; (* [charge]'s result, computed once *)
 }
 
 let ticks_per_second = 1_000_000
 let tick = Q.of_ints 1 ticks_per_second
+let q_of_ticks k = Q.div_pow10 k 6 (* ticks_per_second = 10^6 *)
 let max_lattice = 1 lsl 40
+let max_cell = (1 lsl 61) - 1
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
@@ -59,43 +67,73 @@ let lattice_of ~drift ~links =
     links;
   !d
 
-let key t u v = (u * t.n) + v
+(* [x·scale] for a [scale] that D made a multiple of [x]'s denominator,
+   in native ints; refused past ±(2^61 − 1) *)
+let to_cells ~scale what x =
+  match Bigint.to_int_opt (Q.num x), Bigint.to_int_opt (Q.den x) with
+  | Some n, Some d when scale mod d = 0 && abs n <= max_cell / (scale / d) ->
+    n * (scale / d)
+  | _ -> invalid_arg ("System_spec.make: a " ^ what ^ " bound is out of range")
+
+let link ~lattice (tr : Transit.t) =
+  let cells = to_cells ~scale:lattice "transit" in
+  let hi_cells =
+    match tr.hi with Ext.Fin hi -> Some (cells hi) | Ext.Inf -> None
+  in
+  (tr, { lo_cells = cells tr.lo; hi_cells })
+
+(* [f] once per physically distinct argument: processors and links
+   sharing a bound share its cells and, once charged, its widening *)
+let memo f =
+  let seen = ref [] in
+  fun x ->
+    match List.assq_opt x !seen with
+    | Some y -> y
+    | None ->
+      let y = f x in
+      seen := (x, y) :: !seen;
+      y
 
 let make ~n ~source ~drift ~links =
   if n <= 0 then invalid_arg "System_spec.make: n must be positive";
   if source < 0 || source >= n then invalid_arg "System_spec.make: bad source";
-  let drift_arr =
+  let drift =
     Array.init n (fun p -> if p = source then Drift.perfect else drift p)
   in
-  let t =
-    {
-      n;
-      source;
-      drift = drift_arr;
-      transit = Hashtbl.create (2 * List.length links);
-      neighbors = Array.make n [];
-      n_links = List.length links;
-      lattice = 1;
-      quantum = Q.zero;
-      charged = None;
-    }
-  in
+  let lattice = lattice_of ~drift ~links in
+  let transit = Hashtbl.create (2 * List.length links) in
+  let neighbors = Array.make n [] and link = memo (link ~lattice) in
   List.iter
     (fun (u, v, tr) ->
       if u < 0 || u >= n || v < 0 || v >= n then
         invalid_arg "System_spec.make: link endpoint out of range";
       if u = v then invalid_arg "System_spec.make: self-loop";
-      if Hashtbl.mem t.transit (key t u v) then
+      if Hashtbl.mem transit ((u * n) + v) then
         invalid_arg "System_spec.make: duplicate link";
-      Hashtbl.replace t.transit (key t u v) tr;
-      Hashtbl.replace t.transit (key t v u) tr;
-      t.neighbors.(u) <- v :: t.neighbors.(u);
-      t.neighbors.(v) <- u :: t.neighbors.(v))
+      let l = link tr in
+      Hashtbl.replace transit ((u * n) + v) l;
+      Hashtbl.replace transit ((v * n) + u) l;
+      neighbors.(u) <- v :: neighbors.(u);
+      neighbors.(v) <- u :: neighbors.(v))
     links;
-  Array.iteri
-    (fun p ns -> t.neighbors.(p) <- List.sort compare ns)
-    t.neighbors;
-  { t with lattice = lattice_of ~drift:drift_arr ~links }
+  let per_tick f =
+    let scale = lattice / ticks_per_second in
+    Array.map (memo (fun d -> to_cells ~scale "drift" (f d))) drift
+  in
+  {
+    n;
+    source;
+    drift;
+    transit;
+    neighbors = Array.map (List.sort compare) neighbors;
+    n_links = List.length links;
+    lattice;
+    quantum = Q.zero;
+    cells_per_tick = lattice / ticks_per_second;
+    up_cells = per_tick (fun (d : Drift.t) -> Q.sub d.rmax Q.one);
+    down_cells = per_tick (fun (d : Drift.t) -> Q.sub Q.one d.rmin);
+    charged = None;
+  }
 
 let uniform ~n ~source ~drift ~transit ~links =
   make ~n ~source
@@ -122,18 +160,11 @@ let charge t =
     let k, r = Bigint.divmod (Q.num rmax) (Q.den rmax) in
     let k = if Bigint.sign r > 0 then Bigint.add_int k 1 else k in
     let q = Q.mul tick (Q.of_bigint k) in
-    (* links sharing a bound share its widening *)
-    let widened = ref [] in
-    let widen tr =
-      match List.assq_opt tr !widened with
-      | Some w -> w
-      | None ->
-        let w = Transit.widen q tr in
-        widened := (tr, w) :: !widened;
-        w
+    let widen =
+      memo (fun (tr, _) -> link ~lattice:t.lattice (Transit.widen q tr))
     in
     let transit = Hashtbl.copy t.transit in
-    Hashtbl.filter_map_inplace (fun _ tr -> Some (widen tr)) transit;
+    Hashtbl.filter_map_inplace (fun _ l -> Some (widen l)) transit;
     let c = { t with transit; quantum = q; charged = None } in
     t.charged <- Some c;
     c
@@ -141,13 +172,24 @@ let charge t =
 let n t = t.n
 let source t = t.source
 let drift t p = t.drift.(p)
-let transit t u v = Hashtbl.find_opt t.transit (key t u v)
+let key t u v = (u * t.n) + v
+let transit t u v = Option.map fst (Hashtbl.find_opt t.transit (key t u v))
 
 let transit_exn t u v =
   match transit t u v with
   | Some tr -> tr
   | None ->
     invalid_arg (Printf.sprintf "System_spec.transit_exn: no link %d-%d" u v)
+
+let cells_per_tick t = t.cells_per_tick
+let up_cells t p = t.up_cells.(p)
+let down_cells t p = t.down_cells.(p)
+
+let link_cells_exn t u v =
+  match Hashtbl.find_opt t.transit (key t u v) with
+  | Some (_, c) -> c
+  | None ->
+    invalid_arg (Printf.sprintf "System_spec.link_cells_exn: no link %d-%d" u v)
 
 let neighbors t p = t.neighbors.(p)
 let degree t p = List.length t.neighbors.(p)
@@ -187,7 +229,3 @@ let diameter t =
   !worst
 
 let is_connected t = diameter t < max_int
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>system: %d processors, source p%d, %d links@]" t.n
-    t.source t.n_links

@@ -17,7 +17,8 @@ val make :
     regardless of [drift].
     @raise Invalid_argument on out-of-range processors, self-loops,
     duplicate links, or bounds whose {!lattice} denominator would pass
-    [2^40] (the message names the drift or transit bound that does). *)
+    [2^40] or whose {!lattice} constants would leave [±(2^61 − 1)]
+    (the message names the drift or transit bound that does). *)
 
 val uniform :
   n:int ->
@@ -30,17 +31,22 @@ val uniform :
 
 (** {1 Readings and the lattice}
 
-    Every reading an algorithm sees is a whole tick (DESIGN.md
-    Section 4): the runtimes floor the true reading.  Over such
-    readings every synchronization-graph weight lies in [(1/D)·Z] for
-    the spec's fixed {!lattice} [D], which {!Agdp} holds as native
-    ints. *)
+    Every reading an algorithm sees is an int count of ticks (DESIGN.md
+    Section 4), so every synchronization-graph weight [w] lies in
+    [(1/D)·Z] for the spec's fixed {!lattice} [D]: {!Edges} builds it
+    as the int cell [w·D] from the constants below. *)
 
 val ticks_per_second : int
 (** [1_000_000]: the tick is 1 µs. *)
 
 val tick : Q.t
 (** [1/ticks_per_second] seconds. *)
+
+val q_of_ticks : int -> Q.t
+(** A count of ticks as seconds, built with no gcd. *)
+
+val max_cell : int
+(** [2^61 − 1]: every cell stays within [±max_cell]. *)
 
 val lattice : t -> int
 (** [D]: the lcm of the tick's denominator and those of each
@@ -58,6 +64,20 @@ val charge : t -> t
     both widenings from that.  Same [n], source, drift, links and
     {!lattice}.  Computed once per spec; charging a charged spec
     returns it. *)
+
+val cells_per_tick : t -> int
+(** [D / ticks_per_second]; per processor, {!up_cells} is
+    [(rmax − 1)·D / ticks_per_second] and {!down_cells}
+    [(1 − rmin)·D / ticks_per_second]. *)
+
+val up_cells : t -> Event.proc -> int
+val down_cells : t -> Event.proc -> int
+
+type link_cells = { lo_cells : int; hi_cells : int option }
+(** A link's transit bound as [lo·D] and [hi·D] ([None]: [hi = ∞]). *)
+
+val link_cells_exn : t -> Event.proc -> Event.proc -> link_cells
+(** The cells of {!transit_exn}'s bound. *)
 
 val quantum : t -> Q.t
 (** [0] for a declared spec, [q] for a {!charge}d one. *)
@@ -87,4 +107,3 @@ val diameter : t -> int
     disconnected. *)
 
 val is_connected : t -> bool
-val pp : Format.formatter -> t -> unit

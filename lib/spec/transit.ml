@@ -11,6 +11,3 @@ let asynchronous = { lo = Q.zero; hi = Ext.Inf }
 let exact d = make ~lo:d ~hi:(Ext.Fin d)
 let widen q t = { lo = Q.sub t.lo q; hi = Ext.add t.hi (Ext.Fin q) }
 let equal a b = Q.(a.lo = b.lo) && Ext.equal a.hi b.hi
-
-let pp fmt t =
-  Format.fprintf fmt "[%s, %s]" (Q.to_string t.lo) (Ext.to_string t.hi)

@@ -23,4 +23,3 @@ val widen : Q.t -> t -> t
     declared bound's is. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

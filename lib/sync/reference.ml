@@ -26,7 +26,9 @@ let estimate spec view ~at =
     let from_sp = Sync_graph.dist_from sg sp in
     let to_sp = Sync_graph.dist_to sg sp in
     let e = View.find_exn view at in
-    interval_of_dists spec ~lt:e.Event.lt ~d_sp_p:(from_sp at) ~d_p_sp:(to_sp at)
+    interval_of_dists spec
+      ~lt:(System_spec.q_of_ticks e.Event.lt)
+      ~d_sp_p:(from_sp at) ~d_p_sp:(to_sp at)
 
 let estimates_at_proc spec view p =
   match source_point spec view with
@@ -39,7 +41,8 @@ let estimates_at_proc spec view p =
     List.map
       (fun (e : Event.t) ->
         ( e.id,
-          interval_of_dists spec ~lt:e.lt ~d_sp_p:(from_sp e.id)
+          interval_of_dists spec ~lt:(System_spec.q_of_ticks e.lt)
+            ~d_sp_p:(from_sp e.id)
             ~d_p_sp:(to_sp e.id) ))
       (View.events_of view p)
 

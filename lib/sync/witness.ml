@@ -10,7 +10,8 @@ let constraints spec view =
       | Some pid ->
         let prev = View.find_exn view pid in
         let d = System_spec.drift spec (Event.loc e) in
-        let lo, hi = Drift.rt_bounds d (Q.sub e.lt prev.Event.lt) in
+        let elapsed = System_spec.q_of_ticks (e.lt - prev.Event.lt) in
+        let lo, hi = Drift.rt_bounds d elapsed in
         (* RT(e) − RT(prev) ∈ [lo, hi] *)
         acc := (e.id, pid, hi, "drift upper") :: !acc;
         acc := (pid, e.id, Q.neg lo, "drift lower") :: !acc);
@@ -47,5 +48,5 @@ let extremal spec view ~anchor direction =
     let e = View.find_exn view id in
     match direction, d id with
     | _, Ext.Inf -> raise Not_found
-    | `Latest, Ext.Fin dist -> Q.add e.lt dist
-    | `Earliest, Ext.Fin dist -> Q.sub e.lt dist
+    | `Latest, Ext.Fin dist -> Q.add (System_spec.q_of_ticks e.lt) dist
+    | `Earliest, Ext.Fin dist -> Q.sub (System_spec.q_of_ticks e.lt) dist

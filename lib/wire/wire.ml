@@ -57,9 +57,17 @@ let varint_size n =
   let rec go n acc = if n < 0x80 then acc else go (n lsr 7) (acc + 1) in
   go n 1
 
-(* the sign folds into bit 0 so small negatives stay short; the mask
-   keeps the result a non-negative varint for every input *)
-let zigzag n = (n lsl 1) lxor (n asr 62) land max_int
+(* the sign folds into bit 0 so small negatives stay short.  On
+   [-2^61, 2^61 - 1] the image is exactly [0, 2^62 - 1], the
+   non-negative ints; past that range [n lsl 1] would lose a bit *)
+let zigzag_min = -(1 lsl 61)
+let zigzag_max = (1 lsl 61) - 1
+
+let zigzag n =
+  if n < zigzag_min || n > zigzag_max then
+    invalid_arg
+      (Printf.sprintf "Wire.zigzag: %d is outside [-2^61, 2^61 - 1]" n);
+  (n lsl 1) lxor (n asr 62)
 let unzigzag u = (u lsr 1) lxor (-(u land 1))
 
 (* --- FNV-1a/32 checksum trailer ----------------------------------------- *)

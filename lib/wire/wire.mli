@@ -49,7 +49,10 @@ val varint_size : int -> int
 
 val zigzag : int -> int
 (** Signed to non-negative ([0, -1, 1, -2, ...] to [0, 1, 2, 3, ...]),
-    so small negatives stay one byte as varints. *)
+    so small negatives stay one byte as varints.  A bijection from
+    [[-2^61, 2^61 - 1]] onto the non-negative ints.
+    @raise Invalid_argument outside that range, where no injective
+    image exists. *)
 
 val unzigzag : int -> int
 (** Inverse of {!zigzag}. *)

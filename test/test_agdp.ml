@@ -17,8 +17,8 @@ let test_single_node () =
 let test_chain () =
   let t = Agdp.create ~scale:1 () in
   Agdp.insert t ~key:0 ~in_edges:[] ~out_edges:[];
-  Agdp.insert t ~key:1 ~in_edges:[ (0, q 3) ] ~out_edges:[ (0, q 5) ];
-  Agdp.insert t ~key:2 ~in_edges:[ (1, q 2) ] ~out_edges:[ (1, q 7) ];
+  Agdp.insert t ~key:1 ~in_edges:[ (0, 3) ] ~out_edges:[ (0, 5) ];
+  Agdp.insert t ~key:2 ~in_edges:[ (1, 2) ] ~out_edges:[ (1, 7) ];
   Alcotest.(check ext) "0->2" (fin 5) (Agdp.dist t 0 2);
   Alcotest.(check ext) "2->0" (fin 12) (Agdp.dist t 2 0);
   Alcotest.(check ext) "0->1" (fin 3) (Agdp.dist t 0 1)
@@ -26,8 +26,8 @@ let test_chain () =
 let test_kill_preserves_distances () =
   let t = Agdp.create ~scale:1 () in
   Agdp.insert t ~key:0 ~in_edges:[] ~out_edges:[];
-  Agdp.insert t ~key:1 ~in_edges:[ (0, q 3) ] ~out_edges:[];
-  Agdp.insert t ~key:2 ~in_edges:[ (1, q 2) ] ~out_edges:[];
+  Agdp.insert t ~key:1 ~in_edges:[ (0, 3) ] ~out_edges:[];
+  Agdp.insert t ~key:2 ~in_edges:[ (1, 2) ] ~out_edges:[];
   (* 0 -> 1 -> 2; kill 1, path through it must be remembered *)
   Agdp.kill t 1;
   Alcotest.(check int) "size after kill" 2 (Agdp.size t);
@@ -41,15 +41,15 @@ let test_insert_improves_pairs () =
   (* new node creates a shortcut between two old nodes *)
   let t = Agdp.create ~scale:1 () in
   Agdp.insert t ~key:0 ~in_edges:[] ~out_edges:[];
-  Agdp.insert t ~key:1 ~in_edges:[ (0, q 100) ] ~out_edges:[];
+  Agdp.insert t ~key:1 ~in_edges:[ (0, 100) ] ~out_edges:[];
   Alcotest.(check ext) "long way" (fin 100) (Agdp.dist t 0 1);
-  Agdp.insert t ~key:2 ~in_edges:[ (0, q 1) ] ~out_edges:[ (1, q 1) ];
+  Agdp.insert t ~key:2 ~in_edges:[ (0, 1) ] ~out_edges:[ (1, 1) ];
   Alcotest.(check ext) "shortcut through new node" (fin 2) (Agdp.dist t 0 1)
 
 let test_negative_edges () =
   let t = Agdp.create ~scale:1 () in
   Agdp.insert t ~key:0 ~in_edges:[] ~out_edges:[];
-  Agdp.insert t ~key:1 ~in_edges:[ (0, q (-4)) ] ~out_edges:[ (0, q 9) ];
+  Agdp.insert t ~key:1 ~in_edges:[ (0, -4) ] ~out_edges:[ (0, 9) ];
   Alcotest.(check ext) "negative forward" (fin (-4)) (Agdp.dist t 0 1);
   Alcotest.(check ext) "positive back" (fin 9) (Agdp.dist t 1 0)
 
@@ -57,15 +57,14 @@ let test_negative_cycle_detected () =
   let t = Agdp.create ~scale:1 () in
   Agdp.insert t ~key:0 ~in_edges:[] ~out_edges:[];
   Alcotest.check_raises "negative cycle" Agdp.Negative_cycle (fun () ->
-      Agdp.insert t ~key:1 ~in_edges:[ (0, q 2) ] ~out_edges:[ (0, q (-3)) ])
+      Agdp.insert t ~key:1 ~in_edges:[ (0, 2) ] ~out_edges:[ (0, -3) ])
 
 (* Phase 2 decides a 2-cycle's sign exactly, down to one unit of the
    finest lattice: with D = 2^40, a - a - 1/D is a negative cycle and
    a - a + 1/D is not. *)
 let test_negative_cycle_unit () =
-  let unit_ = Q.make Bigint.one (Bigint.pow2 40) in
-  let a = Q.add Q.one unit_ in
-  let b sigma = Q.add (Q.neg a) (Q.mul_int unit_ sigma) in
+  let d = 1 lsl 40 in
+  let a = d + 1 and b sigma = -(d + 1) + sigma in
   let two_node sigma =
     let t = Agdp.create ~scale:(1 lsl 40) () in
     Agdp.insert t ~key:0 ~in_edges:[] ~out_edges:[];
@@ -75,8 +74,8 @@ let test_negative_cycle_unit () =
   Alcotest.check_raises "a + b < 0 by 2^-40" Agdp.Negative_cycle (fun () ->
       ignore (two_node (-1)));
   let t = two_node 1 in
-  Alcotest.(check ext) "0->1" (Ext.Fin a) (Agdp.dist t 0 1);
-  Alcotest.(check ext) "1->0" (Ext.Fin (b 1)) (Agdp.dist t 1 0)
+  Alcotest.(check ext) "0->1" (Ext.Fin (Q.make_ints a d)) (Agdp.dist t 0 1);
+  Alcotest.(check ext) "1->0" (Ext.Fin (Q.make_ints (b 1) d)) (Agdp.dist t 1 0)
 
 let test_validation () =
   let t = Agdp.create ~scale:1 () in
@@ -86,15 +85,16 @@ let test_validation () =
       Agdp.insert t ~key:0 ~in_edges:[] ~out_edges:[]);
   Alcotest.check_raises "dead endpoint"
     (Invalid_argument "Agdp: node 7 is not live") (fun () ->
-      Agdp.insert t ~key:1 ~in_edges:[ (7, q 1) ] ~out_edges:[]);
+      Agdp.insert t ~key:1 ~in_edges:[ (7, 1) ] ~out_edges:[]);
   Alcotest.check_raises "self loop"
     (Invalid_argument "Agdp.insert: self-loop edge") (fun () ->
-      Agdp.insert t ~key:1 ~in_edges:[ (1, q 1) ] ~out_edges:[]);
+      Agdp.insert t ~key:1 ~in_edges:[ (1, 1) ] ~out_edges:[]);
   Alcotest.check_raises "kill dead"
     (Invalid_argument "Agdp: node 9 is not live") (fun () -> Agdp.kill t 9);
-  Alcotest.check_raises "weight off the lattice"
-    (Invalid_argument "Agdp.insert: 1/3 is off the 1/1 lattice") (fun () ->
-      Agdp.insert t ~key:1 ~in_edges:[ (0, Q.of_ints 1 3) ] ~out_edges:[]);
+  Alcotest.check_raises "weight out of range"
+    (Invalid_argument
+       "Agdp.insert: a distance leaves the lattice's ±(2^61 − 1)/D range")
+    (fun () -> Agdp.insert t ~key:1 ~in_edges:[ (0, 1 lsl 61) ] ~out_edges:[]);
   Alcotest.check_raises "scale past 2^40"
     (Invalid_argument "Agdp: scale 1099511627777 is outside [1, 2^40]")
     (fun () -> ignore (Agdp.create ~scale:((1 lsl 40) + 1) ()));
@@ -106,8 +106,8 @@ let test_growth_beyond_capacity () =
   Agdp.insert t ~key:0 ~in_edges:[] ~out_edges:[];
   for k = 1 to 40 do
     Agdp.insert t ~key:k
-      ~in_edges:[ (k - 1, q 1) ]
-      ~out_edges:[ (k - 1, q 1) ]
+      ~in_edges:[ (k - 1, 1) ]
+      ~out_edges:[ (k - 1, 1) ]
   done;
   Alcotest.(check int) "size" 41 (Agdp.size t);
   Alcotest.(check ext) "end to end" (fin 40) (Agdp.dist t 0 40);
@@ -121,8 +121,8 @@ let test_kill_slot_swapping () =
   Agdp.insert t ~key:0 ~in_edges:[] ~out_edges:[];
   for k = 1 to 10 do
     Agdp.insert t ~key:k
-      ~in_edges:[ (k - 1, q k) ]
-      ~out_edges:[ (k - 1, q k) ]
+      ~in_edges:[ (k - 1, k) ]
+      ~out_edges:[ (k - 1, k) ]
   done;
   (* distance 0 -> 10 is 1+2+...+10 = 55 *)
   Alcotest.(check ext) "before kills" (fin 55) (Agdp.dist t 0 10);
@@ -139,8 +139,8 @@ let test_insert_exception_safety () =
      half-written row/column or a phantom key *)
   let t = Agdp.create ~scale:1 () in
   Agdp.insert t ~key:0 ~in_edges:[] ~out_edges:[];
-  Agdp.insert t ~key:1 ~in_edges:[ (0, q 3) ] ~out_edges:[ (0, q 5) ];
-  Agdp.insert t ~key:2 ~in_edges:[ (1, q 2) ] ~out_edges:[ (1, q 7) ];
+  Agdp.insert t ~key:1 ~in_edges:[ (0, 3) ] ~out_edges:[ (0, 5) ];
+  Agdp.insert t ~key:2 ~in_edges:[ (1, 2) ] ~out_edges:[ (1, 7) ];
   let keys = Agdp.live_keys t in
   let all_dists () =
     List.concat_map (fun x -> List.map (fun y -> Agdp.dist t x y) keys) keys
@@ -149,7 +149,7 @@ let test_insert_exception_safety () =
   let relaxations = Agdp.relaxations t in
   (* 9 -> 0 weighs -20 but 0 ⇝ 2 -> 9 weighs 6: a -14 cycle *)
   Alcotest.check_raises "rejected" Agdp.Negative_cycle (fun () ->
-      Agdp.insert t ~key:9 ~in_edges:[ (2, q 1) ] ~out_edges:[ (0, q (-20)) ]);
+      Agdp.insert t ~key:9 ~in_edges:[ (2, 1) ] ~out_edges:[ (0, -20) ]);
   Alcotest.(check int) "size unchanged" 3 (Agdp.size t);
   Alcotest.(check bool) "key not half-inserted" false (Agdp.mem t 9);
   Alcotest.(check (list int)) "live keys unchanged" keys (Agdp.live_keys t);
@@ -157,7 +157,7 @@ let test_insert_exception_safety () =
   Alcotest.(check int) "relaxation counter unchanged" relaxations
     (Agdp.relaxations t);
   (* the structure stays fully usable after the rejection *)
-  Agdp.insert t ~key:3 ~in_edges:[ (2, q 1) ] ~out_edges:[];
+  Agdp.insert t ~key:3 ~in_edges:[ (2, 1) ] ~out_edges:[];
   Alcotest.(check ext) "subsequent insert works" (fin 6) (Agdp.dist t 0 3)
 
 let test_kill_shrinks_capacity () =
@@ -167,8 +167,8 @@ let test_kill_shrinks_capacity () =
   Agdp.insert t ~key:0 ~in_edges:[] ~out_edges:[];
   for k = 1 to 99 do
     Agdp.insert t ~key:k
-      ~in_edges:[ (k - 1, q 1) ]
-      ~out_edges:[ (k - 1, q 1) ]
+      ~in_edges:[ (k - 1, 1) ]
+      ~out_edges:[ (k - 1, 1) ]
   done;
   Alcotest.(check int) "grown to 128" 128 (Agdp.capacity t);
   for k = 0 to 96 do
@@ -190,6 +190,36 @@ let test_kill_shrinks_capacity () =
   Agdp.insert t ~key:1000 ~in_edges:[] ~out_edges:[];
   Alcotest.(check ext) "reusable after full churn" (fin 0)
     (Agdp.dist t 1000 1000)
+
+(* An insert's row and column are scratch kept with the matrix, and
+   its row loop builds no closure: at steady capacity one insert plus
+   one kill allocates the same words whatever L. *)
+let test_insert_words_flat () =
+  let words l =
+    let t = Agdp.create ~scale:1 () in
+    let step k =
+      Agdp.insert t ~key:k ~in_edges:[ (k - 1, 1) ] ~out_edges:[ (k - 1, 1) ];
+      Agdp.kill t (k - l)
+    in
+    Agdp.insert t ~key:0 ~in_edges:[] ~out_edges:[];
+    for k = 1 to l - 1 do
+      Agdp.insert t ~key:k ~in_edges:[ (k - 1, 1) ] ~out_edges:[ (k - 1, 1) ]
+    done;
+    for k = l to l + 63 do
+      step k
+    done;
+    let w0 = Gc.minor_words () in
+    for k = l + 64 to l + 163 do
+      step k
+    done;
+    (Gc.minor_words () -. w0) /. 100.
+  in
+  let base = words 2 in
+  List.iter
+    (fun l ->
+      Alcotest.(check (float 0.)) (Printf.sprintf "words at L=%d" l) base
+        (words l))
+    [ 14; 28 ]
 
 let test_restore_rejects_inconsistent () =
   (* matrices no insert/kill sequence can produce: restore must refuse
@@ -268,11 +298,11 @@ let prop_matches_full_graph =
           let in_nodes = List.sort_uniq compare (pick ins) in
           let out_nodes = List.sort_uniq compare (pick outs) in
           (* weights chosen non-negative so no negative cycles arise *)
-          let in_edges = List.map (fun x -> (x, q ((x + k) mod 7))) in_nodes in
-          let out_edges = List.map (fun y -> (y, q ((y + (2 * k)) mod 5))) out_nodes in
+          let in_edges = List.map (fun x -> (x, (x + k) mod 7)) in_nodes in
+          let out_edges = List.map (fun y -> (y, (y + (2 * k)) mod 5)) out_nodes in
           Agdp.insert t ~key:k ~in_edges ~out_edges;
-          List.iter (fun (x, w) -> all_edges := (x, k, w) :: !all_edges) in_edges;
-          List.iter (fun (y, w) -> all_edges := (k, y, w) :: !all_edges) out_edges;
+          List.iter (fun (x, w) -> all_edges := (x, k, q w) :: !all_edges) in_edges;
+          List.iter (fun (y, w) -> all_edges := (k, y, q w) :: !all_edges) out_edges;
           live := k :: !live;
           (* kill every third node deterministically *)
           (match !live with
@@ -316,6 +346,9 @@ let arbitrary_wgen_schedule =
 
 let scale = 60
 
+(* [w·D] *)
+let cell w = Option.get (Bigint.to_int_opt (Q.num (Q.mul_int w scale)))
+
 let prop_fractional_matches_full_graph =
   QCheck.Test.make
     ~name:"agdp: fractional weights match Floyd-Warshall"
@@ -347,8 +380,12 @@ let prop_fractional_matches_full_graph =
           let out_nodes = List.sort_uniq compare (pick outs) in
           let in_edges = List.map (fun x -> (x, weight x k)) in_nodes in
           let out_edges = List.map (fun y -> (y, weight (3 * y) k)) out_nodes in
+          let cells = List.map (fun (x, w) -> (x, cell w)) in
           let before = Agdp.snapshot t in
-          (match Agdp.insert t ~key:k ~in_edges ~out_edges with
+          (match
+             Agdp.insert t ~key:k ~in_edges:(cells in_edges)
+               ~out_edges:(cells out_edges)
+           with
           | () ->
             if wgen = Huge && in_edges <> [] && out_edges <> [] then
               ok := false;
@@ -406,6 +443,8 @@ let () =
           Alcotest.test_case "kill slot swapping" `Quick test_kill_slot_swapping;
           Alcotest.test_case "insert exception safety" `Quick
             test_insert_exception_safety;
+          Alcotest.test_case "insert words flat in L" `Quick
+            test_insert_words_flat;
           Alcotest.test_case "kill shrinks capacity" `Quick
             test_kill_shrinks_capacity;
           Alcotest.test_case "restore rejects inconsistent snapshots" `Quick

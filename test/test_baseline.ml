@@ -338,17 +338,18 @@ let test_driftfree_soundness_in_sim () =
 
 let test_driftfree_unit () =
   (* direct unit-level check against a hand-driven exchange *)
-  let df = Driftfree.create ~window:(q 100) spec2 ~me:1 ~lt0:(q 0) in
+  let secs n = n * System_spec.ticks_per_second in
+  let df = Driftfree.create ~window:(q 100) spec2 ~me:1 ~lt0:0 in
   Alcotest.(check bool) "initially unbounded" true
     (Interval.equal (Driftfree.estimate_at df ~lt:(q 1)) Interval.full);
   (* the server's payload: init + send *)
-  let s_init = { Event.id = { proc = 0; seq = 0 }; lt = q 0; kind = Event.Init } in
+  let s_init = { Event.id = { proc = 0; seq = 0 }; lt = 0; kind = Event.Init } in
   let s_send =
-    { Event.id = { proc = 0; seq = 1 }; lt = q 10;
+    { Event.id = { proc = 0; seq = 1 }; lt = secs 10;
       kind = Event.Send { msg = 1; dst = 1 } }
   in
   let payload = { Payload.send_event = s_send; events = [ s_init; s_send ] } in
-  Driftfree.on_recv df ~msg:1 ~lt:(q 8) ~payload;
+  Driftfree.on_recv df ~msg:1 ~lt:(secs 8) ~payload;
   let est = Driftfree.estimate_at df ~lt:(q 8) in
   (* any truth consistent with this view has real ∈ [11, 15] at the recv *)
   Alcotest.(check bool) "contains feasible truths" true

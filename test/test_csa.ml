@@ -6,6 +6,9 @@
 
 let q = Q.of_int
 let qd = Q.of_decimal_string
+
+(* a reading of [n] seconds, in ticks *)
+let secs n = n * System_spec.ticks_per_second
 let interval = Alcotest.testable Interval.pp Interval.equal
 
 let spec2 =
@@ -41,16 +44,16 @@ let do_recv node ~msg ~lt payload =
 let test_round_trip_matches_reference () =
   (* the hand-computed execution of test_sync, now through the real
      protocol stack *)
-  let a = mk_node spec2 ~me:0 ~lt0:(q 0) in
-  let b = mk_node spec2 ~me:1 ~lt0:(q 0) in
+  let a = mk_node spec2 ~me:0 ~lt0:(secs 0) in
+  let b = mk_node spec2 ~me:1 ~lt0:(secs 0) in
   Alcotest.(check interval) "source is exact before traffic"
     (Interval.point (q 0)) (Csa.estimate a.csa);
   Alcotest.(check interval) "b knows nothing" Interval.full (Csa.estimate b.csa);
-  let p1 = do_send a ~dst:1 ~msg:1 ~lt:(q 10) in
+  let p1 = do_send a ~dst:1 ~msg:1 ~lt:(secs 10) in
   check_against_reference ~msg:"a after send" a;
-  do_recv b ~msg:1 ~lt:(q 8) p1;
+  do_recv b ~msg:1 ~lt:(secs 8) p1;
   check_against_reference ~msg:"b after first recv" b;
-  let p2 = do_send b ~dst:0 ~msg:2 ~lt:(q 10) in
+  let p2 = do_send b ~dst:0 ~msg:2 ~lt:(secs 10) in
   check_against_reference ~msg:"b after reply" b;
   (* hand-computed from b's own view (which cannot contain the reply's
      receipt): ext_L via m1's forward edge = 10 − (−2.9998) lower path,
@@ -58,31 +61,31 @@ let test_round_trip_matches_reference () =
   Alcotest.(check interval) "hand-computed bounds at b"
     (Interval.of_q (qd "12.9998") (qd "17.0002"))
     (Csa.estimate b.csa);
-  do_recv a ~msg:2 ~lt:(q 17) p2;
+  do_recv a ~msg:2 ~lt:(secs 17) p2;
   check_against_reference ~msg:"a after round trip" a;
   Alcotest.(check interval) "source still exact" (Interval.point (q 17))
     (Csa.estimate a.csa)
 
 let test_estimate_at_widens () =
-  let a = mk_node spec2 ~me:0 ~lt0:(q 0) in
-  let b = mk_node spec2 ~me:1 ~lt0:(q 0) in
-  let p1 = do_send a ~dst:1 ~msg:1 ~lt:(q 10) in
-  do_recv b ~msg:1 ~lt:(q 20) p1;
+  let a = mk_node spec2 ~me:0 ~lt0:(secs 0) in
+  let b = mk_node spec2 ~me:1 ~lt0:(secs 0) in
+  let p1 = do_send a ~dst:1 ~msg:1 ~lt:(secs 10) in
+  do_recv b ~msg:1 ~lt:(secs 20) p1;
   Alcotest.(check interval) "at the recv" (Interval.of_q (q 11) (q 15))
     (Csa.estimate b.csa);
   (* 100 local units later: drift slack 0.01 on each side — and it must
      agree with the reference algorithm run on a view extended by an
      internal event at that local time *)
-  let i = Csa.estimate_at b.csa ~lt:(q 120) in
+  let i = Csa.estimate_at b.csa ~lt:(secs 120) in
   Alcotest.(check interval) "widened by drift"
     (Interval.of_q (qd "110.99") (qd "115.01"))
     i;
   Alcotest.check_raises "query in the past"
     (Invalid_argument "Csa.estimate_at: time in the past") (fun () ->
-      ignore (Csa.estimate_at b.csa ~lt:(q 19)));
+      ignore (Csa.estimate_at b.csa ~lt:(secs 19)));
   (* an explicit internal event gives the same bounds *)
-  Csa.local_event b.csa ~lt:(q 120);
-  Mirror.local_event b.mirror ~lt:(q 120);
+  Csa.local_event b.csa ~lt:(secs 120);
+  Mirror.local_event b.mirror ~lt:(secs 120);
   check_against_reference ~msg:"internal event = virtual query" b;
   Alcotest.(check interval) "same bounds"
     (Interval.of_q (qd "110.99") (qd "115.01"))
@@ -96,15 +99,15 @@ let line3 =
     ~links:[ (0, 1); (1, 2) ]
 
 let test_transitive_information_flow () =
-  let n0 = mk_node line3 ~me:0 ~lt0:(q 0) in
-  let n1 = mk_node line3 ~me:1 ~lt0:(q 0) in
-  let n2 = mk_node line3 ~me:2 ~lt0:(q 0) in
-  let p1 = do_send n0 ~dst:1 ~msg:1 ~lt:(q 10) in
-  do_recv n1 ~msg:1 ~lt:(q 13) p1;
+  let n0 = mk_node line3 ~me:0 ~lt0:(secs 0) in
+  let n1 = mk_node line3 ~me:1 ~lt0:(secs 0) in
+  let n2 = mk_node line3 ~me:2 ~lt0:(secs 0) in
+  let p1 = do_send n0 ~dst:1 ~msg:1 ~lt:(secs 10) in
+  do_recv n1 ~msg:1 ~lt:(secs 13) p1;
   (* n2 still knows nothing *)
   Alcotest.(check interval) "n2 unbounded" Interval.full (Csa.estimate n2.csa);
-  let p2 = do_send n1 ~dst:2 ~msg:2 ~lt:(q 14) in
-  do_recv n2 ~msg:2 ~lt:(q 20) p2;
+  let p2 = do_send n1 ~dst:2 ~msg:2 ~lt:(secs 14) in
+  do_recv n2 ~msg:2 ~lt:(secs 20) p2;
   check_against_reference ~msg:"n2 via relay" n2;
   (* n2's interval: source info degraded by two hops of delay uncertainty *)
   (match Interval.width (Csa.estimate n2.csa) with
@@ -114,13 +117,13 @@ let test_transitive_information_flow () =
       Q.(w >= q 8 && w <= q 9)
   | Ext.Inf -> Alcotest.fail "expected finite bounds");
   (* and the relay's own estimate is tighter than the leaf's *)
-  let w1 = Interval.width (Csa.estimate_at n1.csa ~lt:(q 20)) in
+  let w1 = Interval.width (Csa.estimate_at n1.csa ~lt:(secs 20)) in
   let w2 = Interval.width (Csa.estimate n2.csa) in
   Alcotest.(check bool) "relay tighter than leaf" true (Ext.le w1 w2)
 
 let test_liveness_accounting () =
-  let n0 = mk_node line3 ~me:0 ~lt0:(q 0) in
-  let n1 = mk_node line3 ~me:1 ~lt0:(q 0) in
+  let n0 = mk_node line3 ~me:0 ~lt0:(secs 0) in
+  let n1 = mk_node line3 ~me:1 ~lt0:(secs 0) in
   let check_live node =
     let expected =
       View.live_points (Mirror.view node.mirror)
@@ -135,28 +138,28 @@ let test_liveness_accounting () =
       && List.for_all2 Event.id_equal expected actual)
   in
   check_live n0;
-  let p1 = do_send n0 ~dst:1 ~msg:1 ~lt:(q 10) in
+  let p1 = do_send n0 ~dst:1 ~msg:1 ~lt:(secs 10) in
   check_live n0;
   Alcotest.(check int) "n0: send + init of others unknown" 1 (Csa.live_count n0.csa);
-  do_recv n1 ~msg:1 ~lt:(q 13) p1;
+  do_recv n1 ~msg:1 ~lt:(secs 13) p1;
   check_live n1;
-  let p2 = do_send n1 ~dst:0 ~msg:2 ~lt:(q 14) in
+  let p2 = do_send n1 ~dst:0 ~msg:2 ~lt:(secs 14) in
   check_live n1;
-  do_recv n0 ~msg:2 ~lt:(q 18) p2;
+  do_recv n0 ~msg:2 ~lt:(secs 18) p2;
   check_live n0;
   (* after the round trip n0's view: its last event and n1's last event are
      live; delivered sends are dead *)
   Alcotest.(check int) "n0 live count" 2 (Csa.live_count n0.csa)
 
 let test_history_stays_bounded_under_long_run () =
-  let a = mk_node spec2 ~me:0 ~lt0:(q 0) in
-  let b = mk_node spec2 ~me:1 ~lt0:(q 0) in
+  let a = mk_node spec2 ~me:0 ~lt0:(secs 0) in
+  let b = mk_node spec2 ~me:1 ~lt0:(secs 0) in
   for i = 1 to 50 do
     let t0 = 20 * i in
-    let p1 = do_send a ~dst:1 ~msg:(2 * i) ~lt:(q t0) in
-    do_recv b ~msg:(2 * i) ~lt:(q (t0 + 3)) p1;
-    let p2 = do_send b ~dst:0 ~msg:((2 * i) + 1) ~lt:(q (t0 + 4)) in
-    do_recv a ~msg:((2 * i) + 1) ~lt:(q (t0 + 8)) p2
+    let p1 = do_send a ~dst:1 ~msg:(2 * i) ~lt:(secs t0) in
+    do_recv b ~msg:(2 * i) ~lt:(secs (t0 + 3)) p1;
+    let p2 = do_send b ~dst:0 ~msg:((2 * i) + 1) ~lt:(secs (t0 + 4)) in
+    do_recv a ~msg:((2 * i) + 1) ~lt:(secs (t0 + 8)) p2
   done;
   check_against_reference ~msg:"still optimal after 100 messages" a;
   check_against_reference ~msg:"still optimal after 100 messages" b;
@@ -171,15 +174,15 @@ let test_history_stays_bounded_under_long_run () =
     (Csa.events_processed a.csa)
 
 let test_agdp_matches_reference_all_pairs () =
-  let a = mk_node line3 ~me:0 ~lt0:(q 0) in
-  let b = mk_node line3 ~me:1 ~lt0:(q 0) in
-  let c = mk_node line3 ~me:2 ~lt0:(q 0) in
-  let p1 = do_send a ~dst:1 ~msg:1 ~lt:(q 10) in
-  do_recv b ~msg:1 ~lt:(q 13) p1;
-  let p2 = do_send b ~dst:2 ~msg:2 ~lt:(q 15) in
-  do_recv c ~msg:2 ~lt:(q 19) p2;
-  let p3 = do_send c ~dst:1 ~msg:3 ~lt:(q 25) in
-  do_recv b ~msg:3 ~lt:(q 30) p3;
+  let a = mk_node line3 ~me:0 ~lt0:(secs 0) in
+  let b = mk_node line3 ~me:1 ~lt0:(secs 0) in
+  let c = mk_node line3 ~me:2 ~lt0:(secs 0) in
+  let p1 = do_send a ~dst:1 ~msg:1 ~lt:(secs 10) in
+  do_recv b ~msg:1 ~lt:(secs 13) p1;
+  let p2 = do_send b ~dst:2 ~msg:2 ~lt:(secs 15) in
+  do_recv c ~msg:2 ~lt:(secs 19) p2;
+  let p3 = do_send c ~dst:1 ~msg:3 ~lt:(secs 25) in
+  do_recv b ~msg:3 ~lt:(secs 30) p3;
   (* every pair of live points in b's AGDP graph has exactly the full
      sync-graph distance (Lemma 3.4) *)
   let oracle = Reference.all_pairs line3 (Mirror.view b.mirror) in
@@ -199,19 +202,19 @@ let test_agdp_matches_reference_all_pairs () =
     live
 
 let test_lossy_mode () =
-  let a = mk_node ~lossy:true spec2 ~me:0 ~lt0:(q 0) in
-  let b = mk_node ~lossy:true spec2 ~me:1 ~lt0:(q 0) in
+  let a = mk_node ~lossy:true spec2 ~me:0 ~lt0:(secs 0) in
+  let b = mk_node ~lossy:true spec2 ~me:1 ~lt0:(secs 0) in
   (* m1 is lost in transit *)
-  let _p1 = Csa.send a.csa ~dst:1 ~msg:1 ~lt:(q 10) in
+  let _p1 = Csa.send a.csa ~dst:1 ~msg:1 ~lt:(secs 10) in
   Csa.on_msg_lost a.csa ~msg:1;
   Csa.on_msg_lost b.csa ~msg:1;
   (* the lost send is un-livened once superseded *)
-  let p2 = Csa.send a.csa ~dst:1 ~msg:2 ~lt:(q 12) in
+  let p2 = Csa.send a.csa ~dst:1 ~msg:2 ~lt:(secs 12) in
   Alcotest.(check int) "lost send is dead at the sender" 1
     (Csa.live_count a.csa);
   (* retransmission carries everything *)
   Alcotest.(check int) "payload re-reports lost events" 3 (Payload.size p2);
-  Csa.receive b.csa ~msg:2 ~lt:(q 15) p2;
+  Csa.receive b.csa ~msg:2 ~lt:(secs 15) p2;
   Csa.on_msg_delivered a.csa ~msg:2;
   (* b now has full information: same bounds as a loss-free run of m2 *)
   (match Interval.width (Csa.estimate b.csa) with
@@ -224,20 +227,20 @@ let test_lossy_mode () =
 let test_naive_equivalence () =
   (* the Section 2.3 general algorithm and the efficient one give identical
      bounds on a shared execution; only the costs differ *)
-  let a = mk_node spec2 ~me:0 ~lt0:(q 0) in
-  let b = mk_node spec2 ~me:1 ~lt0:(q 0) in
-  let na = Naive.create spec2 ~me:0 ~lt0:(q 0) in
-  let nb = Naive.create spec2 ~me:1 ~lt0:(q 0) in
+  let a = mk_node spec2 ~me:0 ~lt0:(secs 0) in
+  let b = mk_node spec2 ~me:1 ~lt0:(secs 0) in
+  let na = Naive.create spec2 ~me:0 ~lt0:(secs 0) in
+  let nb = Naive.create spec2 ~me:1 ~lt0:(secs 0) in
   for i = 1 to 10 do
     let t0 = 20 * i in
-    let m1 = do_send a ~dst:1 ~msg:(2 * i) ~lt:(q t0) in
-    let m1n = Naive.send na ~dst:1 ~msg:(2 * i) ~lt:(q t0) in
-    do_recv b ~msg:(2 * i) ~lt:(q (t0 + 3)) m1;
-    Naive.receive nb ~msg:(2 * i) ~lt:(q (t0 + 3)) m1n;
-    let m2 = do_send b ~dst:0 ~msg:((2 * i) + 1) ~lt:(q (t0 + 4)) in
-    let m2n = Naive.send nb ~dst:0 ~msg:((2 * i) + 1) ~lt:(q (t0 + 4)) in
-    do_recv a ~msg:((2 * i) + 1) ~lt:(q (t0 + 8)) m2;
-    Naive.receive na ~msg:((2 * i) + 1) ~lt:(q (t0 + 8)) m2n;
+    let m1 = do_send a ~dst:1 ~msg:(2 * i) ~lt:(secs t0) in
+    let m1n = Naive.send na ~dst:1 ~msg:(2 * i) ~lt:(secs t0) in
+    do_recv b ~msg:(2 * i) ~lt:(secs (t0 + 3)) m1;
+    Naive.receive nb ~msg:(2 * i) ~lt:(secs (t0 + 3)) m1n;
+    let m2 = do_send b ~dst:0 ~msg:((2 * i) + 1) ~lt:(secs (t0 + 4)) in
+    let m2n = Naive.send nb ~dst:0 ~msg:((2 * i) + 1) ~lt:(secs (t0 + 4)) in
+    do_recv a ~msg:((2 * i) + 1) ~lt:(secs (t0 + 8)) m2;
+    Naive.receive na ~msg:((2 * i) + 1) ~lt:(secs (t0 + 8)) m2n;
     Alcotest.(check bool)
       (Printf.sprintf "identical bounds at round %d" i)
       true
@@ -252,15 +255,15 @@ let test_naive_equivalence () =
     (Csa.live_count b.csa + Csa.history_size b.csa <= 10)
 
 let test_peer_clock_bounds () =
-  let a = mk_node spec2 ~me:0 ~lt0:(q 0) in
-  let b = mk_node spec2 ~me:1 ~lt0:(q 0) in
+  let a = mk_node spec2 ~me:0 ~lt0:(secs 0) in
+  let b = mk_node spec2 ~me:1 ~lt0:(secs 0) in
   (* nothing known yet *)
   Alcotest.(check bool) "unknown peer" true
     (Interval.equal (Csa.peer_clock_bounds a.csa 1) Interval.full);
   Alcotest.(check bool) "own clock is exact" true
     (Interval.equal (Csa.peer_clock_bounds a.csa 0) (Interval.point (q 0)));
-  let m1 = do_send a ~dst:1 ~msg:1 ~lt:(q 10) in
-  do_recv b ~msg:1 ~lt:(q 8) m1;
+  let m1 = do_send a ~dst:1 ~msg:1 ~lt:(secs 10) in
+  do_recv b ~msg:1 ~lt:(secs 8) m1;
   (* at b's recv (its clock: 8), a's clock q reading: Δ = RT(recv) − RT(send
      event of a) ∈ [1, 5] (transit bounds) and a is the source (rate 1), so
      a's clock now shows 10 + Δ ∈ [11, 15] *)
@@ -276,11 +279,11 @@ let test_peer_clock_bounds () =
 let test_snapshot_restore () =
   (* snapshot mid-execution, restore, and drive both instances forward
      with identical inputs: they must stay indistinguishable *)
-  let a = mk_node spec2 ~me:0 ~lt0:(q 0) in
-  let b = mk_node spec2 ~me:1 ~lt0:(q 0) in
-  let m1 = do_send a ~dst:1 ~msg:1 ~lt:(q 10) in
-  do_recv b ~msg:1 ~lt:(q 8) m1;
-  let _m2 = Csa.send b.csa ~dst:0 ~msg:2 ~lt:(q 9) in
+  let a = mk_node spec2 ~me:0 ~lt0:(secs 0) in
+  let b = mk_node spec2 ~me:1 ~lt0:(secs 0) in
+  let m1 = do_send a ~dst:1 ~msg:1 ~lt:(secs 10) in
+  do_recv b ~msg:1 ~lt:(secs 8) m1;
+  let _m2 = Csa.send b.csa ~dst:0 ~msg:2 ~lt:(secs 9) in
   (* b now has a pending send (msg 2 undelivered) — nontrivial state *)
   let blob = Csa.snapshot b.csa in
   let b' = Csa.restore spec2 blob in
@@ -293,15 +296,15 @@ let test_snapshot_restore () =
   Alcotest.(check int) "same events processed" (Csa.events_processed b.csa)
     (Csa.events_processed b');
   Alcotest.(check bool) "same last lt" true
-    Q.(Csa.last_lt b.csa = Csa.last_lt b');
+    (Csa.last_lt b.csa = Csa.last_lt b');
   (* continue both with the same traffic *)
-  let m3 = do_send a ~dst:1 ~msg:3 ~lt:(q 30) in
-  Csa.receive b.csa ~msg:3 ~lt:(q 26) m3;
-  Csa.receive b' ~msg:3 ~lt:(q 26) m3;
+  let m3 = do_send a ~dst:1 ~msg:3 ~lt:(secs 30) in
+  Csa.receive b.csa ~msg:3 ~lt:(secs 26) m3;
+  Csa.receive b' ~msg:3 ~lt:(secs 26) m3;
   Alcotest.(check bool) "estimates agree after more traffic" true
     (Interval.equal (Csa.estimate b.csa) (Csa.estimate b'));
-  let p1 = Csa.send b.csa ~dst:0 ~msg:4 ~lt:(q 27) in
-  let p2 = Csa.send b' ~dst:0 ~msg:4 ~lt:(q 27) in
+  let p1 = Csa.send b.csa ~dst:0 ~msg:4 ~lt:(secs 27) in
+  let p2 = Csa.send b' ~dst:0 ~msg:4 ~lt:(secs 27) in
   Alcotest.(check int) "identical payloads" (Payload.size p1) (Payload.size p2);
   Alcotest.(check bool) "identical wire encoding" true
     (Codec.encode p1 = Codec.encode p2);
@@ -316,10 +319,10 @@ let test_snapshot_restore () =
 (* A fresh node's AGDP holds its init event alone (key = its id, cell 0,
    no relaxation yet, peak 1), and that section closes the blob: D, the
    key count, the keys, the cells (0 = no path, else zigzag (d·D) + 1),
-   relaxations, peak.  Rewriting that tail gives hand-built version-2
+   relaxations, peak.  Rewriting that tail gives hand-built version-3
    blobs, each of which restore must refuse with a [Failure]. *)
 let test_snapshot_refusals () =
-  let a = Csa.create spec2 ~me:1 ~lt0:(q 0) in
+  let a = Csa.create spec2 ~me:1 ~lt0:(secs 0) in
   let blob = Csa.snapshot a in
   let d = System_spec.lattice spec2 in
   let enc v = if v = max_int then 0 else Wire.zigzag v + 1 in
@@ -340,7 +343,7 @@ let test_snapshot_refusals () =
   let cut = String.length blob - String.length own in
   Alcotest.(check string) "the blob ends in the AGDP section" own
     (String.sub blob cut (String.length own));
-  Alcotest.(check int) "version 2 leads" 2 (Char.code blob.[0]);
+  Alcotest.(check int) "version 3 leads" 3 (Char.code blob.[0]);
   let prefix = String.sub blob 0 cut in
   let refuses name ~msg tl =
     match Csa.restore spec2 (prefix ^ tl) with
@@ -373,34 +376,64 @@ let test_snapshot_refusals () =
     (tail [ 1; 1 ] [ 0; 1; 1; 0 ]);
   (* the same surgery with consistent cells restores *)
   ignore (Csa.restore spec2 (prefix ^ tail [ 1; 3 ] [ 0; 3; max_int; 0 ]));
-  let v1 = Bytes.of_string blob in
-  Bytes.set v1 0 '\001';
-  Alcotest.check_raises "a version-1 blob"
-    (Failure "Csa.restore: unsupported snapshot version") (fun () ->
-      ignore (Csa.restore spec2 (Bytes.to_string v1)))
+  List.iter
+    (fun v ->
+      let old = Bytes.of_string blob in
+      Bytes.set old 0 (Char.chr v);
+      Alcotest.check_raises
+        (Printf.sprintf "a version-%d blob" v)
+        (Failure "Csa.restore: unsupported snapshot version") (fun () ->
+          ignore (Csa.restore spec2 (Bytes.to_string old))))
+    [ 1; 2 ]
+
+(* An elapse whose drift weight w·D passes ±(2^61 − 1) is refused by
+   [Edges] before it touches any state: the CSA snapshots to the same
+   bytes, and goes on from where it was. *)
+let test_overflowing_elapse () =
+  (* a 1/3 s transit bound puts D at 3·10^10: 3 cells per tick of
+     elapse at 100 ppm *)
+  let spec =
+    System_spec.uniform ~n:2 ~source:0 ~drift:(Drift.of_ppm 100)
+      ~transit:(Transit.of_q (Q.of_ints 1 3) (q 5))
+      ~links:[ (0, 1) ]
+  in
+  Alcotest.(check int) "cells per tick" 3 (System_spec.up_cells spec 1);
+  let a = Csa.create spec ~me:1 ~lt0:0 in
+  ignore (Csa.send a ~dst:0 ~msg:1 ~lt:(secs 1));
+  let before = Csa.snapshot a in
+  (* a reading inside the cell range whose elapse, times 3, is not *)
+  let far = System_spec.max_cell / 2 in
+  Alcotest.check_raises "elapse past the cell range"
+    (Invalid_argument
+       "Edges.proc_edges: a weight leaves the lattice's ±(2^61 − 1)/D range")
+    (fun () -> Csa.local_event a ~lt:far);
+  Alcotest.(check bool) "snapshot bytes unchanged" true
+    (String.equal before (Csa.snapshot a));
+  Csa.local_event a ~lt:(secs 2);
+  Alcotest.(check int) "still usable" (secs 2) (Csa.last_lt a)
 
 let test_snapshot_lossy_mode () =
-  let a = Csa.create ~lossy:true spec2 ~me:0 ~lt0:(q 0) in
-  let _m1 = Csa.send a ~dst:1 ~msg:1 ~lt:(q 5) in
+  let a = Csa.create ~lossy:true spec2 ~me:0 ~lt0:(secs 0) in
+  let _m1 = Csa.send a ~dst:1 ~msg:1 ~lt:(secs 5) in
   (* retransmission record in flight at snapshot time *)
   let a' = Csa.restore spec2 (Csa.snapshot a) in
   Csa.on_msg_lost a ~msg:1;
   Csa.on_msg_lost a' ~msg:1;
-  let p = Csa.send a ~dst:1 ~msg:2 ~lt:(q 6) in
-  let p' = Csa.send a' ~dst:1 ~msg:2 ~lt:(q 6) in
+  let p = Csa.send a ~dst:1 ~msg:2 ~lt:(secs 6) in
+  let p' = Csa.send a' ~dst:1 ~msg:2 ~lt:(secs 6) in
   Alcotest.(check int) "re-report after restore too" (Payload.size p)
     (Payload.size p');
   Alcotest.(check bool) "three events re-reported" true (Payload.size p = 3)
 
 let test_send_validation () =
-  let a = mk_node line3 ~me:0 ~lt0:(q 0) in
+  let a = mk_node line3 ~me:0 ~lt0:(secs 0) in
   Alcotest.check_raises "no such link"
     (Invalid_argument "Csa.send: no link 0-2") (fun () ->
-      ignore (Csa.send a.csa ~dst:2 ~msg:1 ~lt:(q 1)));
-  ignore (Csa.send a.csa ~dst:1 ~msg:1 ~lt:(q 5));
+      ignore (Csa.send a.csa ~dst:2 ~msg:1 ~lt:(secs 1)));
+  ignore (Csa.send a.csa ~dst:1 ~msg:1 ~lt:(secs 5));
   Alcotest.check_raises "time regression"
     (Invalid_argument "Csa: local time regression") (fun () ->
-      ignore (Csa.send a.csa ~dst:1 ~msg:2 ~lt:(q 4)))
+      ignore (Csa.send a.csa ~dst:1 ~msg:2 ~lt:(secs 4)))
 
 (* Property: random gossip over a random line/star topology with hidden
    true clocks; at every event the efficient algorithm equals the
@@ -423,7 +456,7 @@ let prop_random_executions =
       (* hidden truth: all clocks run at rate 1 (allowed by the drift
          bounds) with offsets; RT(init_p) = 0 for all *)
       let offsets = [| 0; 7; -3 |] in
-      let lt_of p rt = Q.add rt (q offsets.(p)) in
+      let lt_of p rt = Clock.floor_ticks (Q.add rt (q offsets.(p))) in
       let nodes =
         Array.init n (fun me -> mk_node spec ~me ~lt0:(lt_of me (q 0)))
       in
@@ -538,6 +571,8 @@ let () =
             test_peer_clock_bounds;
           Alcotest.test_case "snapshot and restore" `Quick test_snapshot_restore;
           Alcotest.test_case "snapshot refusals" `Quick test_snapshot_refusals;
+          Alcotest.test_case "overflowing elapse refused" `Quick
+            test_overflowing_elapse;
           Alcotest.test_case "snapshot in lossy mode" `Quick
             test_snapshot_lossy_mode;
         ] );

@@ -1,10 +1,7 @@
 (* Tests for events, views, liveness (Definition 3.1), happened-before,
    and batch topological merging. *)
-
-let q = Q.of_int
-
 let ev ?(kind = Event.Internal) proc seq lt =
-  { Event.id = { proc; seq }; lt = q lt; kind }
+  { Event.id = { proc; seq }; lt; kind }
 
 let init proc lt = ev ~kind:Event.Init proc 0 lt
 

@@ -3,8 +3,6 @@
    (Lemma 3.2), bounded history (Lemma 3.3), the receive-rule regression
    on path topologies, and loss handling (Section 3.3). *)
 
-let q = Q.of_int
-
 (* A miniature driver: one History per node plus the event construction a
    Csa would do.  Local times are just supplied by the test. *)
 type node = {
@@ -17,12 +15,12 @@ let mk_node ?(lossy = false) ~n ~proc ~neighbors () =
   let hist = History.create ~n_procs:n ~me:proc ~neighbors ~lossy () in
   let node = { hist; seq = 0; proc } in
   History.learn_own hist
-    { Event.id = { proc; seq = 0 }; lt = q 0; kind = Event.Init };
+    { Event.id = { proc; seq = 0 }; lt = 0; kind = Event.Init };
   node.seq <- 1;
   node
 
 let fresh node lt kind =
-  let e = { Event.id = { proc = node.proc; seq = node.seq }; lt = q lt; kind } in
+  let e = { Event.id = { proc = node.proc; seq = node.seq }; lt; kind } in
   node.seq <- node.seq + 1;
   e
 
@@ -177,7 +175,7 @@ let test_bad_payload_rejected () =
   let b = mk_node ~n:2 ~proc:1 ~neighbors:[ 0 ] () in
   (* a payload whose send event depends on an unreported predecessor *)
   let orphan_send =
-    { Event.id = { proc = 0; seq = 3 }; lt = q 9;
+    { Event.id = { proc = 0; seq = 3 }; lt = 9;
       kind = Event.Send { msg = 1; dst = 1 } }
   in
   let payload = { Payload.send_event = orphan_send; events = [ orphan_send ] } in
@@ -275,18 +273,18 @@ let test_learn_own_validation () =
   Alcotest.check_raises "foreign event"
     (Invalid_argument "History.learn_own: foreign event") (fun () ->
       History.learn_own a.hist
-        { Event.id = { proc = 1; seq = 0 }; lt = q 0; kind = Event.Init });
+        { Event.id = { proc = 1; seq = 0 }; lt = 0; kind = Event.Init });
   Alcotest.check_raises "send via learn_own"
     (Invalid_argument "History.learn_own: send events go through prepare_send")
     (fun () ->
       History.learn_own a.hist
-        { Event.id = { proc = 0; seq = 1 }; lt = q 1;
+        { Event.id = { proc = 0; seq = 1 }; lt = 1;
           kind = Event.Send { msg = 9; dst = 1 } });
   Alcotest.check_raises "gap in own events"
     (Invalid_argument "History: non-contiguous event p0#5 (known up to 0)")
     (fun () ->
       History.learn_own a.hist
-        { Event.id = { proc = 0; seq = 5 }; lt = q 1; kind = Event.Internal })
+        { Event.id = { proc = 0; seq = 5 }; lt = 1; kind = Event.Internal })
 
 let test_gc_exactness () =
   (* H must contain exactly the known events not yet covered by every
@@ -342,7 +340,7 @@ let prop_causal_closure =
       Array.iter
         (fun nd ->
           View.add global
-            { Event.id = { proc = nd.proc; seq = 0 }; lt = q 0;
+            { Event.id = { proc = nd.proc; seq = 0 }; lt = 0;
               kind = Event.Init })
         nodes;
       let lt = ref 0 in
@@ -360,7 +358,7 @@ let prop_causal_closure =
           ignore (do_recv nodes.(dst) ~src ~msg:!msg ~lt:!lt payload);
           let recv_id = { Event.proc = dst; seq = nodes.(dst).seq - 1 } in
           View.add global
-            { Event.id = recv_id; lt = q !lt;
+            { Event.id = recv_id; lt = !lt;
               kind =
                 Event.Recv
                   { msg = !msg; src; send = payload.Payload.send_event.id } };
@@ -392,30 +390,34 @@ let test_codec_roundtrip_basic () =
   List.iter2
     (fun (x : Event.t) (y : Event.t) ->
       Alcotest.(check bool) "event preserved" true
-        (Event.id_equal x.id y.id && Q.equal x.lt y.lt && x.kind = y.kind))
+        (Event.id_equal x.id y.id && x.lt = y.lt && x.kind = y.kind))
     payload.Payload.events decoded.Payload.events;
   Alcotest.(check bool) "size counts bytes" true (Codec.size payload > 4)
 
 let test_codec_rational_timestamps () =
-  (* exotic rational local times survive the trip *)
-  let send_event =
-    { Event.id = { proc = 1; seq = 3 };
-      lt = Q.of_decimal_string "12345.000001";
-      kind = Event.Send { msg = 42; dst = 0 } }
+  (* timestamps are ticks: the whole zigzag range survives the trip, at
+     one varint each, and a tick count past it is refused at encode *)
+  let ev seq lt kind = { Event.id = { proc = 1; seq }; lt; kind } in
+  let send lt = ev 6 lt (Event.Send { msg = 42; dst = 0 }) in
+  let lts =
+    [ 12345000001; -7; 0; (1 lsl 61) - 1; -(1 lsl 61); -((1 lsl 61) - 1) ]
   in
-  let events =
-    [
-      { Event.id = { proc = 1; seq = 2 }; lt = Q.of_ints (-7) 3;
-        kind = Event.Internal };
-      send_event;
-    ]
-  in
-  let p = { Payload.send_event; events } in
+  let events = List.mapi (fun i lt -> ev i lt Event.Internal) lts in
+  let p = { Payload.send_event = send 5; events = events @ [ send 5 ] } in
   let d = Codec.decode (Codec.encode p) in
-  List.iter2
-    (fun (x : Event.t) (y : Event.t) ->
-      Alcotest.(check string) "lt" (Q.to_string x.lt) (Q.to_string y.lt))
-    p.Payload.events d.Payload.events
+  Alcotest.(check (list int)) "lt"
+    (List.map (fun (e : Event.t) -> e.lt) p.Payload.events)
+    (List.map (fun (e : Event.t) -> e.lt) d.Payload.events);
+  Alcotest.(check int) "size" (Codec.size p) (String.length (Codec.encode p));
+  let one = { Payload.send_event = send 1; events = [ send 1 ] } in
+  Alcotest.(check int) "a one-byte timestamp" 8
+    (String.length (Codec.encode one));
+  Alcotest.check_raises "past 2^61 - 1"
+    (Invalid_argument
+       "Wire.zigzag: 2305843009213693952 is outside [-2^61, 2^61 - 1]")
+    (fun () ->
+      let e = send (1 lsl 61) in
+      ignore (Codec.encode { Payload.send_event = e; events = [ e ] }))
 
 let test_codec_malformed () =
   let reject name s =
@@ -483,10 +485,10 @@ let test_decode_result () =
 (* --- differential oracle: the pre-slice string decoder ---------------- *)
 
 (* The decoder as it stood before the zero-copy refactor: a [string]
-   reader with per-byte bigint accumulation.  Kept verbatim as a
+   reader, written independently of [Wire]'s, moved to the frame v2
+   layout (a timestamp is one zigzag varint of ticks).  Kept as a
    test-only reference — the slice decoder must agree with it bit for
-   bit on every input, success and failure alike (the wire format did
-   not change, only how it is read). *)
+   bit on every input, success and failure alike. *)
 module Reference_codec = struct
   type reader = { s : string; mutable pos : int }
 
@@ -507,34 +509,15 @@ module Reference_codec = struct
     if v < 0 then failwith "Codec.decode: varint overflow";
     v
 
-  let read_bigint r =
-    let sign = byte r - 1 in
-    if sign < -1 || sign > 1 then failwith "Codec.decode: bad sign";
-    let len = read_varint r in
-    if len > String.length r.s - r.pos then failwith "Codec.decode: truncated";
-    let bytes = Array.make (max len 1) 0 in
-    for i = 0 to len - 1 do
-      bytes.(i) <- byte r
-    done;
-    let v = ref Bigint.zero in
-    for i = len - 1 downto 0 do
-      v := Bigint.add_int (Bigint.mul_int !v 256) bytes.(i)
-    done;
-    let v = if sign < 0 then Bigint.neg !v else !v in
-    if Bigint.sign v <> sign && not (Bigint.is_zero v && sign = 0) then
-      failwith "Codec.decode: sign mismatch";
-    v
-
-  let read_q r =
-    let num = read_bigint r in
-    let den = read_bigint r in
-    if Bigint.sign den <= 0 then failwith "Codec.decode: bad denominator";
-    Q.make num den
+  (* a timestamp is one zigzag varint of ticks *)
+  let read_lt r =
+    let u = read_varint r in
+    (u lsr 1) lxor -(u land 1)
 
   let read_event r =
     let proc = read_varint r in
     let seq = read_varint r in
-    let lt = read_q r in
+    let lt = read_lt r in
     let kind =
       match read_varint r with
       | 0 -> Event.Init
@@ -590,7 +573,7 @@ let payload_equal (a : Payload.t) (b : Payload.t) =
   && List.length a.Payload.events = List.length b.Payload.events
   && List.for_all2
        (fun (x : Event.t) (y : Event.t) ->
-         Event.id_equal x.id y.id && Q.equal x.lt y.lt && x.kind = y.kind)
+         Event.id_equal x.id y.id && x.lt = y.lt && x.kind = y.kind)
        a.Payload.events b.Payload.events
 
 (* both decoders on the same bytes: identical payloads on Ok, identical
@@ -643,9 +626,17 @@ let arbitrary_payload =
   let gen =
     Gen.(
       let* n_extra = int_range 0 6 in
-      let* lts = list_repeat (n_extra + 2) (pair (int_range 0 100000) (int_range 1 1000)) in
-      let lts = List.map (fun (a, b) -> Q.of_ints a b) lts in
-      let lts = List.sort Q.compare lts in
+      (* ticks across the zigzag range: short and long varints alike *)
+      let* lts =
+        list_repeat (n_extra + 2)
+          (oneof
+             [
+               int_range (-100000) 100000;
+               int_range (-(1 lsl 61)) ((1 lsl 61) - 1);
+               oneofl [ -(1 lsl 61); (1 lsl 61) - 1 ];
+             ])
+      in
+      let lts = List.sort compare lts in
       (* a single-processor timeline ending in a send; enough shape variety
          for the codec *)
       let events =
@@ -680,7 +671,7 @@ let prop_codec_roundtrip =
       List.length d.Payload.events = List.length p.Payload.events
       && List.for_all2
            (fun (x : Event.t) (y : Event.t) ->
-             Event.id_equal x.id y.id && Q.equal x.lt y.lt && x.kind = y.kind)
+             Event.id_equal x.id y.id && x.lt = y.lt && x.kind = y.kind)
            p.Payload.events d.Payload.events
       && Event.id_equal d.Payload.send_event.id p.Payload.send_event.id)
 
@@ -711,6 +702,30 @@ let test_varint_allocates_nothing () =
   let words = Gc.minor_words () -. before in
   Alcotest.(check (float 0.)) "minor words for 1000 calls" 0. words;
   Alcotest.(check bool) "bytes written" true (Buffer.length buf > 1000)
+
+(* [Wire.zigzag] is a bijection only on [-2^61, 2^61 - 1]: its ends
+   round-trip through a varint, and an int past them is refused rather
+   than folded onto another one. *)
+let test_zigzag_range () =
+  let lo = -(1 lsl 61) and hi = (1 lsl 61) - 1 in
+  List.iter
+    (fun n ->
+      let buf = Buffer.create 10 in
+      Wire.add_varint buf (Wire.zigzag n);
+      let s = Buffer.contents buf in
+      let r = Wire.reader ~what:"zigzag" (Bytes.of_string s) ~pos:0
+          ~len:(String.length s) in
+      Alcotest.(check int) (Printf.sprintf "%d round-trips" n) n
+        (Wire.unzigzag (Wire.read_varint r)))
+    [ 0; -1; 1; hi; -hi; lo ];
+  Alcotest.(check int) "ends map to the extremes" max_int (Wire.zigzag lo);
+  List.iter
+    (fun n ->
+      Alcotest.check_raises (Printf.sprintf "%d refused" n)
+        (Invalid_argument
+           (Printf.sprintf "Wire.zigzag: %d is outside [-2^61, 2^61 - 1]" n))
+        (fun () -> ignore (Wire.zigzag n)))
+    [ 1 lsl 61; lo - 1; max_int; min_int ]
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -764,6 +779,7 @@ let () =
             test_codec_differential_truncations;
           Alcotest.test_case "differential: every bit flip" `Quick
             test_codec_differential_bitflips;
+          Alcotest.test_case "zigzag range" `Quick test_zigzag_range;
           Alcotest.test_case "varint encoding allocates nothing" `Quick
             test_varint_allocates_nothing;
         ] );

@@ -289,10 +289,10 @@ let test_cohort_history_bounded () =
    member-only session drops the idle ones on restore. *)
 let test_restore_drops_idle_frontiers () =
   let spec = star_spec ~nodes:4 in
-  let full = Csa.create ~lossy:true spec ~me:0 ~lt0:Q.zero in
+  let full = Csa.create ~lossy:true spec ~me:0 ~lt0:0 in
   let c = Csa.restore ~neighbors:[ 2 ] spec (Csa.snapshot full) in
-  ignore (Csa.send c ~dst:2 ~msg:0 ~lt:(ms 10));
-  match Csa.send c ~dst:1 ~msg:4 ~lt:(ms 20) with
+  ignore (Csa.send c ~dst:2 ~msg:0 ~lt:(Clock.floor_ticks (ms 10)));
+  match Csa.send c ~dst:1 ~msg:4 ~lt:(Clock.floor_ticks (ms 20)) with
   | _ -> Alcotest.fail "sent to a processor outside the restored neighbors"
   | exception Invalid_argument _ -> ()
 
@@ -625,11 +625,14 @@ let swarm_trace ~clients ~cohort ~loss =
   Alcotest.(check int) "all sound" clients r.Swarm.sound;
   (!events, Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* Re-recorded when timestamps became one varint each (frame v2): the
+   event counts held, and only the [bytes] of send, net_tx and net_rx
+   lines moved. *)
 let golden_swarm_traces =
   [
-    (12, 1, 0.1, 5111, "293f366dc6b7631e69e0b05c7ffe9eb1");
-    (10, 4, 0.1, 7228, "eeb8ad34fb75e355bfb4f489d2dea00f");
-    (6, 6, 0., 6706, "f505db8b61ebfa026bb92293612a2453");
+    (12, 1, 0.1, 5111, "f24f691215eae6c26d53653094fc0beb");
+    (10, 4, 0.1, 7228, "4c0cbd1d5c54a4d0e206a7c1a15d2036");
+    (6, 6, 0., 6706, "387ec5488fa8a3fb95e9e68a3878eff9");
   ]
 
 let test_golden_swarm_traces () =
@@ -892,14 +895,12 @@ let recorded_swarm ~seed ~loss ~cohort ~heartbeat ~clients ~duration
     Loopback.delivered fab,
     Loopback.dropped fab )
 
-(* Every session's last reading is a whole tick, and its CSA runs on the
-   charged spec (which [Csa] and its AGDP enforce on every event). *)
+(* A CSA's readings are ticks by type; every session's CSA runs on the
+   charged spec. *)
 let check_readings ~what sessions =
   List.iteri
     (fun i s ->
       let csa = Session.csa s in
-      if not (Rec.on_tick (Csa.last_lt csa)) then
-        Alcotest.failf "%s: session %d read off a tick" what i;
       if Q.sign (System_spec.quantum (Csa.spec csa)) <= 0 then
         Alcotest.failf "%s: session %d runs on an uncharged spec" what i)
     sessions

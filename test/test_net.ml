@@ -2,7 +2,6 @@
    frame bytes: no real sockets, no wall clock, bit-for-bit repeatable. *)
 
 let ms = Scenario.ms
-let q = Alcotest.testable Q.pp Q.equal
 
 (* --- frame codec ------------------------------------------------------ *)
 
@@ -74,6 +73,20 @@ let sample_frame () =
             payload = Codec.slice_of_string "payload-bytes";
           };
     }
+
+(* Frame v2 carries payload timestamps as zigzag varints of ticks; a
+   v1 frame (two-bigint timestamps), checksum and all intact, is refused
+   by its version byte, and no reader for it is kept. *)
+let test_frame_old_version () =
+  let good = sample_frame () in
+  Alcotest.(check int) "current version" 2 (Char.code good.[0]);
+  let buf = Buffer.create (String.length good) in
+  Buffer.add_char buf '\001';
+  Buffer.add_string buf (String.sub good 1 (String.length good - 5));
+  Wire.add_trailer buf;
+  match Frame.decode (Buffer.contents buf) with
+  | Error e -> Alcotest.(check string) "refused" "unsupported version 1" e
+  | Ok _ -> Alcotest.fail "a version-1 frame was accepted"
 
 let test_frame_truncations () =
   let good = sample_frame () in
@@ -194,7 +207,8 @@ let check_sound ~fab ~what l =
      truth *)
   let truth = Loopback.vnow fab in
   let est =
-    Csa.estimate_at (Session.csa (session_of l)) ~lt:(Loopback.Net.now (ep_of l))
+    Csa.estimate_at (Session.csa (session_of l))
+      ~lt:(Clock.floor_ticks (Loopback.Net.now (ep_of l)))
   in
   Alcotest.(check bool)
     (Printf.sprintf "%s: sound at %s" what (Q.to_string truth))
@@ -243,7 +257,7 @@ let test_loopback_soundness_over_time () =
                   let est =
                     Csa.estimate_at
                       (Session.csa (session_of l))
-                      ~lt:(Loopback.Net.now (ep_of l))
+                      ~lt:(Clock.floor_ticks (Loopback.Net.now (ep_of l)))
                   in
                   if not (Interval.mem truth est) then incr failures)
                 loops );
@@ -506,8 +520,8 @@ let prop_loopback_equals_engine =
         (fun i (node : Node_rt.t) ->
           let sim = node.Node_rt.csa and net = net_nodes.(i) in
           ignore (same_csa_state i sim net);
-          let est_sim = Csa.estimate_at sim ~lt:duration in
-          let est_net = Csa.estimate_at net ~lt:duration in
+          let est_sim = Csa.estimate_at sim ~lt:(Clock.floor_ticks duration) in
+          let est_net = Csa.estimate_at net ~lt:(Clock.floor_ticks duration) in
           if not (Interval.equal est_sim est_net) then
             QCheck.Test.fail_reportf
               "node %d: intervals differ: sim %s vs net %s" i
@@ -528,15 +542,15 @@ let test_equivalence_pinned () =
     (fun i (node : Node_rt.t) ->
       let sim = node.Node_rt.csa and net = net_nodes.(i) in
       ignore (same_csa_state i sim net);
-      Alcotest.check q
+      Alcotest.(check int)
         (Printf.sprintf "node %d: same last event time" i)
         (Csa.last_lt sim) (Csa.last_lt net);
       Alcotest.(check bool)
         (Printf.sprintf "node %d: same interval" i)
         true
         (Interval.equal
-           (Csa.estimate_at sim ~lt:duration)
-           (Csa.estimate_at net ~lt:duration)))
+           (Csa.estimate_at sim ~lt:(Clock.floor_ticks duration))
+           (Csa.estimate_at net ~lt:(Clock.floor_ticks duration))))
     sim_nodes
 
 (* ---- stat server: the --stat-port live exposition endpoint ---- *)
@@ -609,6 +623,8 @@ let () =
         [
           Alcotest.test_case "truncations rejected" `Quick
             test_frame_truncations;
+          Alcotest.test_case "version-1 frame refused" `Quick
+            test_frame_old_version;
           Alcotest.test_case "every bit flip rejected" `Quick
             test_frame_bitflips;
           Alcotest.test_case "junk and trailing bytes rejected" `Quick

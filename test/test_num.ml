@@ -231,6 +231,24 @@ let prop_q_compare_antisym =
     QCheck.(pair arbitrary_q arbitrary_q)
     (fun (a, b) -> Q.compare a b = -Q.compare b a)
 
+(* [div_pow10] strips factors of 2 and 5 where [make_ints] runs a gcd:
+   the same normalized rational (terms and enclosure), at every sign,
+   exponent and magnitude, [min_int] included *)
+let prop_q_div_pow10 =
+  QCheck.Test.make ~name:"q: div_pow10 n k = make_ints n 10^k" ~count:500
+    QCheck.(
+      pair
+        (oneof [ int; int_range (-100_000_000) 100_000_000; always min_int ])
+        (int_range 0 18))
+    (fun (n, k) ->
+      let pow = int_of_float (10. ** float_of_int k) in
+      let a = Q.div_pow10 n k and b = Q.make_ints n pow in
+      Q.compare_exact a b = 0
+      && B.equal (Q.num a) (Q.num b)
+      && B.equal (Q.den a) (Q.den b)
+      && Q.Approx.lo a = Q.Approx.lo b
+      && Q.Approx.hi a = Q.Approx.hi b)
+
 let prop_q_to_float =
   QCheck.Test.make ~name:"q: to_float is close to numerator/denominator"
     ~count:500 arbitrary_q (fun q ->
@@ -475,7 +493,8 @@ let () =
           Alcotest.test_case "approx sentinel safety" `Quick
             test_approx_sentinel_safety;
         ] );
-      qsuite "q-props" [ prop_q_field; prop_q_compare_antisym; prop_q_to_float ];
+      qsuite "q-props"
+        [ prop_q_field; prop_q_compare_antisym; prop_q_to_float; prop_q_div_pow10 ];
       qsuite "q-two-tier-props"
         [
           prop_of_float_exact_roundtrip; prop_compare_two_tier_agrees;

@@ -9,11 +9,14 @@ let q = Q.of_int
 let ext = Alcotest.testable Ext.pp Ext.equal
 let fin n = Ext.Fin (q n)
 
+(* a reading of [n] seconds, in ticks *)
+let secs n = n * System_spec.ticks_per_second
+
 (* The two implementations behind one record of closures, so every case
    below runs unchanged against both. *)
 type oracle = {
   insert :
-    key:int -> in_edges:(int * Q.t) list -> out_edges:(int * Q.t) list -> unit;
+    key:int -> in_edges:(int * int) list -> out_edges:(int * int) list -> unit;
   kill : int -> unit;
   mem : int -> bool;
   dist : int -> int -> Ext.t;
@@ -33,9 +36,9 @@ let of_agdp a =
     snapshot = (fun () -> Agdp.snapshot a);
   }
 
-(* [Fw_oracle] keeps exact values on no lattice; its side of the
-   portability check reads its live-pair distances onto the D = 1
-   lattice the cases below use (every weight there is an integer) *)
+(* [Fw_oracle] keeps exact values; its side of the portability check
+   reads its live-pair distances onto the D = 1 lattice the cases below
+   use (every weight there is an integer) *)
 let fw_snapshot f =
   let keys = Array.of_list (Fw_oracle.live_keys f) in
   let n = Array.length keys in
@@ -70,7 +73,7 @@ let impls =
       (fun () -> of_agdp (Agdp.create ~scale:1 ())),
       fun s -> of_agdp (Agdp.restore s) );
     ( "fw",
-      (fun () -> of_fw (Fw_oracle.create ())),
+      (fun () -> of_fw (Fw_oracle.create ~scale:1 ())),
       fun s -> of_fw (Fw_oracle.restore s) );
   ]
 
@@ -80,8 +83,8 @@ let each_impl f = List.iter (fun (name, create, _) -> f name (create ())) impls
 let test_chain () =
   each_impl (fun name t ->
       t.insert ~key:0 ~in_edges:[] ~out_edges:[];
-      t.insert ~key:1 ~in_edges:[ (0, q 3) ] ~out_edges:[ (0, q 5) ];
-      t.insert ~key:2 ~in_edges:[ (1, q 2) ] ~out_edges:[ (1, q 7) ];
+      t.insert ~key:1 ~in_edges:[ (0, 3) ] ~out_edges:[ (0, 5) ];
+      t.insert ~key:2 ~in_edges:[ (1, 2) ] ~out_edges:[ (1, 7) ];
       Alcotest.check ext (name ^ ": 0->2") (fin 5) (t.dist 0 2);
       Alcotest.check ext (name ^ ": 2->0") (fin 12) (t.dist 2 0);
       Alcotest.(check (list int)) (name ^ ": live keys") [ 0; 1; 2 ]
@@ -92,8 +95,8 @@ let test_kill_preserves_relay () =
      survive (Lemma 3.4) in both implementations *)
   each_impl (fun name t ->
       t.insert ~key:0 ~in_edges:[] ~out_edges:[];
-      t.insert ~key:1 ~in_edges:[ (0, q 3) ] ~out_edges:[];
-      t.insert ~key:2 ~in_edges:[ (1, q 2) ] ~out_edges:[];
+      t.insert ~key:1 ~in_edges:[ (0, 3) ] ~out_edges:[];
+      t.insert ~key:2 ~in_edges:[ (1, 2) ] ~out_edges:[];
       t.kill 1;
       Alcotest.(check int) (name ^ ": size") 2 (t.size ());
       Alcotest.check ext (name ^ ": relay path survives") (fin 5) (t.dist 0 2);
@@ -108,17 +111,17 @@ let test_unreachable () =
 let test_negative_cycle_exception_safety () =
   each_impl (fun name t ->
       t.insert ~key:0 ~in_edges:[] ~out_edges:[];
-      t.insert ~key:1 ~in_edges:[ (0, q 2) ] ~out_edges:[ (0, q 9) ];
+      t.insert ~key:1 ~in_edges:[ (0, 2) ] ~out_edges:[ (0, 9) ];
       Alcotest.check_raises
         (name ^ ": negative cycle")
         Agdp.Negative_cycle
         (fun () ->
-          t.insert ~key:2 ~in_edges:[ (1, q 1) ] ~out_edges:[ (0, q (-20)) ]);
+          t.insert ~key:2 ~in_edges:[ (1, 1) ] ~out_edges:[ (0, -20) ]);
       (* the rejected key must be fully rolled back and reusable *)
       Alcotest.(check bool) (name ^ ": not half-inserted") false (t.mem 2);
       Alcotest.(check int) (name ^ ": size unchanged") 2 (t.size ());
       Alcotest.check ext (name ^ ": dists unchanged") (fin 2) (t.dist 0 1);
-      t.insert ~key:2 ~in_edges:[ (1, q 1) ] ~out_edges:[];
+      t.insert ~key:2 ~in_edges:[ (1, 1) ] ~out_edges:[];
       Alcotest.check ext (name ^ ": reuse after rejection") (fin 3)
         (t.dist 0 2))
 
@@ -127,9 +130,9 @@ let test_killed_key_reusable () =
      reference must agree or [Csa]'s validate shadow would diverge *)
   each_impl (fun name t ->
       t.insert ~key:0 ~in_edges:[] ~out_edges:[];
-      t.insert ~key:7 ~in_edges:[ (0, q 1) ] ~out_edges:[];
+      t.insert ~key:7 ~in_edges:[ (0, 1) ] ~out_edges:[];
       t.kill 7;
-      t.insert ~key:7 ~in_edges:[ (0, q 4) ] ~out_edges:[];
+      t.insert ~key:7 ~in_edges:[ (0, 4) ] ~out_edges:[];
       Alcotest.check ext (name ^ ": fresh incarnation wins shorter path")
         (fin 4)
         (* 0 -> old 7 was 1, but old 7 is dead; new 7 is reached directly
@@ -141,8 +144,8 @@ let test_snapshot_cross_restore () =
      with identical live sets and distances *)
   let build t =
     t.insert ~key:0 ~in_edges:[] ~out_edges:[];
-    t.insert ~key:1 ~in_edges:[ (0, q 3) ] ~out_edges:[ (0, q 5) ];
-    t.insert ~key:2 ~in_edges:[ (1, q 2) ] ~out_edges:[ (1, q 7) ];
+    t.insert ~key:1 ~in_edges:[ (0, 3) ] ~out_edges:[ (0, 5) ];
+    t.insert ~key:2 ~in_edges:[ (1, 2) ] ~out_edges:[ (1, 7) ];
     t.kill 1
   in
   List.iter
@@ -165,7 +168,7 @@ let test_snapshot_cross_restore () =
                 (a.live_keys ()))
             (a.live_keys ());
           (* the restored instance keeps working *)
-          b.insert ~key:9 ~in_edges:[ (0, q 1) ] ~out_edges:[];
+          b.insert ~key:9 ~in_edges:[ (0, 1) ] ~out_edges:[];
           Alcotest.check ext (label ^ ": post-restore insert") (fin 1)
             (b.dist 0 9))
         impls)
@@ -183,14 +186,14 @@ let test_validate_negative_cycle () =
   in
   List.iter
     (fun validate ->
-      let a = Csa.create ~validate spec ~me:0 ~lt0:(q 0) in
-      let b = Csa.create ~validate spec ~me:1 ~lt0:(q 0) in
-      Csa.receive b ~msg:1 ~lt:(q 100) (Csa.send a ~dst:1 ~msg:1 ~lt:(q 10));
-      let reply = Csa.send b ~dst:0 ~msg:2 ~lt:(q 101) in
+      let a = Csa.create ~validate spec ~me:0 ~lt0:(secs 0) in
+      let b = Csa.create ~validate spec ~me:1 ~lt0:(secs 0) in
+      Csa.receive b ~msg:1 ~lt:(secs 100) (Csa.send a ~dst:1 ~msg:1 ~lt:(secs 10));
+      let reply = Csa.send b ~dst:0 ~msg:2 ~lt:(secs 101) in
       Alcotest.check_raises
         (Printf.sprintf "validate=%b" validate)
         Agdp.Negative_cycle
-        (fun () -> Csa.receive a ~msg:2 ~lt:(q 11) reply))
+        (fun () -> Csa.receive a ~msg:2 ~lt:(secs 11) reply))
     [ false; true ]
 
 (* Property: a random insert/kill schedule gives identical live sets and
@@ -234,9 +237,9 @@ let run_schedule t ops =
       in
       let in_nodes = List.sort_uniq compare (pick ins) in
       let out_nodes = List.sort_uniq compare (pick outs) in
-      let in_edges = List.map (fun x -> (x, q ((x + k) mod 7))) in_nodes in
+      let in_edges = List.map (fun x -> (x, (x + k) mod 7)) in_nodes in
       let out_edges =
-        List.map (fun y -> (y, q ((y + (2 * k)) mod 5))) out_nodes
+        List.map (fun y -> (y, (y + (2 * k)) mod 5)) out_nodes
       in
       t.insert ~key:k ~in_edges ~out_edges;
       live := k :: !live;
@@ -252,7 +255,7 @@ let prop_impls_agree =
   QCheck.Test.make ~name:"oracle: agdp and floyd-warshall agree" ~count:100
     arbitrary_schedule (fun ops ->
       let a = of_agdp (Agdp.create ~scale:1 ()) in
-      let b = of_fw (Fw_oracle.create ()) in
+      let b = of_fw (Fw_oracle.create ~scale:1 ()) in
       run_schedule a ops;
       run_schedule b ops;
       let ka = a.live_keys () and kb = b.live_keys () in
@@ -305,8 +308,10 @@ let test_engine_validate_oracle () =
   Alcotest.(check bool) "messages flowed" true (r.Engine.messages_sent > 0);
   (* the cross-check must change nothing a run emits *)
   Alcotest.(check string) "same trace with the check off" unchecked digest;
+  (* re-recorded when timestamps became one varint each: only the 24
+     [send] lines' [bytes] moved (1492 → 940 in all) *)
   Alcotest.(check string)
-    "trace digest" "a44195cf3e86c68004124858cc15ee72" digest
+    "trace digest" "00b9aafe9626684f7ba4784c8a917c9a" digest
 
 (* A multi-neighbor run: every node of a gossip ring inserts receives
    from two neighbors, and the Floyd-Warshall shadow re-checks all live

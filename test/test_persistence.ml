@@ -7,6 +7,9 @@
 
 let q = Q.of_int
 
+(* a reading of [n] seconds, in ticks *)
+let secs n = n * System_spec.ticks_per_second
+
 let spec2 =
   System_spec.uniform ~n:2 ~source:0 ~drift:(Drift.of_ppm 100)
     ~transit:(Transit.of_q (q 1) (q 5))
@@ -26,8 +29,8 @@ let spec2 =
 let run_script ~lossy script =
   let nodes =
     [|
-      Csa.create ~lossy spec2 ~me:0 ~lt0:(q 0);
-      Csa.create ~lossy spec2 ~me:1 ~lt0:(q 0);
+      Csa.create ~lossy spec2 ~me:0 ~lt0:(secs 0);
+      Csa.create ~lossy spec2 ~me:1 ~lt0:(secs 0);
     |]
   in
   let msg = ref 0 in
@@ -57,10 +60,10 @@ let run_script ~lossy script =
       let op =
         match c mod 3 with 0 -> `Deliver | 1 -> `Lose | _ -> `In_flight
       in
-      transmit ~link:0 ~src:0 ~dst:1 ~send_lt:(q t0) ~recv_lt:(q (t0 + 3)) op;
+      transmit ~link:0 ~src:0 ~dst:1 ~send_lt:(secs t0) ~recv_lt:(secs (t0 + 3)) op;
       if c mod 2 = 0 then
-        transmit ~link:1 ~src:1 ~dst:0 ~send_lt:(q (t0 + 4))
-          ~recv_lt:(q (t0 + 8))
+        transmit ~link:1 ~src:1 ~dst:0 ~send_lt:(secs (t0 + 4))
+          ~recv_lt:(secs (t0 + 8))
           (if c mod 4 = 0 then `Deliver else `In_flight))
     script;
   (nodes.(0), nodes.(1))
@@ -72,7 +75,7 @@ let round_trips csa =
   && Csa.live_count csa = Csa.live_count r
   && Csa.history_size csa = Csa.history_size r
   && Csa.events_processed csa = Csa.events_processed r
-  && Q.(Csa.last_lt csa = Csa.last_lt r)
+  && Csa.last_lt csa = Csa.last_lt r
   (* snapshots are canonical: restore-then-snapshot is the identity *)
   && Csa.snapshot r = blob
 
@@ -123,11 +126,11 @@ let test_bit_flipped_blobs () =
   done
 
 let test_payload_codec_fuzz () =
-  let a = Csa.create spec2 ~me:0 ~lt0:(q 0) in
-  let b = Csa.create spec2 ~me:1 ~lt0:(q 0) in
-  let p1 = Csa.send a ~dst:1 ~msg:1 ~lt:(q 10) in
-  Csa.receive b ~msg:1 ~lt:(q 8) p1;
-  let wire = Codec.encode (Csa.send b ~dst:0 ~msg:2 ~lt:(q 9)) in
+  let a = Csa.create spec2 ~me:0 ~lt0:(secs 0) in
+  let b = Csa.create spec2 ~me:1 ~lt0:(secs 0) in
+  let p1 = Csa.send a ~dst:1 ~msg:1 ~lt:(secs 10) in
+  Csa.receive b ~msg:1 ~lt:(secs 8) p1;
+  let wire = Codec.encode (Csa.send b ~dst:0 ~msg:2 ~lt:(secs 9)) in
   Alcotest.(check bool) "decode inverts encode" true
     (Codec.encode (Codec.decode wire) = wire);
   for len = 0 to String.length wire - 1 do
@@ -165,11 +168,11 @@ let test_validated_restore_continues () =
         Csa.on_msg_lost a ~msg:m;
         Csa.on_msg_lost b ~msg:m)
       (Csa.inflight a @ Csa.inflight b);
-    let p = Csa.send a ~dst:1 ~msg:100 ~lt:(q 1000) in
-    Csa.receive b ~msg:100 ~lt:(q 1003) p;
+    let p = Csa.send a ~dst:1 ~msg:100 ~lt:(secs 1000) in
+    Csa.receive b ~msg:100 ~lt:(secs 1003) p;
     Csa.on_msg_delivered a ~msg:100;
-    let p' = Csa.send b ~dst:0 ~msg:101 ~lt:(q 1010) in
-    Csa.receive a ~msg:101 ~lt:(q 1012) p';
+    let p' = Csa.send b ~dst:0 ~msg:101 ~lt:(secs 1010) in
+    Csa.receive a ~msg:101 ~lt:(secs 1012) p';
     Csa.on_msg_delivered b ~msg:101;
     ( [ Codec.encode p; Codec.encode p'; Csa.snapshot a; Csa.snapshot b ],
       [ a; b ] )
@@ -202,12 +205,12 @@ let test_restore_continues_lossy () =
   let b' = Csa.restore spec2 (Csa.snapshot b) in
   List.iter (fun csa -> Csa.on_msg_lost csa ~msg:1) [ a; a'; b; b' ];
   List.iter (fun csa -> Csa.on_msg_lost csa ~msg:2) [ a; a'; b; b' ];
-  let p = Csa.send a ~dst:1 ~msg:3 ~lt:(q 100) in
-  let p' = Csa.send a' ~dst:1 ~msg:3 ~lt:(q 100) in
+  let p = Csa.send a ~dst:1 ~msg:3 ~lt:(secs 100) in
+  let p' = Csa.send a' ~dst:1 ~msg:3 ~lt:(secs 100) in
   Alcotest.(check bool) "identical retransmission after restore" true
     (Codec.encode p = Codec.encode p');
-  Csa.receive b ~msg:3 ~lt:(q 103) p;
-  Csa.receive b' ~msg:3 ~lt:(q 103) p';
+  Csa.receive b ~msg:3 ~lt:(secs 103) p;
+  Csa.receive b' ~msg:3 ~lt:(secs 103) p';
   Alcotest.(check bool) "estimates agree after the retransmission" true
     (Interval.equal (Csa.estimate b) (Csa.estimate b'))
 

@@ -4,6 +4,9 @@
 
 let q = Q.of_int
 
+(* a reading of [n] seconds, in ticks *)
+let secs n = n * System_spec.ticks_per_second
+
 (* --- clock properties over random policies and queries ----------------- *)
 
 let arbitrary_policy =
@@ -86,10 +89,10 @@ let prop_codec_bitflip =
       (* build a real payload, flip one bit, decode must not crash *)
       let send_event =
         { Event.id = { proc = 0; seq = 1 };
-          lt = Q.of_ints lt_num 1000;
+          lt = lt_num * 1000;
           kind = Event.Send { msg = 5; dst = 1 } }
       in
-      let init = { Event.id = { proc = 0; seq = 0 }; lt = Q.zero; kind = Event.Init } in
+      let init = { Event.id = { proc = 0; seq = 0 }; lt = 0; kind = Event.Init } in
       let wire = Codec.encode { Payload.send_event; events = [ init; send_event ] } in
       let pos = flip_pos mod String.length wire in
       let flipped =
@@ -114,19 +117,19 @@ let prop_snapshot_canonical =
     ~count:100
     QCheck.(list_of_size (Gen.int_range 0 8) (int_range 1 4))
     (fun gaps ->
-      let a = Csa.create spec2 ~me:0 ~lt0:Q.zero in
-      let b = Csa.create spec2 ~me:1 ~lt0:Q.zero in
+      let a = Csa.create spec2 ~me:0 ~lt0:0 in
+      let b = Csa.create spec2 ~me:1 ~lt0:0 in
       let msg = ref 0 in
       let t = ref 0 in
       List.iter
         (fun gap ->
           t := !t + (20 * gap);
           incr msg;
-          let m1 = Csa.send a ~dst:1 ~msg:!msg ~lt:(q !t) in
-          Csa.receive b ~msg:!msg ~lt:(q (!t + 3)) m1;
+          let m1 = Csa.send a ~dst:1 ~msg:!msg ~lt:(secs !t) in
+          Csa.receive b ~msg:!msg ~lt:(secs (!t + 3)) m1;
           incr msg;
-          let m2 = Csa.send b ~dst:0 ~msg:!msg ~lt:(q (!t + 4)) in
-          Csa.receive a ~msg:!msg ~lt:(q (!t + 8)) m2)
+          let m2 = Csa.send b ~dst:0 ~msg:!msg ~lt:(secs (!t + 4)) in
+          Csa.receive a ~msg:!msg ~lt:(secs (!t + 8)) m2)
         gaps;
       let blob_a = Csa.snapshot a and blob_b = Csa.snapshot b in
       Csa.snapshot (Csa.restore spec2 blob_a) = blob_a
@@ -143,7 +146,7 @@ let prop_witness_attains_bounds =
       (* a chain of messages source -> 1 with random spacing *)
       let view = View.create ~n_procs:2 in
       let add proc seq lt kind =
-        View.add view { Event.id = { proc; seq }; lt = q lt; kind }
+        View.add view { Event.id = { proc; seq }; lt = secs lt; kind }
       in
       add 0 0 0 Event.Init;
       add 1 0 0 Event.Init;
@@ -193,17 +196,17 @@ let prop_peer_bounds_contain_truth =
       (* hidden truth: both clocks run at rate 1; p1's clock = RT − offset;
          the source's clock = RT *)
       let ok = ref true in
-      let a = Csa.create spec2 ~me:0 ~lt0:Q.zero in
-      let b = Csa.create spec2 ~me:1 ~lt0:(q (-offset)) in
+      let a = Csa.create spec2 ~me:0 ~lt0:0 in
+      let b = Csa.create spec2 ~me:1 ~lt0:(secs (-offset)) in
       let rt = ref 0 in
       let msg = ref 0 in
       List.iter
         (fun (gap, delay) ->
           rt := !rt + (10 * gap);
           incr msg;
-          let m = Csa.send a ~dst:1 ~msg:!msg ~lt:(q !rt) in
+          let m = Csa.send a ~dst:1 ~msg:!msg ~lt:(secs !rt) in
           let arrive = !rt + min 5 (max 1 delay) in
-          Csa.receive b ~msg:!msg ~lt:(q (arrive - offset)) m;
+          Csa.receive b ~msg:!msg ~lt:(secs (arrive - offset)) m;
           (* at the receive instant the truth is: a's clock shows [arrive],
              b's own clock shows [arrive − offset] *)
           if not (Interval.mem (q arrive) (Csa.peer_clock_bounds b 0)) then
@@ -333,13 +336,11 @@ let sim_scenario ?(transit = Transit.of_q sim_lo sim_hi) c =
        else []);
   }
 
-let whole_tick lt = Q.equal lt (Clock.floor_tick lt)
-
-(* Every reading is a whole tick ([Csa] refuses any other, so the run
-   completing says as much; the nodes' last readings say it again),
-   delays stay within the declared [lo, hi] and FIFO per directed link
-   (up to the trace's float stamps), and no estimate misses the true
-   time, quantized adversarially or not. *)
+(* Every reading is a whole tick (a CSA takes nothing else: its
+   readings are ints of ticks), delays stay within the declared
+   [lo, hi] and FIFO per directed link (up to the trace's float
+   stamps), and no estimate misses the true time, quantized
+   adversarially or not. *)
 let prop_sim_on_tick =
   QCheck.Test.make
     ~name:"sim: executions land on whole ticks and stay within the spec"
@@ -352,15 +353,9 @@ let prop_sim_on_tick =
         | _ -> ()
       in
       let scn = sim_scenario c in
-      let r, nodes =
-        Engine.run_nodes { scn with Scenario.trace = Trace.callback on_event }
+      let r =
+        Engine.run { scn with Scenario.trace = Trace.callback on_event }
       in
-      Array.iter
-        (fun (node : Node_rt.t) ->
-          if not (whole_tick (Csa.last_lt node.Node_rt.csa)) then
-            QCheck.Test.fail_reportf "node %d read off a tick"
-              node.Node_rt.proc)
-        nodes;
       let tr = System_spec.transit_exn scn.Scenario.spec 0 1 in
       let lo = Q.to_float tr.Transit.lo -. 1e-12
       and hi = Q.to_float (Ext.fin_exn tr.Transit.hi) +. 1e-12 in
@@ -429,8 +424,6 @@ let test_sim_exact_link () =
       let csa = node.Node_rt.csa in
       let spec = Csa.spec csa in
       let what = Printf.sprintf "node %d" node.Node_rt.proc in
-      Alcotest.(check bool) (what ^ " reads whole ticks") true
-        (whole_tick (Csa.last_lt csa));
       Alcotest.(check int) (what ^ " lattice") 10_000_000_000
         (System_spec.lattice spec);
       Alcotest.(check bool) (what ^ " charged transit") true

@@ -143,49 +143,65 @@ let test_charge () =
   Alcotest.(check bool) "declared estimate as is" true
     (Interval.equal (System_spec.cover s i) i)
 
+(* a reading of [n] seconds, in ticks *)
+let secs n = n * System_spec.ticks_per_second
+
+(* an edge's cell [w·D] read back as the weight [w] *)
+let weight s (e : Edges.edge) = Q.make_ints e.w (System_spec.lattice s)
+
 let test_edge_weights () =
   let s = star_spec 2 in
-  (* consecutive events at drifting p1: elapse 20 *)
+  (* consecutive events at drifting p1: elapse 20 s *)
   let prev =
-    { Event.id = { proc = 1; seq = 0 }; lt = q 0; kind = Event.Init }
+    { Event.id = { proc = 1; seq = 0 }; lt = 0; kind = Event.Init }
   in
-  let next = { Event.id = { proc = 1; seq = 1 }; lt = q 20; kind = Event.Internal } in
+  let next =
+    { Event.id = { proc = 1; seq = 1 }; lt = secs 20; kind = Event.Internal }
+  in
   (match Edges.proc_edges s ~prev ~next with
   | [ e1; e2 ] ->
     (* (rmax − 1)·20 = 20/10000 = 1/500 on next → prev *)
     Alcotest.(check bool) "next->prev" true
       (Event.id_equal e1.Edges.src next.id
       && Event.id_equal e1.Edges.dst prev.id
-      && Q.(e1.Edges.w = Q.of_ints 1 500));
+      && Q.(weight s e1 = Q.of_ints 1 500));
     Alcotest.(check bool) "prev->next" true
       (Event.id_equal e2.Edges.src prev.id
-      && Q.(e2.Edges.w = Q.of_ints 1 500))
+      && Q.(weight s e2 = Q.of_ints 1 500))
   | _ -> Alcotest.fail "expected two proc edges");
   (* source edges are zero-weight in both directions *)
-  let sprev = { Event.id = { proc = 0; seq = 0 }; lt = q 0; kind = Event.Init } in
-  let snext = { Event.id = { proc = 0; seq = 1 }; lt = q 9; kind = Event.Internal } in
+  let sprev = { Event.id = { proc = 0; seq = 0 }; lt = 0; kind = Event.Init } in
+  let snext =
+    { Event.id = { proc = 0; seq = 1 }; lt = secs 9; kind = Event.Internal }
+  in
   (match Edges.proc_edges s ~prev:sprev ~next:snext with
   | [ e1; e2 ] ->
     Alcotest.(check bool) "source edges zero" true
-      (Q.is_zero e1.Edges.w && Q.is_zero e2.Edges.w)
+      (e1.Edges.w = 0 && e2.Edges.w = 0)
   | _ -> Alcotest.fail "expected two proc edges");
   (* message edges: send at lt 10 (p0), recv at lt 20 (p1), transit [1,5]:
      forward = vd − lo = 10 − 1 = 9; backward = hi − vd = 5 − 10 = −5 *)
   let send =
-    { Event.id = { proc = 0; seq = 1 }; lt = q 10;
+    { Event.id = { proc = 0; seq = 1 }; lt = secs 10;
       kind = Event.Send { msg = 1; dst = 1 } }
   in
   let recv =
-    { Event.id = { proc = 1; seq = 1 }; lt = q 20;
+    { Event.id = { proc = 1; seq = 1 }; lt = secs 20;
       kind = Event.Recv { msg = 1; src = 0; send = send.id } }
   in
   (match Edges.msg_edges s ~send ~recv with
   | [ f; b ] ->
-    Alcotest.(check bool) "forward 9" true Q.(f.Edges.w = q 9);
-    Alcotest.(check bool) "backward -5" true Q.(b.Edges.w = q (-5));
+    Alcotest.(check bool) "forward 9" true Q.(weight s f = q 9);
+    Alcotest.(check bool) "backward -5" true Q.(weight s b = q (-5));
     Alcotest.(check bool) "directions" true
       (Event.id_equal f.Edges.src send.id && Event.id_equal b.Edges.src recv.id)
-  | _ -> Alcotest.fail "expected two message edges")
+  | _ -> Alcotest.fail "expected two message edges");
+  (* a weight past ±(2^61 − 1) is refused, never wrapped *)
+  let far = { recv with lt = System_spec.max_cell } in
+  Alcotest.check_raises "out of range"
+    (Invalid_argument
+       "Edges.msg_edges: a weight leaves the lattice's ±(2^61 − 1)/D range")
+    (fun () -> ignore (Edges.msg_edges s ~send ~recv:far))
 
 let test_edge_weights_async_link () =
   (* an asynchronous link has no backward (upper-bound) edge *)
@@ -194,31 +210,31 @@ let test_edge_weights_async_link () =
       ~transit:Transit.asynchronous ~links:[ (0, 1) ]
   in
   let send =
-    { Event.id = { proc = 0; seq = 1 }; lt = q 10;
+    { Event.id = { proc = 0; seq = 1 }; lt = secs 10;
       kind = Event.Send { msg = 1; dst = 1 } }
   in
   let recv =
-    { Event.id = { proc = 1; seq = 1 }; lt = q 20;
+    { Event.id = { proc = 1; seq = 1 }; lt = secs 20;
       kind = Event.Recv { msg = 1; src = 0; send = send.id } }
   in
   match Edges.msg_edges s ~send ~recv with
   | [ f ] ->
     (* vd − 0 = 10 *)
-    Alcotest.(check bool) "forward only" true Q.(f.Edges.w = q 10)
+    Alcotest.(check bool) "forward only" true Q.(weight s f = q 10)
   | l -> Alcotest.fail (Printf.sprintf "expected one edge, got %d" (List.length l))
 
 let test_edges_of_view () =
   let s = star_spec 2 in
   let v = View.create ~n_procs:2 in
-  View.add v { Event.id = { proc = 0; seq = 0 }; lt = q 0; kind = Event.Init };
+  View.add v { Event.id = { proc = 0; seq = 0 }; lt = 0; kind = Event.Init };
   View.add v
-    { Event.id = { proc = 0; seq = 1 }; lt = q 10;
+    { Event.id = { proc = 0; seq = 1 }; lt = secs 10;
       kind = Event.Send { msg = 1; dst = 1 } };
-  View.add v { Event.id = { proc = 1; seq = 0 }; lt = q 0; kind = Event.Init };
+  View.add v { Event.id = { proc = 1; seq = 0 }; lt = 0; kind = Event.Init };
   View.add v
-    { Event.id = { proc = 1; seq = 1 }; lt = q 20;
+    { Event.id = { proc = 1; seq = 1 }; lt = secs 20;
       kind = Event.Recv { msg = 1; src = 0; send = { proc = 0; seq = 1 } } };
-  let edges = Edges.of_view s v in
+  let edges = Sync_graph.of_view s v in
   (* p0 timeline: 2, p1 timeline: 2, message: 2 *)
   Alcotest.(check int) "edge count" 6 (List.length edges)
 
@@ -235,29 +251,95 @@ let prop_edge_weight_identities =
           ~transit:(Transit.of_q (q lo) (q (lo + extra)))
           ~links:[ (0, 1) ]
       in
-      let prev = { Event.id = { proc = 1; seq = 0 }; lt = q 0; kind = Event.Init } in
+      let prev = { Event.id = { proc = 1; seq = 0 }; lt = 0; kind = Event.Init } in
       let next =
-        { Event.id = { proc = 1; seq = 1 }; lt = q elapse; kind = Event.Internal }
+        { Event.id = { proc = 1; seq = 1 }; lt = secs elapse;
+          kind = Event.Internal }
       in
       let proc_ok =
-        List.for_all
-          (fun e -> Q.sign e.Edges.w >= 0)
-          (Edges.proc_edges s ~prev ~next)
+        List.for_all (fun e -> e.Edges.w >= 0) (Edges.proc_edges s ~prev ~next)
       in
       let send =
-        { Event.id = { proc = 0; seq = 1 }; lt = q 3;
+        { Event.id = { proc = 0; seq = 1 }; lt = secs 3;
           kind = Event.Send { msg = 1; dst = 1 } }
       in
       let recv =
-        { Event.id = { proc = 1; seq = 1 }; lt = q (3 + lo);
+        { Event.id = { proc = 1; seq = 1 }; lt = secs (3 + lo);
           kind = Event.Recv { msg = 1; src = 0; send = send.id } }
       in
       let msg_ok =
         match Edges.msg_edges s ~send ~recv with
-        | [ f; b ] -> Q.(Q.add f.Edges.w b.Edges.w = q extra)
+        | [ f; b ] -> f.Edges.w + b.Edges.w = extra * System_spec.lattice s
         | _ -> false
       in
       proc_ok && msg_ok)
+
+(* Property: the int edges AGDP runs on are exactly D times the
+   reference's exact weights (Sync_graph), over random drift bounds,
+   transit bounds with lo = hi, hi = ∞ and, once charged, lo < 0, and
+   random tick pairs. *)
+let prop_edges_match_exact =
+  let open QCheck in
+  let spec_gen =
+    Gen.(
+      let* down = int_range 0 100 and* up = int_range 0 100 in
+      let* lo_us = int_range 0 5000 in
+      let* hi =
+        frequency
+          [
+            (2, map (fun e -> Some e) (int_range 1 5000));
+            (1, return (Some 0));
+            (1, return None);
+          ]
+      in
+      let* charged = bool in
+      return (down, up, lo_us, hi, charged))
+  in
+  let ticks = Gen.int_range 0 2_000_000_000 in
+  Test.make ~name:"edges: D times the exact weights" ~count:300
+    (make
+       ~print:(fun ((down, up, lo, hi, ch), (a, b, c, d)) ->
+         Printf.sprintf "drift -%d/+%d x10 ppm, lo %d/7 us, hi %s, charged %b; %d %d %d %d"
+           down up lo
+           (match hi with Some e -> Printf.sprintf "lo+%d us" e | None -> "inf")
+           ch a b c d)
+       Gen.(pair spec_gen (quad ticks ticks ticks ticks)))
+    (fun ((down, up, lo_us, hi, charged), (t0, t1, ts, tr)) ->
+      let us n = Q.of_ints n 1_000_000 in
+      (* drift in steps of 10 ppm: D stays under 2^40 with the 7 below *)
+      let drift =
+        Drift.make
+          ~rmin:(Q.sub Q.one (us (10 * down)))
+          ~rmax:(Q.add Q.one (us (10 * up)))
+      in
+      let lo = Q.div_int (us lo_us) 7 in
+      let transit =
+        Transit.make ~lo
+          ~hi:(match hi with Some e -> Ext.Fin (Q.add lo (us e)) | None -> Ext.Inf)
+      in
+      let s =
+        System_spec.uniform ~n:2 ~source:0 ~drift ~transit ~links:[ (0, 1) ]
+      in
+      let s = if charged then System_spec.charge s else s in
+      let d = System_spec.lattice s in
+      let ev seq lt kind = { Event.id = { proc = 1; seq }; lt; kind } in
+      let prev = ev 0 (min t0 t1) Event.Init
+      and next = ev 1 (max t0 t1) Event.Internal in
+      let send =
+        { Event.id = { proc = 0; seq = 1 }; lt = ts;
+          kind = Event.Send { msg = 1; dst = 1 } }
+      in
+      let recv = ev 1 tr (Event.Recv { msg = 1; src = 0; send = send.id }) in
+      let agree (ints : Edges.edge list) (exact : Sync_graph.edge list) =
+        List.length ints = List.length exact
+        && List.for_all2
+             (fun (i : Edges.edge) (e : Sync_graph.edge) ->
+               Event.id_equal i.src e.src && Event.id_equal i.dst e.dst
+               && Q.equal (Q.of_int i.w) (Q.mul_int e.w d))
+             ints exact
+      in
+      agree (Edges.proc_edges s ~prev ~next) (Sync_graph.proc_edges s ~prev ~next)
+      && agree (Edges.msg_edges s ~send ~recv) (Sync_graph.msg_edges s ~send ~recv))
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -280,5 +362,5 @@ let () =
             test_edge_weights_async_link;
           Alcotest.test_case "whole view" `Quick test_edges_of_view;
         ] );
-      qsuite "props" [ prop_edge_weight_identities ];
+      qsuite "props" [ prop_edge_weight_identities; prop_edges_match_exact ];
     ]

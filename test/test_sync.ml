@@ -12,7 +12,9 @@ let spec2 =
     ~transit:(Transit.of_q (q 1) (q 5))
     ~links:[ (0, 1) ]
 
-let add view proc seq lt kind = View.add view { Event.id = { proc; seq }; lt; kind }
+(* [lt] in seconds, a whole tick in every case below *)
+let add view proc seq lt kind =
+  View.add view { Event.id = { proc; seq }; lt = Clock.floor_ticks lt; kind }
 
 (* p0: init(0) send m1(10); p1: init(0) recv m1(20). *)
 let one_message_view () =
