@@ -83,7 +83,8 @@ let part2_injected_faults () =
      back from its checkpoint at 9 s.  Faults force lossy mode — the
      crash surfaces to peers as message losses, which the Section 3.3
      machinery already absorbs — and every node checkpoints write-ahead:
-     durably before each send, so a restart can only ever re-report. *)
+     before each send, and after each receive before its ack, so a
+     restart can only ever re-report or re-receive. *)
   let star = System_spec.uniform ~n:4 ~source:0
       ~drift:(Drift.of_ppm 200)
       ~transit:(Transit.of_q (Scenario.ms 1) (Scenario.ms 5))
@@ -102,7 +103,6 @@ let part2_injected_faults () =
             Fault.Injection.Crash { at = Scenario.sec 5; node = 2 };
             Fault.Injection.Restart { at = Scenario.sec 9; node = 2 };
           ];
-        checkpoint = `Every 3;
       }
   in
   Format.printf

@@ -9,8 +9,8 @@
    deliberately sound for BOTH producers of traces:
 
    - the simulator (run / tournament), where delivery may reorder
-     messages (delay policies) and a crash kills unacked receives by
-     declaring their messages lost through the Section 3.3 oracle; and
+     messages (delay policies) and a delivery to a crashed node is
+     declared lost through the Section 3.3 oracle; and
    - the socket runtime (peer / hub), including trailerless
      kill -9 victim traces and post-recovery traces whose pre-crash
      history lives in a different file.

@@ -428,27 +428,24 @@ let restore_reader ?(validate = false) ?(sink = Trace.null)
   for _ = 1 to n_lost do
     Hashtbl.replace known_lost (Codec.read_varint r) ()
   done;
-  let spec_neighbors = System_spec.neighbors spec me in
-  let neighbors = Option.value neighbors ~default:spec_neighbors in
+  let neighbors =
+    Option.value neighbors ~default:(System_spec.neighbors spec me)
+  in
   (* [History.restore] blits these arrays and resolves the neighbor ids;
      validate here so corruption surfaces as a clean [Failure] rather
      than an [Invalid_argument] from deep inside the blit *)
   let s_known = read_int_array r in
   if Array.length s_known <> n then failwith "Csa.restore: bad known array";
   let n_frontiers = read_length r "frontier list" in
-  let s_frontiers = ref [] in
-  for _ = 1 to n_frontiers do
-    let u = Codec.read_varint r in
-    if not (List.mem u spec_neighbors) then
-      failwith "Csa.restore: frontier for a non-neighbor";
-    let c = read_int_array r in
-    if Array.length c <> n then failwith "Csa.restore: bad frontier array";
-    (* a spec neighbor outside [neighbors] was never sent anything (older
-       hub snapshots kept a frontier for every spec neighbor): its
-       frontier carries no obligation *)
-    if List.mem u neighbors then s_frontiers := (u, c) :: !s_frontiers
-  done;
-  let s_frontiers = List.rev !s_frontiers in
+  let s_frontiers =
+    List.init n_frontiers (fun _ ->
+        let u = Codec.read_varint r in
+        if not (List.mem u neighbors) then
+          failwith "Csa.restore: frontier for a non-neighbor";
+        let c = read_int_array r in
+        if Array.length c <> n then failwith "Csa.restore: bad frontier array";
+        (u, c))
+  in
   let s_events = read_event_list r in
   let n_inflight = read_length r "inflight list" in
   let s_inflight = ref [] in

@@ -163,8 +163,8 @@ val restore :
 (** The optional arguments choose the runtime wiring of the revived
     instance exactly as in {!create} (they are not part of the serialized
     state); a snapshot taken with or without [validate] restores either
-    way.  A saved frontier for a spec neighbor outside
-    [neighbors] is dropped: such a neighbor was never sent anything.
+    way.  A history holds frontiers only for its [neighbors], so a saved
+    frontier for any other processor marks the blob corrupt.
     @raise Failure on malformed input, on a distance matrix no execution
     can produce, or when the blob's lattice denominator is not
     [System_spec.lattice spec] (the cells are stored as [d·D]). *)

@@ -93,53 +93,25 @@ module Store = struct
       [ t.path; t.tmp ]
 end
 
-module Policy = struct
-  type spec = [ `Sync | `Every of int ]
-
-  type t = { every : int; mutable pending : int }
-
-  let make = function
-    | `Sync -> { every = 1; pending = 0 }
-    | `Every k ->
-      if k < 1 then invalid_arg "Fault.Policy.make: `Every needs k >= 1";
-      { every = k; pending = 0 }
-
-  let note_receive t =
-    t.pending <- t.pending + 1;
-    t.pending >= t.every
-
-  let flushed t = t.pending <- 0
-end
-
 module Injection = struct
   type event =
     | Crash of { at : Q.t; node : int }
     | Restart of { at : Q.t; node : int }
-    | Leave of { at : Q.t; node : int }
-    | Join of { at : Q.t; node : int }
     | Partition of { at : Q.t; heal : Q.t; island : int list }
     | Link_cut of { at : Q.t; heal : Q.t; u : int; v : int }
 
   let at = function
-    | Crash { at; _ }
-    | Restart { at; _ }
-    | Leave { at; _ }
-    | Join { at; _ }
-    | Partition { at; _ }
+    | Crash { at; _ } | Restart { at; _ } | Partition { at; _ }
     | Link_cut { at; _ } ->
       at
 
   let node = function
-    | Crash { node; _ } | Restart { node; _ } | Leave { node; _ }
-    | Join { node; _ } ->
-      Some node
+    | Crash { node; _ } | Restart { node; _ } -> Some node
     | Partition _ | Link_cut _ -> None
 
   let label = function
     | Crash _ -> "crash"
     | Restart _ -> "restart"
-    | Leave _ -> "leave"
-    | Join _ -> "join"
     | Partition _ -> "partition"
     | Link_cut _ -> "link_cut"
 
@@ -148,6 +120,40 @@ module Injection = struct
 end
 
 module Chaos = struct
+  (* One outage of a seeded run: it starts uniformly inside the middle
+     10%..80% of the run, so the network synchronizes once before the
+     first fault and has time to re-converge after the last one, and
+     lasts [min_down]..[max_down] (defaults 2% and 10% of the run). *)
+  let outage rng ~duration ?min_down ?max_down () =
+    let pct k = Q.mul duration (Q.of_ints k 100) in
+    let min_down = Option.value min_down ~default:(pct 2) in
+    let max_down = Option.value max_down ~default:(pct 10) in
+    fun () ->
+      let t0 = Rng.q_between rng (pct 10) (pct 80) in
+      (t0, Q.add t0 (Rng.q_between rng min_down max_down))
+
+  (* [draws] outages, each on a key picked from [victims].  One that
+     overlaps an earlier outage of the same key is dropped rather than
+     stacked, so a heal never races a later fault of that key.  The kept
+     ones come back in draw order. *)
+  let down_windows rng outage ~victims ~draws =
+    let kept = Hashtbl.create 8 in
+    let windows = ref [] in
+    for _ = 1 to draws do
+      let key = Rng.pick rng victims in
+      let t0, t1 = outage () in
+      if
+        not
+          (List.exists
+             (fun (a, b) -> Q.compare t0 b <= 0 && Q.compare a t1 <= 0)
+             (Hashtbl.find_all kept key))
+      then begin
+        Hashtbl.add kept key (t0, t1);
+        windows := (key, t0, t1) :: !windows
+      end
+    done;
+    List.rev !windows
+
   let schedule ~seed ~nodes ?(protect = [ 0 ]) ~duration ?(cycles = 2)
       ?min_down ?max_down ?(partitions = 0) () =
     if nodes < 2 then invalid_arg "Fault.Chaos.schedule: need >= 2 nodes";
@@ -160,45 +166,34 @@ module Chaos = struct
     in
     if victims = [] then
       invalid_arg "Fault.Chaos.schedule: every node is protected";
-    let pct k = Q.mul duration (Q.of_ints k 100) in
-    let min_down = Option.value min_down ~default:(pct 2) in
-    let max_down = Option.value max_down ~default:(pct 10) in
     let rng = Rng.create seed in
-    (* crashes land in the middle 10%..80% of the run so the network has
-       synchronized once before the first fault and has time to
-       re-converge after the last restart *)
-    let windows = Hashtbl.create 8 in
-    let overlaps node t0 t1 =
-      List.exists
-        (fun (a, b) -> Q.compare t0 b <= 0 && Q.compare a t1 <= 0)
-        (Option.value (Hashtbl.find_opt windows node) ~default:[])
+    let outage = outage rng ~duration ?min_down ?max_down () in
+    let crashes =
+      List.concat_map
+        (fun (node, t0, t1) ->
+          [
+            Injection.Crash { at = t0; node };
+            Injection.Restart { at = t1; node };
+          ])
+        (down_windows rng outage ~victims ~draws:cycles)
     in
-    let events = ref [] in
-    for _ = 1 to cycles do
-      let node = Rng.pick rng victims in
-      let t0 = Rng.q_between rng (pct 10) (pct 80) in
-      let down = Rng.q_between rng min_down max_down in
-      let t1 = Q.add t0 down in
-      if not (overlaps node t0 t1) then begin
-        Hashtbl.replace windows node
-          ((t0, t1)
-          :: Option.value (Hashtbl.find_opt windows node) ~default:[]);
-        events :=
-          Injection.Restart { at = t1; node }
-          :: Injection.Crash { at = t0; node }
-          :: !events
-      end
-    done;
-    for _ = 1 to partitions do
-      let at = Rng.q_between rng (pct 10) (pct 80) in
-      let heal = Q.add at (Rng.q_between rng min_down max_down) in
-      let island =
-        List.filter (fun p -> p <> 0 && Rng.bool rng) (List.init nodes Fun.id)
-      in
-      if island <> [] && List.length island < nodes then
-        events := Injection.Partition { at; heal; island } :: !events
-    done;
-    Injection.by_time !events
+    let splits =
+      List.filter_map
+        (fun _ ->
+          let at, heal = outage () in
+          let island =
+            List.filter
+              (fun p -> p <> 0 && Rng.bool rng)
+              (List.init nodes Fun.id)
+          in
+          if island <> [] && List.length island < nodes then
+            Some (Injection.Partition { at; heal; island })
+          else None)
+        (List.init partitions Fun.id)
+    in
+    (* newest draw first: on a time tie the stable sort keeps the order
+       every seeded schedule has had *)
+    Injection.by_time (List.rev (crashes @ splits))
 
   let link_churn ~seed ~links ~duration ?(cuts = 4) ?min_down ?max_down
       ?(protect = []) () =
@@ -211,33 +206,10 @@ module Chaos = struct
     in
     if victims = [] then
       invalid_arg "Fault.Chaos.link_churn: every link is protected";
-    let pct k = Q.mul duration (Q.of_ints k 100) in
-    let min_down = Option.value min_down ~default:(pct 2) in
-    let max_down = Option.value max_down ~default:(pct 10) in
     let rng = Rng.create seed in
-    (* cuts land in the middle of the run, like crash cycles: the network
-       synchronizes once before the first cut and re-converges after the
-       last heal.  Overlapping windows on one link are dropped, not
-       stacked, so a cut's heal never races a later cut of the same
-       link. *)
-    let windows = Hashtbl.create 8 in
-    let overlaps link t0 t1 =
-      List.exists
-        (fun (a, b) -> Q.compare t0 b <= 0 && Q.compare a t1 <= 0)
-        (Option.value (Hashtbl.find_opt windows link) ~default:[])
-    in
-    let events = ref [] in
-    for _ = 1 to cuts do
-      let ((u, v) as link) = Rng.pick rng victims in
-      let t0 = Rng.q_between rng (pct 10) (pct 80) in
-      let down = Rng.q_between rng min_down max_down in
-      let t1 = Q.add t0 down in
-      if not (overlaps link t0 t1) then begin
-        Hashtbl.replace windows link
-          ((t0, t1)
-          :: Option.value (Hashtbl.find_opt windows link) ~default:[]);
-        events := Injection.Link_cut { at = t0; heal = t1; u; v } :: !events
-      end
-    done;
-    Injection.by_time !events
+    let outage = outage rng ~duration ?min_down ?max_down () in
+    down_windows rng outage ~victims ~draws:cuts
+    |> List.rev_map (fun ((u, v), at, heal) ->
+           Injection.Link_cut { at; heal; u; v })
+    |> Injection.by_time
 end

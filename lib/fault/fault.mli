@@ -3,21 +3,21 @@
     The paper keeps CSA state deliberately small — Theorem 3.6 bounds it
     by [O(L^2 + K1*D)] — and {!Csa.snapshot} serializes exactly that
     state.  This module turns the snapshot into an actual fault-tolerance
-    story: {!Store} persists blobs durably and atomically, {!Policy}
-    decides how often, {!Injection} names the faults a run can suffer,
+    story: {!Store} persists blobs durably and atomically for the socket
+    runtime, {!Injection} names the faults a simulated run can suffer,
     and {!Chaos} draws randomized fault schedules from a seed.
 
-    The one invariant every user of this module must preserve is
+    The one invariant every checkpointing runtime must preserve is
     {b write-ahead checkpointing}: a node's state must be durable
     {e before} any part of it is externalized.  A payload carries the
     sender's own events, and an acknowledgement lets the sender
-    garbage-collect what the receiver acked — so a checkpoint must
-    precede every send, and a received message may only be acked after a
-    checkpoint covers it.  Restarting from a checkpoint that misses an
-    externalized event would re-issue its sequence number for a
-    different event, silently corrupting every peer's distance oracle;
-    with write-ahead checkpoints a restart only ever re-reports or
-    re-receives, which the Section 3.3 loss machinery already handles. *)
+    garbage-collect what the receiver acked — so a checkpoint precedes
+    every send, and every receive is checkpointed before it is acked.
+    Restarting from a checkpoint that misses an externalized event would
+    re-issue its sequence number for a different event, silently
+    corrupting every peer's distance oracle; with write-ahead checkpoints
+    a restart only ever re-reports or re-receives, which the Section 3.3
+    loss machinery already handles. *)
 
 (** Durable snapshot store: one file per node, written atomically.
 
@@ -52,43 +52,18 @@ module Store : sig
       simulate losing the disk too. *)
 end
 
-(** Checkpoint cadence.  [`Sync] checkpoints after every state change
-    (each receive; sends always checkpoint — see the module preamble);
-    [`Every k] defers receive-side checkpoints until [k] receives
-    accumulate or the next send flushes them.  Deferral only delays
-    acknowledgements (received-but-unacked messages are re-reported
-    after a crash); it never violates write-ahead. *)
-module Policy : sig
-  type spec = [ `Sync | `Every of int ]
-
-  type t
-
-  val make : spec -> t
-  (** @raise Invalid_argument on [`Every k] with [k < 1]. *)
-
-  val note_receive : t -> bool
-  (** Record one receive; [true] when a checkpoint is now due. *)
-
-  val flushed : t -> unit
-  (** Reset the pending-receive count (a checkpoint was just taken,
-      whatever triggered it). *)
-end
-
 (** Fault events a scenario can inject, in simulated real time. *)
 module Injection : sig
   type event =
     | Crash of { at : Q.t; node : int }
         (** drop the node's in-memory state; it stays down until a
-            [Restart] (messages to it are declared lost meanwhile) *)
+            [Restart] (messages to it are declared lost meanwhile).
+            Node churn is written with this pair too: a node leaves with
+            a [Crash], and a late joiner is a [Crash] at 0 plus a
+            [Restart] when it joins. *)
     | Restart of { at : Q.t; node : int }
-        (** revive the node from its last checkpoint *)
-    | Leave of { at : Q.t; node : int }
-        (** churn: the node leaves the network (same down semantics as a
-            crash; named separately so schedules read as intent) *)
-    | Join of { at : Q.t; node : int }
-        (** churn: the node is absent from time 0 and joins at [at]
-            (revived from its boot checkpoint, or from its last one if
-            it left earlier) *)
+        (** revive the node from its last checkpoint (its boot one if
+            it never ran) *)
     | Partition of { at : Q.t; heal : Q.t; island : int list }
         (** every link between [island] and its complement drops
             messages from [at] until [heal] *)

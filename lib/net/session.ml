@@ -499,7 +499,11 @@ let handle t ~now ~bytes (frame : Frame.t) =
                protocol's answer, not a breach of it *)
             note_drop t ~now ("awaiting dependencies: " ^ m)
           | exception Invalid_argument m ->
-            violation t ~now ~peer:p.id ~msg ~rule:"wire_contract" m
+            (* a refusal can come after the payload was integrated (an
+               edge weight off the lattice, say): like a negative cycle
+               below, it leaves the receive half-applied *)
+            violation t ~now ~peer:p.id ~msg ~rule:"wire_contract" m;
+            t.failed <- true
           | exception Agdp.Negative_cycle ->
             (* the peer's timestamps cannot all be true under the spec:
                a clock outside its declared drift bound, or a delay

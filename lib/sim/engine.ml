@@ -59,26 +59,18 @@ type sim_event =
   | Script_send of { src : Event.proc; dst : Event.proc }
   | Fault_ev of Fault.Injection.event
 
-(* One checkpoint slot per node: Fault.Store files when the scenario
-   names a directory, an in-memory cell otherwise (same restore path,
-   no disk in property tests). *)
-type ckpt_store = { save : string -> unit; load : unit -> string option }
-
 type verdict = Acked of int | Lost_v of int (* msg ids *)
 
+(* The crash runtime, present only when the scenario crashes or restarts
+   a node: each node's last write-ahead checkpoint (taken at boot) and
+   whether it is down. *)
 type fault_rt = {
   down : bool array;
-  stores : ckpt_store array;
-  policies : Fault.Policy.t array;
-  (* receives processed since the node's last checkpoint: their acks are
-     withheld until a checkpoint makes the receive durable (write-ahead;
-     an acked message may be garbage-collected by its sender) *)
-  unacked : (int * Event.proc) list array; (* msg, sender *)
+  ckpts : string array;
   (* verdicts the node's last checkpoint does not cover: applied since
      it, or fired while the node was down.  A restored node predates
      them all, so revive replays them (the loss oracle rules once) *)
   uncovered : verdict list array;
-  mutable partitions : (Q.t * int list) list; (* heal time, island *)
 }
 
 type state = {
@@ -86,12 +78,13 @@ type state = {
   rng : Rng.t;
   nodes : Node_rt.t array;
   frt : fault_rt option;
-  (* dynamic-link state (edge churn), keyed by normalized undirected
-     link: when the link heals, and when it was last cut.  Kept apart
-     from [frt] because link cuts touch no node state — a churn-only
-     scenario needs no checkpointing machinery. *)
+  (* dynamic-link state, kept apart from [frt] because link cuts and
+     partitions touch no node state: cuts (edge churn) keyed by
+     normalized undirected link, when the link heals and when it was
+     last cut; partitions as their heal time and island *)
   cuts : (Event.proc * Event.proc, Q.t) Hashtbl.t; (* link -> heal time *)
   last_cut : (Event.proc * Event.proc, Q.t) Hashtbl.t;
+  mutable partitions : (Q.t * int list) list;
   transport : Transport.t;
   metrics : Metrics.t;
   trace : Trace.sink; (* metrics ∪ the scenario's sink *)
@@ -181,27 +174,16 @@ let give_verdict f st p v =
   f.uncovered.(p) <- v :: f.uncovered.(p);
   if not f.down.(p) then apply_verdict st.nodes.(p).Node_rt.csa v
 
-(* Write-ahead checkpoint of node [p]: persist its CSA, then release the
-   acknowledgements withheld since the last checkpoint — only now are
-   the corresponding receives durable, so only now may their senders
-   garbage-collect against them. *)
-let checkpoint st p =
-  match st.frt with
-  | None -> ()
-  | Some f ->
-    let prof = st.scenario.Scenario.prof in
-    let t0 = Prof.start prof in
-    let blob = Csa.snapshot st.nodes.(p).Node_rt.csa in
-    f.stores.(p).save blob;
-    Prof.stop prof "checkpoint_write" t0;
-    f.uncovered.(p) <- [];
-    Trace.emit st.trace
-      (Trace.Checkpoint
-         { t = now_f st; node = p; bytes = String.length blob });
-    Fault.Policy.flushed f.policies.(p);
-    let acks = List.rev f.unacked.(p) in
-    f.unacked.(p) <- [];
-    List.iter (fun (msg, sender) -> give_verdict f st sender (Acked msg)) acks
+(* Write-ahead checkpoint of node [p]: its whole CSA, kept in memory *)
+let checkpoint f st p =
+  let prof = st.scenario.Scenario.prof in
+  let t0 = Prof.start prof in
+  let blob = Csa.snapshot st.nodes.(p).Node_rt.csa in
+  f.ckpts.(p) <- blob;
+  Prof.stop prof "checkpoint_write" t0;
+  f.uncovered.(p) <- [];
+  Trace.emit st.trace
+    (Trace.Checkpoint { t = now_f st; node = p; bytes = String.length blob })
 
 let link_key u v = if u <= v then (u, v) else (v, u)
 
@@ -219,14 +201,11 @@ let severed st ~src ~dst ~sent_at =
   | None -> false
 
 let partitioned st ~src ~dst =
-  match st.frt with
-  | None -> false
-  | Some f ->
-    f.partitions <-
-      List.filter (fun (heal, _) -> Q.compare heal st.now > 0) f.partitions;
-    List.exists
-      (fun (_, island) -> List.mem src island <> List.mem dst island)
-      f.partitions
+  st.partitions <-
+    List.filter (fun (heal, _) -> Q.compare heal st.now > 0) st.partitions;
+  List.exists
+    (fun (_, island) -> List.mem src island <> List.mem dst island)
+    st.partitions
 
 (* [src] sends now: the transport's draws, the payload, the
    write-ahead checkpoint, the trace, and the agenda entry for the
@@ -243,7 +222,7 @@ let send st ~src ~dst ~app =
     let env, n_events = Node_rt.prepare_send node ~dst ~msg ~lt in
     (* the payload that just left carries src's own events: they must be
        durable before anything downstream can depend on them *)
-    if st.frt <> None then checkpoint st src;
+    Option.iter (fun f -> checkpoint f st src) st.frt;
     Trace.emit st.trace
       (Trace.Send
          {
@@ -296,9 +275,10 @@ let deliver st ~msg ~src ~dst ~env ~app ~sent_at =
     Trace.emit st.trace (Trace.Receive { t = now_f st; src; dst; msg });
     (match st.frt with
     | Some f ->
-      (* withhold the ack until a checkpoint covers this receive *)
-      f.unacked.(dst) <- (msg, src) :: f.unacked.(dst);
-      if Fault.Policy.note_receive f.policies.(dst) then checkpoint st dst
+      (* the ack licenses the sender to garbage-collect: the receive is
+         durable first *)
+      checkpoint f st dst;
+      give_verdict f st src (Acked msg)
     | None ->
       if Scenario.lossy st.scenario then
         Csa.on_msg_delivered st.nodes.(src).Node_rt.csa ~msg);
@@ -325,62 +305,39 @@ let lost_notify st ~msg =
       | None -> Csa.on_msg_lost node.Node_rt.csa ~msg)
     st.nodes
 
-let crash st p =
-  match st.frt with
-  | None -> ()
-  | Some f ->
-    if not f.down.(p) then begin
-      f.down.(p) <- true;
-      Trace.emit st.trace (Trace.Crash { t = now_f st; node = p });
-      (* receives processed but never checkpointed die with the node:
-         their senders must roll back and re-report (the restored state
-         predates them, and write-ahead means they were never
-         externalized, so the rollback is invisible to everyone else) *)
-      let unacked = List.rev f.unacked.(p) in
-      f.unacked.(p) <- [];
-      Fault.Policy.flushed f.policies.(p);
-      List.iter (fun (msg, _) -> declare_lost st msg) unacked
-    end
+let crash f st p =
+  if not f.down.(p) then begin
+    f.down.(p) <- true;
+    Trace.emit st.trace (Trace.Crash { t = now_f st; node = p })
+  end
 
-let restart st p =
-  match st.frt with
-  | None -> ()
-  | Some f ->
-    if f.down.(p) then begin
-      let blob =
-        match f.stores.(p).load () with
-        | Some b -> b
-        | None ->
-          (* unreachable: every node is checkpointed at boot *)
-          failwith "Engine: restart without a checkpoint"
-      in
-      let old = st.nodes.(p) in
-      let csa =
-        Csa.restore ~validate:st.scenario.Scenario.validate_oracle
-          ~sink:st.trace ~prof:st.scenario.Scenario.prof
-          (System_spec.charge st.scenario.Scenario.spec)
-          blob
-      in
-      st.nodes.(p) <-
-        Node_rt.revive st.scenario ~clock:old.Node_rt.clock
-          ~parents:old.Node_rt.parents ~csa ~now:st.now p;
-      f.down.(p) <- false;
-      Trace.emit st.trace (Trace.Recover { t = now_f st; node = p });
-      (* kept until a checkpoint covers them: a second crash before
-         one replays them again *)
-      List.iter (apply_verdict csa) (List.rev f.uncovered.(p))
-    end
+let restart f st p =
+  if f.down.(p) then begin
+    let old = st.nodes.(p) in
+    let csa =
+      Csa.restore ~validate:st.scenario.Scenario.validate_oracle
+        ~sink:st.trace ~prof:st.scenario.Scenario.prof
+        (System_spec.charge st.scenario.Scenario.spec)
+        f.ckpts.(p)
+    in
+    st.nodes.(p) <-
+      Node_rt.revive st.scenario ~clock:old.Node_rt.clock
+        ~parents:old.Node_rt.parents ~csa ~now:st.now p;
+    f.down.(p) <- false;
+    Trace.emit st.trace (Trace.Recover { t = now_f st; node = p });
+    (* kept until a checkpoint covers them: a second crash before one
+       replays them again *)
+    List.iter (apply_verdict csa) (List.rev f.uncovered.(p))
+  end
 
 let fault_ev st (ev : Fault.Injection.event) =
   match ev with
-  | Fault.Injection.Crash { node; _ } | Fault.Injection.Leave { node; _ } ->
-    crash st node
-  | Fault.Injection.Restart { node; _ } | Fault.Injection.Join { node; _ } ->
-    restart st node
-  | Fault.Injection.Partition { heal; island; _ } -> (
-    match st.frt with
-    | None -> ()
-    | Some f -> f.partitions <- (heal, island) :: f.partitions)
+  | Fault.Injection.Crash { node; _ } ->
+    Option.iter (fun f -> crash f st node) st.frt
+  | Fault.Injection.Restart { node; _ } ->
+    Option.iter (fun f -> restart f st node) st.frt
+  | Fault.Injection.Partition { heal; island; _ } ->
+    st.partitions <- (heal, island) :: st.partitions
   | Fault.Injection.Link_cut { heal; u; v; _ } ->
     let key = link_key u v in
     Hashtbl.replace st.cuts key heal;
@@ -555,48 +512,24 @@ let run_nodes (scenario : Scenario.t) =
   let metrics = Metrics.create () in
   let trace = Trace.tee (Metrics.sink metrics) scenario.Scenario.trace in
   let nodes = init_nodes scenario rng trace in
-  (* link cuts touch no node state: only node-level faults (and
-     partitions, whose bookkeeping rides the same record) need the
+  (* only crashes touch node state: link cuts and partitions need no
      checkpoint/recovery runtime *)
-  let node_faults =
-    List.filter
-      (function Fault.Injection.Link_cut _ -> false | _ -> true)
-      scenario.Scenario.faults
-  in
   let frt =
-    if node_faults = [] then None
-    else begin
+    if
+      List.exists
+        (function
+          | Fault.Injection.Crash _ | Fault.Injection.Restart _ -> true
+          | Fault.Injection.Partition _ | Fault.Injection.Link_cut _ -> false)
+        scenario.Scenario.faults
+    then
       let n = Array.length nodes in
-      let stores =
-        match scenario.Scenario.checkpoint_dir with
-        | Some dir ->
-          Array.init n (fun p ->
-              let s = Fault.Store.create ~dir ~node:p in
-              {
-                save = Fault.Store.save s;
-                load =
-                  (fun () ->
-                    match Fault.Store.load_result s with
-                    | Ok b -> b
-                    | Error m -> failwith ("Engine: " ^ m));
-              })
-        | None ->
-          Array.init n (fun _ ->
-              let cell = ref None in
-              { save = (fun b -> cell := Some b); load = (fun () -> !cell) })
-      in
       Some
         {
           down = Array.make n false;
-          stores;
-          policies =
-            Array.init n (fun _ ->
-                Fault.Policy.make scenario.Scenario.checkpoint);
-          unacked = Array.make n [];
+          ckpts = Array.make n "";
           uncovered = Array.make n [];
-          partitions = [];
         }
-    end
+    else None
   in
   let transport =
     Transport.create scenario.Scenario.spec ~rng ~delay:scenario.Scenario.delay
@@ -611,6 +544,7 @@ let run_nodes (scenario : Scenario.t) =
       frt;
       cuts = Hashtbl.create 8;
       last_cut = Hashtbl.create 8;
+      partitions = [];
       transport;
       metrics;
       trace;
@@ -623,29 +557,13 @@ let run_nodes (scenario : Scenario.t) =
       series_tick = 0;
     }
   in
-  (match st.frt with
-  | None -> ()
-  | Some f ->
-    (* boot checkpoint for every node: a restart must always find a
-       blob — a node that has participated can never reboot amnesiac
-       (it would re-issue event sequence numbers its peers already
-       bound to different events) *)
-    Array.iter (fun (node : Node_rt.t) -> checkpoint st node.Node_rt.proc) st.nodes;
-    List.iter
-      (fun ev ->
-        (* a node whose first fault is a Join is absent from time 0 *)
-        match ev with
-        | Fault.Injection.Join { node; _ }
-          when not (List.exists
-                      (fun e ->
-                        Fault.Injection.node e = Some node
-                        && Q.compare (Fault.Injection.at e)
-                             (Fault.Injection.at ev)
-                           < 0)
-                      scenario.Scenario.faults) ->
-          f.down.(node) <- true
-        | _ -> ())
-      scenario.Scenario.faults);
+  (* boot checkpoint for every node: a restart must always find a blob —
+     a node that has participated can never reboot amnesiac (it would
+     re-issue event sequence numbers its peers already bound to
+     different events) *)
+  Option.iter
+    (fun f -> Array.iteri (fun p _ -> checkpoint f st p) st.nodes)
+    st.frt;
   List.iter
     (fun ev -> Heap.push st.agenda ~at:(Fault.Injection.at ev) (Fault_ev ev))
     scenario.Scenario.faults;

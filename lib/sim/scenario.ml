@@ -26,8 +26,6 @@ type t = {
   trace : Trace.sink;
   prof : Prof.t;
   faults : Fault.Injection.event list;
-  checkpoint : Fault.Policy.spec;
-  checkpoint_dir : string option;
 }
 
 let lossy t = t.loss_prob > 0. || t.faults <> [] || t.churn <> None
@@ -56,6 +54,4 @@ let default ~spec ~traffic =
     trace = Trace.null;
     prof = Prof.null;
     faults = [];
-    checkpoint = `Sync;
-    checkpoint_dir = None;
   }

@@ -79,18 +79,14 @@ type t = {
           timed and reported as [Span] events on the profiler's own sink
           (typically teed with [trace]). *)
   faults : Fault.Injection.event list;
-      (** crash/restart, join/leave and partition injections, in real
-          time.  Any fault forces lossy CSA mode (crashes surface as
-          message losses to the Section 3.3 machinery) and enables
-          write-ahead checkpointing for every node.  Incompatible with
-          [validate] (the full-view mirror cannot survive a crash). *)
-  checkpoint : Fault.Policy.spec;
-      (** receive-side checkpoint cadence when faults are active; sends
-          always checkpoint first (see {!Fault.Policy}) *)
-  checkpoint_dir : string option;
-      (** when set, checkpoints go through {!Fault.Store} files in this
-          directory; otherwise they live in memory (still exercising the
-          same restore path) *)
+      (** crash/restart, partition and link-cut injections, in real time.
+          Any fault forces lossy CSA mode (crashes and severed links
+          surface as message losses to the Section 3.3 machinery) and is
+          incompatible with [validate] (the full-view mirror cannot
+          survive a crash).  A [Crash] or [Restart] turns on write-ahead
+          checkpointing for every node: a checkpoint at boot, before
+          every send, and after every receive, before its ack.  The
+          checkpoints are {!Csa.snapshot} blobs kept in memory. *)
 }
 
 val default : spec:System_spec.t -> traffic:traffic -> t

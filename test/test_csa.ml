@@ -376,6 +376,13 @@ let test_snapshot_refusals () =
     (tail [ 1; 1 ] [ 0; 1; 1; 0 ]);
   (* the same surgery with consistent cells restores *)
   ignore (Csa.restore spec2 (prefix ^ tail [ 1; 3 ] [ 0; 3; max_int; 0 ]));
+  (* node 1 holds a frontier for its one neighbor, 0: restored as a node
+     that has no neighbors, that frontier is corrupt *)
+  (match Csa.restore ~neighbors:[] spec2 blob with
+  | _ -> Alcotest.fail "a frontier outside neighbors: accepted"
+  | exception Failure m ->
+    Alcotest.(check string) "a frontier outside neighbors"
+      "Csa.restore: frontier for a non-neighbor" m);
   List.iter
     (fun v ->
       let old = Bytes.of_string blob in

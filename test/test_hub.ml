@@ -285,17 +285,6 @@ let test_cohort_history_bounded () =
     Alcotest.failf "cohort history grows with uptime: peak %d at 10 s, %d at 40 s"
       short long
 
-(* Older hub snapshots kept a frontier for every spec neighbor; a
-   member-only session drops the idle ones on restore. *)
-let test_restore_drops_idle_frontiers () =
-  let spec = star_spec ~nodes:4 in
-  let full = Csa.create ~lossy:true spec ~me:0 ~lt0:0 in
-  let c = Csa.restore ~neighbors:[ 2 ] spec (Csa.snapshot full) in
-  ignore (Csa.send c ~dst:2 ~msg:0 ~lt:(Clock.floor_ticks (ms 10)));
-  match Csa.send c ~dst:1 ~msg:4 ~lt:(Clock.floor_ticks (ms 20)) with
-  | _ -> Alcotest.fail "sent to a processor outside the restored neighbors"
-  | exception Invalid_argument _ -> ()
-
 (* Per-cohort checkpoints are keyed by cohort index: a hub restarted
    with another cohort size would hand cohort i's state to other
    clients.  Restore refuses a snapshot whose members differ. *)
@@ -1055,8 +1044,6 @@ let () =
             test_peers_subset_validated;
           Alcotest.test_case "cohort history bounded" `Quick
             test_cohort_history_bounded;
-          Alcotest.test_case "restore drops idle frontiers" `Quick
-            test_restore_drops_idle_frontiers;
           Alcotest.test_case "restore refuses other members" `Quick
             test_restore_refuses_other_members;
           Alcotest.test_case "spec-violating client contained" `Quick

@@ -366,6 +366,59 @@ let test_duplicate_data_dedup () =
   in
   Alcotest.(check int) "both copies acked" 2 (List.length acks)
 
+(* A refusal raised after the payload was integrated leaves the receive
+   half-applied, so the session fail-stops as on a negative cycle.  Here
+   the spec has 3 cells per tick and the sender boots at max_cell/2
+   ticks: the receive's message edge leaves the lattice. *)
+let test_wire_contract_fail_stop () =
+  let spec =
+    System_spec.uniform ~n:2 ~source:0 ~drift:(Drift.of_ppm 0)
+      ~transit:(Transit.of_q (Q.of_ints 1 3000) (ms 5))
+      ~links:[ (0, 1) ]
+  in
+  Alcotest.(check int) "3 cells per tick" 3 (System_spec.cells_per_tick spec);
+  let metrics = Metrics.create () in
+  let violations = ref [] in
+  let sink =
+    Trace.tee (Metrics.sink metrics)
+      (Trace.callback (function
+        | Trace.Protocol_violation { rule; _ } ->
+          violations := rule :: !violations
+        | _ -> ()))
+  in
+  let late = System_spec.q_of_ticks (System_spec.max_cell / 2) in
+  let a =
+    Session.create ~preestablished:true
+      (test_cfg ~me:0 ~spec ~lossy:true)
+      ~now:late
+  in
+  let b =
+    Session.create ~sink ~preestablished:true
+      (test_cfg ~me:1 ~spec ~lossy:true)
+      ~now:Q.zero
+  in
+  Session.send_data a ~now:late ~dst:1;
+  let data =
+    match Session.drain a with
+    | [ (1, bytes) ] -> bytes
+    | _ -> Alcotest.fail "expected exactly one outgoing data frame"
+  in
+  let deliver now =
+    match Frame.decode data with
+    | Ok f -> Session.handle b ~now ~bytes:(String.length data) f
+    | Error e -> Alcotest.failf "frame rejected: %s" e
+  in
+  deliver (ms 1);
+  Alcotest.(check (list string)) "wire_contract violation" [ "wire_contract" ]
+    !violations;
+  Alcotest.(check int) "no receive" 0 (Metrics.receives metrics);
+  Alcotest.(check bool) "no timer armed" true (Session.next_deadline b = None);
+  Session.tick b ~now:(Q.of_int 5);
+  deliver (Q.of_int 6);
+  Alcotest.(check (list (Alcotest.pair Alcotest.int Alcotest.string)))
+    "no further frames" [] (Session.drain b);
+  Alcotest.(check int) "later frames dropped" 2 (Metrics.net_drops metrics)
+
 let test_non_neighbor_rejected () =
   let spec = star_spec 3 in
   (* node 1 and node 2 are not neighbors in a star *)
@@ -646,6 +699,8 @@ let () =
             test_duplicate_data_dedup;
           Alcotest.test_case "non-neighbor and bad digest rejected" `Quick
             test_non_neighbor_rejected;
+          Alcotest.test_case "off-lattice receive fail-stops" `Quick
+            test_wire_contract_fail_stop;
         ] );
       ( "stats",
         [ Alcotest.test_case "live exposition endpoint" `Quick
